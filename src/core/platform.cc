@@ -22,21 +22,17 @@ constexpr uint64_t kEdgeIdMask = 0xffffffffull;
 template <typename Record, typename RecordFn>
 Status ParseNewLines(std::string_view payload, size_t* records_parsed,
                      RecordFn&& fn) {
-  size_t pos = 0;
-  while (pos < payload.size()) {
-    const size_t nl = payload.find('\n', pos);
-    const std::string_view line =
-        payload.substr(pos, nl == std::string_view::npos ? std::string_view::npos
-                                                         : nl - pos);
-    pos = nl == std::string_view::npos ? payload.size() : nl + 1;
-    if (line.empty()) continue;
+  Status status;
+  dfs::ForEachJsonLine(payload, [&](std::string_view line, int64_t) {
     json::JsonReader reader(line);
-    CFNET_ASSIGN_OR_RETURN(Record record, Record::Decode(reader));
-    CFNET_RETURN_IF_ERROR(reader.Finish());
+    Result<Record> record = Record::Decode(reader);
+    status = record.ok() ? reader.Finish() : record.status();
+    if (!status.ok()) return false;
     ++*records_parsed;
-    fn(record);
-  }
-  return Status::OK();
+    fn(*record);
+    return true;
+  });
+  return status;
 }
 
 }  // namespace
@@ -128,7 +124,7 @@ Result<AnalysisInputs> ExploratoryPlatform::LoadInputs() {
 
   const bool salvage = options_.salvage_loads;
   if (salvage) {
-    // Repair before reading: orphaned temps vanish, bad-footer shards move
+    // Repair before reading: orphaned temps vanish, damaged shards move
     // under /.quarantine (and out of the List() results below).
     dfs::RecoveryReport swept =
         dfs::SweepDir(dfs_.get(), options_.crawl.snapshot_dir);
@@ -194,14 +190,14 @@ ExploratoryPlatform::AdvanceEpochLocked() {
   for (const std::string& path :
        SplitSnapshotFiles(dfs_->List(crawler_->UserSnapshotDir())).json) {
     CFNET_ASSIGN_OR_RETURN(std::string payload,
-                           dfs::ReadCommitted(dfs_.get(), path));
+                           dfs::ReadCommitted(*dfs_, path));
     shards.push_back({path, std::move(payload), /*is_user=*/true});
   }
   for (const std::string& path :
        SplitSnapshotFiles(dfs_->List(crawler_->CrunchBaseSnapshotDir()))
            .json) {
     CFNET_ASSIGN_OR_RETURN(std::string payload,
-                           dfs::ReadCommitted(dfs_.get(), path));
+                           dfs::ReadCommitted(*dfs_, path));
     shards.push_back({path, std::move(payload), /*is_user=*/false});
   }
   report.files_scanned = shards.size();

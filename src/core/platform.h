@@ -52,7 +52,7 @@ class ExploratoryPlatform {
     /// Worker threads for the analytics engine (0 = hardware default).
     size_t analytics_parallelism = 0;
     /// Corruption-aware loads: before reading, sweep the snapshot tree
-    /// (GC orphaned temp files, quarantine bad-footer shards), then scan in
+    /// (GC orphaned temp files, quarantine damaged shards), then scan in
     /// salvage mode — undecodable lines are dropped and counted instead of
     /// failing the analysis. `scan_report()` surfaces what was skipped.
     /// Off by default: a healthy pipeline should fail loudly on damage it

@@ -5,13 +5,10 @@
 
 #include "dfs/commit.h"
 #include "json/json.h"
-#include "util/crc32.h"
 #include "util/string_util.h"
 
 namespace cfnet::crawler {
 namespace {
-
-constexpr std::string_view kMagic = "CFNETCKPT1";
 
 json::Json IdsToJson(const std::vector<uint64_t>& ids) {
   json::Json a = json::Json::MakeArray();
@@ -116,7 +113,6 @@ CrawlReport ReportFromJson(const json::Json& o) {
   r.checkpoint_restores = o.Get("checkpoint_restores").AsInt();
   r.dead_lettered_ids = o.Get("dead_lettered_ids").AsInt();
   r.dead_letters_replayed = o.Get("dead_letters_replayed").AsInt();
-  // Absent in pre-durability checkpoints; Get() falls back to 0.
   r.storage_temps_removed = o.Get("storage_temps_removed").AsInt();
   r.storage_quarantined = o.Get("storage_quarantined").AsInt();
   for (const json::Json& e : o.Get("degraded_phases").array()) {
@@ -181,36 +177,10 @@ std::string CheckpointStore::Serialize(const CheckpointState& st) {
   for (const auto& [path, n] : st.snapshot_counts) counts.Set(path, n);
   root.Set("snapshot_counts", std::move(counts));
   root.Set("report", ReportToJson(st.report));
-
-  std::string payload = root.Dump();
-  std::string out = StrFormat("%s %08x %zu\n", std::string(kMagic).c_str(),
-                              Crc32(payload), payload.size());
-  out += payload;
-  return out;
+  return root.Dump();
 }
 
-Result<CheckpointState> CheckpointStore::Deserialize(
-    std::string_view contents) {
-  size_t nl = contents.find('\n');
-  if (nl == std::string_view::npos) {
-    return Status::Corruption("checkpoint: missing header line");
-  }
-  std::vector<std::string> header =
-      StrSplit(std::string_view(contents.data(), nl), ' ');
-  if (header.size() != 3 || header[0] != kMagic) {
-    return Status::Corruption("checkpoint: bad header");
-  }
-  uint32_t want_crc =
-      static_cast<uint32_t>(std::strtoul(header[1].c_str(), nullptr, 16));
-  size_t want_len =
-      static_cast<size_t>(std::strtoull(header[2].c_str(), nullptr, 10));
-  std::string_view payload = contents.substr(nl + 1);
-  if (payload.size() != want_len) {
-    return Status::Corruption("checkpoint: truncated payload");
-  }
-  if (Crc32(payload) != want_crc) {
-    return Status::Corruption("checkpoint: CRC mismatch");
-  }
+Result<CheckpointState> CheckpointStore::Deserialize(std::string_view payload) {
   auto parsed = json::Parse(payload);
   if (!parsed.ok()) {
     return Status::Corruption("checkpoint: " + parsed.status().message());
@@ -289,21 +259,11 @@ Status CheckpointStore::Save(CheckpointState* state) {
 Result<CheckpointState> CheckpointStore::LoadLatestValid() const {
   std::vector<std::string> files = ListFiles();
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    auto contents = dfs_->ReadFile(*it);
-    if (!contents.ok()) continue;  // lost replicas: fall back to older
-    // Strip a valid commit footer; a corrupt one disqualifies the file
-    // (fall back to the previous checkpoint, same as a torn payload).
-    uint64_t payload_len = 0;
-    switch (dfs::InspectFooter(*contents, &payload_len)) {
-      case dfs::FooterState::kValid:
-        contents->resize(payload_len);
-        break;
-      case dfs::FooterState::kAbsent:
-        break;  // legacy raw checkpoint: the CFNETCKPT1 header still guards it
-      case dfs::FooterState::kCorrupt:
-        continue;
-    }
-    auto state = Deserialize(*contents);
+    // Damage or lost replicas disqualify the file: fall back to the
+    // previous checkpoint.
+    auto payload = dfs::ReadCommitted(*dfs_, *it);
+    if (!payload.ok()) continue;
+    auto state = Deserialize(*payload);
     if (state.ok()) return state;
   }
   return Status::NotFound("no valid checkpoint under " + dir_);

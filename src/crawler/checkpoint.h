@@ -37,11 +37,12 @@ struct CheckpointState {
   CrawlReport report;
 };
 
-/// Versioned, CRC-validated checkpoint files in MiniDFS. Files are named
-/// `ckpt-<seq>` with monotonically increasing sequence numbers; `Save`
-/// prunes all but the newest `keep`, and `LoadLatestValid` skips files
-/// whose CRC or payload fails validation (a torn write surfaces as a
-/// fallback to the previous checkpoint, not a crash).
+/// Versioned checkpoint files in MiniDFS, committed and read back through
+/// the dfs/commit footer contract. Files are named `ckpt-<seq>` with
+/// monotonically increasing sequence numbers; `Save` prunes all but the
+/// newest `keep`, and `LoadLatestValid` skips files that are damaged or
+/// fail to parse (a torn write surfaces as a fallback to the previous
+/// checkpoint, not a crash).
 class CheckpointStore {
  public:
   CheckpointStore(dfs::MiniDfs* dfs, std::string dir, int keep = 2);
@@ -52,8 +53,8 @@ class CheckpointStore {
   /// Stamps `state->seq`, writes the checkpoint, prunes old ones.
   Status Save(CheckpointState* state);
 
-  /// Newest checkpoint that passes CRC + parse validation; NotFound when
-  /// none exists (or none is valid).
+  /// Newest checkpoint whose footer verifies and whose payload parses;
+  /// NotFound when none exists (or none is valid).
   Result<CheckpointState> LoadLatestValid() const;
 
   /// Checkpoint file paths, oldest first.
@@ -61,9 +62,10 @@ class CheckpointStore {
 
   const std::string& dir() const { return dir_; }
 
-  /// Wire format: "CFNETCKPT1 <crc32-hex> <payload-bytes>\n<payload JSON>".
+  /// Payload format: one JSON document. Integrity comes from the commit
+  /// footer, which ReadCommitted verifies before Deserialize sees a byte.
   static std::string Serialize(const CheckpointState& state);
-  static Result<CheckpointState> Deserialize(std::string_view file_contents);
+  static Result<CheckpointState> Deserialize(std::string_view payload);
 
  private:
   dfs::MiniDfs* dfs_;

@@ -318,7 +318,7 @@ Status Crawler::Run() {
 Status Crawler::Resume() {
   if (checkpoints_ == nullptr) return Run();
   // Repair the snapshot tree before trusting it: GC temp files the dying
-  // incarnation orphaned mid-commit and quarantine bad-footer files. (The
+  // incarnation orphaned mid-commit and quarantine damaged files. (The
   // checkpoint dir was already swept when the store was constructed.)
   dfs::RecoveryReport swept = dfs::SweepDir(dfs_, config_.snapshot_dir);
   auto loaded = checkpoints_->LoadLatestValid();

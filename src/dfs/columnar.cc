@@ -67,17 +67,7 @@ Status WalkBlocks(ByteReader& r, std::string_view path,
 
 Result<uint32_t> ReadColumnarFingerprint(const MiniDfs& dfs,
                                          const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string content, dfs.ReadFile(path));
-  uint64_t payload_len = content.size();
-  switch (InspectFooter(content, &payload_len)) {
-    case FooterState::kValid:
-      content.resize(payload_len);
-      break;
-    case FooterState::kAbsent:
-      break;  // legacy raw file: parse as stored
-    case FooterState::kCorrupt:
-      return Status::Corruption(path + ": corrupt commit footer");
-  }
+  CFNET_ASSIGN_OR_RETURN(std::string content, ReadCommitted(dfs, path));
   ByteReader r(content);
   ColumnarHeader header;
   CFNET_RETURN_IF_ERROR(ParseColumnarHeader(r, path, &header));
@@ -86,7 +76,7 @@ Result<uint32_t> ReadColumnarFingerprint(const MiniDfs& dfs,
 
 Result<ColumnarFileInfo> InspectColumnarFile(MiniDfs* dfs,
                                              const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string content, ReadCommitted(dfs, path));
+  CFNET_ASSIGN_OR_RETURN(std::string content, ReadCommitted(*dfs, path));
   ByteReader r(content);
   ColumnarHeader header;
   CFNET_RETURN_IF_ERROR(ParseColumnarHeader(r, path, &header));

@@ -373,8 +373,8 @@ Result<ColumnarFileInfo> InspectColumnarFile(MiniDfs* dfs,
 
 /// Header-only read of the stored source fingerprint — the staleness check
 /// loaders run before trusting a columnar file over the live JSON shards.
-/// A corrupt commit footer or smashed header fails Corruption (callers fall
-/// back to JSON).
+/// Damage (see ReadCommitted) or a smashed header fails Corruption (callers
+/// fall back to JSON).
 Result<uint32_t> ReadColumnarFingerprint(const MiniDfs& dfs,
                                          const std::string& path);
 
@@ -459,8 +459,8 @@ class ColumnarWriter {
 /// Flattened partition order equals write order. Strict mode fails on any
 /// damage; salvage mode mirrors the JSON scan contract — footer-verified
 /// files still decode strictly (their bytes are proven intact), while
-/// quarantined/raw files drop CRC-failed blocks (and anything after a broken
-/// frame) into the report instead of failing the scan.
+/// damaged files drop CRC-failed blocks (and anything after a broken frame)
+/// into the report instead of failing the scan.
 template <typename T>
 Result<std::vector<std::vector<T>>> ScanColumnBlocks(
     const MiniDfs& dfs, const std::vector<std::string>& paths,

@@ -131,7 +131,7 @@ Status CommitAppend(MiniDfs* dfs, const std::string& path,
                     std::string_view payload, const CommitOptions& opts) {
   std::string combined;
   if (dfs->Exists(path)) {
-    auto prior = ReadCommitted(dfs, path, opts);
+    auto prior = ReadCommitted(*dfs, path, opts);
     if (!prior.ok()) return prior.status();
     combined = std::move(*prior);
   }
@@ -139,32 +139,37 @@ Status CommitAppend(MiniDfs* dfs, const std::string& path,
   return CommitFile(dfs, path, combined, opts);
 }
 
-Result<std::string> ReadCommitted(MiniDfs* dfs, const std::string& path,
-                                  const CommitOptions& opts) {
+Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path,
+                                  const CommitOptions& opts,
+                                  std::string* damaged) {
   ExponentialBackoff backoff(opts.backoff, opts.backoff_seed);
   Status last = Status::Internal("read never attempted");
   for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
     if (attempt > 0) ChargeDelay(&backoff, opts);
-    auto content = dfs->ReadFile(path);
+    auto content = dfs.ReadFile(path);
     if (!content.ok()) {
       last = content.status();
       if (last.code() == StatusCode::kNotFound) return last;
       continue;
     }
     uint64_t payload_len = 0;
-    switch (InspectFooter(*content, &payload_len)) {
-      case FooterState::kValid:
-        content->resize(payload_len);
-        return std::move(*content);
-      case FooterState::kAbsent:
-        // Legacy raw artifact: no end-to-end guarantee, but also no claim
-        // of one — hand back the bytes as stored.
-        return std::move(*content);
-      case FooterState::kCorrupt:
-        // Could be a transient in-flight flip; a retry reads the intact
-        // replicas again.
-        last = Status::Corruption("corrupt commit footer on " + path);
-        continue;
+    const FooterState footer = InspectFooter(*content, &payload_len);
+    if (footer == FooterState::kValid) {
+      content->resize(payload_len);
+      return std::move(*content);
+    }
+    // A short read or an in-flight flip looks exactly like damage at rest;
+    // only a retry, which reads the intact replicas again, tells them apart.
+    last = Status::Corruption(
+        (footer == FooterState::kAbsent ? "missing commit footer on "
+                                        : "corrupt commit footer on ") +
+        path);
+    if (damaged != nullptr) {
+      // An intact magic proves the last 40 bytes are footer, not payload.
+      if (footer == FooterState::kCorrupt) {
+        content->resize(content->size() - kCommitFooterSize);
+      }
+      *damaged = std::move(*content);
     }
   }
   return last;
@@ -187,13 +192,15 @@ RecoveryReport SweepDir(MiniDfs* dfs, const std::string& dir_prefix) {
       if (dfs->Delete(path).ok()) ++report.temp_files_removed;
       continue;
     }
-    auto content = dfs->ReadFile(path);
-    if (!content.ok()) continue;  // unreadable files are the scrubber's job
-    if (InspectFooter(*content, nullptr) == FooterState::kCorrupt) {
-      if (dfs->Rename(path, QuarantinePath(path)).ok()) {
-        ++report.files_quarantined;
-        report.quarantined_paths.push_back(QuarantinePath(path));
-      }
+    // Only the final verdict counts: a transient read fault must not
+    // quarantine a healthy file, and unreadable files are the scrubber's job.
+    auto content = ReadCommitted(*dfs, path);
+    if (content.ok() || content.status().code() != StatusCode::kCorruption) {
+      continue;
+    }
+    if (dfs->Rename(path, QuarantinePath(path)).ok()) {
+      ++report.files_quarantined;
+      report.quarantined_paths.push_back(QuarantinePath(path));
     }
   }
   if (!report.clean()) {

@@ -13,7 +13,8 @@
 
 namespace cfnet::dfs {
 
-/// Durable-write protocol for snapshot/checkpoint artifacts.
+/// Durable-file contract for every artifact the pipeline reads back
+/// (JSON-lines shards, columnar files, checkpoints).
 ///
 /// Every committed file carries a fixed-width 40-byte trailer:
 ///
@@ -24,8 +25,9 @@ namespace cfnet::dfs {
 /// corruption introduced *above* the replication layer (silent fsync loss,
 /// rotten write buffers): block checksums are computed from whatever bytes
 /// the write handed down, so they verify "clean" even when those bytes are
-/// wrong. Readers that find a valid footer get an end-to-end integrity
-/// guarantee; files without one (legacy raw writes) still read back as-is.
+/// wrong. Every read goes through ReadCommitted, the one place a footer
+/// verdict becomes a decision: a valid footer yields the payload, and a
+/// footer that is absent or corrupt after retries means damage.
 
 /// Fixed footer width in bytes.
 inline constexpr size_t kCommitFooterSize = 40;
@@ -37,7 +39,7 @@ inline constexpr std::string_view kCommitFooterMagic = "CFNETFTR1";
 /// rename orphans the temp; recovery sweeps delete it.
 inline constexpr std::string_view kTempSuffix = ".tmp";
 
-/// Namespace root that quarantined (bad-footer) files are renamed under.
+/// Namespace root that damaged files are renamed under by SweepDir.
 /// Lives outside every data-dir prefix, so List()-driven consumers never
 /// see quarantined files, but operators can inspect them.
 inline constexpr std::string_view kQuarantineRoot = "/.quarantine";
@@ -48,19 +50,20 @@ std::string MakeCommitFooter(uint32_t payload_crc, uint64_t payload_len);
 /// What the tail of a file looks like to the commit protocol.
 enum class FooterState {
   kValid,    // well-formed footer, CRC and length match the payload
-  kAbsent,   // no footer magic at the expected offset (legacy raw file)
+  kAbsent,   // no footer magic at the expected offset (torn or short bytes)
   kCorrupt,  // footer magic present but CRC/length disagree with the bytes
 };
 
 /// Classifies `file` and, when the footer is valid, stores the payload
-/// length (file size minus footer) in `*payload_len`.
+/// length (file size minus footer) in `*payload_len`. Readers do not act on
+/// this verdict themselves; they read through ReadCommitted.
 FooterState InspectFooter(std::string_view file, uint64_t* payload_len);
 
 /// `path` + ".tmp" — the uncommitted staging name.
 std::string TempPath(const std::string& path);
 bool IsTempPath(std::string_view path);
 
-/// "/.quarantine" + `path` — where a bad-footer file is moved instead of
+/// "/.quarantine" + `path` — where a damaged file is moved instead of
 /// aborting the scan that found it.
 std::string QuarantinePath(const std::string& path);
 
@@ -92,18 +95,19 @@ Status CommitFile(MiniDfs* dfs, const std::string& path,
                   std::string_view payload, const CommitOptions& opts = {});
 
 /// Appends `payload` to the committed content of `path` (creating it when
-/// absent) and re-commits the whole file under a fresh footer. An existing
-/// file without a footer is adopted leniently: its raw bytes become the
-/// prior payload.
+/// absent) and re-commits the whole file under a fresh footer.
 Status CommitAppend(MiniDfs* dfs, const std::string& path,
                     std::string_view payload, const CommitOptions& opts = {});
 
-/// Reads `path` and strips/verifies the footer. A valid footer yields the
-/// verified payload; an absent footer yields the raw bytes (legacy files);
-/// a corrupt footer retries the read (in-flight bit flips are transient)
-/// and fails Corruption once attempts are exhausted.
-Result<std::string> ReadCommitted(MiniDfs* dfs, const std::string& path,
-                                  const CommitOptions& opts = {});
+/// Reads `path` and verifies its footer. A valid footer yields the payload.
+/// An absent or corrupt footer is re-read up to `opts.max_attempts` times
+/// (short reads and in-flight bit flips are transient) and then fails
+/// Corruption; `*damaged`, when given, then holds the last bytes read, minus
+/// the footer when its magic survived, for salvage-mode decoding. NotFound
+/// returns at once; other read errors are retried.
+Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path,
+                                  const CommitOptions& opts = {},
+                                  std::string* damaged = nullptr);
 
 /// What a recovery sweep found and did.
 struct RecoveryReport {
@@ -121,9 +125,10 @@ struct RecoveryReport {
 ///  - orphaned `.tmp` files (a writer died between write and rename) are
 ///    deleted — their rename never happened, so they are invisible to the
 ///    commit history by definition;
-///  - files whose footer is present but corrupt are renamed under
-///    /.quarantine for inspection instead of aborting startup;
-///  - footer-less files are left alone (legacy raw artifacts).
+///  - files that ReadCommitted judges damaged (footer absent or corrupt
+///    after retries) are renamed under /.quarantine for inspection instead
+///    of aborting startup; files that cannot be read at all are left to
+///    the replication layer.
 /// Logs a one-line summary when anything was repaired.
 RecoveryReport SweepDir(MiniDfs* dfs, const std::string& dir_prefix);
 

@@ -1,35 +1,10 @@
 #include "dfs/jsonl.h"
 
-#include "util/string_util.h"
-
 namespace cfnet::dfs {
-namespace {
-
-/// Reads a file and strips a *valid* commit footer. Footer-less files read
-/// as stored (legacy artifacts); a corrupt footer is a hard error here —
-/// strict readers must not hand back bytes the footer disowns.
-Result<std::string> ReadPayloadStrict(const MiniDfs& dfs,
-                                      const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string content, dfs.ReadFile(path));
-  uint64_t payload_len = 0;
-  switch (InspectFooter(content, &payload_len)) {
-    case FooterState::kValid:
-      content.resize(payload_len);
-      return content;
-    case FooterState::kAbsent:
-      return content;
-    case FooterState::kCorrupt:
-      break;
-  }
-  return Status::Corruption("corrupt commit footer on " + path);
-}
-
-}  // namespace
 
 void ScanReport::Merge(const ScanReport& other) {
   files_scanned += other.files_scanned;
   footer_verified_files += other.footer_verified_files;
-  raw_files += other.raw_files;
   bytes_scanned += other.bytes_scanned;
   records_dropped += other.records_dropped;
   quarantined_paths.insert(quarantined_paths.end(),
@@ -44,11 +19,8 @@ void ScanReport::Merge(const ScanReport& other) {
 }
 
 JsonLinesWriter::JsonLinesWriter(MiniDfs* dfs, std::string path,
-                                 size_t flush_bytes, bool durable)
-    : dfs_(dfs),
-      path_(std::move(path)),
-      flush_bytes_(flush_bytes),
-      durable_(durable) {}
+                                 size_t flush_bytes)
+    : dfs_(dfs), path_(std::move(path)), flush_bytes_(flush_bytes) {}
 
 JsonLinesWriter::~JsonLinesWriter() { Flush().ok(); }
 
@@ -62,81 +34,34 @@ Status JsonLinesWriter::Write(const json::Json& record) {
 
 Status JsonLinesWriter::Flush() {
   if (buffer_.empty()) return Status::OK();
-  Status s = durable_ ? CommitAppend(dfs_, path_, buffer_)
-                      : dfs_->Append(path_, buffer_);
+  Status s = CommitAppend(dfs_, path_, buffer_);
   if (s.ok()) buffer_.clear();
   return s;
 }
 
 Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
                                               const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string content, ReadPayloadStrict(dfs, path));
+  CFNET_ASSIGN_OR_RETURN(auto parts,
+                         ScanJsonLines<json::Json>(dfs, {path}, json::Parse));
   std::vector<json::Json> out;
-  size_t start = 0;
-  size_t line_no = 0;
-  while (start < content.size()) {
-    size_t end = content.find('\n', start);
-    if (end == std::string::npos) end = content.size();
-    ++line_no;
-    std::string_view line(content.data() + start, end - start);
-    if (!StrTrim(line).empty()) {
-      auto parsed = json::Parse(line);
-      if (!parsed.ok()) {
-        return Status::Corruption(path + ":" + std::to_string(line_no) + ": " +
-                                  parsed.status().message());
-      }
-      out.push_back(std::move(parsed).value());
-    }
-    start = end + 1;
+  for (auto& part : parts) {
+    for (json::Json& record : part) out.push_back(std::move(record));
   }
   return out;
-}
-
-Result<int64_t> CountJsonLines(const MiniDfs& dfs, const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string content, ReadPayloadStrict(dfs, path));
-  int64_t records = 0;
-  size_t start = 0;
-  while (start < content.size()) {
-    size_t end = content.find('\n', start);
-    if (end == std::string::npos) end = content.size();
-    if (!StrTrim(std::string_view(content.data() + start, end - start))
-             .empty()) {
-      ++records;
-    }
-    start = end + 1;
-  }
-  return records;
 }
 
 Status TruncateJsonLines(MiniDfs* dfs, const std::string& path,
                          int64_t keep_records) {
   if (keep_records <= 0) return dfs->Delete(path);
-  CFNET_ASSIGN_OR_RETURN(std::string raw, dfs->ReadFile(path));
-  uint64_t payload_len = 0;
-  const FooterState footer = InspectFooter(raw, &payload_len);
-  if (footer == FooterState::kCorrupt) {
-    return Status::Corruption("corrupt commit footer on " + path);
-  }
-  std::string content = std::move(raw);
-  if (footer == FooterState::kValid) content.resize(payload_len);
+  CFNET_ASSIGN_OR_RETURN(std::string content, ReadCommitted(*dfs, path));
   int64_t records = 0;
-  size_t start = 0;
-  while (start < content.size() && records < keep_records) {
-    size_t end = content.find('\n', start);
-    if (end == std::string::npos) end = content.size();
-    if (!StrTrim(std::string_view(content.data() + start, end - start))
-             .empty()) {
-      ++records;
-    }
-    start = end + 1;
-  }
-  if (start >= content.size()) return Status::OK();  // already short enough
-  content.resize(start);
-  // A committed file stays committed: the truncated content gets a fresh
-  // footer so the recovery invariant (every snapshot artifact verifies)
-  // survives the rollback.
-  if (footer == FooterState::kValid) return CommitFile(dfs, path, content);
-  return dfs->WriteFile(path, content);
+  const size_t keep_bytes =
+      ForEachJsonLine(content, [&](std::string_view, int64_t) {
+        return ++records < keep_records;
+      });
+  if (keep_bytes >= content.size()) return Status::OK();  // already short
+  content.resize(keep_bytes);
+  return CommitFile(dfs, path, content);
 }
 
 namespace internal_scan {
@@ -148,34 +73,22 @@ Result<ShardLoad> LoadShardContents(const MiniDfs& dfs,
   load.contents.reserve(paths.size());
   load.lenient.reserve(paths.size());
   for (const std::string& path : paths) {
-    CFNET_ASSIGN_OR_RETURN(std::string content, dfs.ReadFile(path));
+    std::string damaged;
+    Result<std::string> payload =
+        ReadCommitted(dfs, path, CommitOptions(), salvage ? &damaged : nullptr);
+    const bool lenient =
+        !payload.ok() && salvage &&
+        payload.status().code() == StatusCode::kCorruption;
+    if (!payload.ok() && !lenient) return payload.status();
     ++report->files_scanned;
-    uint64_t payload_len = 0;
-    bool lenient = false;
-    switch (InspectFooter(content, &payload_len)) {
-      case FooterState::kValid:
-        content.resize(payload_len);
-        ++report->footer_verified_files;
-        break;
-      case FooterState::kAbsent:
-        // No integrity claim either way. Salvage mode treats the bytes as
-        // suspect (a torn raw write looks exactly like this).
-        ++report->raw_files;
-        lenient = salvage;
-        break;
-      case FooterState::kCorrupt:
-        if (!salvage) {
-          return Status::Corruption("corrupt commit footer on " + path);
-        }
-        // The footer bytes are provably metadata (the magic matched), so
-        // strip them and salvage whatever lines still decode.
-        content.resize(content.size() - kCommitFooterSize);
-        report->quarantined_paths.push_back(path);
-        lenient = true;
-        break;
+    if (lenient) {
+      report->quarantined_paths.push_back(path);
+    } else {
+      ++report->footer_verified_files;
     }
-    report->bytes_scanned += content.size();
-    load.contents.push_back(std::move(content));
+    load.contents.push_back(lenient ? std::move(damaged)
+                                    : std::move(payload).value());
+    report->bytes_scanned += load.contents.back().size();
     load.lenient.push_back(lenient ? 1 : 0);
   }
   return load;
@@ -228,9 +141,7 @@ std::vector<LineRange> SplitLineRanges(const std::vector<std::string>& contents,
 Result<std::vector<std::vector<json::Json>>> ScanJsonLinesDom(
     const MiniDfs& dfs, const std::vector<std::string>& paths,
     const ScanOptions& options) {
-  return ScanJsonLines<json::Json>(
-      dfs, paths, [](std::string_view line) { return json::Parse(line); },
-      options);
+  return ScanJsonLines<json::Json>(dfs, paths, json::Parse, options);
 }
 
 }  // namespace cfnet::dfs

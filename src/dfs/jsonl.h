@@ -23,14 +23,13 @@ struct ScanReport {
   uint64_t files_scanned = 0;
   /// Files whose commit footer verified — end-to-end integrity guaranteed.
   uint64_t footer_verified_files = 0;
-  /// Files without a footer (legacy raw artifacts): decoded as stored.
-  uint64_t raw_files = 0;
   uint64_t bytes_scanned = 0;
   /// Salvage-mode lines dropped because they failed to decode (torn tails,
   /// embedded garbage). Zero in strict mode by construction.
   uint64_t records_dropped = 0;
-  /// Bad-footer files encountered (salvage mode decodes them leniently and
-  /// records them here; recovery sweeps move them under /.quarantine).
+  /// Damaged files — footer absent or corrupt after retries. Salvage mode
+  /// decodes them leniently and records them here; recovery sweeps move
+  /// them under /.quarantine.
   std::vector<std::string> quarantined_paths;
 
   /// --- columnar counters (ScanColumnBlocks) --------------------------------
@@ -57,13 +56,11 @@ struct ScanReport {
 /// platform stores crawled documents in HDFS).
 class JsonLinesWriter {
  public:
-  /// Buffers up to `flush_bytes` before appending to `path`. Durable mode
-  /// (the default) flushes through the atomic commit protocol, so the file
-  /// always carries a verified CRC footer and a crash mid-flush leaves the
-  /// previous committed content intact; `durable = false` keeps the raw
-  /// Append path for benchmarks and scratch output.
-  JsonLinesWriter(MiniDfs* dfs, std::string path, size_t flush_bytes = 1 << 20,
-                  bool durable = true);
+  /// Buffers up to `flush_bytes` before appending to `path`. Every flush
+  /// goes through the atomic commit protocol, so the file always carries a
+  /// verified CRC footer and a crash mid-flush leaves the previous committed
+  /// content intact.
+  JsonLinesWriter(MiniDfs* dfs, std::string path, size_t flush_bytes = 1 << 20);
   ~JsonLinesWriter();
 
   JsonLinesWriter(const JsonLinesWriter&) = delete;
@@ -83,26 +80,43 @@ class JsonLinesWriter {
   MiniDfs* dfs_;
   std::string path_;
   size_t flush_bytes_;
-  bool durable_;
   std::string buffer_;
   size_t records_written_ = 0;
 };
 
-/// Reads every record of a JSON-lines file. A valid commit footer is
-/// verified and stripped; a corrupt one fails Corruption; files without a
-/// footer read as stored. Malformed lines produce an error (the crawler
-/// only writes well-formed lines; corruption means DFS trouble).
+/// The one line walker for JSON-lines payloads: calls
+/// `fn(std::string_view line, int64_t line_no) -> bool` for every line of
+/// `text` that is not blank after StrTrim, in order, until `fn` returns
+/// false. Lines end at '\n' (the last may lack it); `line_no` starts at
+/// `first_line` and counts blank lines too, so verdicts name the file line.
+/// Returns the offset just past the last line visited, or `text.size()`
+/// when the walk reached the end.
+template <typename Fn>
+size_t ForEachJsonLine(std::string_view text, Fn&& fn, int64_t first_line = 1) {
+  size_t start = 0;
+  int64_t line_no = first_line;
+  while (start < text.size()) {
+    const size_t nl = text.find('\n', start);
+    const size_t stop = nl == std::string_view::npos ? text.size() : nl;
+    const std::string_view line = text.substr(start, stop - start);
+    start = std::min(stop + 1, text.size());
+    if (!StrTrim(line).empty() && !fn(line, line_no)) return start;
+    ++line_no;
+  }
+  return text.size();
+}
+
+/// Reads every record of a committed JSON-lines file (the flattened
+/// single-file `ScanJsonLines` with `json::Parse`). Damage and malformed
+/// lines fail Corruption (the crawler only writes well-formed lines;
+/// corruption means DFS trouble).
 Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
                                               const std::string& path);
 
-/// Counts the records (non-empty lines) of a JSON-lines file without
-/// parsing them.
-Result<int64_t> CountJsonLines(const MiniDfs& dfs, const std::string& path);
-
-/// Truncates a JSON-lines file to its first `keep_records` records — the
-/// crash-recovery primitive that discards shard appends made after the last
-/// checkpoint. Keeping at least the current record count is a no-op;
-/// truncating to zero deletes the file.
+/// Truncates a committed JSON-lines file to its first `keep_records`
+/// records and re-commits it — the crash-recovery primitive that discards
+/// shard appends made after the last checkpoint. Keeping at least the
+/// current record count is a no-op; truncating to zero deletes the file.
 Status TruncateJsonLines(MiniDfs* dfs, const std::string& path,
                          int64_t keep_records);
 
@@ -119,12 +133,11 @@ struct ScanOptions {
   size_t target_partitions = 0;
   /// Ranges are not split below this many bytes.
   size_t min_range_bytes = 64 * 1024;
-  /// Salvage mode: instead of failing the scan, a file with a corrupt
-  /// commit footer or a line that fails to decode is skipped and counted
-  /// in the report. Footer-*verified* files always decode strictly — their
-  /// bytes are proven intact, so a decode failure there is a real bug, not
-  /// storage damage. Strict mode (the default) preserves the historical
-  /// fail-fast behaviour.
+  /// Salvage mode: instead of failing the scan, a damaged file (see
+  /// ReadCommitted) has its undecodable lines dropped and counted in the
+  /// report. Footer-*verified* files always decode strictly — their bytes
+  /// are proven intact, so a decode failure there is a real bug, not
+  /// storage damage. Strict mode (the default) fails fast on any damage.
   bool salvage = false;
   /// When set, scan accounting accumulates here (see ScanReport).
   ScanReport* report = nullptr;
@@ -145,15 +158,16 @@ struct LineRange {
 /// Loaded shard payloads plus per-file decode policy.
 struct ShardLoad {
   std::vector<std::string> contents;  // footer-stripped payloads
-  /// Per-file: true when decode failures drop the line (salvaged raw or
-  /// bad-footer files) instead of failing the scan.
+  /// Per-file: true when decode failures drop the line (salvaged damaged
+  /// files) instead of failing the scan.
   std::vector<char> lenient;
 };
 
-/// Reads every shard's contents (whole files; MiniDFS is an in-memory
-/// block store, so this is the only read granularity it offers), verifying
-/// and stripping commit footers. Strict mode fails on a corrupt footer;
-/// salvage mode marks the file lenient and records it in `report`.
+/// Reads every shard through ReadCommitted (whole files; MiniDFS is an
+/// in-memory block store, so this is the only read granularity it offers)
+/// for both the JSON-lines and the columnar scans. Strict mode fails on
+/// damage; salvage mode keeps the damaged bytes, marks the file lenient and
+/// records it in `report`.
 Result<ShardLoad> LoadShardContents(const MiniDfs& dfs,
                                     const std::vector<std::string>& paths,
                                     bool salvage, ScanReport* report);
@@ -200,33 +214,27 @@ Result<std::vector<std::vector<T>>> ScanJsonLines(
   auto run_range = [&](size_t i) {
     const internal_scan::LineRange& range = ranges[i];
     if (range.begin >= range.end) return;  // degenerate empty-input range
-    const std::string& content = contents[range.file];
+    const std::string_view text(contents[range.file].data() + range.begin,
+                                range.end - range.begin);
     const bool lenient = load.lenient[range.file] != 0;
     std::vector<T>& out = parts[i];
-    size_t start = range.begin;
-    int64_t line_no = range.first_line;
-    while (start < range.end) {
-      size_t nl = content.find('\n', start);
-      size_t stop = (nl == std::string::npos || nl >= range.end) ? range.end : nl;
-      std::string_view line(content.data() + start, stop - start);
-      if (!StrTrim(line).empty()) {
-        auto decoded = decode(line);
-        if (decoded.ok()) {
-          out.push_back(std::move(decoded).value());
-        } else if (lenient) {
-          // Salvaged file: the damage is expected — drop the line, keep
-          // everything that still decodes.
-          ++dropped[i];
-        } else {
-          errors[i] = Status::Corruption(paths[range.file] + ":" +
-                                         std::to_string(line_no) + ": " +
-                                         decoded.status().message());
-          return;
-        }
+    auto visit = [&](std::string_view line, int64_t line_no) {
+      auto decoded = decode(line);
+      if (decoded.ok()) {
+        out.push_back(std::move(decoded).value());
+      } else if (lenient) {
+        // Salvaged file: the damage is expected — drop the line, keep
+        // everything that still decodes.
+        ++dropped[i];
+      } else {
+        errors[i] = Status::Corruption(paths[range.file] + ":" +
+                                       std::to_string(line_no) + ": " +
+                                       decoded.status().message());
+        return false;
       }
-      ++line_no;
-      start = stop + 1;
-    }
+      return true;
+    };
+    ForEachJsonLine(text, visit, range.first_line);
   };
   if (options.pool != nullptr && ranges.size() > 1) {
     options.pool->RunBulk(ranges.size(), run_range);

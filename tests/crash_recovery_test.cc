@@ -198,7 +198,7 @@ TEST(CommitProtocolTest, CommitWritesVerifiedFooterAndLeavesNoTemp) {
   EXPECT_EQ(InspectFooter(*raw, &len), FooterState::kValid);
   EXPECT_EQ(len, payload.size());
 
-  auto committed = ReadCommitted(&dfs, "/snap/part-0.jsonl");
+  auto committed = ReadCommitted(dfs, "/snap/part-0.jsonl");
   ASSERT_TRUE(committed.ok());
   EXPECT_EQ(*committed, payload);
   EXPECT_EQ(dfs.List("/snap/").size(), 1u);  // no .tmp residue
@@ -215,7 +215,7 @@ TEST(CommitProtocolTest, CommitRetriesThroughScriptedFaults) {
   CommitOptions opts;
   opts.clock_micros = &clock;
   ASSERT_TRUE(CommitFile(&dfs, "/f", "precious payload", opts).ok());
-  EXPECT_EQ(*ReadCommitted(&dfs, "/f"), "precious payload");
+  EXPECT_EQ(*ReadCommitted(dfs, "/f"), "precious payload");
   EXPECT_EQ(dfs.GetStats().storage_faults_injected, 3u);
   EXPECT_GT(clock, 0);  // retries charged backoff delays to the clock
 }
@@ -229,23 +229,31 @@ TEST(CommitProtocolTest, FailedCommitPreservesOldContent) {
   EXPECT_FALSE(CommitFile(&dfs, "/f", "version 2").ok());
   dfs.InstallFaultPlan(IoFaultPlan{});
   // The old committed content is untouched and still verifies.
-  EXPECT_EQ(*ReadCommitted(&dfs, "/f"), "version 1");
+  EXPECT_EQ(*ReadCommitted(dfs, "/f"), "version 1");
 }
 
-TEST(CommitProtocolTest, CommitAppendAdoptsLegacyRawFiles) {
+TEST(CommitProtocolTest, MissingFooterIsDamageAfterRetries) {
   MiniDfs dfs;
-  ASSERT_TRUE(dfs.WriteFile("/log", "old line\n").ok());  // raw, no footer
-  ASSERT_TRUE(CommitAppend(&dfs, "/log", "new line\n").ok());
-  EXPECT_EQ(*ReadCommitted(&dfs, "/log"), "old line\nnew line\n");
-  auto raw = dfs.ReadFile("/log");
-  EXPECT_EQ(InspectFooter(*raw, nullptr), FooterState::kValid);
+  ASSERT_TRUE(dfs.WriteFile("/log", "old line\n").ok());  // no footer
+  const uint64_t reads_before = dfs.GetStats().read_ops;
+  std::string damaged;
+  auto read = ReadCommitted(dfs, "/log", CommitOptions(), &damaged);
+  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(dfs.GetStats().read_ops - reads_before,
+            static_cast<uint64_t>(CommitOptions().max_attempts));
+  EXPECT_EQ(damaged, "old line\n");  // handed over for salvage decoding
+  // Appending to damage fails instead of re-committing it as good data.
+  EXPECT_EQ(CommitAppend(&dfs, "/log", "new line\n").code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(*dfs.ReadFile("/log"), "old line\n");
 }
 
 TEST(SweepDirTest, RemovesOrphanedTempsAndQuarantinesBadFooters) {
   MiniDfs dfs;
   ASSERT_TRUE(CommitFile(&dfs, "/data/good.jsonl", "{\"id\":1}\n").ok());
   ASSERT_TRUE(dfs.WriteFile("/data/orphan.jsonl.tmp", "half a commi").ok());
-  ASSERT_TRUE(dfs.WriteFile("/data/legacy.jsonl", "{\"id\":2}\n").ok());
+  // A file whose footer never landed.
+  ASSERT_TRUE(dfs.WriteFile("/data/footerless.jsonl", "{\"id\":2}\n").ok());
   // A committed file whose payload rotted after the fact: flip one byte.
   ASSERT_TRUE(CommitFile(&dfs, "/data/rotten.jsonl", "{\"id\":3}\n").ok());
   std::string rotten = *dfs.ReadFile("/data/rotten.jsonl");
@@ -254,15 +262,16 @@ TEST(SweepDirTest, RemovesOrphanedTempsAndQuarantinesBadFooters) {
 
   RecoveryReport report = SweepDir(&dfs, "/data/");
   EXPECT_EQ(report.temp_files_removed, 1u);
-  EXPECT_EQ(report.files_quarantined, 1u);
-  ASSERT_EQ(report.quarantined_paths.size(), 1u);
-  EXPECT_EQ(report.quarantined_paths[0], "/.quarantine/data/rotten.jsonl");
+  EXPECT_EQ(report.files_quarantined, 2u);
+  EXPECT_EQ(report.quarantined_paths,
+            (std::vector<std::string>{"/.quarantine/data/footerless.jsonl",
+                                      "/.quarantine/data/rotten.jsonl"}));
 
-  // Good + legacy survive in place; the rotten bytes are preserved under
+  // The good file survives in place; the damaged bytes are preserved under
   // quarantine for inspection, not destroyed.
   std::vector<std::string> left = dfs.List("/data/");
-  EXPECT_EQ(left, (std::vector<std::string>{"/data/good.jsonl",
-                                            "/data/legacy.jsonl"}));
+  EXPECT_EQ(left, (std::vector<std::string>{"/data/good.jsonl"}));
+  EXPECT_TRUE(dfs.Exists("/.quarantine/data/footerless.jsonl"));
   EXPECT_TRUE(dfs.Exists("/.quarantine/data/rotten.jsonl"));
   // Idempotent: a second sweep finds nothing.
   EXPECT_TRUE(SweepDir(&dfs, "/data/").clean());
@@ -291,6 +300,67 @@ TEST(DurableWriterTest, FlushCommitsWithFooterAndSurvivesFaultBursts) {
   }
   auto raw = dfs.ReadFile("/snap/part-0.jsonl");
   EXPECT_EQ(InspectFooter(*raw, nullptr), FooterState::kValid);
+}
+
+// Transient read faults must never pass for data: a short or flipped read of
+// a committed file is re-read, not accepted, appended to or quarantined.
+
+/// `count` JSON lines {"id":0} .. {"id":count-1}.
+std::string IdLines(int count) {
+  std::string lines;
+  for (int i = 0; i < count; ++i) {
+    lines += "{\"id\":" + std::to_string(i) + "}\n";
+  }
+  return lines;
+}
+
+/// Scripts exactly the next ReadFile of `dfs` to come back short.
+void ArmNextShortRead(MiniDfs* dfs, uint64_t seed) {
+  IoFaultPlan plan;
+  plan.seed = seed;
+  plan.short_reads = {OpOnly(dfs->GetStats().read_ops + 1)};
+  dfs->InstallFaultPlan(plan);
+}
+
+TEST(ReadFaultRegressionTest, CommitAppendRereadsShortPriorContent) {
+  MiniDfs dfs;
+  ASSERT_TRUE(CommitFile(&dfs, "/snap/part-0.jsonl", IdLines(50)).ok());
+  ArmNextShortRead(&dfs, /*seed=*/1);
+  const std::string last = "{\"id\":50}\n";
+  ASSERT_TRUE(CommitAppend(&dfs, "/snap/part-0.jsonl", last).ok());
+  EXPECT_EQ(dfs.GetStats().storage_faults_injected, 1u);
+  auto payload = ReadCommitted(dfs, "/snap/part-0.jsonl");
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  EXPECT_EQ(*payload, IdLines(51));
+}
+
+TEST(ReadFaultRegressionTest, SweepDirKeepsShardAfterTransientBitFlip) {
+  MiniDfs dfs;
+  ASSERT_TRUE(CommitFile(&dfs, "/snap/part-0.jsonl", IdLines(50)).ok());
+  IoFaultPlan plan;
+  plan.read_bit_flips = {OpOnly(dfs.GetStats().read_ops + 1)};
+  dfs.InstallFaultPlan(plan);
+  RecoveryReport report = SweepDir(&dfs, "/snap/");
+  EXPECT_EQ(dfs.GetStats().storage_faults_injected, 1u);
+  EXPECT_EQ(report.files_quarantined, 0u);
+  EXPECT_TRUE(report.quarantined_paths.empty());
+  EXPECT_EQ(dfs.List("/snap/"),
+            (std::vector<std::string>{"/snap/part-0.jsonl"}));
+}
+
+TEST(ReadFaultRegressionTest, StrictScanRereadsEveryShortRead) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("short-read seed " + std::to_string(seed));
+    MiniDfs dfs;
+    ASSERT_TRUE(CommitFile(&dfs, "/snap/part-0.jsonl", IdLines(50)).ok());
+    ArmNextShortRead(&dfs, seed);
+    auto parts = ScanJsonLinesDom(dfs, {"/snap/part-0.jsonl"});
+    ASSERT_TRUE(parts.ok()) << parts.status();
+    EXPECT_EQ(dfs.GetStats().storage_faults_injected, 1u);
+    size_t records = 0;
+    for (const auto& part : *parts) records += part.size();
+    EXPECT_EQ(records, 50u);
+  }
 }
 
 }  // namespace
@@ -340,21 +410,13 @@ TestBed MakeTestBed(CrawlConfig config) {
 uint32_t DirDigest(const dfs::MiniDfs& d, const std::string& dir) {
   std::vector<std::string> lines;
   for (const std::string& path : d.List(dir)) {
-    auto content = d.ReadFile(path);
-    EXPECT_TRUE(content.ok()) << path;
-    if (!content.ok()) continue;
-    uint64_t payload_len = 0;
-    if (dfs::InspectFooter(*content, &payload_len) ==
-        dfs::FooterState::kValid) {
-      content->resize(payload_len);
-    }
-    size_t start = 0;
-    while (start < content->size()) {
-      size_t end = content->find('\n', start);
-      if (end == std::string::npos) end = content->size();
-      if (end > start) lines.push_back(content->substr(start, end - start));
-      start = end + 1;
-    }
+    auto payload = dfs::ReadCommitted(d, path);
+    EXPECT_TRUE(payload.ok()) << path << ": " << payload.status();
+    if (!payload.ok()) continue;
+    dfs::ForEachJsonLine(*payload, [&](std::string_view line, int64_t) {
+      lines.emplace_back(line);
+      return true;
+    });
   }
   std::sort(lines.begin(), lines.end());
   uint32_t crc = 0;

@@ -1,4 +1,4 @@
-// Crash-safe checkpointing tests: checkpoint wire-format roundtrip and
+// Crash-safe checkpointing tests: checkpoint payload roundtrip and
 // corruption fallback, plus the acceptance scenario — a crawl killed
 // mid-BFS under a fault plan resumes to exactly the uninterrupted result
 // with zero duplicate snapshot records.
@@ -13,6 +13,7 @@
 
 #include "crawler/checkpoint.h"
 #include "crawler/crawler.h"
+#include "dfs/commit.h"
 #include "dfs/jsonl.h"
 #include "net/fault_plan.h"
 #include "net/social_web.h"
@@ -142,15 +143,41 @@ TEST(CheckpointStoreTest, SerializeDeserializeRoundtrip) {
   EXPECT_EQ(back->report.degraded_phases[0].dead_lettered, 17);
 }
 
-TEST(CheckpointStoreTest, DeserializeRejectsTamperedBytes) {
-  std::string wire = CheckpointStore::Serialize(SampleState());
-  // Flip one payload byte: the CRC must catch it.
-  std::string tampered = wire;
-  tampered[wire.size() - 2] ^= 0x01;
-  EXPECT_FALSE(CheckpointStore::Deserialize(tampered).ok());
+TEST(CheckpointStoreTest, LoadRejectsTamperedAndTruncatedCheckpoints) {
+  dfs::MiniDfs dfs;
+  CheckpointStore store(&dfs, "/ckpt", /*keep=*/2);
+  CheckpointState older = SampleState();
+  older.bfs_round = 1;
+  ASSERT_TRUE(store.Save(&older).ok());
+  CheckpointState newer = SampleState();
+  newer.bfs_round = 2;
+  ASSERT_TRUE(store.Save(&newer).ok());
+  const std::string newest = store.ListFiles().back();
+  const std::string committed = *dfs.ReadFile(newest);
+
+  // Flip one payload bit so the JSON still parses ("bfs_round":2 -> 3): only
+  // the commit footer's CRC can catch it, and the load falls back.
+  const size_t digit = committed.find("\"bfs_round\":2") + 12;
+  ASSERT_EQ(committed[digit], '2');
+  std::string tampered = committed;
+  tampered[digit] ^= 0x01;
+  ASSERT_TRUE(dfs.WriteFile(newest, tampered).ok());
+  auto loaded = store.LoadLatestValid();
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->bfs_round, 1);
+
   // Truncation (torn write) is also rejected.
-  EXPECT_FALSE(
-      CheckpointStore::Deserialize(wire.substr(0, wire.size() / 2)).ok());
+  ASSERT_TRUE(
+      dfs.WriteFile(newest, committed.substr(0, committed.size() / 2)).ok());
+  loaded = store.LoadLatestValid();
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->bfs_round, 1);
+
+  // So is a well-committed file that is not a checkpoint.
+  ASSERT_TRUE(dfs::CommitFile(&dfs, newest, "not a checkpoint").ok());
+  loaded = store.LoadLatestValid();
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->bfs_round, 1);
   EXPECT_FALSE(CheckpointStore::Deserialize("not a checkpoint").ok());
 }
 
@@ -180,7 +207,7 @@ TEST(CheckpointStoreTest, SavePrunesAndLoadSkipsCorruptFiles) {
   EXPECT_EQ(latest->bfs_round, 3);
 
   // ...a torn newest file falls back to the previous checkpoint...
-  ASSERT_TRUE(dfs.WriteFile(files.back(), "CFNETCKPT1 torn write").ok());
+  ASSERT_TRUE(dfs.WriteFile(files.back(), "torn write").ok());
   auto fallback = store.LoadLatestValid();
   ASSERT_TRUE(fallback.ok());
   EXPECT_EQ(fallback->bfs_round, 2);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "commit_fixture.h"
 #include "dfs/jsonl.h"
 #include "util/crc32.h"
 
@@ -227,7 +228,7 @@ TEST(JsonlTest, DestructorFlushes) {
 
 TEST(JsonlTest, CorruptLineReported) {
   MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.WriteFile("/bad.jsonl", "{\"ok\":1}\nnot json\n").ok());
+  CommitFixture(&dfs, "/bad.jsonl", "{\"ok\":1}\nnot json\n");
   auto records = ReadJsonLines(dfs, "/bad.jsonl");
   EXPECT_FALSE(records.ok());
   EXPECT_EQ(records.status().code(), StatusCode::kCorruption);
@@ -237,6 +238,37 @@ TEST(JsonlTest, CorruptLineReported) {
 TEST(JsonlTest, MissingFileIsNotFound) {
   MiniDfs dfs(SmallConfig());
   EXPECT_TRUE(ReadJsonLines(dfs, "/nope.jsonl").status().IsNotFound());
+}
+
+TEST(JsonlTest, FooterlessFileIsDamage) {
+  MiniDfs dfs(SmallConfig());
+  ASSERT_TRUE(dfs.WriteFile("/raw.jsonl", "{\"ok\":1}\n").ok());
+  EXPECT_EQ(ReadJsonLines(dfs, "/raw.jsonl").status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(JsonlTest, LineWalkerSkipsBlankLinesAndStopsEarly) {
+  const std::string text = "a\n \t\n\nb\nc";
+  std::vector<std::pair<std::string, int64_t>> seen;
+  auto record = [&](std::string_view line, int64_t line_no) {
+    seen.emplace_back(std::string(line), line_no);
+    return true;
+  };
+  EXPECT_EQ(ForEachJsonLine(text, record), text.size());
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, int64_t>>{
+                      {"a", 1}, {"b", 4}, {"c", 5}}));
+
+  // Stopping at "b" returns the offset just past its newline.
+  seen.clear();
+  const size_t stop = ForEachJsonLine(
+      text, [&](std::string_view line, int64_t line_no) {
+        seen.emplace_back(std::string(line), line_no);
+        return line != "b";
+      },
+      /*first_line=*/10);
+  EXPECT_EQ(stop, text.find('c'));
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, int64_t>>{
+                      {"a", 10}, {"b", 13}}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "commit_fixture.h"
 #include "core/columnar_records.h"
 #include "core/platform.h"
 #include "core/records.h"
@@ -34,9 +35,9 @@ std::vector<json::Json> Flatten(std::vector<std::vector<json::Json>> parts) {
 
 TEST(ScanJsonLinesTest, MatchesReadJsonLinesAcrossShards) {
   MiniDfs dfs;
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-0", "{\"id\":1}\n{\"id\":2}\n").ok());
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-1", "\n{\"id\":3}\n\n{\"id\":4}").ok());
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-2", "").ok());
+  CommitFixture(&dfs, "/snap/part-0", "{\"id\":1}\n{\"id\":2}\n");
+  CommitFixture(&dfs, "/snap/part-1", "\n{\"id\":3}\n \n{\"id\":4}");
+  CommitFixture(&dfs, "/snap/part-2", "");
   const std::vector<std::string> paths = {"/snap/part-0", "/snap/part-1",
                                           "/snap/part-2"};
   std::vector<json::Json> expected;
@@ -60,7 +61,7 @@ TEST(ScanJsonLinesTest, ParallelScanPartitionsAndPreservesOrder) {
     content += "{\"id\":" + std::to_string(i) + "}\n";
     expected_ids.push_back(i);
   }
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-0", content).ok());
+  CommitFixture(&dfs, "/snap/part-0", content);
   ThreadPool pool(4);
   ScanOptions options;
   options.pool = &pool;
@@ -77,8 +78,7 @@ TEST(ScanJsonLinesTest, ParallelScanPartitionsAndPreservesOrder) {
 
 TEST(ScanJsonLinesTest, MalformedLineVerdictMatchesReadJsonLines) {
   MiniDfs dfs;
-  ASSERT_TRUE(
-      dfs.WriteFile("/snap/part-0", "{\"id\":1}\n{broken\n{\"id\":2}\n").ok());
+  CommitFixture(&dfs, "/snap/part-0", "{\"id\":1}\n{broken\n{\"id\":2}\n");
   auto sequential = dfs::ReadJsonLines(dfs, "/snap/part-0");
   ASSERT_FALSE(sequential.ok());
   ScanOptions options;
@@ -97,7 +97,7 @@ TEST(ScanJsonLinesTest, EarliestFailingLineWinsAcrossRanges) {
   content += "{bad-early\n";
   for (int i = 0; i < 50; ++i) content += "{\"id\":" + std::to_string(i) + "}\n";
   content += "{bad-late\n";
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-0", content).ok());
+  CommitFixture(&dfs, "/snap/part-0", content);
   ThreadPool pool(4);
   ScanOptions options;
   options.pool = &pool;
@@ -115,7 +115,7 @@ TEST(ScanJsonLinesTest, EmptyInputsYieldOneEmptyPartition) {
   ASSERT_EQ(no_files->size(), 1u);
   EXPECT_TRUE((*no_files)[0].empty());
 
-  ASSERT_TRUE(dfs.WriteFile("/snap/empty", "").ok());
+  CommitFixture(&dfs, "/snap/empty", "");
   auto empty_file = dfs::ScanJsonLinesDom(dfs, {"/snap/empty"});
   ASSERT_TRUE(empty_file.ok());
   ASSERT_EQ(empty_file->size(), 1u);
@@ -140,8 +140,8 @@ std::vector<int64_t> ScanIds(const std::vector<std::vector<json::Json>>& parts) 
 
 TEST(ScanSalvageTest, DropsTruncatedFinalLineAndCountsIt) {
   MiniDfs dfs;
-  // A shard whose writer died mid-append: the last line is a torn prefix
-  // ({"id":3 never got its closing brace or newline).
+  // A shard torn mid-write: the last line is a torn prefix ({"id":3 never
+  // got its closing brace or newline) and the footer never landed.
   ASSERT_TRUE(
       dfs.WriteFile("/snap/part-0", "{\"id\":1}\n{\"id\":2}\n{\"id\":3").ok());
   ScanOptions strict;
@@ -156,13 +156,16 @@ TEST(ScanSalvageTest, DropsTruncatedFinalLineAndCountsIt) {
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   EXPECT_EQ(ScanIds(*scanned), (std::vector<int64_t>{1, 2}));
   EXPECT_EQ(report.files_scanned, 1u);
-  EXPECT_EQ(report.raw_files, 1u);
+  EXPECT_EQ(report.footer_verified_files, 0u);
   EXPECT_EQ(report.records_dropped, 1u);
-  EXPECT_TRUE(report.quarantined_paths.empty());
+  // A missing footer is damage: the file is reported like any other.
+  EXPECT_EQ(report.quarantined_paths,
+            (std::vector<std::string>{"/snap/part-0"}));
 }
 
 TEST(ScanSalvageTest, SkipsLinesWithEmbeddedNulBytes) {
   MiniDfs dfs;
+  // Garbage written over a shard, footer included.
   std::string content = "{\"id\":1}\n";
   content += std::string("{\"id\":2,\"name\":\"a\0b\"}", 22);  // NULs inside
   content += "\n{\"id\":3}\n";
@@ -219,7 +222,7 @@ TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
     }
     ASSERT_TRUE(writer.Flush().ok());
   }
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-1", "{\"id\":5}\n").ok());  // legacy
+  CommitFixture(&dfs, "/snap/part-1", "{\"id\":5}\n");
   dfs::ScanReport report;
   ScanOptions salvage;
   salvage.salvage = true;
@@ -229,8 +232,8 @@ TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   EXPECT_EQ(ScanIds(*scanned), (std::vector<int64_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(report.files_scanned, 2u);
-  EXPECT_EQ(report.footer_verified_files, 1u);
-  EXPECT_EQ(report.raw_files, 1u);
+  EXPECT_EQ(report.footer_verified_files, 2u);
+  EXPECT_TRUE(report.quarantined_paths.empty());
   EXPECT_EQ(report.records_dropped, 0u);
   EXPECT_GT(report.bytes_scanned, 0u);
 }

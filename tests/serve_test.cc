@@ -404,11 +404,14 @@ TEST(ServeServiceTest, ShutdownShedsQueuedWork) {
   h.service->SubmitAsync(QueryRequest("investors.search", {{"q", "bo"}}),
                          [&](QueryResponse r) { p2.set_value(std::move(r)); });
   std::thread shutdown([&] { h.service->Shutdown(); });
+  // Shutdown() sheds the drained queue before it joins the workers, so p2
+  // resolves while the only worker is still held in p1's hook; opening the
+  // gate any earlier would let that worker dequeue and serve p2.
+  const QueryResponse second = p2.get_future().get();
   gate.store(true);
   shutdown.join();
   EXPECT_TRUE(p1.get_future().get().served());
-  EXPECT_EQ(p2.get_future().get().outcome,
-            QueryResponse::Outcome::kShedShutdown);
+  EXPECT_EQ(second.outcome, QueryResponse::Outcome::kShedShutdown);
   // Post-shutdown submissions are shed inline, not lost.
   QueryResponse late =
       h.service->Call(QueryRequest("investors.search", {{"q", "al"}}));
