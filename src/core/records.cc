@@ -11,19 +11,6 @@ using Scalar = json::JsonReader::Scalar;
 
 }  // namespace
 
-StartupRecord StartupRecord::FromJson(const json::Json& j) {
-  StartupRecord r;
-  r.id = static_cast<uint64_t>(j.Get("id").AsInt());
-  r.name = j.Get("name").AsString();
-  r.has_twitter_url = !j.Get("twitter_url").AsStringView().empty();
-  r.has_facebook_url = !j.Get("facebook_url").AsStringView().empty();
-  r.has_crunchbase_url = !j.Get("crunchbase_url").AsStringView().empty();
-  r.has_video = !j.Get("video_url").AsStringView().empty();
-  r.fundraising = j.Get("fundraising").AsBool();
-  r.follower_count = j.Get("follower_count").AsInt();
-  return r;
-}
-
 Result<StartupRecord> StartupRecord::Decode(JsonReader& reader) {
   StartupRecord r;
   CFNET_RETURN_IF_ERROR(reader.ForEachMember([&](std::string_view key) -> Status {
@@ -50,28 +37,11 @@ Result<StartupRecord> StartupRecord::Decode(JsonReader& reader) {
   return r;
 }
 
-UserRecord UserRecord::FromJson(const json::Json& j) {
-  UserRecord r;
-  r.id = static_cast<uint64_t>(j.Get("id").AsInt());
-  for (const json::Json& role : j.Get("roles").array()) {
-    std::string_view s = role.AsStringView();
-    if (s == "investor") r.is_investor = true;
-    if (s == "founder") r.is_founder = true;
-    if (s == "employee") r.is_employee = true;
-  }
-  for (const json::Json& c : j.Get("investment_company_ids").array()) {
-    r.investment_company_ids.push_back(static_cast<uint64_t>(c.AsInt()));
-  }
-  r.following_startup_count = j.Get("following_startup_count").AsInt();
-  r.following_user_count = j.Get("following_user_count").AsInt();
-  return r;
-}
-
 Result<UserRecord> UserRecord::Decode(JsonReader& reader) {
   UserRecord r;
   CFNET_RETURN_IF_ERROR(reader.ForEachMember([&](std::string_view key) -> Status {
     if (key == "roles") {
-      // Reset so a duplicate key replaces, matching DOM Set() last-wins.
+      // Reset so a duplicate key replaces the earlier list.
       r.is_investor = r.is_founder = r.is_employee = false;
       return reader.ForEachElement([&]() -> Status {
         CFNET_ASSIGN_OR_RETURN(Scalar v, reader.ReadScalar());
@@ -103,20 +73,6 @@ Result<UserRecord> UserRecord::Decode(JsonReader& reader) {
   return r;
 }
 
-CrunchBaseRecord CrunchBaseRecord::FromJson(const json::Json& j) {
-  CrunchBaseRecord r;
-  r.angellist_id = static_cast<uint64_t>(j.Get("angellist_id").AsInt());
-  r.total_funding_usd = j.Get("total_funding_usd").AsDouble();
-  const json::Json& rounds = j.Get("funding_rounds");
-  r.num_rounds = static_cast<int64_t>(rounds.size());
-  for (const json::Json& round : rounds.array()) {
-    for (const json::Json& inv : round.Get("investor_ids").array()) {
-      r.round_investor_ids.push_back(static_cast<uint64_t>(inv.AsInt()));
-    }
-  }
-  return r;
-}
-
 Result<CrunchBaseRecord> CrunchBaseRecord::Decode(JsonReader& reader) {
   CrunchBaseRecord r;
   CFNET_RETURN_IF_ERROR(reader.ForEachMember([&](std::string_view key) -> Status {
@@ -130,8 +86,8 @@ Result<CrunchBaseRecord> CrunchBaseRecord::Decode(JsonReader& reader) {
           if (!more) return Status::OK();
           ++r.num_rounds;
           // A duplicate investor_ids key within one round replaces that
-          // round's contribution (DOM Set() last-wins); truncating back to
-          // the round's start keeps earlier rounds intact.
+          // round's contribution; truncating back to the round's start
+          // keeps earlier rounds intact.
           const size_t round_start = r.round_investor_ids.size();
           CFNET_RETURN_IF_ERROR(
               reader.ForEachMember([&](std::string_view rk) -> Status {
@@ -148,8 +104,8 @@ Result<CrunchBaseRecord> CrunchBaseRecord::Decode(JsonReader& reader) {
       }
       CFNET_ASSIGN_OR_RETURN(bool is_object, reader.EnterObject());
       if (is_object) {
-        // DOM size() of an object counts members after Set() collapses
-        // duplicate keys, so count distinct keys only.
+        // An object counts one round per distinct key (a duplicate key
+        // replaces, so it is not a new round).
         std::vector<std::string> seen;
         std::string_view rk;
         for (;;) {
@@ -163,7 +119,7 @@ Result<CrunchBaseRecord> CrunchBaseRecord::Decode(JsonReader& reader) {
         r.num_rounds = static_cast<int64_t>(seen.size());
         return Status::OK();
       }
-      return reader.SkipValue();  // scalar: size()==0, no investor edges
+      return reader.SkipValue();  // scalar: zero rounds, no investor edges
     }
     CFNET_ASSIGN_OR_RETURN(Scalar v, reader.ReadScalar());
     if (key == "angellist_id") {
@@ -173,13 +129,6 @@ Result<CrunchBaseRecord> CrunchBaseRecord::Decode(JsonReader& reader) {
     }
     return Status::OK();
   }));
-  return r;
-}
-
-FacebookRecord FacebookRecord::FromJson(const json::Json& j) {
-  FacebookRecord r;
-  r.angellist_id = static_cast<uint64_t>(j.Get("angellist_id").AsInt());
-  r.fan_count = j.Get("fan_count").AsInt();
   return r;
 }
 
@@ -197,18 +146,9 @@ Result<FacebookRecord> FacebookRecord::Decode(JsonReader& reader) {
   return r;
 }
 
-TwitterRecord TwitterRecord::FromJson(const json::Json& j) {
-  TwitterRecord r;
-  r.angellist_id = static_cast<uint64_t>(j.Get("angellist_id").AsInt());
-  r.statuses_count = j.Get("statuses_count").AsInt();
-  r.followers_count_null = j.Get("followers_count").is_null();
-  r.followers_count = j.Get("followers_count").AsInt();
-  return r;
-}
-
 Result<TwitterRecord> TwitterRecord::Decode(JsonReader& reader) {
   TwitterRecord r;
-  // A missing followers_count reads as DOM Null, which counts as null too.
+  // A missing followers_count counts as null, like an explicit null.
   r.followers_count_null = true;
   CFNET_RETURN_IF_ERROR(reader.ForEachMember([&](std::string_view key) -> Status {
     CFNET_ASSIGN_OR_RETURN(Scalar v, reader.ReadScalar());

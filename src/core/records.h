@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "json/json.h"
 #include "json/reader.h"
 #include "util/result.h"
 
@@ -14,12 +14,11 @@ namespace cfnet::core {
 /// Typed views of the crawler's JSON-lines snapshots. These are what the
 /// Spark-style analyses operate on after the cleaning/extraction stage.
 ///
-/// Each record type offers two decoders with identical semantics (pinned by
-/// the differential test in ingest_scan_test):
-///   - `FromJson(const Json&)` — from an already-parsed DOM; total (bad or
-///     missing fields coerce to neutral defaults, never fail).
-///   - `Decode(JsonReader&)` — streaming, DOM-free; fails only on malformed
-///     JSON, exactly when `json::Parse` would. The hot ingest path.
+/// Each record type has one decoder, `Decode(JsonReader&)`: streaming and
+/// DOM-free. It fails only on malformed JSON, with the reader's verdict.
+/// Missing fields and fields of the wrong type coerce to neutral defaults,
+/// unknown fields are skipped, and a duplicate key replaces the earlier
+/// value. `DecodeLine<T>` decodes one whole JSON-lines line.
 
 struct StartupRecord {
   uint64_t id = 0;
@@ -33,7 +32,6 @@ struct StartupRecord {
 
   bool operator==(const StartupRecord&) const = default;
 
-  static StartupRecord FromJson(const json::Json& j);
   static Result<StartupRecord> Decode(json::JsonReader& reader);
 };
 
@@ -48,7 +46,6 @@ struct UserRecord {
 
   bool operator==(const UserRecord&) const = default;
 
-  static UserRecord FromJson(const json::Json& j);
   static Result<UserRecord> Decode(json::JsonReader& reader);
 };
 
@@ -63,7 +60,6 @@ struct CrunchBaseRecord {
 
   bool operator==(const CrunchBaseRecord&) const = default;
 
-  static CrunchBaseRecord FromJson(const json::Json& j);
   static Result<CrunchBaseRecord> Decode(json::JsonReader& reader);
 };
 
@@ -73,7 +69,6 @@ struct FacebookRecord {
 
   bool operator==(const FacebookRecord&) const = default;
 
-  static FacebookRecord FromJson(const json::Json& j);
   static Result<FacebookRecord> Decode(json::JsonReader& reader);
 };
 
@@ -85,9 +80,18 @@ struct TwitterRecord {
 
   bool operator==(const TwitterRecord&) const = default;
 
-  static TwitterRecord FromJson(const json::Json& j);
   static Result<TwitterRecord> Decode(json::JsonReader& reader);
 };
+
+/// Decodes `line` as one T: `T::Decode`, then `JsonReader::Finish`, so
+/// trailing bytes after the record fail like any other malformed JSON.
+template <typename T>
+Result<T> DecodeLine(std::string_view line) {
+  json::JsonReader reader(line);
+  CFNET_ASSIGN_OR_RETURN(T record, T::Decode(reader));
+  CFNET_RETURN_IF_ERROR(reader.Finish());
+  return record;
+}
 
 }  // namespace cfnet::core
 

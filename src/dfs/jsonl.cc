@@ -138,10 +138,4 @@ std::vector<LineRange> SplitLineRanges(const std::vector<std::string>& contents,
 
 }  // namespace internal_scan
 
-Result<std::vector<std::vector<json::Json>>> ScanJsonLinesDom(
-    const MiniDfs& dfs, const std::vector<std::string>& paths,
-    const ScanOptions& options) {
-  return ScanJsonLines<json::Json>(dfs, paths, json::Parse, options);
-}
-
 }  // namespace cfnet::dfs

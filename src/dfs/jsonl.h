@@ -250,13 +250,6 @@ Result<std::vector<std::vector<T>>> ScanJsonLines(
   return parts;
 }
 
-/// DOM-decoding convenience scan: every line parsed with `json::Parse`.
-/// Equivalent to concatenating `ReadJsonLines` over `paths`, but partitioned
-/// (and parallel when `options.pool` is set).
-Result<std::vector<std::vector<json::Json>>> ScanJsonLinesDom(
-    const MiniDfs& dfs, const std::vector<std::string>& paths,
-    const ScanOptions& options = ScanOptions());
-
 }  // namespace cfnet::dfs
 
 #endif  // CFNET_DFS_JSONL_H_

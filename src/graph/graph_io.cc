@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "dfs/commit.h"
 #include "util/string_util.h"
 
 namespace cfnet::graph {
@@ -43,12 +44,14 @@ Status WriteBipartiteGraph(dfs::MiniDfs* dfs, const std::string& path,
     AppendU64(out, nbrs.size());
     for (uint32_t r : nbrs) AppendU64(out, r);
   }
-  return dfs->WriteFile(path, out);
+  return dfs::CommitFile(dfs, path, out);
 }
 
 Result<BipartiteGraph> ReadBipartiteGraph(const dfs::MiniDfs& dfs,
                                           const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string in, dfs.ReadFile(path));
+  Result<std::string> read = dfs::ReadCommitted(dfs, path);
+  if (!read.ok()) return read.status();
+  const std::string& in = *read;
   if (in.size() < sizeof(kMagic) ||
       std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad graph file magic: " + path);

@@ -14,11 +14,13 @@ namespace cfnet::graph {
 /// igraph; these writers produce the interchange formats).
 
 /// Serializes the graph to MiniDFS in a compact binary format (magic,
-/// version, id tables, CSR arrays). Deterministic byte-for-byte.
+/// version, id tables, CSR arrays), committed through `dfs::CommitFile`.
+/// Deterministic byte-for-byte.
 Status WriteBipartiteGraph(dfs::MiniDfs* dfs, const std::string& path,
                            const BipartiteGraph& g);
 
-/// Reads a graph written by WriteBipartiteGraph; validates the header and
+/// Reads a graph written by WriteBipartiteGraph through `dfs::ReadCommitted`
+/// (a missing or corrupt commit footer is damage); validates the header and
 /// structural invariants, failing with Corruption on any mismatch.
 Result<BipartiteGraph> ReadBipartiteGraph(const dfs::MiniDfs& dfs,
                                           const std::string& path);

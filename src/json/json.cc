@@ -2,10 +2,8 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <system_error>
 
+#include "json/reader.h"
 #include "util/string_util.h"
 
 namespace cfnet::json {
@@ -125,13 +123,6 @@ void AppendEscapedString(std::string& out, std::string_view s) {
   out.push_back('"');
 }
 
-std::string EscapeString(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  AppendEscapedString(out, s);
-  return out;
-}
-
 void Json::DumpTo(std::string& out, int indent, int depth) const {
   auto newline = [&](int d) {
     if (indent >= 0) {
@@ -203,296 +194,62 @@ std::string Json::Dump(int indent) const {
 
 namespace {
 
-/// Recursive-descent parser over a string_view with a depth limit.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Result<Json> Run() {
-    SkipWhitespace();
-    Json value;
-    CFNET_RETURN_IF_ERROR(ParseValue(value, 0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON document");
-    }
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 256;
-
-  Status Error(const std::string& what) const {
-    return Status::Corruption("JSON parse error at offset " +
-                              std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(Json& out, int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject(out, depth);
-      case '[':
-        return ParseArray(out, depth);
-      case '"': {
-        std::string s;
-        CFNET_RETURN_IF_ERROR(ParseString(s));
-        out = Json(std::move(s));
-        return Status::OK();
-      }
-      case 't':
-        if (ConsumeLiteral("true")) {
-          out = Json(true);
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      case 'f':
-        if (ConsumeLiteral("false")) {
-          out = Json(false);
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      case 'n':
-        if (ConsumeLiteral("null")) {
-          out = Json();
-          return Status::OK();
-        }
-        return Error("invalid literal");
-      default:
-        return ParseNumber(out);
-    }
-  }
-
-  Status ParseObject(Json& out, int depth) {
-    Consume('{');
+/// Builds the value at the reader's cursor. The grammar, the depth limit and
+/// every verdict belong to JsonReader; this only assembles the tree.
+Status BuildValue(JsonReader& reader, Json& out) {
+  CFNET_ASSIGN_OR_RETURN(bool is_object, reader.EnterObject());
+  if (is_object) {
     out = Json::MakeObject();
-    SkipWhitespace();
-    if (Consume('}')) return Status::OK();
+    std::string_view key;
     for (;;) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key string");
-      }
-      std::string key;
-      CFNET_RETURN_IF_ERROR(ParseString(key));
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':' in object");
-      SkipWhitespace();
+      CFNET_ASSIGN_OR_RETURN(bool more, reader.NextMember(key));
+      if (!more) return Status::OK();
+      std::string name(key);  // `key` dies at the next reader call
       Json value;
-      CFNET_RETURN_IF_ERROR(ParseValue(value, depth + 1));
-      out.Set(key, std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::OK();
-      return Error("expected ',' or '}' in object");
+      CFNET_RETURN_IF_ERROR(BuildValue(reader, value));
+      out.Set(name, std::move(value));  // a duplicate key keeps the last value
     }
   }
-
-  Status ParseArray(Json& out, int depth) {
-    Consume('[');
+  CFNET_ASSIGN_OR_RETURN(bool is_array, reader.EnterArray());
+  if (is_array) {
     out = Json::MakeArray();
-    SkipWhitespace();
-    if (Consume(']')) return Status::OK();
     for (;;) {
-      SkipWhitespace();
+      CFNET_ASSIGN_OR_RETURN(bool more, reader.NextElement());
+      if (!more) return Status::OK();
       Json value;
-      CFNET_RETURN_IF_ERROR(ParseValue(value, depth + 1));
+      CFNET_RETURN_IF_ERROR(BuildValue(reader, value));
       out.Append(std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::OK();
-      return Error("expected ',' or ']' in array");
     }
   }
-
-  Status ParseString(std::string& out) {
-    Consume('"');
-    out.clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Error("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"':
-          out.push_back('"');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case '/':
-          out.push_back('/');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-          uint32_t cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') {
-              cp |= static_cast<uint32_t>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              cp |= static_cast<uint32_t>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              cp |= static_cast<uint32_t>(h - 'A' + 10);
-            } else {
-              return Error("invalid hex digit in \\u escape");
-            }
-          }
-          // Surrogate pair handling.
-          if (cp >= 0xD800 && cp <= 0xDBFF && pos_ + 6 <= text_.size() &&
-              text_[pos_] == '\\' && text_[pos_ + 1] == 'u') {
-            uint32_t lo = 0;
-            bool valid = true;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_ + 2 + i];
-              lo <<= 4;
-              if (h >= '0' && h <= '9') {
-                lo |= static_cast<uint32_t>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                lo |= static_cast<uint32_t>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                lo |= static_cast<uint32_t>(h - 'A' + 10);
-              } else {
-                valid = false;
-                break;
-              }
-            }
-            if (valid && lo >= 0xDC00 && lo <= 0xDFFF) {
-              pos_ += 6;
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-            }
-          }
-          AppendUtf8(out, cp);
-          break;
-        }
-        default:
-          return Error("invalid escape character");
-      }
-    }
-    return Error("unterminated string");
+  CFNET_ASSIGN_OR_RETURN(JsonReader::Scalar scalar, reader.ReadScalar());
+  switch (scalar.kind) {
+    case JsonReader::Scalar::Kind::kBool:
+      out = Json(scalar.b);
+      break;
+    case JsonReader::Scalar::Kind::kInt:
+      out = Json(scalar.i);
+      break;
+    case JsonReader::Scalar::Kind::kDouble:
+      out = Json(scalar.d);
+      break;
+    case JsonReader::Scalar::Kind::kString:
+      out = Json(scalar.s);
+      break;
+    case JsonReader::Scalar::Kind::kNull:
+    case JsonReader::Scalar::Kind::kComposite:  // containers were entered above
+      break;  // `out` stays null
   }
-
-  static void AppendUtf8(std::string& out, uint32_t cp) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  Status ParseNumber(Json& out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool has_digits = false;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-      has_digits = true;
-    }
-    if (!has_digits) return Error("invalid number");
-    bool is_double = false;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      is_double = true;
-      ++pos_;
-      bool frac_digits = false;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        frac_digits = true;
-      }
-      if (!frac_digits) return Error("invalid number: missing fraction digits");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      is_double = true;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      bool exp_digits = false;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        exp_digits = true;
-      }
-      if (!exp_digits) return Error("invalid number: missing exponent digits");
-    }
-    std::string token(text_.substr(start, pos_ - start));
-    if (!is_double) {
-      errno = 0;
-      char* end = nullptr;
-      long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
-        out = Json(static_cast<int64_t>(v));
-        return Status::OK();
-      }
-      // Fall through to double on int64 overflow.
-    }
-    out = Json(std::strtod(token.c_str(), nullptr));
-    return Status::OK();
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+  return Status::OK();
+}
 
 }  // namespace
 
-Result<Json> Parse(std::string_view text) { return Parser(text).Run(); }
+Result<Json> Parse(std::string_view text) {
+  JsonReader reader(text);
+  Json out;
+  CFNET_RETURN_IF_ERROR(BuildValue(reader, out));
+  CFNET_RETURN_IF_ERROR(reader.Finish());
+  return out;
+}
 
 }  // namespace cfnet::json

@@ -83,11 +83,6 @@ class Json {
     static const std::string empty;
     return is_string() ? string_ : empty;
   }
-  /// Allocation-free view of a string value ("" for other types) — prefer
-  /// this over AsString() when the caller only compares or copies out.
-  std::string_view AsStringView() const {
-    return is_string() ? std::string_view(string_) : std::string_view();
-  }
 
   /// Array access. `at(i)` on non-array or out of range returns Null.
   size_t size() const;
@@ -131,13 +126,12 @@ class Json {
   Object object_;
 };
 
-/// Parses a JSON document; trailing non-whitespace is an error.
+/// Parses a JSON document into a DOM by driving a JsonReader over `text`:
+/// the grammar, depth limit and "JSON parse error at offset N" verdicts are
+/// the reader's. Trailing non-whitespace is an error.
 Result<Json> Parse(std::string_view text);
 
-/// Escapes `s` as a JSON string literal (with surrounding quotes).
-std::string EscapeString(std::string_view s);
-
-/// Appends the escaped literal to `out` without a temporary string.
+/// Appends `s` as an escaped JSON string literal (with surrounding quotes).
 void AppendEscapedString(std::string& out, std::string_view s);
 
 }  // namespace cfnet::json

@@ -7,8 +7,8 @@ namespace cfnet::json {
 
 namespace {
 
-/// Same encoder as the DOM parser's (lone surrogates encode as-is, so the
-/// two paths stay byte-identical on pathological escapes).
+/// UTF-8 encoder for \u escapes. A lone surrogate is encoded as-is (three
+/// bytes), neither rejected nor replaced.
 void AppendUtf8(std::string& out, uint32_t cp) {
   if (cp < 0x80) {
     out.push_back(static_cast<char>(cp));
@@ -96,8 +96,7 @@ Status JsonReader::ParseStringToken(std::string& scratch,
     ++pos_;
   }
   if (pos_ >= text_.size()) return Error("unterminated string");
-  // Slow path: copy the escape-free prefix, then unescape the rest exactly
-  // as the DOM parser does.
+  // Slow path: copy the escape-free prefix, then unescape the rest.
   scratch.assign(text_.data() + start, pos_ - start);
   while (pos_ < text_.size()) {
     char c = text_[pos_++];
@@ -212,14 +211,14 @@ Status JsonReader::ParseNumberToken(Scalar& out) {
       out.i = v;
       return Status::OK();
     }
-    // int64 overflow falls through to double, as in the DOM parser.
+    // int64 overflow falls through to double.
   }
   double d = 0.0;
   auto [p, ec] = std::from_chars(b, e, d);
   if (ec != std::errc() || p != e) {
-    // from_chars leaves the value unspecified on over/underflow; strtod's
-    // saturating behavior is what the DOM parser exposes, so match it on
-    // this (rare) path.
+    // Out of double range: from_chars reports an error without a value, and
+    // the grammar's rule is to saturate to ±inf or underflow to 0, which is
+    // what strtod returns.
     std::string token(b, e);
     d = std::strtod(token.c_str(), nullptr);
   }
@@ -230,8 +229,8 @@ Status JsonReader::ParseNumberToken(Scalar& out) {
 
 Result<bool> JsonReader::EnterObject() {
   SkipWs();
-  // The DOM parser checks depth before end-of-input at every value; match
-  // that order so truncated deep documents get the same verdict.
+  // Depth is checked before end-of-input at every value, so a truncated
+  // deep document reports its depth, not its truncation.
   CFNET_RETURN_IF_ERROR(CheckValueDepth(0));
   if (pos_ >= text_.size()) return Error("unexpected end of input");
   if (text_[pos_] != '{') return false;

@@ -12,7 +12,8 @@
 namespace cfnet::json {
 
 /// Single-pass, pull-style reader over one JSON document held in memory —
-/// the streaming counterpart of `json::Parse` that never builds a DOM.
+/// cfnet's one JSON grammar. Record decoders drive it directly; `json::Parse`
+/// drives it to build a DOM.
 ///
 /// The reader yields values on demand: callers step through containers with
 /// `ForEachMember` / `ForEachElement` and pull scalars with `ReadScalar`.
@@ -21,10 +22,13 @@ namespace cfnet::json {
 /// scratch buffer (so a view is valid only until the next reader call).
 /// Numbers are parsed in place with `std::from_chars`.
 ///
-/// Grammar, depth limit, and error verdicts match `json::Parse` exactly
-/// (pinned by the differential test in json_reader_test): a document is
-/// accepted by one iff it is accepted by the other, and accepted documents
-/// decode to identical values.
+/// The grammar is RFC 8259 with these rules (json_reader_test pins a verdict
+/// or value for each): leading zeros are accepted ("01" is 1); raw control
+/// bytes inside strings are kept; a lone surrogate escape is encoded as-is;
+/// an integer that overflows int64 becomes a double, and an out-of-range
+/// double saturates to ±inf or underflows to 0; a value nested inside more
+/// than 256 containers fails "nesting too deep". Every failure is a
+/// Corruption "JSON parse error at offset N: <what>".
 ///
 /// Typical record decode (no DOM, no per-field allocation):
 ///
@@ -42,9 +46,8 @@ namespace cfnet::json {
 class JsonReader {
  public:
   /// A scalar pulled from the stream. Coercion helpers mirror the DOM
-  /// accessors (`Json::AsInt` etc.) so streaming decoders are drop-in
-  /// equivalents of the `FromJson` paths: wrong types yield neutral
-  /// defaults instead of errors.
+  /// accessors (`Json::AsInt` etc.): wrong types yield neutral defaults
+  /// instead of errors.
   struct Scalar {
     enum class Kind { kNull, kBool, kInt, kDouble, kString, kComposite };
 
@@ -117,11 +120,13 @@ class JsonReader {
     }
   }
 
-  /// Consumes and validates the value at the cursor without decoding it.
+  /// Consumes and validates the value at the cursor without decoding it —
+  /// a fast path over the same grammar that yields the same verdicts
+  /// (json_reader_test checks it on every document of its tables).
   Status SkipValue();
 
-  /// Verifies nothing but whitespace remains — the streaming analogue of
-  /// `Parse`'s trailing-characters check. Call after the top-level value.
+  /// Verifies nothing but whitespace follows the top-level value ("trailing
+  /// characters after JSON document" otherwise). Call after that value.
   Status Finish();
 
   /// --- low-level stepping (used by the helpers and generic consumers) ---
@@ -140,11 +145,9 @@ class JsonReader {
   /// the closing ']' was consumed.
   Result<bool> NextElement();
 
-  /// Byte offset of the cursor (for error reporting / testing).
-  size_t offset() const { return pos_; }
-
  private:
-  /// Matches json::Parse's Parser::kMaxDepth.
+  /// Most containers a value may be nested inside. Checked before
+  /// end-of-input, so a truncated deep document reports its depth.
   static constexpr size_t kMaxDepth = 256;
 
   enum class Frame : uint8_t { kObjectFirst, kObject, kArrayFirst, kArray };
@@ -154,7 +157,7 @@ class JsonReader {
   bool Consume(char c);
   bool ConsumeLiteral(std::string_view lit);
   /// Errors when a value nested `extra` levels below the open containers
-  /// would exceed the depth limit (same boundary as the DOM parser).
+  /// would exceed the depth limit.
   Status CheckValueDepth(size_t extra) const;
   /// Parses the string literal at the cursor (opening quote included) into
   /// `out` — zero-copy when escape-free, else unescaped into `scratch`.

@@ -246,12 +246,5 @@ TEST_F(PipelineFixture, Fig7ProducesRenderableViz) {
   EXPECT_NE(fig7.weak.svg.find("</svg>"), std::string::npos);
 }
 
-TEST_F(PipelineFixture, SnapshotDatasetLoadsViaDataflow) {
-  auto ds = platform().LoadSnapshotDataset(
-      platform().crawler().StartupSnapshotDir());
-  ASSERT_TRUE(ds.ok());
-  EXPECT_EQ(ds->Count(), inputs().startups.size());
-}
-
 }  // namespace
 }  // namespace cfnet::core

@@ -354,7 +354,8 @@ TEST(ReadFaultRegressionTest, StrictScanRereadsEveryShortRead) {
     MiniDfs dfs;
     ASSERT_TRUE(CommitFile(&dfs, "/snap/part-0.jsonl", IdLines(50)).ok());
     ArmNextShortRead(&dfs, seed);
-    auto parts = ScanJsonLinesDom(dfs, {"/snap/part-0.jsonl"});
+    auto parts =
+        ScanJsonLines<json::Json>(dfs, {"/snap/part-0.jsonl"}, json::Parse);
     ASSERT_TRUE(parts.ok()) << parts.status();
     EXPECT_EQ(dfs.GetStats().storage_faults_injected, 1u);
     size_t records = 0;

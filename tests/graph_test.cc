@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "commit_fixture.h"
+#include "dfs/commit.h"
 #include "graph/graph_io.h"
 #include "graph/weighted_graph.h"
 
@@ -198,23 +200,27 @@ TEST(GraphIoTest, RejectsCorruptedFiles) {
   BipartiteGraph g = Sample();
   dfs::MiniDfs fs;
   ASSERT_TRUE(WriteBipartiteGraph(&fs, "/g.bin", g).ok());
-  auto content = fs.ReadFile("/g.bin");
-  ASSERT_TRUE(content.ok());
-  // Bad magic.
-  std::string bad = *content;
+  // The export is a committed file: it reads back through the contract.
+  auto payload = dfs::ReadCommitted(fs, "/g.bin");
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  auto verdict = [&](const std::string& path) {
+    return ReadBipartiteGraph(fs, path).status();
+  };
+  // A raw write without a commit footer is damage.
+  ASSERT_TRUE(fs.WriteFile("/raw.bin", *payload).ok());
+  EXPECT_EQ(verdict("/raw.bin").code(), StatusCode::kCorruption);
+  // Committed but structurally broken payloads reach the format checks.
+  std::string bad = *payload;
   bad[0] = 'X';
-  ASSERT_TRUE(fs.WriteFile("/bad1.bin", bad).ok());
-  EXPECT_EQ(ReadBipartiteGraph(fs, "/bad1.bin").status().code(),
-            StatusCode::kCorruption);
-  // Truncation.
-  ASSERT_TRUE(fs.WriteFile("/bad2.bin", content->substr(0, 40)).ok());
-  EXPECT_EQ(ReadBipartiteGraph(fs, "/bad2.bin").status().code(),
-            StatusCode::kCorruption);
-  // Trailing junk.
-  ASSERT_TRUE(fs.WriteFile("/bad3.bin", *content + "junk").ok());
-  EXPECT_EQ(ReadBipartiteGraph(fs, "/bad3.bin").status().code(),
-            StatusCode::kCorruption);
-  EXPECT_TRUE(ReadBipartiteGraph(fs, "/missing.bin").status().IsNotFound());
+  CommitFixture(&fs, "/bad1.bin", bad);
+  EXPECT_EQ(verdict("/bad1.bin").ToString(),
+            "Corruption: bad graph file magic: /bad1.bin");
+  CommitFixture(&fs, "/bad2.bin", payload->substr(0, 40));
+  EXPECT_EQ(verdict("/bad2.bin").ToString(), "Corruption: truncated ids");
+  CommitFixture(&fs, "/bad3.bin", *payload + "junk");
+  EXPECT_EQ(verdict("/bad3.bin").ToString(),
+            "Corruption: trailing bytes in graph file");
+  EXPECT_TRUE(verdict("/missing.bin").IsNotFound());
 }
 
 TEST(GraphIoTest, SnapEdgeListRoundTrip) {

@@ -11,7 +11,6 @@
 #include "core/records.h"
 #include "dfs/columnar.h"
 #include "json/json.h"
-#include "json/reader.h"
 #include "util/thread_pool.h"
 
 namespace cfnet {
@@ -46,7 +45,7 @@ TEST(ScanJsonLinesTest, MatchesReadJsonLinesAcrossShards) {
     ASSERT_TRUE(records.ok());
     for (auto& r : *records) expected.push_back(std::move(r));
   }
-  auto scanned = dfs::ScanJsonLinesDom(dfs, paths);
+  auto scanned = dfs::ScanJsonLines<json::Json>(dfs, paths, json::Parse);
   ASSERT_TRUE(scanned.ok());
   std::vector<json::Json> got = Flatten(std::move(*scanned));
   ASSERT_EQ(got.size(), expected.size());
@@ -66,7 +65,8 @@ TEST(ScanJsonLinesTest, ParallelScanPartitionsAndPreservesOrder) {
   ScanOptions options;
   options.pool = &pool;
   options.min_range_bytes = 64;  // force several ranges despite the tiny file
-  auto scanned = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"}, options);
+  auto scanned = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0"},
+                                                json::Parse, options);
   ASSERT_TRUE(scanned.ok());
   EXPECT_GT(scanned->size(), 1u) << "expected a multi-range split";
   std::vector<int64_t> got;
@@ -83,7 +83,8 @@ TEST(ScanJsonLinesTest, MalformedLineVerdictMatchesReadJsonLines) {
   ASSERT_FALSE(sequential.ok());
   ScanOptions options;
   options.min_range_bytes = 1;
-  auto scanned = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"}, options);
+  auto scanned = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0"},
+                                                json::Parse, options);
   ASSERT_FALSE(scanned.ok());
   EXPECT_EQ(scanned.status().ToString(), sequential.status().ToString());
 }
@@ -102,7 +103,8 @@ TEST(ScanJsonLinesTest, EarliestFailingLineWinsAcrossRanges) {
   ScanOptions options;
   options.pool = &pool;
   options.min_range_bytes = 32;
-  auto scanned = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"}, options);
+  auto scanned = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0"},
+                                                json::Parse, options);
   ASSERT_FALSE(scanned.ok());
   EXPECT_NE(scanned.status().ToString().find(":51:"), std::string::npos)
       << scanned.status().ToString();
@@ -110,13 +112,14 @@ TEST(ScanJsonLinesTest, EarliestFailingLineWinsAcrossRanges) {
 
 TEST(ScanJsonLinesTest, EmptyInputsYieldOneEmptyPartition) {
   MiniDfs dfs;
-  auto no_files = dfs::ScanJsonLinesDom(dfs, {});
+  auto no_files = dfs::ScanJsonLines<json::Json>(dfs, {}, json::Parse);
   ASSERT_TRUE(no_files.ok());
   ASSERT_EQ(no_files->size(), 1u);
   EXPECT_TRUE((*no_files)[0].empty());
 
   CommitFixture(&dfs, "/snap/empty", "");
-  auto empty_file = dfs::ScanJsonLinesDom(dfs, {"/snap/empty"});
+  auto empty_file = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/empty"},
+                                                   json::Parse);
   ASSERT_TRUE(empty_file.ok());
   ASSERT_EQ(empty_file->size(), 1u);
   EXPECT_TRUE((*empty_file)[0].empty());
@@ -124,7 +127,8 @@ TEST(ScanJsonLinesTest, EmptyInputsYieldOneEmptyPartition) {
 
 TEST(ScanJsonLinesTest, MissingFilePropagatesError) {
   MiniDfs dfs;
-  auto scanned = dfs::ScanJsonLinesDom(dfs, {"/snap/nope"});
+  auto scanned = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/nope"},
+                                                json::Parse);
   EXPECT_FALSE(scanned.ok());
 }
 
@@ -145,14 +149,16 @@ TEST(ScanSalvageTest, DropsTruncatedFinalLineAndCountsIt) {
   ASSERT_TRUE(
       dfs.WriteFile("/snap/part-0", "{\"id\":1}\n{\"id\":2}\n{\"id\":3").ok());
   ScanOptions strict;
-  auto failed = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"}, strict);
+  auto failed = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0"},
+                                               json::Parse, strict);
   EXPECT_FALSE(failed.ok());
 
   dfs::ScanReport report;
   ScanOptions salvage;
   salvage.salvage = true;
   salvage.report = &report;
-  auto scanned = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"}, salvage);
+  auto scanned = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0"},
+                                                json::Parse, salvage);
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   EXPECT_EQ(ScanIds(*scanned), (std::vector<int64_t>{1, 2}));
   EXPECT_EQ(report.files_scanned, 1u);
@@ -174,7 +180,8 @@ TEST(ScanSalvageTest, SkipsLinesWithEmbeddedNulBytes) {
   ScanOptions salvage;
   salvage.salvage = true;
   salvage.report = &report;
-  auto scanned = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"}, salvage);
+  auto scanned = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0"},
+                                                json::Parse, salvage);
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   // The intact neighbours of the garbage line survive byte-identically.
   EXPECT_EQ(ScanIds(*scanned), (std::vector<int64_t>{1, 3}));
@@ -193,7 +200,8 @@ TEST(ScanSalvageTest, CorruptMiddleBlockQuarantinesInReportOnly) {
   ASSERT_TRUE(dfs.WriteFile("/snap/part-0", raw).ok());
 
   // Strict mode refuses the file outright.
-  auto strict = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"});
+  auto strict = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0"},
+                                               json::Parse);
   ASSERT_FALSE(strict.ok());
   EXPECT_EQ(strict.status().code(), StatusCode::kCorruption);
 
@@ -202,7 +210,8 @@ TEST(ScanSalvageTest, CorruptMiddleBlockQuarantinesInReportOnly) {
   ScanOptions salvage;
   salvage.salvage = true;
   salvage.report = &report;
-  auto scanned = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"}, salvage);
+  auto scanned = dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0"},
+                                                json::Parse, salvage);
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   std::vector<int64_t> ids = ScanIds(*scanned);
   EXPECT_EQ(ids.size() + report.records_dropped, 3u);
@@ -228,7 +237,8 @@ TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
   salvage.salvage = true;
   salvage.report = &report;
   auto scanned =
-      dfs::ScanJsonLinesDom(dfs, {"/snap/part-0", "/snap/part-1"}, salvage);
+      dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0", "/snap/part-1"},
+                                     json::Parse, salvage);
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   EXPECT_EQ(ScanIds(*scanned), (std::vector<int64_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(report.files_scanned, 2u);
@@ -368,154 +378,138 @@ TEST(ColumnarSalvageTest, SnapshotLoadFallsBackToJsonOnColumnarRot) {
   EXPECT_EQ(report.records_dropped, 0u);
 }
 
-/// --- streaming record decoders vs FromJson -------------------------------
+/// --- record decoders: pinned expectations --------------------------------
 
 template <typename T>
-T DecodeOne(std::string_view line) {
-  json::JsonReader reader(line);
-  auto decoded = T::Decode(reader);
-  EXPECT_TRUE(decoded.ok()) << line << ": " << decoded.status().ToString();
-  EXPECT_TRUE(reader.Finish().ok()) << line;
-  return decoded.ok() ? *decoded : T{};
-}
+struct RecordCase {
+  const char* line;
+  T want;
+};
 
 template <typename T>
-T DomOne(std::string_view line) {
-  auto parsed = json::Parse(line);
-  EXPECT_TRUE(parsed.ok()) << line;
-  return T::FromJson(parsed.ok() ? *parsed : json::Json());
-}
-
-void ExpectEq(const StartupRecord& a, const StartupRecord& b,
-              std::string_view doc) {
-  EXPECT_EQ(a.id, b.id) << doc;
-  EXPECT_EQ(a.name, b.name) << doc;
-  EXPECT_EQ(a.has_twitter_url, b.has_twitter_url) << doc;
-  EXPECT_EQ(a.has_facebook_url, b.has_facebook_url) << doc;
-  EXPECT_EQ(a.has_crunchbase_url, b.has_crunchbase_url) << doc;
-  EXPECT_EQ(a.has_video, b.has_video) << doc;
-  EXPECT_EQ(a.fundraising, b.fundraising) << doc;
-  EXPECT_EQ(a.follower_count, b.follower_count) << doc;
-}
-
-void ExpectEq(const UserRecord& a, const UserRecord& b, std::string_view doc) {
-  EXPECT_EQ(a.id, b.id) << doc;
-  EXPECT_EQ(a.is_investor, b.is_investor) << doc;
-  EXPECT_EQ(a.is_founder, b.is_founder) << doc;
-  EXPECT_EQ(a.is_employee, b.is_employee) << doc;
-  EXPECT_EQ(a.investment_company_ids, b.investment_company_ids) << doc;
-  EXPECT_EQ(a.following_startup_count, b.following_startup_count) << doc;
-  EXPECT_EQ(a.following_user_count, b.following_user_count) << doc;
-}
-
-void ExpectEq(const CrunchBaseRecord& a, const CrunchBaseRecord& b,
-              std::string_view doc) {
-  EXPECT_EQ(a.angellist_id, b.angellist_id) << doc;
-  EXPECT_DOUBLE_EQ(a.total_funding_usd, b.total_funding_usd) << doc;
-  EXPECT_EQ(a.num_rounds, b.num_rounds) << doc;
-  EXPECT_EQ(a.round_investor_ids, b.round_investor_ids) << doc;
-}
-
-void ExpectEq(const FacebookRecord& a, const FacebookRecord& b,
-              std::string_view doc) {
-  EXPECT_EQ(a.angellist_id, b.angellist_id) << doc;
-  EXPECT_EQ(a.fan_count, b.fan_count) << doc;
-}
-
-void ExpectEq(const TwitterRecord& a, const TwitterRecord& b,
-              std::string_view doc) {
-  EXPECT_EQ(a.angellist_id, b.angellist_id) << doc;
-  EXPECT_EQ(a.statuses_count, b.statuses_count) << doc;
-  EXPECT_EQ(a.followers_count, b.followers_count) << doc;
-  EXPECT_EQ(a.followers_count_null, b.followers_count_null) << doc;
-}
-
-template <typename T>
-void ExpectDecodeMatchesFromJson(const std::vector<const char*>& docs) {
-  for (const char* doc : docs) {
-    ExpectEq(DecodeOne<T>(doc), DomOne<T>(doc), doc);
+void ExpectDecodes(const std::vector<RecordCase<T>>& cases) {
+  for (const RecordCase<T>& c : cases) {
+    Result<T> got = core::DecodeLine<T>(c.line);
+    ASSERT_TRUE(got.ok()) << c.line << ": " << got.status();
+    EXPECT_EQ(*got, c.want) << c.line;
   }
 }
 
-TEST(RecordDecodeDifferentialTest, Startup) {
-  ExpectDecodeMatchesFromJson<StartupRecord>({
-      "{}",
-      "{\"id\":7,\"name\":\"Acme\",\"twitter_url\":\"http://t\","
-      "\"facebook_url\":\"\",\"crunchbase_url\":\"http://c\","
-      "\"video_url\":\"v\",\"fundraising\":true,\"follower_count\":12}",
-      "{\"id\":7.9,\"name\":42,\"twitter_url\":null,\"fundraising\":\"yes\"}",
-      "{\"follower_count\":\"many\",\"video_url\":false}",
-      "{\"id\":1,\"id\":2}",                      // dup key: last wins
-      "{\"twitter_url\":\"x\",\"twitter_url\":\"\"}",
-      "{\"extra\":{\"nested\":[1,2]},\"id\":5}",  // unknown composite skipped
-      "{\"name\":\"esc\\n\\u00e9\"}",
+TEST(RecordDecodeTest, Startup) {
+  ExpectDecodes<StartupRecord>({
+      {"{}", {}},
+      {R"({"id":7,"name":"Acme","twitter_url":"http://t",)"
+       R"("facebook_url":"","crunchbase_url":"http://c",)"
+       R"("video_url":"v","fundraising":true,"follower_count":12})",
+       {.id = 7,
+        .name = "Acme",
+        .has_twitter_url = true,
+        .has_crunchbase_url = true,
+        .has_video = true,
+        .fundraising = true,
+        .follower_count = 12}},
+      // Wrong types coerce: a double id truncates, the rest default.
+      {R"({"id":7.9,"name":42,"twitter_url":null,"fundraising":"yes"})",
+       {.id = 7, .name = ""}},
+      {R"({"follower_count":"many","video_url":false})", {}},
+      {R"({"id":1,"id":2})", {.id = 2, .name = ""}},  // last key wins
+      {R"({"twitter_url":"x","twitter_url":""})", {}},
+      {R"({"extra":{"nested":[1,2]},"id":5})", {.id = 5, .name = ""}},
+      {R"({"name":"esc\n\u00e9"})", {.name = "esc\n\xc3\xa9"}},
   });
 }
 
-TEST(RecordDecodeDifferentialTest, User) {
-  ExpectDecodeMatchesFromJson<UserRecord>({
-      "{}",
-      "{\"id\":3,\"roles\":[\"investor\",\"founder\"],"
-      "\"investment_company_ids\":[1,2,3],"
-      "\"following_startup_count\":4,\"following_user_count\":5}",
-      "{\"roles\":[\"employee\",\"other\"],\"roles\":[\"founder\"]}",
-      "{\"roles\":\"investor\"}",                 // non-array roles: no flags
-      "{\"roles\":[null,42,\"investor\"]}",
-      "{\"investment_company_ids\":[1],\"investment_company_ids\":[2,3]}",
-      "{\"investment_company_ids\":{\"a\":1}}",   // non-array: empty
-      "{\"id\":\"x\",\"following_user_count\":2.7}",
+TEST(RecordDecodeTest, User) {
+  ExpectDecodes<UserRecord>({
+      {"{}", {}},
+      {R"({"id":3,"roles":["investor","founder"],)"
+       R"("investment_company_ids":[1,2,3],)"
+       R"("following_startup_count":4,"following_user_count":5})",
+       {.id = 3,
+        .is_investor = true,
+        .is_founder = true,
+        .investment_company_ids = {1, 2, 3},
+        .following_startup_count = 4,
+        .following_user_count = 5}},
+      {R"({"roles":["employee","other"],"roles":["founder"]})",
+       {.is_founder = true, .investment_company_ids = {}}},
+      {R"({"roles":"investor"})", {}},  // non-array roles: no flags
+      {R"({"roles":[null,42,"investor"]})",
+       {.is_investor = true, .investment_company_ids = {}}},
+      {R"({"investment_company_ids":[1],"investment_company_ids":[2,3]})",
+       {.investment_company_ids = {2, 3}}},
+      {R"({"investment_company_ids":{"a":1}})", {}},  // non-array: empty
+      {R"({"id":"x","following_user_count":2.7})",
+       {.investment_company_ids = {}, .following_user_count = 2}},
   });
 }
 
-TEST(RecordDecodeDifferentialTest, CrunchBase) {
-  ExpectDecodeMatchesFromJson<CrunchBaseRecord>({
-      "{}",
-      "{\"angellist_id\":9,\"total_funding_usd\":1.5e6,"
-      "\"funding_rounds\":[{\"investor_ids\":[1,2]},{\"investor_ids\":[3]}]}",
-      "{\"funding_rounds\":[]}",
-      "{\"funding_rounds\":[{},{\"other\":1},{\"investor_ids\":\"x\"}]}",
-      "{\"funding_rounds\":{\"a\":1,\"b\":2}}",   // object: size = members
-      "{\"funding_rounds\":{\"a\":1,\"a\":2}}",   // dup keys collapse
-      "{\"funding_rounds\":42}",                  // scalar: zero rounds
-      "{\"funding_rounds\":[{\"investor_ids\":[1],\"investor_ids\":[2,3]}]}",
-      "{\"funding_rounds\":[{\"investor_ids\":[1]}],"
-      "\"funding_rounds\":[{\"investor_ids\":[9]}]}",
-      "{\"total_funding_usd\":7}",                // int coerces to double
+TEST(RecordDecodeTest, CrunchBase) {
+  ExpectDecodes<CrunchBaseRecord>({
+      {"{}", {}},
+      {R"({"angellist_id":9,"total_funding_usd":1.5e6,)"
+       R"("funding_rounds":[{"investor_ids":[1,2]},{"investor_ids":[3]}]})",
+       {.angellist_id = 9,
+        .total_funding_usd = 1.5e6,
+        .num_rounds = 2,
+        .round_investor_ids = {1, 2, 3}}},
+      {R"({"funding_rounds":[]})", {}},
+      {R"({"funding_rounds":[{},{"other":1},{"investor_ids":"x"}]})",
+       {.num_rounds = 3, .round_investor_ids = {}}},
+      // An object counts one round per distinct key; a scalar counts none.
+      {R"({"funding_rounds":{"a":1,"b":2}})",
+       {.num_rounds = 2, .round_investor_ids = {}}},
+      {R"({"funding_rounds":{"a":1,"a":2}})",
+       {.num_rounds = 1, .round_investor_ids = {}}},
+      {R"({"funding_rounds":42})", {}},
+      {R"({"funding_rounds":[{"investor_ids":[1],"investor_ids":[2,3]}]})",
+       {.num_rounds = 1, .round_investor_ids = {2, 3}}},
+      {R"({"funding_rounds":[{"investor_ids":[1]}],)"
+       R"("funding_rounds":[{"investor_ids":[9]}]})",
+       {.num_rounds = 1, .round_investor_ids = {9}}},
+      {R"({"total_funding_usd":7})",
+       {.total_funding_usd = 7.0, .round_investor_ids = {}}},
   });
 }
 
-TEST(RecordDecodeDifferentialTest, Facebook) {
-  ExpectDecodeMatchesFromJson<FacebookRecord>({
-      "{}",
-      "{\"angellist_id\":4,\"fan_count\":100}",
-      "{\"fan_count\":\"lots\",\"angellist_id\":1.2}",
+TEST(RecordDecodeTest, Facebook) {
+  ExpectDecodes<FacebookRecord>({
+      {"{}", {}},
+      {R"({"angellist_id":4,"fan_count":100})",
+       {.angellist_id = 4, .fan_count = 100}},
+      {R"({"fan_count":"lots","angellist_id":1.2})", {.angellist_id = 1}},
   });
 }
 
-TEST(RecordDecodeDifferentialTest, Twitter) {
-  ExpectDecodeMatchesFromJson<TwitterRecord>({
-      "{}",                                       // missing -> null verdict
-      "{\"angellist_id\":2,\"statuses_count\":10,\"followers_count\":20}",
-      "{\"followers_count\":null}",
-      "{\"followers_count\":\"n/a\"}",            // non-null, coerces to 0
-      "{\"followers_count\":null,\"followers_count\":5}",
-      "{\"followers_count\":5,\"followers_count\":null}",
+TEST(RecordDecodeTest, Twitter) {
+  ExpectDecodes<TwitterRecord>({
+      {"{}", {.followers_count_null = true}},  // missing counts as null
+      {R"({"angellist_id":2,"statuses_count":10,"followers_count":20})",
+       {.angellist_id = 2, .statuses_count = 10, .followers_count = 20}},
+      {R"({"followers_count":null})", {.followers_count_null = true}},
+      {R"({"followers_count":"n/a"})", {}},  // non-null, coerces to 0
+      {R"({"followers_count":null,"followers_count":5})",
+       {.followers_count = 5}},
+      {R"({"followers_count":5,"followers_count":null})",
+       {.followers_count_null = true}},
   });
 }
 
-TEST(RecordDecodeDifferentialTest, MalformedLineFailsBothPaths) {
-  const char* doc = "{\"id\":1,";
-  auto parsed = json::Parse(doc);
-  ASSERT_FALSE(parsed.ok());
-  json::JsonReader reader(doc);
-  auto decoded = StartupRecord::Decode(reader);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().ToString(), parsed.status().ToString());
+TEST(RecordDecodeTest, MalformedLineVerdict) {
+  const std::string want =
+      "Corruption: JSON parse error at offset 8: expected object key string";
+  const char* line = R"({"id":1,)";
+  EXPECT_EQ(core::DecodeLine<StartupRecord>(line).status().ToString(), want);
+  EXPECT_EQ(core::DecodeLine<UserRecord>(line).status().ToString(), want);
+  EXPECT_EQ(core::DecodeLine<CrunchBaseRecord>(line).status().ToString(), want);
+  EXPECT_EQ(core::DecodeLine<FacebookRecord>(line).status().ToString(), want);
+  EXPECT_EQ(core::DecodeLine<TwitterRecord>(line).status().ToString(), want);
+  EXPECT_EQ(json::Parse(line).status().ToString(), want);
 }
 
 /// --- end-to-end: platform loaders on a crawled world ---------------------
 
-TEST(PlatformIngestTest, TypedLoadersMatchDomPipeline) {
+TEST(PlatformIngestTest, LoadInputsHasOneRecordPerSnapshotLine) {
   core::ExploratoryPlatform::Options options;
   options.world.scale = 0.01;
   options.analytics_parallelism = 4;
@@ -524,24 +518,37 @@ TEST(PlatformIngestTest, TypedLoadersMatchDomPipeline) {
   auto inputs = platform.LoadInputs();
   ASSERT_TRUE(inputs.ok());
 
-  auto check_dir = [&](const std::string& dir, auto tag, const auto& typed) {
-    using T = decltype(tag);
-    auto docs = platform.LoadSnapshotDataset(dir);
-    ASSERT_TRUE(docs.ok());
-    std::vector<T> dom =
-        docs->Map([](const json::Json& j) { return T::FromJson(j); }).Collect();
-    ASSERT_EQ(typed.size(), dom.size()) << dir;
-    for (size_t i = 0; i < dom.size(); ++i) ExpectEq(typed[i], dom[i], dir);
+  // Every JSON line of `dir`'s shards, in shard order, yields one record in
+  // the same position, keyed by that line's `id_field`.
+  auto check_dir = [&](const std::string& dir, const auto& records,
+                       const char* id_field, auto id_of) {
+    std::vector<json::Json> lines;
+    for (const std::string& shard :
+         core::SplitSnapshotFiles(platform.dfs().List(dir)).json) {
+      auto read = dfs::ReadJsonLines(platform.dfs(), shard);
+      ASSERT_TRUE(read.ok()) << shard << ": " << read.status();
+      for (json::Json& line : *read) lines.push_back(std::move(line));
+    }
+    ASSERT_EQ(records.size(), lines.size()) << dir;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(id_of(records[i]),
+                static_cast<uint64_t>(lines[i].Get(id_field).AsInt()))
+          << dir << " line " << i;
+    }
   };
-  check_dir(platform.crawler().StartupSnapshotDir(), StartupRecord{},
-            inputs->startups);
-  check_dir(platform.crawler().UserSnapshotDir(), UserRecord{}, inputs->users);
-  check_dir(platform.crawler().CrunchBaseSnapshotDir(), CrunchBaseRecord{},
-            inputs->crunchbase);
-  check_dir(platform.crawler().FacebookSnapshotDir(), FacebookRecord{},
-            inputs->facebook);
-  check_dir(platform.crawler().TwitterSnapshotDir(), TwitterRecord{},
-            inputs->twitter);
+  check_dir(platform.crawler().StartupSnapshotDir(), inputs->startups, "id",
+            [](const StartupRecord& r) { return r.id; });
+  check_dir(platform.crawler().UserSnapshotDir(), inputs->users, "id",
+            [](const UserRecord& r) { return r.id; });
+  check_dir(platform.crawler().CrunchBaseSnapshotDir(), inputs->crunchbase,
+            "angellist_id",
+            [](const CrunchBaseRecord& r) { return r.angellist_id; });
+  check_dir(platform.crawler().FacebookSnapshotDir(), inputs->facebook,
+            "angellist_id",
+            [](const FacebookRecord& r) { return r.angellist_id; });
+  check_dir(platform.crawler().TwitterSnapshotDir(), inputs->twitter,
+            "angellist_id",
+            [](const TwitterRecord& r) { return r.angellist_id; });
   EXPECT_FALSE(inputs->startups.empty());
   EXPECT_FALSE(inputs->users.empty());
 }

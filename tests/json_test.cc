@@ -137,32 +137,6 @@ TEST(JsonParseTest, WhitespaceTolerant) {
   EXPECT_EQ(parsed->Get("a").size(), 2u);
 }
 
-class JsonInvalidTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(JsonInvalidTest, RejectsMalformedInput) {
-  auto parsed = Parse(GetParam());
-  EXPECT_FALSE(parsed.ok()) << "should reject: " << GetParam();
-  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Malformed, JsonInvalidTest,
-    ::testing::Values("", "{", "}", "[1,]", "{\"a\":}", "{\"a\" 1}",
-                      "{a:1}", "tru", "nul", "01x", "1.e5", "1.", "--3",
-                      "\"unterminated", "\"bad\\escape\\q\"", "[1] trailing",
-                      "{\"a\":1,}", "+5", "\"\\u12\"", "[1 2]"));
-
-TEST(JsonParseTest, DeepNestingBounded) {
-  std::string deep(300, '[');
-  deep += std::string(300, ']');
-  auto parsed = Parse(deep);
-  EXPECT_FALSE(parsed.ok());  // beyond the depth limit
-
-  std::string ok(100, '[');
-  ok += std::string(100, ']');
-  EXPECT_TRUE(Parse(ok).ok());
-}
-
 TEST(JsonDumpTest, PrettyPrinting) {
   Json j = Json::MakeObject();
   j.Set("a", 1);
