@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -89,14 +90,20 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
   std::vector<std::string> paths;
   uint64_t total_bytes = 0;
   for (size_t s = 0; s < shards; ++s) {
-    std::string shard_path = "/bench/startups/part-" + std::to_string(s);
-    dfs::JsonLinesWriter writer(&dfs, shard_path);
+    // One segment per shard (the writer flushes only at the end), so the
+    // scans below read the same files as before snapshots were segmented.
+    const std::string prefix =
+        "/bench/startups/part-" + std::to_string(s) + "-";
+    dfs::JsonLinesWriter writer(&dfs, prefix,
+                                std::numeric_limits<size_t>::max());
     for (size_t i = s; i < n; i += shards) {
       CFNET_CHECK(writer.Write(docs[i]).ok());
     }
     CFNET_CHECK(writer.Flush().ok());
-    paths.push_back(shard_path);
-    total_bytes += *dfs.FileSize(shard_path);
+    for (std::string& p : dfs::ListSegments(dfs, prefix)) {
+      total_bytes += *dfs.FileSize(p);
+      paths.push_back(std::move(p));
+    }
   }
   const double json_mb = static_cast<double>(total_bytes) / 1e6;
 

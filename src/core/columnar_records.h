@@ -84,10 +84,10 @@ struct SnapshotFiles {
 SnapshotFiles SplitSnapshotFiles(std::vector<std::string> paths);
 
 /// CRC32 over the sorted `<path>:<size>` lines of the directory's JSON
-/// shards (columnar files excluded). Stored in the columnar header at
-/// compaction time; a mismatch against the live shards means the columnar
-/// file predates an append/truncate (dead-letter replay, resume rollback)
-/// and must not be trusted.
+/// segments (columnar files excluded). Stored in the columnar header at
+/// compaction time; a mismatch against the live segments means the columnar
+/// file predates a segment being added or dropped (dead-letter replay,
+/// resume rollback, quarantine) and must not be trusted.
 uint32_t SnapshotFingerprint(const dfs::MiniDfs& dfs, const std::string& dir);
 
 /// Decodes one JSON-lines shard set line by line with `DecodeLine<T>` —

@@ -1,5 +1,6 @@
 #include "core/platform.h"
 
+#include <algorithm>
 #include <string_view>
 #include <utility>
 
@@ -15,12 +16,12 @@ namespace {
 /// stream matches BuildInvestorGraph bit for bit.
 constexpr uint64_t kEdgeIdMask = 0xffffffffull;
 
-/// Decodes every JSON line of `payload` as a Record and feeds it to `fn`.
-/// `payload` is the slice past the shard's watermark; CommitAppend writes
-/// whole lines, so watermarks always land on line boundaries.
+/// Decodes every JSON line of the committed segment at `path` as a Record
+/// and feeds it to `fn`.
 template <typename Record, typename RecordFn>
-Status ParseNewLines(std::string_view payload, size_t* records_parsed,
-                     RecordFn&& fn) {
+Status ParseSegment(const dfs::MiniDfs& dfs, const std::string& path,
+                    size_t* records_parsed, RecordFn&& fn) {
+  CFNET_ASSIGN_OR_RETURN(std::string payload, dfs::ReadCommitted(dfs, path));
   Status status;
   dfs::ForEachJsonLine(payload, [&](std::string_view line, int64_t) {
     Result<Record> record = DecodeLine<Record>(line);
@@ -159,66 +160,56 @@ ExploratoryPlatform::AdvanceEpochLocked() {
         std::make_unique<EpochMaintainer>(options_.epoch_config);
   }
 
-  // Read the committed payload of every edge-bearing JSON shard up front:
-  // a truncation anywhere (a shard shrank below its watermark, e.g. a
-  // rolled-back resume) invalidates all watermarks, including shards read
-  // before the regressed one.
-  struct Shard {
-    std::string path;
-    std::string payload;
-    bool is_user = false;
-  };
-  std::vector<Shard> shards;
-  for (const std::string& path :
-       SplitSnapshotFiles(dfs_->List(crawler_->UserSnapshotDir())).json) {
-    CFNET_ASSIGN_OR_RETURN(std::string payload,
-                           dfs::ReadCommitted(*dfs_, path));
-    shards.push_back({path, std::move(payload), /*is_user=*/true});
-  }
-  for (const std::string& path :
-       SplitSnapshotFiles(dfs_->List(crawler_->CrunchBaseSnapshotDir()))
-           .json) {
-    CFNET_ASSIGN_OR_RETURN(std::string payload,
-                           dfs::ReadCommitted(*dfs_, path));
-    shards.push_back({path, std::move(payload), /*is_user=*/false});
-  }
-  report.files_scanned = shards.size();
-
-  bool full_rebuild = !epoch_maintainer_->has_epoch();
-  for (const Shard& shard : shards) {
-    auto it = epoch_watermarks_.find(shard.path);
-    if (it != epoch_watermarks_.end() && shard.payload.size() < it->second) {
-      report.watermark_reset = true;
-      full_rebuild = true;
+  // Segments are immutable, so a consumed one that is gone (quarantine,
+  // resume rollback) or changed size means history was rewritten: rebuild
+  // from every live segment. Otherwise only segments no epoch consumed yet
+  // are read, so an idle round lists and sizes files but reads none.
+  const std::vector<std::string> user_files =
+      SplitSnapshotFiles(dfs_->List(crawler_->UserSnapshotDir())).json;
+  const std::vector<std::string> crunchbase_files =
+      SplitSnapshotFiles(dfs_->List(crawler_->CrunchBaseSnapshotDir())).json;
+  std::map<std::string, uint64_t> live;  // path -> file size
+  for (const auto* files : {&user_files, &crunchbase_files}) {
+    for (const std::string& path : *files) {
+      CFNET_ASSIGN_OR_RETURN(live[path], dfs_->FileSize(path));
     }
   }
-  if (report.watermark_reset) epoch_watermarks_.clear();
+  report.watermark_reset =
+      !std::includes(live.begin(), live.end(), consumed_segments_.begin(),
+                     consumed_segments_.end());
+  const bool full_rebuild =
+      !epoch_maintainer_->has_epoch() || report.watermark_reset;
+  std::map<std::string, uint64_t> consumed;
+  if (!full_rebuild) consumed = consumed_segments_;
+  // Marks `path` consumed; false when an earlier epoch already consumed it.
+  auto take = [&](const std::string& path) {
+    if (!consumed.emplace(path, live[path]).second) return false;
+    ++report.files_scanned;
+    return true;
+  };
 
   std::vector<graph::EdgeDelta> deltas;
-  for (Shard& shard : shards) {
-    uint64_t& mark = epoch_watermarks_[shard.path];
-    if (full_rebuild) mark = 0;
-    const std::string_view fresh =
-        std::string_view(shard.payload).substr(mark);
-    if (shard.is_user) {
-      CFNET_RETURN_IF_ERROR(ParseNewLines<UserRecord>(
-          fresh, &report.records_parsed, [&](const UserRecord& u) {
-            for (uint64_t c : u.investment_company_ids) {
-              deltas.push_back(
-                  {u.id & kEdgeIdMask, c & kEdgeIdMask, /*add=*/true});
-            }
-          }));
-    } else {
-      CFNET_RETURN_IF_ERROR(ParseNewLines<CrunchBaseRecord>(
-          fresh, &report.records_parsed, [&](const CrunchBaseRecord& r) {
-            for (uint64_t inv : r.round_investor_ids) {
-              deltas.push_back({inv & kEdgeIdMask,
-                                r.angellist_id & kEdgeIdMask, /*add=*/true});
-            }
-          }));
-    }
-    mark = shard.payload.size();
+  for (const std::string& path : user_files) {
+    if (!take(path)) continue;
+    CFNET_RETURN_IF_ERROR(ParseSegment<UserRecord>(
+        *dfs_, path, &report.records_parsed, [&](const UserRecord& u) {
+          for (uint64_t c : u.investment_company_ids) {
+            deltas.push_back(
+                {u.id & kEdgeIdMask, c & kEdgeIdMask, /*add=*/true});
+          }
+        }));
   }
+  for (const std::string& path : crunchbase_files) {
+    if (!take(path)) continue;
+    CFNET_RETURN_IF_ERROR(ParseSegment<CrunchBaseRecord>(
+        *dfs_, path, &report.records_parsed, [&](const CrunchBaseRecord& r) {
+          for (uint64_t inv : r.round_investor_ids) {
+            deltas.push_back({inv & kEdgeIdMask, r.angellist_id & kEdgeIdMask,
+                              /*add=*/true});
+          }
+        }));
+  }
+  consumed_segments_ = std::move(consumed);
   report.delta_edges_emitted = deltas.size();
 
   if (full_rebuild) {

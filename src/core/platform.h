@@ -71,7 +71,7 @@ class ExploratoryPlatform {
     std::function<void(uint64_t epoch)> epoch_published_hook;
     /// Maintain per-epoch analytics (merged investor graph, projection,
     /// refined communities) incrementally across crawl rounds: each
-    /// `AdvanceEpoch()` scans only the snapshot bytes appended since the
+    /// `AdvanceEpoch()` scans only the snapshot segments committed since the
     /// last scan, turns them into an edge-delta batch, and updates the
     /// EpochMaintainer at delta cost. See DESIGN.md §15.
     bool incremental_epochs = false;
@@ -86,7 +86,7 @@ class ExploratoryPlatform {
   struct EpochAdvanceReport {
     uint64_t epoch = 0;            // epoch number published by this round
     bool full_rebuild = false;     // baseline build (first round or reset)
-    bool watermark_reset = false;  // shard truncation detected -> rescan
+    bool watermark_reset = false;  // consumed segment gone/changed -> rescan
     size_t files_scanned = 0;
     size_t records_parsed = 0;
     size_t delta_edges_emitted = 0;  // raw add-deltas extracted this round
@@ -129,13 +129,14 @@ class ExploratoryPlatform {
     return snapshot_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Incremental epoch production: scans the user/CrunchBase snapshot
-  /// shards past their per-file watermarks (committed payload bytes already
-  /// consumed), extracts the new investment edges as a delta batch, and
-  /// advances the EpochMaintainer — a full baseline build on the first
-  /// round (or after a watermark regression, i.e. a shard shrank under a
-  /// resume rollback), the delta path afterwards. Publishes a snapshot
-  /// epoch and fires `epoch_published_hook`. Thread-safe.
+  /// Incremental epoch production: reads the user/CrunchBase snapshot
+  /// segments not consumed yet, extracts their investment edges as a delta
+  /// batch, and advances the EpochMaintainer — a full baseline build on the
+  /// first round (or after a watermark reset: a consumed segment vanished
+  /// or changed size, e.g. under a resume rollback or a quarantine), the
+  /// delta path afterwards. An idle round lists and sizes segments but
+  /// reads none. Publishes a snapshot epoch and fires
+  /// `epoch_published_hook`. Thread-safe.
   Result<EpochAdvanceReport> AdvanceEpoch();
 
   /// The maintainer behind AdvanceEpoch (nullptr before the first call).
@@ -165,10 +166,8 @@ class ExploratoryPlatform {
   /// on the crawler's flush thread in auto mode).
   std::mutex epoch_mu_;
   std::unique_ptr<EpochMaintainer> epoch_maintainer_;
-  /// Committed payload bytes of each JSON shard already turned into
-  /// deltas; a shard whose payload shrank below its watermark signals a
-  /// rollback and forces a full rescan.
-  std::map<std::string, uint64_t> epoch_watermarks_;
+  /// Segments already turned into deltas (path -> file size).
+  std::map<std::string, uint64_t> consumed_segments_;
   EpochAdvanceReport last_epoch_report_;
 };
 

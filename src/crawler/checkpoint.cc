@@ -154,7 +154,7 @@ std::string FileName(int64_t seq) {
 
 std::string CheckpointStore::Serialize(const CheckpointState& st) {
   json::Json root = json::Json::MakeObject();
-  root.Set("version", 1);
+  root.Set("version", 2);
   root.Set("seq", st.seq);
   root.Set("phase", st.phase);
   root.Set("phase_cursor", st.phase_cursor);
@@ -173,9 +173,9 @@ std::string CheckpointStore::Serialize(const CheckpointState& st) {
   root.Set("twitter_tokens", std::move(tokens));
   root.Set("facebook_token", st.facebook_token);
   root.Set("worker_clocks", ClocksToJson(st.worker_clocks));
-  json::Json counts = json::Json::MakeObject();
-  for (const auto& [path, n] : st.snapshot_counts) counts.Set(path, n);
-  root.Set("snapshot_counts", std::move(counts));
+  json::Json segments = json::Json::MakeArray();
+  for (const std::string& path : st.snapshot_segments) segments.Append(path);
+  root.Set("snapshot_segments", std::move(segments));
   root.Set("report", ReportToJson(st.report));
   return root.Dump();
 }
@@ -186,7 +186,7 @@ Result<CheckpointState> CheckpointStore::Deserialize(std::string_view payload) {
     return Status::Corruption("checkpoint: " + parsed.status().message());
   }
   const json::Json& root = *parsed;
-  if (root.Get("version").AsInt() != 1) {
+  if (root.Get("version").AsInt() != 2) {
     return Status::Corruption("checkpoint: unsupported version");
   }
   CheckpointState st;
@@ -208,8 +208,8 @@ Result<CheckpointState> CheckpointStore::Deserialize(std::string_view payload) {
   for (const json::Json& c : root.Get("worker_clocks").array()) {
     st.worker_clocks.push_back(c.AsInt());
   }
-  for (const auto& [path, n] : root.Get("snapshot_counts").object()) {
-    st.snapshot_counts[path] = n.AsInt();
+  for (const json::Json& path : root.Get("snapshot_segments").array()) {
+    st.snapshot_segments.push_back(path.AsString());
   }
   st.report = ReportFromJson(root.Get("report"));
   return st;

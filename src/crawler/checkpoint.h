@@ -2,7 +2,6 @@
 #define CFNET_CRAWLER_CHECKPOINT_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,8 +15,9 @@ namespace cfnet::crawler {
 
 /// Everything a crawler needs to continue after a crash: BFS frontier and
 /// seen sets, per-phase progress cursor, token-pool state, worker clocks,
-/// accumulated report counters, and the per-shard snapshot watermarks used
-/// to roll uncheckpointed appends back (exactly-once records).
+/// accumulated report counters, and the snapshot segments that were durable
+/// at the checkpoint (exactly-once records: a resume drops every other
+/// snapshot file).
 struct CheckpointState {
   int64_t seq = 0;            // stamped by CheckpointStore::Save
   std::string phase;          // phase to run / continue (kPhase* constants)
@@ -31,8 +31,9 @@ struct CheckpointState {
   std::vector<std::string> twitter_tokens;
   std::string facebook_token;
   std::vector<int64_t> worker_clocks;
-  /// Durable record count per snapshot file at checkpoint time.
-  std::map<std::string, int64_t> snapshot_counts;
+  /// Committed JSON-lines segments under the snapshot dir, sorted. The
+  /// checkpoint flushes every writer first, so this is a segment boundary.
+  std::vector<std::string> snapshot_segments;
   /// Report counters so far (fetch/makespan folded across incarnations).
   CrawlReport report;
 };

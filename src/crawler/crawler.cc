@@ -51,13 +51,14 @@ class Crawler::Shard {
     twitter_tokens_ = TokenPool(tokens, static_cast<size_t>(worker_id_));
   }
 
-  /// Appends a record to `<dir>part-<worker>.jsonl` (lazily opened).
+  /// Buffers a record for the segments `<dir>part-<worker>-<seq>.jsonl`
+  /// (writer lazily opened).
   Status Snapshot(const std::string& dir, const json::Json& record) {
     if (!config_.store_snapshots) return Status::OK();
     auto it = writers_.find(dir);
     if (it == writers_.end()) {
       auto writer = std::make_unique<dfs::JsonLinesWriter>(
-          dfs_, dir + "part-" + std::to_string(worker_id_) + ".jsonl");
+          dfs_, dir + "part-" + std::to_string(worker_id_) + "-");
       it = writers_.emplace(dir, std::move(writer)).first;
     }
     return it->second->Write(record);
@@ -68,11 +69,6 @@ class Crawler::Shard {
       CFNET_RETURN_IF_ERROR(writer->Flush());
     }
     return Status::OK();
-  }
-
-  const std::unordered_map<std::string, std::unique_ptr<dfs::JsonLinesWriter>>&
-  writers() const {
-    return writers_;
   }
 
   /// Per-stage discovery buffers (merged by the coordinator).
@@ -218,11 +214,11 @@ Status Crawler::SetUpTokens() {
 
 // --- checkpointing ----------------------------------------------------------
 
-Status Crawler::SaveCheckpoint(std::string_view phase, size_t cursor) {
+Status Crawler::SaveCheckpoint(std::string_view phase, size_t cursor,
+                               const std::set<std::string>& retired) {
   if (checkpoints_ == nullptr) return Status::OK();
-  // Flush first so the recorded snapshot watermarks are durable: a crash
-  // after this point loses at most records *beyond* the counts, which
-  // Resume() rolls back.
+  // Flush first so every record written so far sits in a committed segment:
+  // the segments listed below are exactly the records this state covers.
   CFNET_RETURN_IF_ERROR(FlushAllShards());
 
   CheckpointState st;
@@ -241,14 +237,9 @@ Status Crawler::SaveCheckpoint(std::string_view phase, size_t cursor) {
   for (const auto& shard : shards_) {
     st.worker_clocks.push_back(static_cast<const Shard&>(*shard).clock());
   }
-  st.snapshot_counts = snapshot_base_counts_;
-  for (const auto& shard : shards_) {
-    for (const auto& [dir, writer] :
-         static_cast<const Shard&>(*shard).writers()) {
-      auto base = snapshot_base_counts_.find(writer->path());
-      st.snapshot_counts[writer->path()] =
-          (base == snapshot_base_counts_.end() ? 0 : base->second) +
-          static_cast<int64_t>(writer->records_written());
+  for (std::string& path : dfs::ListSegments(*dfs_, config_.snapshot_dir)) {
+    if (retired.count(path) == 0) {
+      st.snapshot_segments.push_back(std::move(path));
     }
   }
   st.report = report_;
@@ -291,20 +282,21 @@ Status Crawler::RestoreFromCheckpoint(const CheckpointState& st) {
   report_.wall_seconds = 0;
   fetch_base_ = st.report.fetch;
   breaker_trips_base_ = st.report.breaker_trips;
-  snapshot_base_counts_ = st.snapshot_counts;
-
-  // Exactly-once snapshot records: roll every shard file back to its
-  // checkpointed watermark and drop files born after the checkpoint.
-  for (const std::string& path : dfs_->List(config_.snapshot_dir)) {
-    if (StartsWith(path, checkpoints_->dir())) continue;
-    auto it = snapshot_base_counts_.find(path);
-    if (it == snapshot_base_counts_.end()) {
-      CFNET_RETURN_IF_ERROR(dfs_->Delete(path));
-    } else {
-      CFNET_RETURN_IF_ERROR(dfs::TruncateJsonLines(dfs_, path, it->second));
-    }
-  }
+  // Exactly-once snapshot records: the segments the checkpoint lists hold
+  // exactly the records its state covers, so everything else goes.
+  CFNET_RETURN_IF_ERROR(DropSnapshotsOutside(st.snapshot_segments));
   ++report_.checkpoint_restores;
+  return Status::OK();
+}
+
+Status Crawler::DropSnapshotsOutside(const std::vector<std::string>& keep) {
+  const std::set<std::string> kept(keep.begin(), keep.end());
+  for (const std::string& path : dfs_->List(config_.snapshot_dir)) {
+    if (StartsWith(path, checkpoints_->dir()) || kept.count(path) > 0) {
+      continue;
+    }
+    CFNET_RETURN_IF_ERROR(dfs_->Delete(path));
+  }
   return Status::OK();
 }
 
@@ -323,14 +315,10 @@ Status Crawler::Resume() {
   dfs::RecoveryReport swept = dfs::SweepDir(dfs_, config_.snapshot_dir);
   auto loaded = checkpoints_->LoadLatestValid();
   if (!loaded.ok()) {
-    // The previous incarnation died before its first checkpoint, so any
-    // snapshot records it left have no watermark to roll back to. Run()
-    // re-crawls from scratch; keeping the stale shards would duplicate
-    // every record they hold.
-    for (const std::string& path : dfs_->List(config_.snapshot_dir)) {
-      if (StartsWith(path, checkpoints_->dir())) continue;
-      CFNET_RETURN_IF_ERROR(dfs_->Delete(path));
-    }
+    // The previous incarnation died before its first checkpoint, so no
+    // snapshot segment it left is covered by durable state. Run() re-crawls
+    // from scratch; keeping them would duplicate every record they hold.
+    CFNET_RETURN_IF_ERROR(DropSnapshotsOutside({}));
     report_.storage_temps_removed += swept.temp_files_removed;
     report_.storage_quarantined += swept.files_quarantined;
     return Run();
@@ -722,10 +710,15 @@ Status Crawler::ReplayDeadLetters() {
   for (size_t i = 0; i < companies_.size(); ++i) {
     index.emplace(companies_[i].id, i);
   }
+  // Consumed log segments stay until the checkpoint that records the
+  // replay's output (and no longer lists them) commits: a crash before then
+  // resumes from a checkpoint that still lists them and drops the partial
+  // output; a crash after finds them unlisted and Resume() drops them.
+  std::set<std::string> consumed;
   for (std::string_view phase :
        {kPhaseCrunchBase, kPhaseFacebook, kPhaseTwitter}) {
     const std::string dir = DeadLetterDir(phase);
-    std::vector<std::string> files = dfs_->List(dir);
+    std::vector<std::string> files = dfs::ListSegments(*dfs_, dir);
     if (files.empty()) continue;
     std::set<uint64_t> ids;  // dedup + deterministic replay order
     // Streaming id extraction: dead-letter lines carry several fields, but
@@ -747,10 +740,7 @@ Status Crawler::ReplayDeadLetters() {
     CFNET_ASSIGN_OR_RETURN(auto id_parts,
                            dfs::ScanJsonLines<uint64_t>(*dfs_, files, decode_id));
     for (const auto& part : id_parts) ids.insert(part.begin(), part.end());
-    for (const std::string& f : files) {
-      CFNET_RETURN_IF_ERROR(dfs_->Delete(f));
-      snapshot_base_counts_.erase(f);
-    }
+    consumed.insert(files.begin(), files.end());
     std::vector<size_t> targets;
     for (uint64_t id : ids) {
       auto it = index.find(id);
@@ -774,10 +764,13 @@ Status Crawler::ReplayDeadLetters() {
     report_.dead_lettered_ids += re_dead.load();
   }
   CFNET_RETURN_IF_ERROR(FlushAllShards());
-  CFNET_RETURN_IF_ERROR(SaveCheckpoint(kPhaseDone, 0));
+  CFNET_RETURN_IF_ERROR(SaveCheckpoint(kPhaseDone, 0, consumed));
+  for (const std::string& path : consumed) {
+    CFNET_RETURN_IF_ERROR(dfs_->Delete(path));
+  }
   if (config_.post_flush_hook) {
-    // Replays append to snapshot dirs, so any columnar compaction of them
-    // is stale now — re-run the hook to refresh it.
+    // Replays add segments to snapshot dirs, so any columnar compaction of
+    // them is stale now — re-run the hook to refresh it.
     CFNET_RETURN_IF_ERROR(config_.post_flush_hook());
   }
   MergeCounters();

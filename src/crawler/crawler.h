@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -63,7 +63,7 @@ struct CrawlConfig {
 
   // --- crash-safe checkpointing -------------------------------------------
   /// Periodically persist crawl state (frontier, seen sets, cursors, token
-  /// pool, snapshot watermarks) to versioned CRC-validated files so
+  /// pool, snapshot segment list) to versioned CRC-validated files so
   /// `Resume()` can continue after a crash without re-fetching done work.
   bool checkpointing = true;
   /// Kept outside `snapshot_dir` so disabling snapshots does not disable
@@ -149,12 +149,13 @@ struct CrawledCompany {
 ///     across simulated machines to beat the 180-calls/15-min limit).
 ///
 /// Snapshots are written to MiniDFS as JSON-lines, one directory per
-/// source, sharded per worker.
+/// source, as immutable segments `part-<worker>-<seq>.jsonl` (one per
+/// flush).
 ///
 /// Fault tolerance: the crawler checkpoints its full state to MiniDFS at
 /// BFS-round and augmentation-chunk boundaries; `Resume()` restores the
-/// latest CRC-valid checkpoint, truncates snapshot shards back to the
-/// checkpointed watermarks (exactly-once records), and continues. Each
+/// latest CRC-valid checkpoint, deletes every snapshot file it does not
+/// list (exactly-once records), and continues. Each
 /// augmentation source sits behind a circuit breaker; a source that trips
 /// past `breaker_trip_budget` degrades gracefully — its remaining entities
 /// are dead-lettered for later `ReplayDeadLetters()` instead of failing the
@@ -178,7 +179,9 @@ class Crawler {
 
   /// Re-attempts every dead-lettered entity (after the faults that caused
   /// them cleared), removing replayed entries from the log. Safe to call
-  /// repeatedly until the log drains.
+  /// repeatedly until the log drains. The consumed log segments are deleted
+  /// only once the checkpoint recording the replay's output has committed,
+  /// so a crash anywhere inside leaves a log `Resume()` can replay again.
   Status ReplayDeadLetters();
 
   /// Individual phases (Run calls these in order; exposed for tests and
@@ -242,8 +245,13 @@ class Crawler {
   Status DeadLetter(Shard& shard, std::string_view phase, uint64_t id,
                     std::string_view reason);
 
-  Status SaveCheckpoint(std::string_view phase, size_t cursor);
+  /// Flushes every writer, then checkpoints the crawl state with every
+  /// committed snapshot segment except `retired` (consumed dead letters).
+  Status SaveCheckpoint(std::string_view phase, size_t cursor,
+                        const std::set<std::string>& retired = {});
   Status RestoreFromCheckpoint(const CheckpointState& state);
+  /// Deletes every snapshot file not in `keep` (checkpoints excepted).
+  Status DropSnapshotsOutside(const std::vector<std::string>& keep);
   Status FlushAllShards();
 
   net::SocialWeb* web_;
@@ -273,9 +281,6 @@ class Crawler {
   std::unique_ptr<CircuitBreaker> facebook_breaker_;
   std::unique_ptr<CircuitBreaker> twitter_breaker_;
   std::unique_ptr<CheckpointStore> checkpoints_;
-  /// Records per snapshot file at restore time; checkpointed counts are
-  /// base + records written by this incarnation's writers.
-  std::map<std::string, int64_t> snapshot_base_counts_;
   /// Counters carried over from the incarnation(s) before a resume.
   FetchCounters fetch_base_;
   int64_t breaker_trips_base_ = 0;

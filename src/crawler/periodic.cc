@@ -1,5 +1,8 @@
 #include "crawler/periodic.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "dfs/jsonl.h"
 #include "util/string_util.h"
 
@@ -9,8 +12,8 @@ PeriodicCohortCrawler::PeriodicCohortCrawler(dfs::MiniDfs* dfs,
                                              PeriodicCrawlConfig config)
     : dfs_(dfs), config_(std::move(config)) {}
 
-std::string PeriodicCohortCrawler::DayPath(int day) const {
-  return config_.snapshot_dir + "/day-" + std::to_string(day) + ".jsonl";
+std::string PeriodicCohortCrawler::DayPrefix(int day) const {
+  return config_.snapshot_dir + "/day-" + std::to_string(day) + "-";
 }
 
 Result<DaySnapshotReport> PeriodicCohortCrawler::CrawlDay(net::SocialWeb* web,
@@ -52,7 +55,7 @@ Result<DaySnapshotReport> PeriodicCohortCrawler::CrawlDay(net::SocialWeb* web,
   }
   report.raising_companies = static_cast<int64_t>(raising.size());
 
-  dfs::JsonLinesWriter snapshot(dfs_, DayPath(day));
+  dfs::JsonLinesWriter snapshot(dfs_, DayPrefix(day));
   for (uint64_t id : raising) {
     net::ApiResponse profile = FetchWithRetry(
         &web->angellist(),
@@ -90,7 +93,18 @@ Result<DaySnapshotReport> PeriodicCohortCrawler::CrawlDay(net::SocialWeb* web,
 }
 
 Result<std::vector<json::Json>> PeriodicCohortCrawler::ReadDay(int day) const {
-  return dfs::ReadJsonLines(*dfs_, DayPath(day));
+  const std::vector<std::string> segments =
+      dfs::ListSegments(*dfs_, DayPrefix(day));
+  if (segments.empty()) {
+    return Status::NotFound("no snapshot for day " + std::to_string(day));
+  }
+  std::vector<json::Json> records;
+  for (const std::string& segment : segments) {
+    CFNET_ASSIGN_OR_RETURN(std::vector<json::Json> part,
+                           dfs::ReadJsonLines(*dfs_, segment));
+    std::move(part.begin(), part.end(), std::back_inserter(records));
+  }
+  return records;
 }
 
 }  // namespace cfnet::crawler

@@ -34,8 +34,9 @@ struct DaySnapshotReport {
 /// §3's "mechanisms to crawl these sources periodically and track them over
 /// time", §7's "daily data collection task": each CrawlDay call lists the
 /// currently-fundraising startups, fetches their AngelList profiles (plus
-/// Twitter engagement), and appends a dated JSON-lines snapshot to MiniDFS
-/// (`<snapshot_dir>/day-<d>.jsonl`, records tagged with "day").
+/// Twitter engagement), and commits a dated JSON-lines snapshot to MiniDFS
+/// (segments `<snapshot_dir>/day-<d>-<seq>.jsonl`, records tagged with
+/// "day").
 ///
 /// The caller passes a fresh SocialWeb each day (services cache pieces of
 /// the world at construction, and the world may have evolved in between) —
@@ -47,11 +48,12 @@ class PeriodicCohortCrawler {
   /// Crawls day `day`'s raising cohort.
   Result<DaySnapshotReport> CrawlDay(net::SocialWeb* web, int day);
 
-  /// Reads back one day's snapshot records.
+  /// Reads back one day's snapshot records (every segment of the day, in
+  /// write order); NotFound when the day was never crawled.
   Result<std::vector<json::Json>> ReadDay(int day) const;
 
-  /// Path of a day's snapshot file.
-  std::string DayPath(int day) const;
+  /// Segment prefix of a day's snapshot.
+  std::string DayPrefix(int day) const;
 
  private:
   dfs::MiniDfs* dfs_;

@@ -106,37 +106,23 @@ Status CommitFile(MiniDfs* dfs, const std::string& path,
     if (attempt > 0) ChargeDelay(&backoff, opts);
     last = dfs->WriteFile(tmp, framed);
     if (!last.ok()) continue;
-    if (opts.verify_after_write) {
-      // The read-back is the only step that catches silent fsync loss and
-      // write-buffer bit flips: the write reported OK, but did the bytes
-      // actually land?
-      auto back = dfs->ReadFile(tmp);
-      if (!back.ok()) {
-        last = back.status();
-        continue;
-      }
-      if (InspectFooter(*back, nullptr) != FooterState::kValid) {
-        last = Status::Corruption("commit verification failed for " + tmp);
-        continue;
-      }
+    // The read-back is the only step that catches silent fsync loss and
+    // write-buffer bit flips: the write reported OK, but did the bytes
+    // actually land?
+    auto back = dfs->ReadFile(tmp);
+    if (!back.ok()) {
+      last = back.status();
+      continue;
+    }
+    if (InspectFooter(*back, nullptr) != FooterState::kValid) {
+      last = Status::Corruption("commit verification failed for " + tmp);
+      continue;
     }
     last = dfs->Rename(tmp, path);
     if (last.ok()) return Status::OK();
   }
   dfs->Delete(tmp).ok();  // best-effort GC; the startup sweep also catches it
   return last;
-}
-
-Status CommitAppend(MiniDfs* dfs, const std::string& path,
-                    std::string_view payload, const CommitOptions& opts) {
-  std::string combined;
-  if (dfs->Exists(path)) {
-    auto prior = ReadCommitted(*dfs, path, opts);
-    if (!prior.ok()) return prior.status();
-    combined = std::move(*prior);
-  }
-  combined.append(payload.data(), payload.size());
-  return CommitFile(dfs, path, combined, opts);
 }
 
 Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path,

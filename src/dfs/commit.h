@@ -67,7 +67,7 @@ bool IsTempPath(std::string_view path);
 /// aborting the scan that found it.
 std::string QuarantinePath(const std::string& path);
 
-/// Knobs for CommitFile/CommitAppend/ReadCommitted retry behaviour.
+/// Knobs for CommitFile/ReadCommitted retry behaviour.
 struct CommitOptions {
   /// Total tries per operation (first attempt included).
   int max_attempts = 4;
@@ -79,11 +79,6 @@ struct CommitOptions {
   uint64_t backoff_seed = 0;
   /// Virtual clock the backoff delays accrue to (nullptr = untracked).
   int64_t* clock_micros = nullptr;
-  /// Read the temp file back and verify its footer before renaming.
-  /// This is what catches silent fsync loss — a write that reports OK but
-  /// persisted a prefix. Leave on unless benchmarking raw commit cost;
-  /// exactly-once recovery relies on it.
-  bool verify_after_write = true;
 };
 
 /// Atomically replaces `path` with `payload` + footer:
@@ -93,11 +88,6 @@ struct CommitOptions {
 /// deletes the temp on a failed commit.
 Status CommitFile(MiniDfs* dfs, const std::string& path,
                   std::string_view payload, const CommitOptions& opts = {});
-
-/// Appends `payload` to the committed content of `path` (creating it when
-/// absent) and re-commits the whole file under a fresh footer.
-Status CommitAppend(MiniDfs* dfs, const std::string& path,
-                    std::string_view payload, const CommitOptions& opts = {});
 
 /// Reads `path` and verifies its footer. A valid footer yields the payload.
 /// An absent or corrupt footer is re-read up to `opts.max_attempts` times

@@ -58,7 +58,7 @@ struct DfsStats {
 /// Supports the failure modes that matter for replication invariants:
 /// datanodes can be killed/revived, reads fail over to surviving replicas,
 /// and `RunReplicationMonitor` restores the target replication factor.
-/// All operations are thread-safe (the crawler appends concurrently).
+/// All operations are thread-safe (crawler workers commit concurrently).
 class MiniDfs {
  public:
   explicit MiniDfs(const DfsConfig& config = DfsConfig());

@@ -1,5 +1,7 @@
 #include "dfs/jsonl.h"
 
+#include <cstdlib>
+
 namespace cfnet::dfs {
 
 void ScanReport::Merge(const ScanReport& other) {
@@ -18,25 +20,48 @@ void ScanReport::Merge(const ScanReport& other) {
   columnar_decoded_bytes += other.columnar_decoded_bytes;
 }
 
-JsonLinesWriter::JsonLinesWriter(MiniDfs* dfs, std::string path,
+std::string SegmentPath(std::string_view prefix, uint64_t seq) {
+  std::string path(prefix);
+  path += StrFormat("%08llu", static_cast<unsigned long long>(seq));
+  path += kJsonLinesSuffix;
+  return path;
+}
+
+std::vector<std::string> ListSegments(const MiniDfs& dfs,
+                                      const std::string& prefix) {
+  std::vector<std::string> segments = dfs.List(prefix);
+  std::erase_if(segments, [](const std::string& path) {
+    return !EndsWith(path, kJsonLinesSuffix);
+  });
+  return segments;
+}
+
+JsonLinesWriter::JsonLinesWriter(MiniDfs* dfs, std::string prefix,
                                  size_t flush_bytes)
-    : dfs_(dfs), path_(std::move(path)), flush_bytes_(flush_bytes) {}
+    : dfs_(dfs), prefix_(std::move(prefix)), flush_bytes_(flush_bytes) {
+  for (const std::string& path : ListSegments(*dfs_, prefix_)) {
+    const uint64_t seq =
+        std::strtoull(path.c_str() + prefix_.size(), nullptr, 10);
+    next_seq_ = std::max(next_seq_, seq + 1);
+  }
+}
 
 JsonLinesWriter::~JsonLinesWriter() { Flush().ok(); }
 
 Status JsonLinesWriter::Write(const json::Json& record) {
   record.AppendTo(buffer_);
   buffer_ += '\n';
-  ++records_written_;
   if (buffer_.size() >= flush_bytes_) return Flush();
   return Status::OK();
 }
 
 Status JsonLinesWriter::Flush() {
   if (buffer_.empty()) return Status::OK();
-  Status s = CommitAppend(dfs_, path_, buffer_);
-  if (s.ok()) buffer_.clear();
-  return s;
+  CFNET_RETURN_IF_ERROR(
+      CommitFile(dfs_, SegmentPath(prefix_, next_seq_), buffer_));
+  ++next_seq_;
+  buffer_.clear();
+  return Status::OK();
 }
 
 Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
@@ -48,20 +73,6 @@ Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
     for (json::Json& record : part) out.push_back(std::move(record));
   }
   return out;
-}
-
-Status TruncateJsonLines(MiniDfs* dfs, const std::string& path,
-                         int64_t keep_records) {
-  if (keep_records <= 0) return dfs->Delete(path);
-  CFNET_ASSIGN_OR_RETURN(std::string content, ReadCommitted(*dfs, path));
-  int64_t records = 0;
-  const size_t keep_bytes =
-      ForEachJsonLine(content, [&](std::string_view, int64_t) {
-        return ++records < keep_records;
-      });
-  if (keep_bytes >= content.size()) return Status::OK();  // already short
-  content.resize(keep_bytes);
-  return CommitFile(dfs, path, content);
 }
 
 namespace internal_scan {

@@ -2,6 +2,7 @@
 #define CFNET_DFS_JSONL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,16 +52,32 @@ struct ScanReport {
   void Merge(const ScanReport& other);
 };
 
-/// Buffered writer of JSON-lines snapshot files into MiniDFS — the format
+/// Suffix of every JSON-lines segment file.
+inline constexpr std::string_view kJsonLinesSuffix = ".jsonl";
+
+/// `<prefix><8-digit zero-padded seq>.jsonl` — the name of one segment, so
+/// List() order under a prefix is write order.
+std::string SegmentPath(std::string_view prefix, uint64_t seq);
+
+/// The committed segments under `prefix` in List() order (sequence order
+/// for one writer's prefix): every name ending in kJsonLinesSuffix, so
+/// commit temps and columnar files are skipped.
+std::vector<std::string> ListSegments(const MiniDfs& dfs,
+                                      const std::string& prefix);
+
+/// Buffered writer of JSON-lines snapshot segments into MiniDFS — the format
 /// the crawler stores records in (one JSON document per line, as the paper's
-/// platform stores crawled documents in HDFS).
+/// platform stores crawled documents in HDFS). A committed file is never
+/// rewritten: every flush commits the buffered lines through CommitFile as a
+/// new immutable segment, so a crash mid-flush leaves every earlier segment
+/// intact.
 class JsonLinesWriter {
  public:
-  /// Buffers up to `flush_bytes` before appending to `path`. Every flush
-  /// goes through the atomic commit protocol, so the file always carries a
-  /// verified CRC footer and a crash mid-flush leaves the previous committed
-  /// content intact.
-  JsonLinesWriter(MiniDfs* dfs, std::string path, size_t flush_bytes = 1 << 20);
+  /// Buffers up to `flush_bytes` before committing a segment under
+  /// `prefix`. Numbering continues after the highest segment already under
+  /// `prefix`, so a resumed writer never reuses a live segment's name.
+  JsonLinesWriter(MiniDfs* dfs, std::string prefix,
+                  size_t flush_bytes = 1 << 20);
   ~JsonLinesWriter();
 
   JsonLinesWriter(const JsonLinesWriter&) = delete;
@@ -70,18 +87,15 @@ class JsonLinesWriter {
   /// the writer's reusable buffer (no per-record string allocation).
   Status Write(const json::Json& record);
 
-  /// Flushes buffered lines to the DFS.
+  /// Commits the buffered lines as the next segment (no-op when empty).
   Status Flush();
-
-  size_t records_written() const { return records_written_; }
-  const std::string& path() const { return path_; }
 
  private:
   MiniDfs* dfs_;
-  std::string path_;
+  std::string prefix_;
   size_t flush_bytes_;
   std::string buffer_;
-  size_t records_written_ = 0;
+  uint64_t next_seq_ = 1;
 };
 
 /// The one line walker for JSON-lines payloads: calls
@@ -89,10 +103,8 @@ class JsonLinesWriter {
 /// `text` that is not blank after StrTrim, in order, until `fn` returns
 /// false. Lines end at '\n' (the last may lack it); `line_no` starts at
 /// `first_line` and counts blank lines too, so verdicts name the file line.
-/// Returns the offset just past the last line visited, or `text.size()`
-/// when the walk reached the end.
 template <typename Fn>
-size_t ForEachJsonLine(std::string_view text, Fn&& fn, int64_t first_line = 1) {
+void ForEachJsonLine(std::string_view text, Fn&& fn, int64_t first_line = 1) {
   size_t start = 0;
   int64_t line_no = first_line;
   while (start < text.size()) {
@@ -100,10 +112,9 @@ size_t ForEachJsonLine(std::string_view text, Fn&& fn, int64_t first_line = 1) {
     const size_t stop = nl == std::string_view::npos ? text.size() : nl;
     const std::string_view line = text.substr(start, stop - start);
     start = std::min(stop + 1, text.size());
-    if (!StrTrim(line).empty() && !fn(line, line_no)) return start;
+    if (!StrTrim(line).empty() && !fn(line, line_no)) return;
     ++line_no;
   }
-  return text.size();
 }
 
 /// Reads every record of a committed JSON-lines file (the flattened
@@ -112,13 +123,6 @@ size_t ForEachJsonLine(std::string_view text, Fn&& fn, int64_t first_line = 1) {
 /// corruption means DFS trouble).
 Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
                                               const std::string& path);
-
-/// Truncates a committed JSON-lines file to its first `keep_records`
-/// records and re-commits it — the crash-recovery primitive that discards
-/// shard appends made after the last checkpoint. Keeping at least the
-/// current record count is a no-op; truncating to zero deletes the file.
-Status TruncateJsonLines(MiniDfs* dfs, const std::string& path,
-                         int64_t keep_records);
 
 /// --- parallel sharded scans ------------------------------------------------
 

@@ -234,7 +234,7 @@ TEST(ColumnarScanTest, ParallelScanMatchesSequential) {
 
 /// --- compaction + staleness -------------------------------------------------
 
-TEST(CompactSnapshotTest, CompactionMatchesJsonAndGoesStaleOnAppend) {
+TEST(CompactSnapshotTest, CompactionMatchesJsonAndGoesStaleOnNewSegment) {
   MiniDfs dfs;
   const std::string dir = "/snap/facebook/";
   std::string shard;
@@ -261,10 +261,10 @@ TEST(CompactSnapshotTest, CompactionMatchesJsonAndGoesStaleOnAppend) {
   EXPECT_EQ(FlattenParts(std::move(*cols)), expected);
   EXPECT_GT(report.columnar_blocks_scanned, 0u) << "columnar path not taken";
 
-  // Appending to a shard (what dead-letter replay does) must invalidate the
+  // A new segment (what a dead-letter replay commits) must invalidate the
   // compaction: the loader falls back to JSON and sees the new record.
-  ASSERT_TRUE(dfs::CommitAppend(&dfs, dir + "part-0.jsonl",
-                                "{\"angellist_id\":999,\"fan_count\":1}\n")
+  ASSERT_TRUE(dfs::CommitFile(&dfs, dir + "part-1.jsonl",
+                              "{\"angellist_id\":999,\"fan_count\":1}\n")
                   .ok());
   ScanReport stale_report;
   auto stale = core::ScanSnapshotRecords<FacebookRecord>(dfs, dir, nullptr,

@@ -4,8 +4,11 @@
 // and the acceptance scenario — a randomized kill-anywhere sweep where the
 // storage layer dies at a seeded mutation op mid-crawl and a fresh
 // incarnation must recover to byte-identical snapshots with exactly-once
-// records, across many seeds (CFNET_CHAOS_SEEDS overrides the count).
+// records, across many seeds (CFNET_CHAOS_SEEDS overrides the count) — plus
+// kill sweeps over every mutation op of a dead-letter replay and of a
+// columnar recompaction.
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -22,6 +25,7 @@
 #include "dfs/dfs.h"
 #include "dfs/fault_fs.h"
 #include "dfs/jsonl.h"
+#include "net/fault_plan.h"
 #include "net/social_web.h"
 #include "synth/world.h"
 #include "util/crc32.h"
@@ -242,10 +246,6 @@ TEST(CommitProtocolTest, MissingFooterIsDamageAfterRetries) {
   EXPECT_EQ(dfs.GetStats().read_ops - reads_before,
             static_cast<uint64_t>(CommitOptions().max_attempts));
   EXPECT_EQ(damaged, "old line\n");  // handed over for salvage decoding
-  // Appending to damage fails instead of re-committing it as good data.
-  EXPECT_EQ(CommitAppend(&dfs, "/log", "new line\n").code(),
-            StatusCode::kCorruption);
-  EXPECT_EQ(*dfs.ReadFile("/log"), "old line\n");
 }
 
 TEST(SweepDirTest, RemovesOrphanedTempsAndQuarantinesBadFooters) {
@@ -284,7 +284,7 @@ TEST(DurableWriterTest, FlushCommitsWithFooterAndSurvivesFaultBursts) {
   plan.silent_loss = {{8, 9, 1.0}};
   dfs.InstallFaultPlan(plan);
   {
-    JsonLinesWriter writer(&dfs, "/snap/part-0.jsonl", /*flush_bytes=*/16);
+    JsonLinesWriter writer(&dfs, "/snap/part-0-", /*flush_bytes=*/16);
     for (int i = 0; i < 10; ++i) {
       json::Json r = json::Json::MakeObject();
       r.Set("id", i);
@@ -292,18 +292,24 @@ TEST(DurableWriterTest, FlushCommitsWithFooterAndSurvivesFaultBursts) {
     }
     ASSERT_TRUE(writer.Flush().ok());
   }
-  auto records = ReadJsonLines(dfs, "/snap/part-0.jsonl");
-  ASSERT_TRUE(records.ok()) << records.status();
-  ASSERT_EQ(records->size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ((*records)[static_cast<size_t>(i)].Get("id").AsInt(), i);
+  // One segment per flush, none lost or doubled by the retried commits.
+  const std::vector<std::string> segments = dfs.List("/snap/");
+  ASSERT_EQ(segments.size(), 5u);
+  for (const std::string& path : segments) {
+    EXPECT_EQ(InspectFooter(*dfs.ReadFile(path), nullptr), FooterState::kValid)
+        << path;
   }
-  auto raw = dfs.ReadFile("/snap/part-0.jsonl");
-  EXPECT_EQ(InspectFooter(*raw, nullptr), FooterState::kValid);
+  auto parts = ScanJsonLines<json::Json>(dfs, segments, json::Parse);
+  ASSERT_TRUE(parts.ok()) << parts.status();
+  std::vector<int64_t> ids;
+  for (const auto& part : *parts) {
+    for (const json::Json& r : part) ids.push_back(r.Get("id").AsInt());
+  }
+  EXPECT_EQ(ids, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 // Transient read faults must never pass for data: a short or flipped read of
-// a committed file is re-read, not accepted, appended to or quarantined.
+// a committed file is re-read, not accepted or quarantined.
 
 /// `count` JSON lines {"id":0} .. {"id":count-1}.
 std::string IdLines(int count) {
@@ -320,18 +326,6 @@ void ArmNextShortRead(MiniDfs* dfs, uint64_t seed) {
   plan.seed = seed;
   plan.short_reads = {OpOnly(dfs->GetStats().read_ops + 1)};
   dfs->InstallFaultPlan(plan);
-}
-
-TEST(ReadFaultRegressionTest, CommitAppendRereadsShortPriorContent) {
-  MiniDfs dfs;
-  ASSERT_TRUE(CommitFile(&dfs, "/snap/part-0.jsonl", IdLines(50)).ok());
-  ArmNextShortRead(&dfs, /*seed=*/1);
-  const std::string last = "{\"id\":50}\n";
-  ASSERT_TRUE(CommitAppend(&dfs, "/snap/part-0.jsonl", last).ok());
-  EXPECT_EQ(dfs.GetStats().storage_faults_injected, 1u);
-  auto payload = ReadCommitted(dfs, "/snap/part-0.jsonl");
-  ASSERT_TRUE(payload.ok()) << payload.status();
-  EXPECT_EQ(*payload, IdLines(51));
 }
 
 TEST(ReadFaultRegressionTest, SweepDirKeepsShardAfterTransientBitFlip) {
@@ -546,6 +540,79 @@ TEST(CrashRecoverySweepTest, KillAnywhereRecoversExactlyOnce) {
     EXPECT_GT(restarted_from_scratch, 0);
     // And kills tear commits often enough that the sweep GC is exercised.
     EXPECT_GT(total_temps_removed, 0);
+  }
+}
+
+/// Dead-letter log segments left across the three augmentation phases.
+size_t DeadLetterSegments(const dfs::MiniDfs& d, const Crawler& c) {
+  return d.List(c.DeadLetterDir(kPhaseCrunchBase)).size() +
+         d.List(c.DeadLetterDir(kPhaseFacebook)).size() +
+         d.List(c.DeadLetterDir(kPhaseTwitter)).size();
+}
+
+// The dead-letter replay sweep: a crawl rides out a CrunchBase outage that
+// dead-letters every CrunchBase fetch, then ReplayDeadLetters() runs against
+// the recovered service. Storage dies at each of the replay's mutation ops
+// in turn (op-enumerated, not sampled); a fresh incarnation must Resume()
+// and replay again, ending byte-identical to the uninterrupted crawl +
+// replay with the same profile counts and a drained log. A replay that
+// deleted the log before checkpointing its output would lose it at most of
+// these ops.
+TEST(CrashRecoverySweepTest, KillAnywhereDuringDeadLetterReplay) {
+  CrawlConfig config;
+  config.checkpoint_every_rounds = 2;
+  config.checkpoint_chunk = 64;
+  net::FaultPlan outage;
+  outage.error_bursts = {{0, 365ll * 24 * 3600 * 1000000ll, 1.0}};
+  auto crawl_through_outage = [&](TestBed& bed) {
+    bed.web->crunchbase().set_fault_plan(outage);
+    Status crawled = bed.crawler->Run();
+    bed.web->crunchbase().set_fault_plan({});
+    return crawled;
+  };
+
+  // Uninterrupted crawl + replay.
+  TestBed clean = MakeTestBed(config);
+  ASSERT_TRUE(crawl_through_outage(clean).ok());
+  ASSERT_GT(clean.crawler->report().dead_lettered_ids, 0);
+  ASSERT_EQ(clean.crawler->report().crunchbase_profiles, 0);
+  const uint64_t ops_before = clean.dfs->GetStats().mutation_ops;
+  ASSERT_TRUE(clean.crawler->ReplayDeadLetters().ok());
+  const uint64_t ops_after = clean.dfs->GetStats().mutation_ops;
+  const CrawlReport& want = clean.crawler->report();
+  ASSERT_GT(want.crunchbase_profiles, 0);
+  ASSERT_EQ(DeadLetterSegments(*clean.dfs, *clean.crawler), 0u);
+  const std::map<std::string, uint32_t> want_digests =
+      AllDigests(*clean.dfs, *clean.crawler);
+
+  // Every op by default; a reduced CFNET_CHAOS_SEEDS (sanitizer runs)
+  // spreads about that many kill points evenly over the replay instead.
+  const uint64_t stride = std::max<uint64_t>(
+      1, (ops_after - ops_before) / static_cast<uint64_t>(ChaosSeedCount()));
+  for (uint64_t kill_at = ops_before + 1; kill_at <= ops_after;
+       kill_at += stride) {
+    SCOPED_TRACE("replay killed at mutation op " + std::to_string(kill_at));
+    TestBed bed = MakeTestBed(config);
+    ASSERT_TRUE(crawl_through_outage(bed).ok());
+    ASSERT_EQ(bed.dfs->GetStats().mutation_ops, ops_before);
+    bed.dfs->ArmKill(kill_at, /*seed=*/kill_at);
+    ASSERT_FALSE(bed.crawler->ReplayDeadLetters().ok());
+    bed.crawler.reset();
+
+    bed.dfs->DisarmKill();
+    bed.crawler =
+        std::make_unique<Crawler>(bed.web.get(), bed.dfs.get(), config);
+    Status resumed = bed.crawler->Resume();
+    ASSERT_TRUE(resumed.ok()) << resumed;
+    Status replayed = bed.crawler->ReplayDeadLetters();
+    ASSERT_TRUE(replayed.ok()) << replayed;
+
+    const CrawlReport& got = bed.crawler->report();
+    EXPECT_EQ(got.crunchbase_profiles, want.crunchbase_profiles);
+    EXPECT_EQ(got.facebook_profiles, want.facebook_profiles);
+    EXPECT_EQ(got.twitter_profiles, want.twitter_profiles);
+    EXPECT_EQ(DeadLetterSegments(*bed.dfs, *bed.crawler), 0u);
+    EXPECT_EQ(AllDigests(*bed.dfs, *bed.crawler), want_digests);
   }
 }
 

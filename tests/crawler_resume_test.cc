@@ -61,7 +61,7 @@ net::SocialWebConfig NoRandomErrors() {
   return wc;
 }
 
-/// Collects every "id" across the part-files of a snapshot directory,
+/// Collects every "id" across the segments of a snapshot directory,
 /// asserting none appears twice (exactly-once snapshot records).
 std::set<int64_t> UniqueSnapshotIds(const dfs::MiniDfs& dfs,
                                     const std::string& dir) {
@@ -97,8 +97,8 @@ CheckpointState SampleState() {
   st.twitter_tokens = {"tok-a", "tok-b"};
   st.facebook_token = "fb-long-lived";
   st.worker_clocks = {100, 250, 90};
-  st.snapshot_counts = {{"/crawl/angellist/startups/part-0.jsonl", 12},
-                        {"/crawl/angellist/users/part-1.jsonl", 34}};
+  st.snapshot_segments = {"/crawl/angellist/startups/part-0-00000001.jsonl",
+                          "/crawl/angellist/users/part-1-00000002.jsonl"};
   st.report.companies_crawled = 11;
   st.report.crunchbase_profiles = 5;
   st.report.fetch.requests = 123;
@@ -131,7 +131,7 @@ TEST(CheckpointStoreTest, SerializeDeserializeRoundtrip) {
   EXPECT_EQ(back->twitter_tokens, st.twitter_tokens);
   EXPECT_EQ(back->facebook_token, "fb-long-lived");
   EXPECT_EQ(back->worker_clocks, st.worker_clocks);
-  EXPECT_EQ(back->snapshot_counts, st.snapshot_counts);
+  EXPECT_EQ(back->snapshot_segments, st.snapshot_segments);
   EXPECT_EQ(back->report.companies_crawled, 11);
   EXPECT_EQ(back->report.crunchbase_profiles, 5);
   EXPECT_EQ(back->report.fetch.requests, 123);

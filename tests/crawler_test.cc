@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "dfs/jsonl.h"
 #include "crawler/periodic.h"
+#include "dfs/commit.h"
+#include "dfs/jsonl.h"
 #include "net/social_web.h"
 #include "synth/world.h"
 #include "util/rng.h"
@@ -288,6 +289,27 @@ TEST(PeriodicCrawlerTest, TwitterEngagementAttachedWhenLinked) {
     }
   }
   EXPECT_GT(with_followers, 0u);
+}
+
+// A commit that died before its rename leaves `<segment>.tmp` under the
+// day's prefix; ReadDay reads the day's committed segments and nothing else.
+TEST(PeriodicCrawlerTest, ReadDaySkipsOrphanedCommitTemp) {
+  synth::WorldConfig wc;
+  wc.scale = 0.003;
+  wc.seed = 321;
+  synth::World world = synth::World::Generate(wc);
+  dfs::MiniDfs dfs;
+  PeriodicCohortCrawler daily(&dfs);
+  net::SocialWeb web(&world);
+  auto report = daily.CrawlDay(&web, 0);
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  const std::string orphan =
+      dfs::TempPath(dfs::SegmentPath(daily.DayPrefix(0), 2));
+  ASSERT_TRUE(dfs.WriteFile(orphan, "{\"id\":1,\"da").ok());  // torn, no footer
+  auto records = daily.ReadDay(0);
+  ASSERT_TRUE(records.ok()) << records.status();
+  EXPECT_EQ(static_cast<int64_t>(records->size()), report->profiles_stored);
 }
 
 // --- world evolution invariants ------------------------------------------------

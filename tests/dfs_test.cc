@@ -1,5 +1,9 @@
 #include "dfs/dfs.h"
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "commit_fixture.h"
@@ -193,37 +197,80 @@ TEST(MiniDfsTest, PlacementBalancesAcrossNodes) {
 
 // --- JSON-lines layer -------------------------------------------------------
 
+json::Json Numbered(int i) {
+  json::Json j = json::Json::MakeObject();
+  j.Set("i", i);
+  return j;
+}
+
 TEST(JsonlTest, WriteAndReadBack) {
   MiniDfs dfs(SmallConfig());
   {
-    JsonLinesWriter writer(&dfs, "/snap/part-0.jsonl", /*flush_bytes=*/32);
-    for (int i = 0; i < 10; ++i) {
-      json::Json j = json::Json::MakeObject();
-      j.Set("i", i);
-      ASSERT_TRUE(writer.Write(j).ok());
-    }
+    JsonLinesWriter writer(&dfs, "/snap/part-0-", /*flush_bytes=*/32);
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(writer.Write(Numbered(i)).ok());
     ASSERT_TRUE(writer.Flush().ok());
-    EXPECT_EQ(writer.records_written(), 10u);
   }
-  auto records = ReadJsonLines(dfs, "/snap/part-0.jsonl");
-  ASSERT_TRUE(records.ok());
-  ASSERT_EQ(records->size(), 10u);
+  // Four 8-byte lines fill a 32-byte buffer: segments of 4, 4 and 2 lines,
+  // listed in write order.
+  const std::vector<std::string> segments = dfs.List("/snap/part-0-");
+  EXPECT_EQ(segments, (std::vector<std::string>{
+                          "/snap/part-0-00000001.jsonl",
+                          "/snap/part-0-00000002.jsonl",
+                          "/snap/part-0-00000003.jsonl"}));
+  std::vector<json::Json> records;
+  for (const std::string& path : segments) {
+    auto segment = ReadJsonLines(dfs, path);
+    ASSERT_TRUE(segment.ok()) << path << ": " << segment.status();
+    records.insert(records.end(), segment->begin(), segment->end());
+  }
+  ASSERT_EQ(records.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ((*records)[static_cast<size_t>(i)].Get("i").AsInt(), i);
+    EXPECT_EQ(records[static_cast<size_t>(i)].Get("i").AsInt(), i);
   }
 }
 
 TEST(JsonlTest, DestructorFlushes) {
   MiniDfs dfs(SmallConfig());
   {
-    JsonLinesWriter writer(&dfs, "/snap/d.jsonl");
-    json::Json j = json::Json::MakeObject();
-    j.Set("k", "v");
-    ASSERT_TRUE(writer.Write(j).ok());
+    JsonLinesWriter writer(&dfs, "/snap/d-");
+    ASSERT_TRUE(writer.Write(Numbered(7)).ok());
   }
-  auto records = ReadJsonLines(dfs, "/snap/d.jsonl");
-  ASSERT_TRUE(records.ok());
+  auto records = ReadJsonLines(dfs, SegmentPath("/snap/d-", 1));
+  ASSERT_TRUE(records.ok()) << records.status();
   EXPECT_EQ(records->size(), 1u);
+}
+
+// Committed files are immutable: every flush is exactly one CommitFile (temp
+// write, read-back verify, rename) to a segment name that did not exist
+// before, numbered on from the highest segment already under the prefix,
+// and no earlier segment is read or rewritten.
+TEST(JsonlTest, EveryFlushCommitsOneNewSegment) {
+  MiniDfs dfs(SmallConfig());
+  const std::string prefix = "/snap/part-0-";
+  ASSERT_TRUE(CommitFile(&dfs, SegmentPath(prefix, 7), "{\"i\":-1}\n").ok());
+  JsonLinesWriter writer(&dfs, prefix, /*flush_bytes=*/1);  // flush per line
+  for (int i = 0; i < 5; ++i) {
+    std::map<std::string, std::string> before;
+    for (const std::string& path : dfs.List("/snap/")) {
+      before[path] = *dfs.ReadFile(path);
+    }
+    const DfsStats start = dfs.GetStats();
+    ASSERT_TRUE(writer.Write(Numbered(i)).ok());
+    const DfsStats end = dfs.GetStats();
+    EXPECT_EQ(end.mutation_ops - start.mutation_ops, 2u);  // temp + rename
+    EXPECT_EQ(end.read_ops - start.read_ops, 1u);          // the verify
+
+    const std::string fresh = SegmentPath(prefix, 8 + static_cast<uint64_t>(i));
+    EXPECT_EQ(before.count(fresh), 0u);
+    std::vector<std::string> expected_paths;
+    for (const auto& [path, bytes] : before) expected_paths.push_back(path);
+    expected_paths.push_back(fresh);
+    EXPECT_EQ(dfs.List("/snap/"), expected_paths);
+    for (const auto& [path, bytes] : before) {
+      EXPECT_EQ(*dfs.ReadFile(path), bytes) << path << " was rewritten";
+    }
+    EXPECT_EQ(*ReadCommitted(dfs, fresh), Numbered(i).Dump() + "\n");
+  }
 }
 
 TEST(JsonlTest, CorruptLineReported) {
@@ -254,19 +301,19 @@ TEST(JsonlTest, LineWalkerSkipsBlankLinesAndStopsEarly) {
     seen.emplace_back(std::string(line), line_no);
     return true;
   };
-  EXPECT_EQ(ForEachJsonLine(text, record), text.size());
+  ForEachJsonLine(text, record);
   EXPECT_EQ(seen, (std::vector<std::pair<std::string, int64_t>>{
                       {"a", 1}, {"b", 4}, {"c", 5}}));
 
-  // Stopping at "b" returns the offset just past its newline.
+  // Returning false at "b" stops the walk before "c".
   seen.clear();
-  const size_t stop = ForEachJsonLine(
-      text, [&](std::string_view line, int64_t line_no) {
+  ForEachJsonLine(
+      text,
+      [&](std::string_view line, int64_t line_no) {
         seen.emplace_back(std::string(line), line_no);
         return line != "b";
       },
       /*first_line=*/10);
-  EXPECT_EQ(stop, text.find('c'));
   EXPECT_EQ(seen, (std::vector<std::pair<std::string, int64_t>>{
                       {"a", 10}, {"b", 13}}));
 }

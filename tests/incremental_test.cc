@@ -2,7 +2,7 @@
 // merge differential tests against FromEdges, frontier projection updates
 // checked bit-identical to ProjectLeft, warm-started Louvain/LP/CoDA with
 // their fallback guards, the EpochMaintainer full-vs-delta policy, and the
-// platform's watermark-based AdvanceEpoch over real crawl shards.
+// platform's segment-consuming AdvanceEpoch over real crawl snapshots.
 
 #include <algorithm>
 #include <cmath>
@@ -17,6 +17,7 @@
 #include "community/coda.h"
 #include "community/incremental.h"
 #include "community/louvain.h"
+#include "core/columnar_records.h"
 #include "core/epoch_maintainer.h"
 #include "core/investor_graph.h"
 #include "core/platform.h"
@@ -417,7 +418,7 @@ TEST(EpochMaintainerTest, OversizedDeltaTakesFullRebuildPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Platform AdvanceEpoch: watermark-scanned deltas over real crawl shards.
+// Platform AdvanceEpoch: deltas from unconsumed segments of real crawls.
 
 TEST(PlatformEpochTest, AdvanceEpochBuildsThenAdvancesIncrementally) {
   core::ExploratoryPlatform::Options options;
@@ -453,15 +454,20 @@ TEST(PlatformEpochTest, AdvanceEpochBuildsThenAdvancesIncrementally) {
       platform.epoch_maintainer()->artifacts().graph.num_edges();
   EXPECT_GT(baseline_edges, 0u);
 
-  // Nothing new: the next round is an empty incremental epoch.
+  // Nothing new: the next round is an empty incremental epoch that reads
+  // no segment at all.
+  const uint64_t reads_before_idle = platform.dfs().GetStats().read_ops;
   auto idle = platform.AdvanceEpoch();
   ASSERT_TRUE(idle.ok()) << idle.status();
+  EXPECT_EQ(platform.dfs().GetStats().read_ops, reads_before_idle);
   EXPECT_FALSE(idle->full_rebuild);
+  EXPECT_FALSE(idle->watermark_reset);
+  EXPECT_EQ(idle->files_scanned, 0u);
   EXPECT_EQ(idle->records_parsed, 0u);
   EXPECT_TRUE(idle->build.incremental);
   EXPECT_EQ(idle->build.delta_edges, 0u);
 
-  // CrunchBase recovers; the replay appends new shard bytes, and the next
+  // CrunchBase recovers; the replay commits new segments, and the next
   // AdvanceEpoch consumes exactly those as deltas.
   platform.web().crunchbase().set_fault_plan({});
   ASSERT_TRUE(platform.crawler().ReplayDeadLetters().ok());
@@ -484,6 +490,57 @@ TEST(PlatformEpochTest, AdvanceEpochBuildsThenAdvancesIncrementally) {
   for (size_t i = 1; i < published.size(); ++i) {
     EXPECT_EQ(published[i], published[i - 1] + 1);
   }
+}
+
+// A consumed segment that disappears is history rewritten under the epoch:
+// here a flipped byte makes the salvage sweep in LoadInputs() quarantine a
+// users segment AdvanceEpoch() already turned into edges. The next epoch
+// must notice, rebuild from the live segments, and match the batch graph.
+TEST(PlatformEpochTest, QuarantinedConsumedSegmentForcesFullRebuild) {
+  core::ExploratoryPlatform::Options options;
+  options.world.scale = 0.002;
+  options.world.seed = 11;
+  options.crawl.num_workers = 2;
+  options.salvage_loads = true;
+  options.incremental_epochs = true;
+  core::ExploratoryPlatform platform(options);
+  ASSERT_TRUE(platform.CollectData().ok());
+
+  auto first = platform.AdvanceEpoch();
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(first->full_rebuild);
+  const size_t consumed_edges =
+      platform.epoch_maintainer()->artifacts().graph.num_edges();
+
+  dfs::MiniDfs& d = platform.dfs();
+  const std::vector<std::string> users =
+      core::SplitSnapshotFiles(d.List(platform.crawler().UserSnapshotDir()))
+          .json;
+  ASSERT_GT(users.size(), 1u);
+  std::string bytes = *d.ReadFile(users.front());
+  bytes[bytes.size() / 2] ^= 0x01;
+  ASSERT_TRUE(d.WriteFile(users.front(), bytes).ok());
+
+  auto inputs = platform.LoadInputs();
+  ASSERT_TRUE(inputs.ok()) << inputs.status();
+  ASSERT_FALSE(d.Exists(users.front())) << "sweep did not quarantine";
+  BipartiteGraph batch =
+      core::BuildInvestorGraph(platform.context(), inputs.value());
+  EXPECT_LT(batch.num_edges(), consumed_edges);
+
+  auto next = platform.AdvanceEpoch();
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_TRUE(next->watermark_reset);
+  EXPECT_TRUE(next->full_rebuild);
+  ExpectSameGraph(platform.epoch_maintainer()->artifacts().graph, batch);
+
+  // Once rebuilt, the surviving segments count as consumed again.
+  const uint64_t reads = d.GetStats().read_ops;
+  auto idle = platform.AdvanceEpoch();
+  ASSERT_TRUE(idle.ok()) << idle.status();
+  EXPECT_FALSE(idle->watermark_reset);
+  EXPECT_FALSE(idle->full_rebuild);
+  EXPECT_EQ(d.GetStats().read_ops, reads);
 }
 
 // ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ TEST(ScanSalvageTest, CorruptMiddleBlockQuarantinesInReportOnly) {
 TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
   MiniDfs dfs;
   {
-    dfs::JsonLinesWriter writer(&dfs, "/snap/part-0");
+    dfs::JsonLinesWriter writer(&dfs, "/snap/part-0-");
     for (int i = 1; i <= 4; ++i) {
       json::Json r = json::Json::MakeObject();
       r.Set("id", i);
@@ -236,9 +236,9 @@ TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
   ScanOptions salvage;
   salvage.salvage = true;
   salvage.report = &report;
-  auto scanned =
-      dfs::ScanJsonLines<json::Json>(dfs, {"/snap/part-0", "/snap/part-1"},
-                                     json::Parse, salvage);
+  auto scanned = dfs::ScanJsonLines<json::Json>(
+      dfs, {dfs::SegmentPath("/snap/part-0-", 1), "/snap/part-1"}, json::Parse,
+      salvage);
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   EXPECT_EQ(ScanIds(*scanned), (std::vector<int64_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(report.files_scanned, 2u);

@@ -5,12 +5,16 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/records.h"
+#include "crawler/checkpoint.h"
 #include "dataflow/dataset.h"
+#include "dfs/commit.h"
 #include "dfs/dfs.h"
+#include "dfs/jsonl.h"
 #include "json/json.h"
 #include "stats/stats.h"
 #include "util/rng.h"
@@ -179,6 +183,108 @@ TEST_P(JsonRoundTripProperty, HostileBytesYieldOkOrCorruption) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JsonRoundTripProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+// --- file contract: hostile bytes in committed files -------------------------
+
+class CommittedFileProperty : public ::testing::TestWithParam<uint64_t> {};
+
+// A committed segment overwritten with a truncated, bit-flipped or spliced
+// copy of itself: ReadCommitted returns the exact committed payload (only
+// when the bytes are unaltered) or Corruption, and a salvage scan of the
+// damaged segment still completes.
+TEST_P(CommittedFileProperty, HostileSegmentBytesYieldPayloadOrCorruption) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 100; ++trial) {
+    dfs::MiniDfs fs;
+    std::string payload;
+    {
+      dfs::JsonLinesWriter writer(&fs, "/snap/part-0-");
+      for (uint64_t n = 1 + rng.NextUint64(6); n > 0; --n) {
+        const std::string line = RandomRecordLine(rng);
+        ASSERT_TRUE(writer.Write(*json::Parse(line)).ok());
+        payload += line + "\n";
+      }
+    }
+    const std::string path = dfs::SegmentPath("/snap/part-0-", 1);
+    const std::string committed = *fs.ReadFile(path);
+    const std::string hostile =
+        Mutate(rng, committed, RandomRecordLine(rng));
+    ASSERT_TRUE(fs.WriteFile(path, hostile).ok());
+
+    auto read = dfs::ReadCommitted(fs, path);
+    if (hostile == committed) {
+      ASSERT_TRUE(read.ok()) << read.status();
+      EXPECT_EQ(*read, payload);
+    } else {
+      EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
+    }
+    dfs::ScanOptions salvage;
+    salvage.salvage = true;
+    EXPECT_TRUE(
+        dfs::ScanJsonLines<json::Json>(fs, {path}, json::Parse, salvage).ok());
+  }
+}
+
+/// A small checkpoint whose contents vary with `rng`.
+crawler::CheckpointState RandomCheckpoint(Rng& rng, int64_t round) {
+  crawler::CheckpointState st;
+  st.phase = "bfs";
+  st.bfs_round = round;
+  for (uint64_t n = rng.NextUint64(20); n > 0; --n) {
+    st.company_frontier.push_back(rng.NextUint64(1000000));
+    st.seen_users.push_back(rng.NextUint64(1000000));
+  }
+  crawler::CrawledCompany company;
+  company.id = rng.NextUint64(1000);
+  company.name = RandomRecordLine(rng);  // quotes and escapes in a string
+  st.companies.push_back(company);
+  st.snapshot_segments.push_back(dfs::SegmentPath("/crawl/users/part-0-", 1));
+  st.worker_clocks = {static_cast<int64_t>(rng.NextUint64(1 << 30))};
+  return st;
+}
+
+// Three committed checkpoints, each overwritten with hostile bytes half the
+// time: LoadLatestValid returns the newest unaltered one or NotFound, and
+// so does a fresh store, whose startup sweep quarantines the damaged files.
+TEST_P(CommittedFileProperty, HostileCheckpointBytesFallBackToNewestIntact) {
+  Rng rng(GetParam() ^ 0xC4EC);
+  for (int trial = 0; trial < 40; ++trial) {
+    dfs::MiniDfs fs;
+    crawler::CheckpointStore store(&fs, "/ckpt", /*keep=*/3);
+    std::vector<crawler::CheckpointState> saved;
+    for (int64_t round = 1; round <= 3; ++round) {
+      saved.push_back(RandomCheckpoint(rng, round));
+      ASSERT_TRUE(store.Save(&saved.back()).ok());
+    }
+    const std::vector<std::string> files = store.ListFiles();  // oldest first
+    ASSERT_EQ(files.size(), saved.size());
+    const crawler::CheckpointState* newest_intact = nullptr;
+    for (size_t i = 0; i < files.size(); ++i) {
+      const std::string committed = *fs.ReadFile(files[i]);
+      const std::string bytes =
+          rng.Bernoulli(0.5) ? Mutate(rng, committed, RandomRecordLine(rng))
+                             : committed;
+      ASSERT_TRUE(fs.WriteFile(files[i], bytes).ok());
+      if (bytes == committed) newest_intact = &saved[i];
+    }
+    auto expect_newest_intact = [&](const crawler::CheckpointStore& from) {
+      auto loaded = from.LoadLatestValid();
+      if (newest_intact == nullptr) {
+        EXPECT_TRUE(loaded.status().IsNotFound()) << loaded.status();
+        return;
+      }
+      ASSERT_TRUE(loaded.ok()) << loaded.status();
+      EXPECT_EQ(crawler::CheckpointStore::Serialize(*loaded),
+                crawler::CheckpointStore::Serialize(*newest_intact));
+    };
+    expect_newest_intact(store);
+    crawler::CheckpointStore restarted(&fs, "/ckpt", /*keep=*/3);
+    expect_newest_intact(restarted);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CommittedFileProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
 // --- MiniDFS: random op sequences against a map reference ---------------------
 
 class DfsModelProperty : public ::testing::TestWithParam<uint64_t> {};
@@ -202,7 +308,7 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
 
   int dead_nodes = 0;
   for (int step = 0; step < 400; ++step) {
-    switch (rng.NextUint64(8)) {
+    switch (rng.NextUint64(9)) {
       case 0: {  // write
         std::string p = random_path();
         std::string d = random_data();
@@ -244,6 +350,19 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
       case 6:
         EXPECT_EQ(fs.ScrubBlocks(), 0u);  // nothing corrupts itself
         break;
+      case 7: {  // rename, the commit protocol's atomic step
+        const std::string from = random_path();
+        const std::string to = random_path();
+        Status s = fs.Rename(from, to);
+        auto it = reference.find(from);
+        EXPECT_EQ(s.ok(), it != reference.end()) << s;
+        if (it != reference.end()) {
+          std::string d = std::move(it->second);
+          reference.erase(it);
+          reference[to] = std::move(d);
+        }
+        break;
+      }
       default: {  // read
         std::string p = random_path();
         auto content = fs.ReadFile(p);
