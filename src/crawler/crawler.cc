@@ -5,6 +5,7 @@
 #include <chrono>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "crawler/checkpoint.h"
 #include "dfs/commit.h"
@@ -29,6 +30,14 @@ size_t PhaseIndex(std::string_view phase) {
     if (kPhaseOrder[i] == phase) return i;
   }
   return 0;  // unknown phase in a checkpoint: restart the pipeline safely
+}
+
+/// The order the augmentation phases walk companies in once BFS is done.
+void SortById(std::vector<CrawledCompany>* companies) {
+  std::sort(companies->begin(), companies->end(),
+            [](const CrawledCompany& a, const CrawledCompany& b) {
+              return a.id < b.id;
+            });
 }
 }  // namespace
 
@@ -221,44 +230,48 @@ Status Crawler::SaveCheckpoint(std::string_view phase, size_t cursor,
   // the segments listed below are exactly the records this state covers.
   CFNET_RETURN_IF_ERROR(FlushAllShards());
 
-  CheckpointState st;
+  CheckpointStep st;
   st.phase = std::string(phase);
   st.phase_cursor = static_cast<int64_t>(cursor);
   st.bfs_round = bfs_round_;
   st.company_frontier = company_frontier_;
   st.user_frontier = user_frontier_;
-  st.seen_companies.assign(seen_companies_.begin(), seen_companies_.end());
-  std::sort(st.seen_companies.begin(), st.seen_companies.end());
-  st.seen_users.assign(seen_users_.begin(), seen_users_.end());
-  std::sort(st.seen_users.begin(), st.seen_users.end());
-  st.companies = companies_;
   st.twitter_tokens = twitter_tokens_;
   st.facebook_token = facebook_token_;
   for (const auto& shard : shards_) {
     st.worker_clocks.push_back(static_cast<const Shard&>(*shard).clock());
-  }
-  for (std::string& path : dfs::ListSegments(*dfs_, config_.snapshot_dir)) {
-    if (retired.count(path) == 0) {
-      st.snapshot_segments.push_back(std::move(path));
-    }
   }
   st.report = report_;
   st.report.fetch = SumShardCounters();
   st.report.makespan_micros = MaxShardClock();
   st.report.breaker_trips = SumBreakerTrips();
   st.report.checkpoint_writes = report_.checkpoint_writes + 1;
+  // Only what changed goes in: the ids and companies BFS added since the
+  // last checkpoint; the store diffs the segment list against its own.
+  st.seen_companies = std::exchange(unsaved_seen_companies_, {});
+  st.seen_users = std::exchange(unsaved_seen_users_, {});
+  st.companies = std::exchange(unsaved_companies_, {});
+  std::vector<std::string> segments =
+      dfs::ListSegments(*dfs_, config_.snapshot_dir);
+  std::erase_if(segments, [&](const std::string& path) {
+    return retired.count(path) > 0;
+  });
 
-  CFNET_RETURN_IF_ERROR(checkpoints_->Save(&st));
+  CFNET_RETURN_IF_ERROR(checkpoints_->Save(&st, segments));
   ++report_.checkpoint_writes;
+  report_.checkpoint_bytes = st.report.checkpoint_bytes;
   return Status::OK();
 }
 
-Status Crawler::RestoreFromCheckpoint(const CheckpointState& st) {
+Status Crawler::RestoreFromCheckpoint(const CheckpointStep& st) {
   seen_companies_.clear();
   seen_companies_.insert(st.seen_companies.begin(), st.seen_companies.end());
   seen_users_.clear();
   seen_users_.insert(st.seen_users.begin(), st.seen_users.end());
   companies_ = st.companies;
+  // Steps carry companies in discovery order; past BFS the uninterrupted
+  // run had sorted them, and the augmentation cursors index that order.
+  if (st.phase != kPhaseBfs) SortById(&companies_);
   company_frontier_ = st.company_frontier;
   user_frontier_ = st.user_frontier;
   bfs_round_ = st.bfs_round;
@@ -285,6 +298,10 @@ Status Crawler::RestoreFromCheckpoint(const CheckpointState& st) {
   // Exactly-once snapshot records: the segments the checkpoint lists hold
   // exactly the records its state covers, so everything else goes.
   CFNET_RETURN_IF_ERROR(DropSnapshotsOutside(st.snapshot_segments));
+  // The next step chains from this checkpoint.
+  unsaved_seen_companies_.clear();
+  unsaved_seen_users_.clear();
+  unsaved_companies_.clear();
   ++report_.checkpoint_restores;
   return Status::OK();
 }
@@ -323,7 +340,7 @@ Status Crawler::Resume() {
     report_.storage_quarantined += swept.files_quarantined;
     return Run();
   }
-  CheckpointState st = std::move(loaded).value();
+  CheckpointStep st = std::move(loaded).value();
   CFNET_RETURN_IF_ERROR(RestoreFromCheckpoint(st));
   // After the restore: RestoreFromCheckpoint replaces report_ with the
   // checkpointed one, and this incarnation's sweep happened on top of that.
@@ -392,6 +409,7 @@ Status Crawler::RunAngelListBfs() {
       return Status::Unavailable("raising listing failed: " +
                                  resp.body.Get("error").AsString());
     }
+    if (checkpoints_ != nullptr) unsaved_seen_companies_ = company_frontier_;
   }
 
   std::mutex companies_mu;
@@ -401,6 +419,7 @@ Status Crawler::RunAngelListBfs() {
       break;
     }
     ++bfs_round_;
+    const size_t round_begin = companies_.size();
 
     // --- Stage A: fetch company profiles + their followers. -------------
     RunStriped(company_frontier_.size(), [&](size_t i, Shard& shard) {
@@ -501,6 +520,19 @@ Status Crawler::RunAngelListBfs() {
     // Deterministic processing order regardless of worker interleaving.
     std::sort(company_frontier_.begin(), company_frontier_.end());
     std::sort(user_frontier_.begin(), user_frontier_.end());
+    if (checkpoints_ != nullptr) {
+      // The new frontiers are exactly the ids this round saw first. The
+      // round's companies are copied out now: the sort below reorders
+      // companies_ once BFS ends, so no index could find them after it.
+      unsaved_seen_companies_.insert(unsaved_seen_companies_.end(),
+                                     company_frontier_.begin(),
+                                     company_frontier_.end());
+      unsaved_seen_users_.insert(unsaved_seen_users_.end(),
+                                 user_frontier_.begin(), user_frontier_.end());
+      unsaved_companies_.insert(unsaved_companies_.end(),
+                                companies_.begin() + round_begin,
+                                companies_.end());
+    }
 
     if (config_.checkpoint_every_rounds > 0 &&
         bfs_round_ % config_.checkpoint_every_rounds == 0) {
@@ -517,10 +549,7 @@ Status Crawler::RunAngelListBfs() {
   report_.companies_crawled = static_cast<int64_t>(companies_.size());
   report_.users_crawled = static_cast<int64_t>(seen_users_.size());
   // Stable order for the augmentation phases.
-  std::sort(companies_.begin(), companies_.end(),
-            [](const CrawledCompany& a, const CrawledCompany& b) {
-              return a.id < b.id;
-            });
+  SortById(&companies_);
   return Status::OK();
 }
 

@@ -19,7 +19,7 @@
 
 namespace cfnet::crawler {
 
-struct CheckpointState;
+struct CheckpointStep;
 class CheckpointStore;
 
 /// Pipeline phase names, in execution order. They key checkpoints,
@@ -62,16 +62,17 @@ struct CrawlConfig {
   int breaker_trip_budget = 2;
 
   // --- crash-safe checkpointing -------------------------------------------
-  /// Periodically persist crawl state (frontier, seen sets, cursors, token
-  /// pool, snapshot segment list) to versioned CRC-validated files so
-  /// `Resume()` can continue after a crash without re-fetching done work.
+  /// Periodically persist what the crawl state gained (frontier, seen ids,
+  /// cursors, token pool, snapshot segments) as CRC-validated checkpoint
+  /// steps so `Resume()` can continue after a crash without re-fetching
+  /// done work.
   bool checkpointing = true;
   /// Kept outside `snapshot_dir` so disabling snapshots does not disable
   /// durability metadata.
   std::string checkpoint_dir = "/checkpoints";
   int checkpoint_every_rounds = 1;  // BFS rounds between checkpoints
   int checkpoint_chunk = 1024;      // augmentation items between checkpoints
-  int checkpoints_to_keep = 2;
+  int checkpoints_to_keep = 2;      // chains (a base and its deltas) kept
 
   // --- crash simulation (fault-injection tests) ---------------------------
   /// Abort the crawl mid-BFS after this many rounds (0 = never).
@@ -89,6 +90,8 @@ struct DegradedReport {
   int64_t breaker_trips = 0;
   int64_t dead_lettered = 0;
   std::string reason;
+
+  bool operator==(const DegradedReport&) const = default;
 };
 
 /// Aggregated crawl outcome.
@@ -116,6 +119,8 @@ struct CrawlReport {
   int64_t breaker_trips = 0;
   int64_t checkpoint_writes = 0;
   int64_t checkpoint_restores = 0;
+  /// Payload bytes committed by checkpoints (carried across a resume).
+  int64_t checkpoint_bytes = 0;
   int64_t dead_lettered_ids = 0;
   int64_t dead_letters_replayed = 0;
   /// Storage recovery: orphaned temp files GC'd and corrupt-footer files
@@ -124,6 +129,8 @@ struct CrawlReport {
   int64_t storage_temps_removed = 0;
   int64_t storage_quarantined = 0;
   std::vector<DegradedReport> degraded_phases;
+
+  bool operator==(const CrawlReport&) const = default;
 };
 
 /// Minimal in-memory record kept per crawled company, feeding the
@@ -134,6 +141,8 @@ struct CrawledCompany {
   std::string twitter_url;
   std::string facebook_url;
   std::string crunchbase_url;
+
+  bool operator==(const CrawledCompany&) const = default;
 };
 
 /// High-throughput parallel crawler over the simulated web, reproducing the
@@ -152,10 +161,11 @@ struct CrawledCompany {
 /// source, as immutable segments `part-<worker>-<seq>.jsonl` (one per
 /// flush).
 ///
-/// Fault tolerance: the crawler checkpoints its full state to MiniDFS at
-/// BFS-round and augmentation-chunk boundaries; `Resume()` restores the
-/// latest CRC-valid checkpoint, deletes every snapshot file it does not
-/// list (exactly-once records), and continues. Each
+/// Fault tolerance: at BFS-round and augmentation-chunk boundaries the
+/// crawler checkpoints what its state gained since the last checkpoint
+/// (see crawler/checkpoint.h); `Resume()` restores the newest checkpoint
+/// whose chain is intact, deletes every snapshot file it does not list
+/// (exactly-once records), and continues. Each
 /// augmentation source sits behind a circuit breaker; a source that trips
 /// past `breaker_trip_budget` degrades gracefully — its remaining entities
 /// are dead-lettered for later `ReplayDeadLetters()` instead of failing the
@@ -245,11 +255,12 @@ class Crawler {
   Status DeadLetter(Shard& shard, std::string_view phase, uint64_t id,
                     std::string_view reason);
 
-  /// Flushes every writer, then checkpoints the crawl state with every
+  /// Flushes every writer, then checkpoints what the crawl state gained
+  /// since the last checkpoint. The checkpointed segment list becomes every
   /// committed snapshot segment except `retired` (consumed dead letters).
   Status SaveCheckpoint(std::string_view phase, size_t cursor,
                         const std::set<std::string>& retired = {});
-  Status RestoreFromCheckpoint(const CheckpointState& state);
+  Status RestoreFromCheckpoint(const CheckpointStep& state);
   /// Deletes every snapshot file not in `keep` (checkpoints excepted).
   Status DropSnapshotsOutside(const std::vector<std::string>& keep);
   Status FlushAllShards();
@@ -281,6 +292,12 @@ class Crawler {
   std::unique_ptr<CircuitBreaker> facebook_breaker_;
   std::unique_ptr<CircuitBreaker> twitter_breaker_;
   std::unique_ptr<CheckpointStore> checkpoints_;
+  /// What the state gained since the last checkpoint, for the next step
+  /// (touched only when checkpointing is on): the ids each BFS round saw
+  /// first and the companies it crawled.
+  std::vector<uint64_t> unsaved_seen_companies_;
+  std::vector<uint64_t> unsaved_seen_users_;
+  std::vector<CrawledCompany> unsaved_companies_;
   /// Counters carried over from the incarnation(s) before a resume.
   FetchCounters fetch_base_;
   int64_t breaker_trips_base_ = 0;

@@ -88,6 +88,8 @@ struct FetchCounters {
     breaker_waits += o.breaker_waits;
     return *this;
   }
+
+  bool operator==(const FetchCounters&) const = default;
 };
 
 /// The per-service circuit breaker shared by all crawler workers now lives

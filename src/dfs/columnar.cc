@@ -47,8 +47,10 @@ Status WalkBlocks(ByteReader& r, std::string_view path,
     peek.ReadRaw(rest_len, &frame_rest);
     RawBlock block;
     uint64_t payload_len;
+    // Every row encodes to at least one payload byte (ColumnarTraits), so a
+    // row count above the payload length is damage, not a huge allocation.
     if (!r.ReadUVarint(&block.row_count) || block.row_count > kMaxBlockRows ||
-        !r.ReadUVarint(&payload_len) ||
+        !r.ReadUVarint(&payload_len) || block.row_count > payload_len ||
         !r.ReadRaw(payload_len, &block.payload)) {
       return Status::Corruption(std::string(path) + ": block " +
                                 std::to_string(out->size()) +

@@ -323,6 +323,10 @@ bool DecodeU64ListColumn(ByteReader& r, size_t n, AtFn at) {
 ///   static bool DecodeBlock(ByteReader& r, size_t n, T* rows,
 ///                           uint64_t* dictionary_bytes);
 ///   static uint64_t RowBytes(const T& row);  // decoded in-memory footprint
+///
+/// Every record type's first column is a delta-varint id, so every row
+/// takes at least one payload byte: WalkBlocks rejects a frame whose row
+/// count exceeds its payload length before any decoder sizes its output.
 template <typename T>
 struct ColumnarTraits;
 
@@ -353,10 +357,10 @@ struct RawBlock {
 
 /// Walks block frames from `r` until end-of-file or damage. Frames walked
 /// before any damage are always appended to `out`; damage (bad magic,
-/// truncated frame, absurd row count) returns Corruption — there are no
-/// sync markers, so nothing after a broken frame is recoverable and the
-/// caller decides whether that is fatal (strict) or just truncates the file
-/// at the damage point (salvage).
+/// truncated frame, more rows than payload bytes) returns Corruption —
+/// there are no sync markers, so nothing after a broken frame is
+/// recoverable and the caller decides whether that is fatal (strict) or
+/// just truncates the file at the damage point (salvage).
 Status WalkBlocks(ByteReader& r, std::string_view path,
                   std::vector<RawBlock>* out);
 

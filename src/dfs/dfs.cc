@@ -168,27 +168,6 @@ Status MiniDfs::WriteFile(const std::string& path, std::string_view data) {
   return WriteWithFaultsLocked(path, data);
 }
 
-Status MiniDfs::Append(const std::string& path, std::string_view data) {
-  CFNET_RETURN_IF_ERROR(ValidatePath(path));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = namespace_.find(path);
-  if (it == namespace_.end()) {
-    return WriteWithFaultsLocked(path, data);
-  }
-  // Read existing content, then rewrite. (A real DFS appends to the last
-  // block; for the snapshot workload correctness matters more than the
-  // rewrite cost, and tests cover block-boundary behaviour either way.)
-  std::string content;
-  content.reserve(it->second.length + data.size());
-  for (const BlockInfo& b : it->second.blocks) {
-    auto block = ReadBlockLocked(b);
-    if (!block.ok()) return block.status();
-    content += *block;
-  }
-  content.append(data.data(), data.size());
-  return WriteWithFaultsLocked(path, content);
-}
-
 Result<std::string> MiniDfs::ReadBlockLocked(const BlockInfo& info) const {
   bool saw_corrupt = false;
   for (int node : info.replicas) {

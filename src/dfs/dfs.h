@@ -43,7 +43,7 @@ struct DfsStats {
   uint64_t under_replicated_blocks = 0;
   uint64_t corruption_events_detected = 0;
   int live_datanodes = 0;
-  /// Mutation ops (WriteFile/Append/Rename/Delete) and whole-file reads
+  /// Mutation ops (WriteFile/Rename/Delete) and whole-file reads
   /// issued so far — the op serials IoFaultWindows and the kill switch are
   /// scripted against.
   uint64_t mutation_ops = 0;
@@ -70,9 +70,6 @@ class MiniDfs {
   /// implicit (the namespace is a flat map of absolute paths, like HDFS
   /// semantics for our purposes). Paths must start with '/'.
   Status WriteFile(const std::string& path, std::string_view data);
-
-  /// Appends to an existing file (creates it when absent).
-  Status Append(const std::string& path, std::string_view data);
 
   /// Reads a whole file. Fails with IOError if any block lost all replicas.
   Result<std::string> ReadFile(const std::string& path) const;

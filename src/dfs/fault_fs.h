@@ -27,7 +27,7 @@ struct IoFaultWindow {
 };
 
 /// Scripted failure scenario for the storage substrate — the disk-side twin
-/// of net::FaultPlan. Write faults (consulted once per WriteFile/Append):
+/// of net::FaultPlan. Write faults (consulted once per WriteFile):
 ///
 ///  - `enospc`: the write fails ResourceExhausted and persists nothing
 ///    (a full disk rejects the allocation up front).

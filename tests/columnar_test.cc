@@ -232,6 +232,28 @@ TEST(ColumnarScanTest, ParallelScanMatchesSequential) {
   EXPECT_EQ(FlattenParts(std::move(*parts)), rows);
 }
 
+// A committed file whose one block has a valid CRC but declares 2^26 rows
+// over a 1-byte payload: every row takes at least one payload byte, so the
+// frame is damage, and no scan sizes 2^26 records for it.
+TEST(ColumnarScanTest, RowCountAbovePayloadBytesIsCorruption) {
+  std::string file;
+  dfs::AppendColumnarHeader(file, dfs::ColumnarTraits<StartupRecord>::kTypeName,
+                            0);
+  file.append(dfs::kBlockMagic);
+  const size_t crc_begin = file.size();
+  dfs::AppendUVarint(file, dfs::kMaxBlockRows);
+  dfs::AppendUVarint(file, 1);
+  file.push_back('\x02');
+  dfs::AppendU32LE(file, Crc32(std::string_view(file).substr(crc_begin)));
+  MiniDfs dfs;
+  ASSERT_TRUE(dfs::CommitFile(&dfs, "/col/part-all.cfc", file).ok());
+
+  auto info = dfs::InspectColumnarFile(&dfs, "/col/part-all.cfc");
+  EXPECT_EQ(info.status().code(), StatusCode::kCorruption) << info.status();
+  auto strict = ScanColumnBlocks<StartupRecord>(dfs, {"/col/part-all.cfc"});
+  EXPECT_EQ(strict.status().code(), StatusCode::kCorruption);
+}
+
 /// --- compaction + staleness -------------------------------------------------
 
 TEST(CompactSnapshotTest, CompactionMatchesJsonAndGoesStaleOnNewSegment) {

@@ -5,8 +5,9 @@
 // storage layer dies at a seeded mutation op mid-crawl and a fresh
 // incarnation must recover to byte-identical snapshots with exactly-once
 // records, across many seeds (CFNET_CHAOS_SEEDS overrides the count) — plus
-// kill sweeps over every mutation op of a dead-letter replay and of a
-// columnar recompaction.
+// second-kill sweeps that kill the resumed incarnation too, and kill sweeps
+// over every mutation op of a dead-letter replay and of a columnar
+// recompaction.
 
 #include <algorithm>
 #include <cstdlib>
@@ -541,6 +542,181 @@ TEST(CrashRecoverySweepTest, KillAnywhereRecoversExactlyOnce) {
     // And kills tear commits often enough that the sweep GC is exercised.
     EXPECT_GT(total_temps_removed, 0);
   }
+}
+
+/// What the kill that felled an incarnation was writing when it landed in
+/// a checkpoint commit: the orphaned `ckpt-<seq>.tmp` keeps at least the
+/// step header (magic, version, seq, parent) unless the kill tore it
+/// shorter.
+enum class KilledWrite { kOther, kBase, kDelta };
+
+KilledWrite ClassifyKilledWrite(const dfs::MiniDfs& d) {
+  for (const std::string& path : d.List("/checkpoints/")) {
+    if (!dfs::IsTempPath(path)) continue;
+    auto bytes = d.ReadFile(path);
+    if (!bytes.ok()) continue;
+    dfs::ByteReader r(*bytes);
+    std::string_view magic;
+    uint64_t version, seq, parent;
+    if (r.ReadRaw(8, &magic) && r.ReadUVarint(&version) &&
+        r.ReadUVarint(&seq) && r.ReadUVarint(&parent)) {
+      return parent == 0 ? KilledWrite::kBase : KilledWrite::kDelta;
+    }
+  }
+  return KilledWrite::kOther;
+}
+
+// The second-kill sweep: for each seed a crawl dies at a seeded mutation op,
+// and the resumed incarnation dies too, at a seeded op of its own run, so
+// the kill lands in a commit of the chain it continues from the restored
+// checkpoint or in the work between (KillAtEveryOpOfAResumedBfs below
+// covers base commits). A third incarnation must still reach the
+// uninterrupted run's snapshots, ids and counts.
+TEST(CrashRecoverySweepTest, KillAnywhereInAResumedIncarnation) {
+  CrawlConfig config;
+  config.checkpoint_every_rounds = 2;
+  config.checkpoint_chunk = 64;
+  TestBed clean = MakeTestBed(config);
+  ASSERT_TRUE(clean.crawler->Run().ok());
+  const CrawlReport& want = clean.crawler->report();
+  const uint64_t total_ops = clean.dfs->GetStats().mutation_ops;
+  const std::map<std::string, uint32_t> want_digests =
+      AllDigests(*clean.dfs, *clean.crawler);
+  const std::set<int64_t> want_startups =
+      UniqueSnapshotIds(*clean.dfs, clean.crawler->StartupSnapshotDir());
+  const std::set<int64_t> want_users =
+      UniqueSnapshotIds(*clean.dfs, clean.crawler->UserSnapshotDir());
+
+  const int seeds = ChaosSeedCount();
+  int second_kills = 0;
+  int base_kills = 0;
+  int delta_kills = 0;
+  int continued_chains_restored = 0;
+  for (int seed = 0; seed < seeds; ++seed) {
+    SCOPED_TRACE("second-kill seed " + std::to_string(seed));
+    TestBed bed = MakeTestBed(config);
+    const uint64_t first_kill =
+        1 + Mix64(0xD1E5EEDull ^ static_cast<uint64_t>(seed)) % total_ops;
+    bed.dfs->ArmKill(first_kill, static_cast<uint64_t>(seed) * 7919 + 1);
+    ASSERT_FALSE(bed.crawler->Run().ok());
+    bed.crawler.reset();
+    bed.dfs->DisarmKill();
+
+    // The resumed run redoes at least what the crawl had left past the
+    // first kill, so a kill drawn from that span lands inside it.
+    const uint64_t restart_ops = bed.dfs->GetStats().mutation_ops;
+    const uint64_t second_kill =
+        restart_ops + 1 +
+        Mix64(0x5EC0DDull ^ static_cast<uint64_t>(seed)) %
+            (total_ops - first_kill + 1);
+    bed.dfs->ArmKill(second_kill, static_cast<uint64_t>(seed) * 104729 + 5);
+    bed.crawler =
+        std::make_unique<Crawler>(bed.web.get(), bed.dfs.get(), config);
+    const bool second_died = !bed.crawler->Resume().ok();
+    bed.crawler.reset();
+    bed.dfs->DisarmKill();
+    if (second_died) {
+      ++second_kills;
+      const KilledWrite killed = ClassifyKilledWrite(*bed.dfs);
+      base_kills += killed == KilledWrite::kBase ? 1 : 0;
+      delta_kills += killed == KilledWrite::kDelta ? 1 : 0;
+    }
+
+    bed.crawler =
+        std::make_unique<Crawler>(bed.web.get(), bed.dfs.get(), config);
+    Status recovered = bed.crawler->Resume();
+    ASSERT_TRUE(recovered.ok()) << recovered;
+    const CrawlReport& got = bed.crawler->report();
+    // Two restores: the third incarnation restored a checkpoint the second
+    // one chained onto the checkpoint it had restored.
+    continued_chains_restored += got.checkpoint_restores == 2 ? 1 : 0;
+    EXPECT_EQ(got.companies_crawled, want.companies_crawled);
+    EXPECT_EQ(got.users_crawled, want.users_crawled);
+    EXPECT_EQ(got.bfs_rounds, want.bfs_rounds);
+    EXPECT_EQ(got.crunchbase_profiles, want.crunchbase_profiles);
+    EXPECT_EQ(got.facebook_profiles, want.facebook_profiles);
+    EXPECT_EQ(got.twitter_profiles, want.twitter_profiles);
+    EXPECT_EQ(UniqueSnapshotIds(*bed.dfs, bed.crawler->StartupSnapshotDir()),
+              want_startups);
+    EXPECT_EQ(UniqueSnapshotIds(*bed.dfs, bed.crawler->UserSnapshotDir()),
+              want_users);
+    EXPECT_EQ(AllDigests(*bed.dfs, *bed.crawler), want_digests);
+  }
+  if (seeds >= 20) {
+    // Nearly every second kill lands inside the resumed run, some of them
+    // in its checkpoint commits, and some third incarnations restore the
+    // chain the second one continued.
+    EXPECT_GT(second_kills, seeds / 2);
+    EXPECT_GT(delta_kills, 0);
+    EXPECT_GT(continued_chains_restored, 0);
+  }
+}
+
+// Every mutation op of a resumed BFS: the first incarnation stops right
+// after its first checkpoint, and the second dies at each op it issues
+// until its BFS has checkpointed. That span holds the continued chain's
+// BFS steps, where the deltas outgrow their base and a base is written, so
+// kills inside a base commit are covered whatever the seed count.
+TEST(CrashRecoverySweepTest, KillAtEveryOpOfAResumedBfs) {
+  CrawlConfig config;
+  config.checkpoint_every_rounds = 2;
+  config.checkpoint_chunk = 64;
+  TestBed clean = MakeTestBed(config);
+  ASSERT_TRUE(clean.crawler->Run().ok());
+  const CrawlReport& want = clean.crawler->report();
+  const std::map<std::string, uint32_t> want_digests =
+      AllDigests(*clean.dfs, *clean.crawler);
+
+  CrawlConfig first = config;
+  first.crash_after_bfs_rounds = 2;
+  uint64_t restart_ops = 0;
+  uint64_t bfs_end_ops = 0;
+  {
+    TestBed bed = MakeTestBed(first);
+    ASSERT_FALSE(bed.crawler->Run().ok());
+    restart_ops = bed.dfs->GetStats().mutation_ops;
+    CrawlConfig through_bfs = config;
+    through_bfs.crash_after_phase = std::string(kPhaseBfs);
+    bed.crawler =
+        std::make_unique<Crawler>(bed.web.get(), bed.dfs.get(), through_bfs);
+    ASSERT_FALSE(bed.crawler->Resume().ok());
+    bfs_end_ops = bed.dfs->GetStats().mutation_ops;
+  }
+  ASSERT_GT(bfs_end_ops, restart_ops);
+
+  int base_kills = 0;
+  int delta_kills = 0;
+  for (uint64_t kill_at = restart_ops + 1; kill_at <= bfs_end_ops;
+       ++kill_at) {
+    SCOPED_TRACE("resumed BFS killed at mutation op " +
+                 std::to_string(kill_at));
+    TestBed bed = MakeTestBed(first);
+    ASSERT_FALSE(bed.crawler->Run().ok());
+    ASSERT_EQ(bed.dfs->GetStats().mutation_ops, restart_ops);
+    bed.dfs->ArmKill(kill_at, /*seed=*/kill_at);
+    bed.crawler =
+        std::make_unique<Crawler>(bed.web.get(), bed.dfs.get(), config);
+    ASSERT_FALSE(bed.crawler->Resume().ok());
+    bed.crawler.reset();
+    bed.dfs->DisarmKill();
+    const KilledWrite killed = ClassifyKilledWrite(*bed.dfs);
+    base_kills += killed == KilledWrite::kBase ? 1 : 0;
+    delta_kills += killed == KilledWrite::kDelta ? 1 : 0;
+
+    bed.crawler =
+        std::make_unique<Crawler>(bed.web.get(), bed.dfs.get(), config);
+    Status recovered = bed.crawler->Resume();
+    ASSERT_TRUE(recovered.ok()) << recovered;
+    const CrawlReport& got = bed.crawler->report();
+    EXPECT_EQ(got.companies_crawled, want.companies_crawled);
+    EXPECT_EQ(got.users_crawled, want.users_crawled);
+    EXPECT_EQ(got.crunchbase_profiles, want.crunchbase_profiles);
+    EXPECT_EQ(got.facebook_profiles, want.facebook_profiles);
+    EXPECT_EQ(got.twitter_profiles, want.twitter_profiles);
+    EXPECT_EQ(AllDigests(*bed.dfs, *bed.crawler), want_digests);
+  }
+  EXPECT_GT(base_kills, 0);
+  EXPECT_GT(delta_kills, 0);
 }
 
 /// Dead-letter log segments left across the three augmentation phases.

@@ -68,14 +68,6 @@ TEST(MiniDfsTest, OverwriteReplacesContent) {
   EXPECT_EQ(stats.physical_bytes, 9u);  // 3 bytes x replication 3
 }
 
-TEST(MiniDfsTest, AppendAcrossBlockBoundary) {
-  MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.Append("/log", "0123456789").ok());  // creates
-  ASSERT_TRUE(dfs.Append("/log", "abcdefghij").ok());  // crosses 16-byte block
-  ASSERT_TRUE(dfs.Append("/log", "KLMNOP").ok());
-  EXPECT_EQ(*dfs.ReadFile("/log"), "0123456789abcdefghijKLMNOP");
-}
-
 TEST(MiniDfsTest, DeleteRemovesFileAndFreesBlocks) {
   MiniDfs dfs(SmallConfig());
   ASSERT_TRUE(dfs.WriteFile("/f", "data").ok());

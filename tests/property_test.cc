@@ -3,20 +3,24 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/columnar_records.h"
 #include "core/records.h"
 #include "crawler/checkpoint.h"
 #include "dataflow/dataset.h"
+#include "dfs/columnar.h"
 #include "dfs/commit.h"
 #include "dfs/dfs.h"
 #include "dfs/jsonl.h"
 #include "json/json.h"
 #include "stats/stats.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace cfnet {
@@ -224,61 +228,297 @@ TEST_P(CommittedFileProperty, HostileSegmentBytesYieldPayloadOrCorruption) {
   }
 }
 
-/// A small checkpoint whose contents vary with `rng`.
-crawler::CheckpointState RandomCheckpoint(Rng& rng, int64_t round) {
-  crawler::CheckpointState st;
-  st.phase = "bfs";
+/// A checkpoint step whose contents vary with `rng`: one BFS round's worth
+/// of new ids, one company and one segment, sometimes retiring an earlier
+/// segment (`live` tracks the segments added and not yet retired, sorted).
+crawler::CheckpointStep RandomStep(Rng& rng, int64_t round,
+                                   std::vector<std::string>* live) {
+  crawler::CheckpointStep st;
+  st.phase = rng.Bernoulli(0.5) ? "bfs" : "crunchbase";
+  st.phase_cursor = static_cast<int64_t>(rng.NextUint64(5000));
   st.bfs_round = round;
-  for (uint64_t n = rng.NextUint64(20); n > 0; --n) {
-    st.company_frontier.push_back(rng.NextUint64(1000000));
-    st.seen_users.push_back(rng.NextUint64(1000000));
+  uint64_t id = rng.NextUint64(1000000);
+  for (uint64_t n = rng.NextUint64(60); n > 0; --n) {
+    id += 1 + rng.NextUint64(50);
+    st.seen_users.push_back(id);
   }
+  st.user_frontier = st.seen_users;
+  st.company_frontier = {rng.NextUint64(1000000)};
+  st.seen_companies = st.company_frontier;
   crawler::CrawledCompany company;
-  company.id = rng.NextUint64(1000);
+  company.id = st.company_frontier[0];
   company.name = RandomRecordLine(rng);  // quotes and escapes in a string
   st.companies.push_back(company);
-  st.snapshot_segments.push_back(dfs::SegmentPath("/crawl/users/part-0-", 1));
+  st.twitter_tokens = {"tok-" + std::to_string(rng.NextUint64(9))};
+  st.facebook_token = "fb-" + std::to_string(round);
   st.worker_clocks = {static_cast<int64_t>(rng.NextUint64(1 << 30))};
+  st.report.companies_crawled = round;
+  st.report.fetch.requests = static_cast<int64_t>(rng.NextUint64(1 << 20));
+  st.report.checkpoint_writes = round;
+  if (!live->empty() && rng.Bernoulli(0.3)) {
+    const size_t k = rng.NextUint64(live->size());
+    st.retired_segments = {(*live)[k]};
+    live->erase(live->begin() + static_cast<std::ptrdiff_t>(k));
+  }
+  st.snapshot_segments = {dfs::SegmentPath(
+      "/crawl/users/part-" + std::to_string(rng.NextUint64(4)) + "-",
+      static_cast<uint64_t>(round))};
+  live->insert(std::upper_bound(live->begin(), live->end(),
+                                st.snapshot_segments[0]),
+               st.snapshot_segments[0]);
   return st;
 }
 
-// Three committed checkpoints, each overwritten with hostile bytes half the
-// time: LoadLatestValid returns the newest unaltered one or NotFound, and
-// so does a fresh store, whose startup sweep quarantines the damaged files.
+/// The state after `steps[0..last]`, folded the obvious way: the small
+/// fields from the last step, everything added concatenated, segments as a
+/// set. How the store laid the steps out as bases and deltas must not
+/// matter.
+crawler::CheckpointStep ReferenceFold(
+    const std::vector<crawler::CheckpointStep>& steps, size_t last) {
+  crawler::CheckpointStep state;
+  std::set<std::string> segments;
+  for (size_t i = 0; i <= last; ++i) {
+    const crawler::CheckpointStep& s = steps[i];
+    state.seq = s.seq;
+    state.phase = s.phase;
+    state.phase_cursor = s.phase_cursor;
+    state.bfs_round = s.bfs_round;
+    state.company_frontier = s.company_frontier;
+    state.user_frontier = s.user_frontier;
+    state.twitter_tokens = s.twitter_tokens;
+    state.facebook_token = s.facebook_token;
+    state.worker_clocks = s.worker_clocks;
+    state.report = s.report;
+    for (uint64_t v : s.seen_companies) state.seen_companies.push_back(v);
+    for (uint64_t v : s.seen_users) state.seen_users.push_back(v);
+    for (const auto& c : s.companies) state.companies.push_back(c);
+    segments.insert(s.snapshot_segments.begin(), s.snapshot_segments.end());
+    for (const std::string& r : s.retired_segments) segments.erase(r);
+  }
+  state.snapshot_segments.assign(segments.begin(), segments.end());
+  return state;
+}
+
+/// Saves a run of random steps (some written as bases, some as deltas, old
+/// chains pruned) and returns them as stamped by Save, which must have
+/// diffed each step's segments out of the whole list it was handed.
+std::vector<crawler::CheckpointStep> SaveRandomSteps(
+    Rng& rng, crawler::CheckpointStore& store) {
+  std::vector<crawler::CheckpointStep> saved;
+  std::vector<std::string> live;
+  for (int64_t round = 1; round <= 7; ++round) {
+    crawler::CheckpointStep step = RandomStep(rng, round, &live);
+    const std::vector<std::string> added = step.snapshot_segments;
+    const std::vector<std::string> retired = step.retired_segments;
+    // The crawler hands each step the bytes committed so far.
+    if (!saved.empty()) {
+      step.report.checkpoint_bytes = saved.back().report.checkpoint_bytes;
+    }
+    EXPECT_TRUE(store.Save(&step, live).ok());
+    EXPECT_EQ(step.snapshot_segments, added);
+    EXPECT_EQ(step.retired_segments, retired);
+    saved.push_back(std::move(step));
+  }
+  return saved;
+}
+
+// Committed checkpoint files, each overwritten with hostile bytes half the
+// time: LoadLatestValid returns the newest checkpoint whose whole chain
+// (the step, its parent, ... its base) is unaltered, folded to exactly the
+// reference state, or NotFound; so does a fresh store, whose startup sweep
+// quarantines the damaged files.
 TEST_P(CommittedFileProperty, HostileCheckpointBytesFallBackToNewestIntact) {
   Rng rng(GetParam() ^ 0xC4EC);
   for (int trial = 0; trial < 40; ++trial) {
     dfs::MiniDfs fs;
-    crawler::CheckpointStore store(&fs, "/ckpt", /*keep=*/3);
-    std::vector<crawler::CheckpointState> saved;
-    for (int64_t round = 1; round <= 3; ++round) {
-      saved.push_back(RandomCheckpoint(rng, round));
-      ASSERT_TRUE(store.Save(&saved.back()).ok());
+    crawler::CheckpointStore store(&fs, "/ckpt", /*keep=*/2);
+    const std::vector<crawler::CheckpointStep> saved =
+        SaveRandomSteps(rng, store);
+    std::map<int64_t, size_t> index;  // seq -> position in `saved`
+    for (size_t i = 0; i < saved.size(); ++i) index[saved[i].seq] = i;
+    std::map<int64_t, std::string> path_of;
+    for (const std::string& path : store.ListFiles()) {
+      auto step = crawler::DecodeStep(*dfs::ReadCommitted(fs, path));
+      ASSERT_TRUE(step.ok()) << step.status();
+      path_of[step->seq] = path;
     }
-    const std::vector<std::string> files = store.ListFiles();  // oldest first
-    ASSERT_EQ(files.size(), saved.size());
-    const crawler::CheckpointState* newest_intact = nullptr;
-    for (size_t i = 0; i < files.size(); ++i) {
-      const std::string committed = *fs.ReadFile(files[i]);
+    std::set<int64_t> intact;
+    for (const auto& [seq, path] : path_of) {
+      const std::string committed = *fs.ReadFile(path);
       const std::string bytes =
           rng.Bernoulli(0.5) ? Mutate(rng, committed, RandomRecordLine(rng))
                              : committed;
-      ASSERT_TRUE(fs.WriteFile(files[i], bytes).ok());
-      if (bytes == committed) newest_intact = &saved[i];
+      ASSERT_TRUE(fs.WriteFile(path, bytes).ok());
+      if (bytes == committed) intact.insert(seq);
     }
-    auto expect_newest_intact = [&](const crawler::CheckpointStore& from) {
+    auto chain_intact = [&](int64_t seq) {
+      for (; seq != 0; seq = saved[index.at(seq)].parent_seq) {
+        if (intact.count(seq) == 0) return false;
+      }
+      return true;
+    };
+    const crawler::CheckpointStep* want = nullptr;
+    crawler::CheckpointStep reference;
+    for (auto it = path_of.rbegin(); it != path_of.rend(); ++it) {
+      if (chain_intact(it->first)) {
+        reference = ReferenceFold(saved, index.at(it->first));
+        want = &reference;
+        break;
+      }
+    }
+    auto expect_newest_intact = [&](crawler::CheckpointStore& from) {
       auto loaded = from.LoadLatestValid();
-      if (newest_intact == nullptr) {
+      if (want == nullptr) {
         EXPECT_TRUE(loaded.status().IsNotFound()) << loaded.status();
         return;
       }
       ASSERT_TRUE(loaded.ok()) << loaded.status();
-      EXPECT_EQ(crawler::CheckpointStore::Serialize(*loaded),
-                crawler::CheckpointStore::Serialize(*newest_intact));
+      EXPECT_EQ(*loaded, *want);
     };
     expect_newest_intact(store);
-    crawler::CheckpointStore restarted(&fs, "/ckpt", /*keep=*/3);
+    crawler::CheckpointStore restarted(&fs, "/ckpt", /*keep=*/2);
     expect_newest_intact(restarted);
+  }
+}
+
+/// `payload` with `committed`'s footer: a mutated payload framed raw, so
+/// only the footer can object.
+std::string WithOldFooter(const std::string& payload,
+                          const std::string& committed) {
+  return payload + committed.substr(committed.size() - dfs::kCommitFooterSize);
+}
+
+// Each mutation of a checkpoint step's payload applied two ways. Raw, under
+// the step's old footer, ReadCommitted fails Corruption. Re-framed, under a
+// recomputed footer, the step decoder sees the hostile bytes itself:
+// DecodeStep and LoadLatestValid (of this store and of a restarted one)
+// each return a Status, and none crashes.
+TEST_P(CommittedFileProperty, ReframedCheckpointBytesYieldAStatus) {
+  Rng rng(GetParam() ^ 0x5EF7);
+  for (int trial = 0; trial < 40; ++trial) {
+    dfs::MiniDfs fs;
+    crawler::CheckpointStore store(&fs, "/ckpt", /*keep=*/2);
+    SaveRandomSteps(rng, store);
+    const std::vector<std::string> files = store.ListFiles();
+    const std::string other = *dfs::ReadCommitted(fs, files.front());
+    for (const std::string& path : files) {
+      if (rng.Bernoulli(0.5)) continue;
+      const std::string committed = *fs.ReadFile(path);
+      const std::string payload = *dfs::ReadCommitted(fs, path);
+      const std::string hostile = Mutate(rng, payload, other);
+      if (hostile != payload) {
+        ASSERT_TRUE(fs.WriteFile(path, WithOldFooter(hostile, committed)).ok());
+        EXPECT_EQ(dfs::ReadCommitted(fs, path).status().code(),
+                  StatusCode::kCorruption);
+      }
+      EXPECT_TRUE(OkOrCorruption(crawler::DecodeStep(hostile).status()));
+      ASSERT_TRUE(dfs::CommitFile(&fs, path, hostile).ok());
+    }
+    auto loaded = store.LoadLatestValid();
+    EXPECT_TRUE(loaded.ok() || loaded.status().IsNotFound())
+        << loaded.status();
+    crawler::CheckpointStore restarted(&fs, "/ckpt", /*keep=*/2);
+    loaded = restarted.LoadLatestValid();
+    EXPECT_TRUE(loaded.ok() || loaded.status().IsNotFound())
+        << loaded.status();
+  }
+}
+
+/// A committed columnar file of random user records, in blocks of 1-8
+/// rows; returns its payload (the file minus the commit footer).
+std::string WriteRandomColumnar(Rng& rng, dfs::MiniDfs* fs,
+                                const std::string& path) {
+  dfs::ColumnarWriteOptions options;
+  options.block_rows = 1 + rng.NextUint64(8);
+  options.source_fingerprint = static_cast<uint32_t>(rng.NextUint64(1u << 31));
+  dfs::ColumnarWriter<core::UserRecord> writer(fs, path, options);
+  uint64_t id = rng.NextUint64(1000);
+  for (uint64_t n = 1 + rng.NextUint64(30); n > 0; --n) {
+    core::UserRecord r;
+    id += 1 + rng.NextUint64(100);
+    r.id = id;
+    r.is_investor = rng.Bernoulli(0.3);
+    r.is_founder = rng.Bernoulli(0.2);
+    for (uint64_t k = rng.NextUint64(4); k > 0; --k) {
+      r.investment_company_ids.push_back(rng.NextUint64(100000));
+    }
+    r.following_startup_count = static_cast<int64_t>(rng.NextUint64(50));
+    r.following_user_count = static_cast<int64_t>(rng.NextUint64(50)) - 10;
+    writer.Add(std::move(r));
+  }
+  EXPECT_TRUE(writer.Finish().ok());
+  return *dfs::ReadCommitted(*fs, path);
+}
+
+/// Recomputes the CRC of every block frame that still walks in `payload`,
+/// so only the column decoders can object to the bytes inside them.
+void ReframeBlocks(std::string* payload) {
+  dfs::ByteReader r(*payload);
+  dfs::ColumnarHeader header;
+  if (!dfs::ParseColumnarHeader(r, "reframe", &header).ok()) return;
+  std::vector<dfs::RawBlock> blocks;
+  dfs::WalkBlocks(r, "reframe", &blocks).ok();  // keeps what walked
+  for (const dfs::RawBlock& b : blocks) {
+    const size_t at = static_cast<size_t>(b.crc_region.data() -
+                                          payload->data()) +
+                      b.crc_region.size();
+    std::string crc;
+    dfs::AppendU32LE(crc, Crc32(b.crc_region));
+    payload->replace(at, 4, crc);
+  }
+}
+
+// Each mutation of a committed columnar file's payload applied two ways.
+// Raw, under the file's old footer, every reader fails Corruption (a
+// salvage scan may still recover blocks). Re-framed, with every block CRC
+// that still walks and the footer recomputed, the frame walk and column
+// decoders see the hostile bytes: strict and salvage scans,
+// InspectColumnarFile and ReadColumnarFingerprint each return a Status, and
+// a strict scan that succeeds agrees with InspectColumnarFile on the row
+// count.
+TEST_P(CommittedFileProperty, HostileColumnarBytesYieldAStatus) {
+  Rng rng(GetParam() ^ 0xCFC0);
+  const std::string path = "/snap/users/part-all.cfc";
+  dfs::ScanOptions salvage;
+  salvage.salvage = true;
+  for (int trial = 0; trial < 150; ++trial) {
+    dfs::MiniDfs fs;
+    const std::string other = WriteRandomColumnar(rng, &fs, "/other.cfc");
+    const std::string payload = WriteRandomColumnar(rng, &fs, path);
+    const std::string committed = *fs.ReadFile(path);
+    std::string hostile = Mutate(rng, payload, other);
+
+    if (hostile != payload) {
+      ASSERT_TRUE(fs.WriteFile(path, WithOldFooter(hostile, committed)).ok());
+      EXPECT_EQ(dfs::ScanColumnBlocks<core::UserRecord>(fs, {path})
+                    .status()
+                    .code(),
+                StatusCode::kCorruption);
+      EXPECT_EQ(dfs::InspectColumnarFile(&fs, path).status().code(),
+                StatusCode::kCorruption);
+      EXPECT_EQ(dfs::ReadColumnarFingerprint(fs, path).status().code(),
+                StatusCode::kCorruption);
+      EXPECT_TRUE(OkOrCorruption(
+          dfs::ScanColumnBlocks<core::UserRecord>(fs, {path}, salvage)
+              .status()));
+    }
+
+    ReframeBlocks(&hostile);
+    ASSERT_TRUE(dfs::CommitFile(&fs, path, hostile).ok());
+    auto strict = dfs::ScanColumnBlocks<core::UserRecord>(fs, {path});
+    EXPECT_TRUE(OkOrCorruption(strict.status())) << strict.status();
+    auto info = dfs::InspectColumnarFile(&fs, path);
+    EXPECT_TRUE(OkOrCorruption(info.status())) << info.status();
+    if (strict.ok() && info.ok()) {
+      size_t rows = 0;
+      for (const auto& part : *strict) rows += part.size();
+      EXPECT_EQ(rows, info->rows);
+    }
+    EXPECT_TRUE(OkOrCorruption(
+        dfs::ScanColumnBlocks<core::UserRecord>(fs, {path}, salvage)
+            .status()));
+    EXPECT_TRUE(
+        OkOrCorruption(dfs::ReadColumnarFingerprint(fs, path).status()));
   }
 }
 
@@ -308,7 +548,7 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
 
   int dead_nodes = 0;
   for (int step = 0; step < 400; ++step) {
-    switch (rng.NextUint64(9)) {
+    switch (rng.NextUint64(8)) {
       case 0: {  // write
         std::string p = random_path();
         std::string d = random_data();
@@ -316,20 +556,13 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
         reference[p] = d;
         break;
       }
-      case 1: {  // append
-        std::string p = random_path();
-        std::string d = random_data();
-        ASSERT_TRUE(fs.Append(p, d).ok());
-        reference[p] += d;
-        break;
-      }
-      case 2: {  // delete
+      case 1: {  // delete
         std::string p = random_path();
         Status s = fs.Delete(p);
         EXPECT_EQ(s.ok(), reference.erase(p) > 0);
         break;
       }
-      case 3: {  // kill a node (keep a quorum alive for replication=3)
+      case 2: {  // kill a node (keep a quorum alive for replication=3)
         if (dead_nodes < 2) {
           int node = static_cast<int>(rng.NextUint64(5));
           if (fs.IsDataNodeAlive(node)) {
@@ -339,18 +572,18 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
         }
         break;
       }
-      case 4: {  // revive all
+      case 3: {  // revive all
         for (int node = 0; node < 5; ++node) fs.ReviveDataNode(node).ok();
         dead_nodes = 0;
         break;
       }
-      case 5:
+      case 4:
         fs.RunReplicationMonitor();
         break;
-      case 6:
+      case 5:
         EXPECT_EQ(fs.ScrubBlocks(), 0u);  // nothing corrupts itself
         break;
-      case 7: {  // rename, the commit protocol's atomic step
+      case 6: {  // rename, the commit protocol's atomic step
         const std::string from = random_path();
         const std::string to = random_path();
         Status s = fs.Rename(from, to);
