@@ -644,13 +644,12 @@ void RunGraphBench(const FlagParser& flags) {
   // Delta batches at 0.1% / 1% / 10% of the edge count, mixing removals of
   // existing investments, brand-new companies, and extra investments into
   // existing companies. The incremental path (delta-CSR merge + frontier
-  // projection update + warm-started Louvain) is checked bit-identical to
-  // the full rebuild on the bipartite graph and the projection before any
-  // timing is trusted; the refined partition must stay within 0.05
+  // projection update + seeded Louvain refinement) is checked bit-identical
+  // to the full rebuild on the bipartite graph and the projection before
+  // any timing is trusted; the refined partition must stay within 0.05
   // modularity of the full recompute.
   Section("incremental epoch update vs full rebuild (bit-identity checked)");
   json::Json inc_rows = json::Json::MakeArray();
-  json::Json coda_warm_row = json::Json::MakeObject();
   double inc_speedup_1pct = 0;
   {
     std::vector<std::pair<uint64_t, uint64_t>> base_edges;
@@ -764,54 +763,11 @@ void RunGraphBench(const FlagParser& flags) {
                   "incremental %9.2f ms  %6.2fx  dQ %+0.4f\n",
                   frac * 100.0, num_deltas, frontier.size(), full_ms, inc_ms,
                   speedup, refined.modularity - full_louvain.modularity);
-
-      // CoDA warm start vs cold fit at the 1% delta point.
-      if (frac == 0.01) {
-        community::CodaConfig coda_config;
-        coda_config.num_communities = 32;
-        coda_config.max_iterations = 5;
-        coda_config.num_threads = 1;
-        coda_config.seed = 11;
-        community::Coda coda(coda_config);
-        community::CodaResult base_fit = coda.Fit(g);
-        community::CodaResult cold;
-        const double cold_ms = Time([&]() {
-          cold = coda.Fit(merge.graph);
-          benchmark::DoNotOptimize(cold.final_log_likelihood);
-        }, reps).ms_per_rep;
-        community::CodaWarmStart warm;
-        warm.previous = &base_fit;
-        warm.old_to_new_left = merge.old_to_new_left;
-        warm.old_to_new_right = merge.old_to_new_right;
-        warm.frontier_left = frontier;
-        for (const graph::TouchedRight& tr : merge.touched_rights) {
-          if (tr.new_index != graph::BipartiteGraph::kInvalidIndex) {
-            warm.frontier_right.push_back(tr.new_index);
-          }
-        }
-        std::sort(warm.frontier_right.begin(), warm.frontier_right.end());
-        community::CodaResult warm_fit;
-        const double warm_ms = Time([&]() {
-          warm_fit = coda.FitWarm(merge.graph, warm);
-          benchmark::DoNotOptimize(warm_fit.final_log_likelihood);
-        }, reps).ms_per_rep;
-        coda_warm_row.Set("delta_fraction", frac);
-        coda_warm_row.Set("cold_ms", cold_ms);
-        coda_warm_row.Set("warm_ms", warm_ms);
-        coda_warm_row.Set("speedup", warm_ms > 0 ? cold_ms / warm_ms : 0.0);
-        coda_warm_row.Set("cold_log_likelihood", cold.final_log_likelihood);
-        coda_warm_row.Set("warm_log_likelihood", warm_fit.final_log_likelihood);
-        std::printf("coda 1%% delta: cold %9.2f ms  warm %9.2f ms  %5.2fx  "
-                    "(ll cold %.1f / warm %.1f)\n",
-                    cold_ms, warm_ms, warm_ms > 0 ? cold_ms / warm_ms : 0.0,
-                    cold.final_log_likelihood, warm_fit.final_log_likelihood);
-      }
     }
   }
 
   out_doc.Set("dense_vs_legacy", std::move(dense_vs_legacy));
   out_doc.Set("incremental", std::move(inc_rows));
-  out_doc.Set("incremental_coda", std::move(coda_warm_row));
   out_doc.Set("thread_scaling", std::move(scaling));
   out_doc.Set("simd_backend", simd::SimdBackendName());
   out_doc.Set("simd", std::move(simd_rows));

@@ -36,107 +36,7 @@ struct RowScratch {
 
 }  // namespace
 
-namespace {
-
-/// Mean factor value whose dot products match the graph density — the
-/// shared initialization scale of the cold and warm paths.
-double InitMean(const graph::BipartiteGraph& g, int c) {
-  const double density =
-      static_cast<double>(g.num_edges()) /
-      (static_cast<double>(g.num_left()) * static_cast<double>(g.num_right()));
-  return std::sqrt(std::max(density, 1e-12) / static_cast<double>(c));
-}
-
-/// Stateless per-cell jitter in [0.5, 1.5) for warm-start re-init: unlike
-/// the cold path's sequential Rng draws, every cell hashes independently,
-/// so which rows get re-initialized cannot perturb the others.
-double HashJitter(uint64_t seed, uint64_t cell) {
-  const uint64_t bits = Mix64(seed ^ (cell + 0x9e3779b97f4a7c15ull));
-  return 0.5 + static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
 CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
-  const size_t nl = g.num_left();
-  const size_t nr = g.num_right();
-  const int c = std::max(1, config_.num_communities);
-  if (nl == 0 || nr == 0 || g.num_edges() == 0) {
-    CodaResult result;
-    result.investor_communities.num_nodes = nl;
-    result.company_communities.num_nodes = nr;
-    return result;
-  }
-
-  std::vector<double> f(nl * static_cast<size_t>(c));
-  std::vector<double> h(nr * static_cast<size_t>(c));
-
-  // Init so that an average dot product matches the graph density.
-  const double init_mean = InitMean(g, c);
-  Rng rng(config_.seed);
-  for (double& x : f) x = init_mean * rng.Uniform(0.5, 1.5);
-  for (double& x : h) x = init_mean * rng.Uniform(0.5, 1.5);
-  return FitFrom(g, std::move(f), std::move(h));
-}
-
-CodaResult Coda::FitWarm(const graph::BipartiteGraph& g,
-                         const CodaWarmStart& warm) const {
-  const size_t nl = g.num_left();
-  const size_t nr = g.num_right();
-  const int c = std::max(1, config_.num_communities);
-  if (warm.previous == nullptr || warm.previous->num_factors != c) {
-    return Fit(g);  // unusable warm start
-  }
-  if (nl == 0 || nr == 0 || g.num_edges() == 0) {
-    CodaResult result;
-    result.investor_communities.num_nodes = nl;
-    result.company_communities.num_nodes = nr;
-    return result;
-  }
-  const size_t cs = static_cast<size_t>(c);
-  const double init_mean = InitMean(g, c);
-  const CodaResult& prev = *warm.previous;
-
-  auto seed_side = [&](size_t n, const std::vector<double>& prev_rows,
-                       const std::vector<uint32_t>& old_to_new,
-                       const std::vector<uint32_t>& frontier,
-                       uint64_t salt) {
-    std::vector<double> rows(n * cs);
-    std::vector<char> warm_row(n, 0);
-    for (size_t old_i = 0; old_i < old_to_new.size(); ++old_i) {
-      const uint32_t new_i = old_to_new[old_i];
-      if (new_i == graph::BipartiteGraph::kInvalidIndex ||
-          static_cast<size_t>(new_i) >= n) {
-        continue;
-      }
-      if ((old_i + 1) * cs > prev_rows.size()) continue;
-      std::copy(prev_rows.begin() + static_cast<ptrdiff_t>(old_i * cs),
-                prev_rows.begin() + static_cast<ptrdiff_t>((old_i + 1) * cs),
-                rows.begin() + static_cast<ptrdiff_t>(new_i * cs));
-      warm_row[new_i] = 1;
-    }
-    for (uint32_t v : frontier) {
-      if (v < n) warm_row[v] = 0;  // changed neighborhood: re-initialize
-    }
-    for (size_t v = 0; v < n; ++v) {
-      if (warm_row[v]) continue;
-      for (size_t k = 0; k < cs; ++k) {
-        rows[v * cs + k] =
-            init_mean * HashJitter(config_.seed ^ salt, v * cs + k);
-      }
-    }
-    return rows;
-  };
-
-  std::vector<double> f = seed_side(nl, prev.f, warm.old_to_new_left,
-                                    warm.frontier_left, 0x66ull);
-  std::vector<double> h = seed_side(nr, prev.h, warm.old_to_new_right,
-                                    warm.frontier_right, 0x68ull);
-  return FitFrom(g, std::move(f), std::move(h));
-}
-
-CodaResult Coda::FitFrom(const graph::BipartiteGraph& g, std::vector<double> f,
-                         std::vector<double> h) const {
   CodaResult result;
   const size_t nl = g.num_left();
   const size_t nr = g.num_right();
@@ -147,6 +47,16 @@ CodaResult Coda::FitFrom(const graph::BipartiteGraph& g, std::vector<double> f,
 
   const double density = static_cast<double>(g.num_edges()) /
                          (static_cast<double>(nl) * static_cast<double>(nr));
+  std::vector<double> f(nl * static_cast<size_t>(c));
+  std::vector<double> h(nr * static_cast<size_t>(c));
+
+  // Init so that an average dot product matches the graph density.
+  const double init_mean =
+      std::sqrt(std::max(density, 1e-12) / static_cast<double>(c));
+  Rng rng(config_.seed);
+  for (double& x : f) x = init_mean * rng.Uniform(0.5, 1.5);
+  for (double& x : h) x = init_mean * rng.Uniform(0.5, 1.5);
+
   std::vector<double> sum_f(static_cast<size_t>(c), 0);
   std::vector<double> sum_h(static_cast<size_t>(c), 0);
   for (size_t u = 0; u < nl; ++u) {

@@ -49,20 +49,6 @@ struct CodaResult {
   double EdgeProbability(uint32_t left, uint32_t right) const;
 };
 
-/// Warm-start seed for `Coda::FitWarm`: the previous epoch's factor
-/// matrices plus the index remaps and frontier produced by the delta merge
-/// (graph/delta.h). Mapped non-frontier rows copy their previous factors;
-/// frontier and brand-new rows are re-initialized.
-struct CodaWarmStart {
-  const CodaResult* previous = nullptr;
-  /// Old dense index -> new dense index (kInvalidIndex = dropped).
-  std::vector<uint32_t> old_to_new_left;
-  std::vector<uint32_t> old_to_new_right;
-  /// New-dense rows whose neighborhoods changed; re-initialized.
-  std::vector<uint32_t> frontier_left;
-  std::vector<uint32_t> frontier_right;
-};
-
 /// CoDA — the directed/bipartite affiliation-network community detector of
 /// Yang, McAuley & Leskovec (WSDM'14), reimplemented from the paper.
 ///
@@ -88,21 +74,7 @@ class Coda {
   /// Fits the model to the investor->company bipartite graph.
   CodaResult Fit(const graph::BipartiteGraph& g) const;
 
-  /// Warm-started fit: reuses the previous epoch's factor matrices for
-  /// mapped non-frontier rows and re-initializes frontier / brand-new rows
-  /// (deterministic per-index hash jitter), then iterates to the same
-  /// convergence criterion as `Fit`. Falls back to a cold `Fit` when the
-  /// warm start is unusable (no previous result, or a different factor
-  /// count).
-  CodaResult FitWarm(const graph::BipartiteGraph& g,
-                     const CodaWarmStart& warm) const;
-
  private:
-  /// The shared ascent loop: runs block-coordinate updates from the given
-  /// initial factors to convergence, then assigns memberships.
-  CodaResult FitFrom(const graph::BipartiteGraph& g, std::vector<double> f,
-                     std::vector<double> h) const;
-
   CodaConfig config_;
 };
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "community/local_move.h"
 #include "graph/bipartite_graph.h"
 #include "util/logging.h"
 
@@ -11,44 +12,6 @@ namespace cfnet::community {
 namespace {
 
 constexpr uint32_t kInvalid = graph::BipartiteGraph::kInvalidIndex;
-
-/// Dense label-weight accumulator (same epoch-stamp pattern as the full
-/// Louvain/LP kernels): valid only while stamp matches, so per-vertex reset
-/// is O(1).
-struct DenseWeights {
-  std::vector<double> weight_to;
-  std::vector<uint32_t> stamp;
-  std::vector<int> touched;
-  uint32_t epoch = 0;
-
-  explicit DenseWeights(size_t n) : weight_to(n, 0), stamp(n, 0) {
-    touched.reserve(64);
-  }
-
-  void Begin() {
-    ++epoch;
-    touched.clear();
-    if (epoch == 0) {
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-  }
-
-  void Add(int c, double w) {
-    const size_t idx = static_cast<size_t>(c);
-    if (stamp[idx] != epoch) {
-      stamp[idx] = epoch;
-      weight_to[idx] = 0;
-      touched.push_back(c);
-    }
-    weight_to[idx] += w;
-  }
-
-  double Get(int c) const {
-    const size_t idx = static_cast<size_t>(c);
-    return stamp[idx] == epoch ? weight_to[idx] : 0.0;
-  }
-};
 
 /// Seed labels compacted to [0, n): previous-partition labels keep their
 /// grouping (first-appearance order), -1 seeds become fresh singletons.
@@ -71,66 +34,6 @@ std::vector<int> CompactSeeds(const graph::WeightedGraph& g,
   }
   CFNET_CHECK(static_cast<size_t>(next) <= n);
   return label;
-}
-
-/// Frontier + k-hop halo as a flag vector; returns the sorted active list.
-std::vector<uint32_t> BuildActiveSet(const graph::WeightedGraph& g,
-                                     const std::vector<uint32_t>& frontier,
-                                     int halo_hops, std::vector<char>* active) {
-  const size_t n = g.num_nodes();
-  active->assign(n, 0);
-  std::vector<uint32_t> wave;
-  for (uint32_t v : frontier) {
-    if (v < n && !(*active)[v]) {
-      (*active)[v] = 1;
-      wave.push_back(v);
-    }
-  }
-  for (int hop = 0; hop < halo_hops; ++hop) {
-    std::vector<uint32_t> next_wave;
-    for (uint32_t v : wave) {
-      for (uint32_t u : g.Neighbors(v)) {
-        if (!(*active)[u]) {
-          (*active)[u] = 1;
-          next_wave.push_back(u);
-        }
-      }
-    }
-    wave = std::move(next_wave);
-    if (wave.empty()) break;
-  }
-  std::vector<uint32_t> list;
-  for (uint32_t v = 0; v < n; ++v) {
-    if ((*active)[v]) list.push_back(v);
-  }
-  return list;
-}
-
-/// Shared finalization: isolated nodes -> -1, labels compacted in
-/// first-appearance order, communities + modularity computed, and the
-/// fallback guard applied via `full_rebuild_fn` when quality degraded.
-template <typename FullRebuildFn>
-void Finalize(const graph::WeightedGraph& g, const std::vector<int>& label,
-              double previous_modularity,
-              const IncrementalCommunityConfig& config, RefineResult* res,
-              FullRebuildFn&& full_rebuild_fn) {
-  const size_t n = g.num_nodes();
-  res->labels.assign(n, -1);
-  std::vector<int> remap(n, -1);
-  int next = 0;
-  for (uint32_t v = 0; v < n; ++v) {
-    if (g.WeightedDegree(v) <= 0) continue;
-    const size_t l = static_cast<size_t>(label[v]);
-    if (remap[l] == -1) remap[l] = next++;
-    res->labels[v] = remap[l];
-  }
-  res->communities = CommunitySet::FromLabels(res->labels);
-  res->modularity = Modularity(g, res->labels);
-  if (previous_modularity - res->modularity >
-      config.modularity_drop_tolerance) {
-    full_rebuild_fn(res);
-    res->full_rebuild = true;
-  }
 }
 
 }  // namespace
@@ -163,56 +66,38 @@ RefineResult RefineLouvain(const graph::WeightedGraph& g,
       sigma_tot[static_cast<size_t>(label[v])] += g.WeightedDegree(v);
     }
 
-    std::vector<char> active;
-    std::vector<uint32_t> active_list =
-        BuildActiveSet(g, frontier, config.halo_hops, &active);
+    // The first sweep visits the frontier in index order.
+    std::vector<uint32_t> active_list;
+    active_list.reserve(frontier.size());
+    for (uint32_t v : frontier) {
+      if (v < n) active_list.push_back(v);
+    }
+    std::sort(active_list.begin(), active_list.end());
+    active_list.erase(std::unique(active_list.begin(), active_list.end()),
+                      active_list.end());
     res.active_nodes = active_list.size();
 
     // Worklist sweeps: only nodes whose neighborhood moved last sweep are
-    // revisited — after the first pass over frontier + halo, the active set
-    // shrinks to the wavefront of actual moves instead of accumulating.
+    // revisited, so the active set shrinks to the wavefront of actual
+    // moves instead of accumulating.
     std::vector<char> next(n, 0);
     std::vector<uint32_t> next_list;
-    DenseWeights weights(n);
-    for (int sweep = 0; sweep < config.max_sweeps; ++sweep) {
+    NeighborWeights weights(n);
+    for (int sweep = 0; sweep < config.louvain.max_sweeps_per_level;
+         ++sweep) {
       bool moved = false;
       next_list.clear();
       for (uint32_t v : active_list) {
-        const double k_v = g.WeightedDegree(v);
-        if (k_v <= 0) continue;
-        weights.Begin();
-        auto nbrs = g.Neighbors(v);
-        auto ws = g.Weights(v);
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          if (nbrs[i] == v) continue;
-          weights.Add(label[nbrs[i]], ws[i]);
+        if (!MoveToBestCommunity(g, v, m2, config.louvain.min_modularity_gain,
+                                 label, sigma_tot, weights)) {
+          continue;
         }
-        const int old_c = label[v];
-        sigma_tot[static_cast<size_t>(old_c)] -= k_v;
-        double best_gain = 0;
-        int best_c = old_c;
-        const double w_old = weights.Get(old_c);
-        for (int cand : weights.touched) {
-          const double w_in = weights.Get(cand);
-          double gain = (w_in - w_old) / m2 * 2.0 -
-                        k_v * (sigma_tot[static_cast<size_t>(cand)] -
-                               sigma_tot[static_cast<size_t>(old_c)]) /
-                            (m2 * m2) * 2.0;
-          if (gain > best_gain + config.min_modularity_gain) {
-            best_gain = gain;
-            best_c = cand;
-          }
-        }
-        sigma_tot[static_cast<size_t>(best_c)] += k_v;
-        if (best_c != old_c) {
-          label[v] = best_c;
-          moved = true;
-          // A move can destabilize the neighborhood: revisit it next sweep.
-          for (uint32_t u : nbrs) {
-            if (!next[u]) {
-              next[u] = 1;
-              next_list.push_back(u);
-            }
+        moved = true;
+        // A move can destabilize the neighborhood: revisit it next sweep.
+        for (uint32_t u : g.Neighbors(v)) {
+          if (!next[u]) {
+            next[u] = 1;
+            next_list.push_back(u);
           }
         }
       }
@@ -225,84 +110,26 @@ RefineResult RefineLouvain(const graph::WeightedGraph& g,
     }
   }
 
-  Finalize(g, label, previous_modularity, config, &res, [&](RefineResult* r) {
-    LouvainResult full = RunLouvain(g, config.full_louvain);
-    r->labels = std::move(full.labels);
-    r->communities = std::move(full.communities);
-    r->modularity = full.modularity;
-  });
-  return res;
-}
-
-RefineResult RefineLabelPropagation(const graph::WeightedGraph& g,
-                                    const std::vector<int>& seed_labels,
-                                    const std::vector<uint32_t>& frontier,
-                                    double previous_modularity,
-                                    const IncrementalCommunityConfig& config) {
-  RefineResult res;
-  const size_t n = g.num_nodes();
-  res.frontier_size = frontier.size();
-  if (n == 0) return res;
-  std::vector<int> label = CompactSeeds(g, seed_labels);
-
-  std::vector<char> active;
-  std::vector<uint32_t> active_list =
-      BuildActiveSet(g, frontier, config.halo_hops, &active);
-  res.active_nodes = active_list.size();
-
-  // Same worklist discipline as RefineLouvain: revisit only nodes with a
-  // moved neighbor after the initial frontier + halo pass.
-  std::vector<char> next(n, 0);
-  std::vector<uint32_t> next_list;
-  DenseWeights weights(n);
-  for (int sweep = 0; sweep < config.max_sweeps; ++sweep) {
-    bool moved = false;
-    next_list.clear();
-    for (uint32_t v : active_list) {
-      auto nbrs = g.Neighbors(v);
-      if (nbrs.empty()) continue;
-      auto ws = g.Weights(v);
-      weights.Begin();
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        weights.Add(label[nbrs[i]], ws[i]);
-      }
-      int best = label[v];
-      double best_w = -1;
-      for (int l : weights.touched) {
-        const double w = weights.Get(l);
-        // Same deterministic tie-break as the full LP: current label first,
-        // then the smaller label.
-        if (w > best_w || (w == best_w && l == label[v]) ||
-            (w == best_w && best != label[v] && l < best)) {
-          best_w = w;
-          best = l;
-        }
-      }
-      if (best != label[v]) {
-        label[v] = best;
-        moved = true;
-        for (uint32_t u : nbrs) {
-          if (!next[u]) {
-            next[u] = 1;
-            next_list.push_back(u);
-          }
-        }
-      }
-    }
-    res.sweeps = sweep + 1;
-    if (!moved) break;
-    std::sort(next_list.begin(), next_list.end());
-    active_list = next_list;
-    for (uint32_t u : active_list) next[u] = 0;
-    res.active_nodes = std::max(res.active_nodes, active_list.size());
+  // Isolated nodes -> -1; labels compacted in first-appearance order.
+  res.labels.assign(n, -1);
+  std::vector<int> remap(n, -1);
+  int next_label = 0;
+  for (uint32_t v = 0; v < n; ++v) {
+    if (g.WeightedDegree(v) <= 0) continue;
+    const size_t l = static_cast<size_t>(label[v]);
+    if (remap[l] == -1) remap[l] = next_label++;
+    res.labels[v] = remap[l];
   }
-
-  Finalize(g, label, previous_modularity, config, &res, [&](RefineResult* r) {
-    LabelPropagationResult full = RunLabelPropagation(g, config.full_lp);
-    r->labels = std::move(full.labels);
-    r->communities = std::move(full.communities);
-    r->modularity = Modularity(g, r->labels);
-  });
+  res.communities = CommunitySet::FromLabels(res.labels);
+  res.modularity = Modularity(g, res.labels);
+  if (previous_modularity - res.modularity >
+      config.modularity_drop_tolerance) {
+    LouvainResult full = RunLouvain(g, config.louvain);
+    res.labels = std::move(full.labels);
+    res.communities = std::move(full.communities);
+    res.modularity = full.modularity;
+    res.full_rebuild = true;
+  }
   return res;
 }
 

@@ -5,33 +5,22 @@
 #include <vector>
 
 #include "community/community_set.h"
-#include "community/label_propagation.h"
 #include "community/louvain.h"
 #include "graph/weighted_graph.h"
 
 namespace cfnet::community {
 
-/// Knobs for the incremental refinement passes. The frontier/halo rule and
-/// the fallback guard are documented in DESIGN.md §15.
+/// Knobs for incremental Louvain refinement. The frontier rule and the
+/// fallback guard are documented in DESIGN.md §15.
 struct IncrementalCommunityConfig {
-  /// Hops of halo eagerly added around the frontier before the first
-  /// sweep. The worklist sweeps already activate the neighbors of every
-  /// moved vertex, which subsumes a static halo lazily — a halo node whose
-  /// frontier neighbors never move keeps its converged previous label, so
-  /// revisiting it eagerly is wasted work. Default 0: frontier-seeded,
-  /// moves spread activity outward on demand.
-  int halo_hops = 0;
-  /// Local-move sweeps over the active set (no aggregation levels — the
-  /// refinement stays in the original graph's label space).
-  int max_sweeps = 20;
-  double min_modularity_gain = 1e-6;
   /// Fallback guard: if refined modularity drops more than this below the
   /// previous epoch's, the refinement is discarded and the full algorithm
   /// reruns. Negative values force the fallback (used in tests).
   double modularity_drop_tolerance = 0.02;
-  /// Config for the full-recompute fallback paths.
-  LouvainConfig full_louvain;
-  LabelPropagationConfig full_lp;
+  /// The refinement's sweep cap and minimum gain come from
+  /// `max_sweeps_per_level` and `min_modularity_gain`; the fallback runs
+  /// `RunLouvain` with this config.
+  LouvainConfig louvain;
 };
 
 struct RefineResult {
@@ -42,7 +31,7 @@ struct RefineResult {
   /// produced this result instead.
   bool full_rebuild = false;
   size_t frontier_size = 0;
-  size_t active_nodes = 0;  // frontier + halo actually swept
+  size_t active_nodes = 0;  // largest worklist swept (the frontier first)
   int sweeps = 0;
 };
 
@@ -54,23 +43,17 @@ std::vector<int> MapLabels(const std::vector<int>& previous_labels,
                            size_t new_num_nodes);
 
 /// Incremental Louvain: seeds from `seed_labels` (the previous partition,
-/// remapped; -1 entries get fresh singletons), then runs modularity local
-/// moves restricted to the frontier plus its k-hop halo, letting activity
-/// spread to neighbors of moved vertices. Falls back to `RunLouvain` when
-/// the refined modularity drops more than the configured tolerance below
-/// `previous_modularity`.
+/// remapped; -1 entries get fresh singletons), then runs Louvain's local
+/// move over a worklist that starts as the frontier and, each later sweep,
+/// holds the neighbors of the vertices that moved. No aggregation levels:
+/// the refinement stays in the graph's own label space. Falls back to
+/// `RunLouvain` when the refined modularity drops more than the configured
+/// tolerance below `previous_modularity`.
 RefineResult RefineLouvain(const graph::WeightedGraph& g,
                            const std::vector<int>& seed_labels,
                            const std::vector<uint32_t>& frontier,
                            double previous_modularity,
                            const IncrementalCommunityConfig& config = {});
-
-/// Incremental label propagation: same frontier/halo restriction and
-/// fallback guard, with the weighted-majority update rule.
-RefineResult RefineLabelPropagation(
-    const graph::WeightedGraph& g, const std::vector<int>& seed_labels,
-    const std::vector<uint32_t>& frontier, double previous_modularity,
-    const IncrementalCommunityConfig& config = {});
 
 }  // namespace cfnet::community
 

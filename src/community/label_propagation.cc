@@ -1,8 +1,8 @@
 #include "community/label_propagation.h"
 
-#include <algorithm>
 #include <numeric>
 
+#include "community/local_move.h"
 #include "util/rng.h"
 
 namespace cfnet::community {
@@ -20,13 +20,7 @@ LabelPropagationResult RunLabelPropagation(
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  // Dense label-weight accumulator (labels stay within [0, n)): weight_of[l]
-  // is valid only when stamp[l] == epoch, so per-node reset is O(1) instead
-  // of a hash-map clear.
-  std::vector<double> weight_of(n, 0);
-  std::vector<uint32_t> stamp(n, 0);
-  std::vector<int> touched;
-  uint32_t epoch = 0;
+  NeighborWeights weights(n);  // labels stay within [0, n)
   for (int iter = 0; iter < config.max_iterations; ++iter) {
     rng.Shuffle(order);
     bool changed = false;
@@ -34,25 +28,14 @@ LabelPropagationResult RunLabelPropagation(
       auto nbrs = g.Neighbors(v);
       if (nbrs.empty()) continue;
       auto ws = g.Weights(v);
-      ++epoch;
-      touched.clear();
-      if (epoch == 0) {  // wrapped: stamps are stale, reset them
-        std::fill(stamp.begin(), stamp.end(), 0);
-        epoch = 1;
-      }
+      weights.Begin();
       for (size_t i = 0; i < nbrs.size(); ++i) {
-        const size_t l = static_cast<size_t>(label[nbrs[i]]);
-        if (stamp[l] != epoch) {
-          stamp[l] = epoch;
-          weight_of[l] = 0;
-          touched.push_back(static_cast<int>(l));
-        }
-        weight_of[l] += ws[i];
+        weights.Add(label[nbrs[i]], ws[i]);
       }
       int best = label[v];
       double best_w = -1;
-      for (int l : touched) {
-        const double w = weight_of[static_cast<size_t>(l)];
+      for (int l : weights.touched) {
+        const double w = weights.Get(l);
         // Ties break toward the current label, then the smaller label, for
         // determinism under a fixed seed.
         if (w > best_w || (w == best_w && l == label[v]) ||

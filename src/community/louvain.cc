@@ -4,52 +4,11 @@
 #include <numeric>
 #include <tuple>
 
+#include "community/local_move.h"
 #include "util/rng.h"
 
 namespace cfnet::community {
 namespace {
-
-/// Dense neighbor-weight accumulator: weight_to[c] is valid only when
-/// stamp[c] == epoch, so switching nodes costs one counter bump instead of
-/// a hash-map clear. `touched` lists the communities seen for the current
-/// node, in adjacency order (deterministic for a fixed graph).
-struct NeighborWeights {
-  std::vector<double> weight_to;
-  std::vector<uint32_t> stamp;
-  std::vector<int> touched;
-  uint32_t epoch = 0;
-
-  void Resize(size_t n) {
-    weight_to.assign(n, 0);
-    stamp.assign(n, 0);
-    touched.reserve(64);
-    epoch = 0;
-  }
-
-  void Begin() {
-    ++epoch;
-    touched.clear();
-    if (epoch == 0) {  // wrapped: stamps are stale, reset them
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-  }
-
-  void Add(int c, double w) {
-    const size_t idx = static_cast<size_t>(c);
-    if (stamp[idx] != epoch) {
-      stamp[idx] = epoch;
-      weight_to[idx] = 0;
-      touched.push_back(c);
-    }
-    weight_to[idx] += w;
-  }
-
-  double Get(int c) const {
-    const size_t idx = static_cast<size_t>(c);
-    return stamp[idx] == epoch ? weight_to[idx] : 0.0;
-  }
-};
 
 /// One Louvain level: local node moves until no modularity gain. Returns
 /// the per-node community labels within this level's graph.
@@ -71,42 +30,12 @@ std::vector<int> LocalMovePhase(const graph::WeightedGraph& g,
   std::iota(order.begin(), order.end(), 0);
   rng.Shuffle(order);
 
-  NeighborWeights weights;  // community -> edge weight sum for current node
-  weights.Resize(n);
+  NeighborWeights weights(n);  // community -> edge weight sum for current node
   for (int sweep = 0; sweep < config.max_sweeps_per_level; ++sweep) {
     bool moved = false;
     for (uint32_t v : order) {
-      const double k_v = g.WeightedDegree(v);
-      if (k_v <= 0) continue;
-      weights.Begin();
-      auto nbrs = g.Neighbors(v);
-      auto ws = g.Weights(v);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        if (nbrs[i] == v) continue;  // self loops handled via degree
-        weights.Add(label[nbrs[i]], ws[i]);
-      }
-      const int old_c = label[v];
-      // Remove v from its community.
-      sigma_tot[static_cast<size_t>(old_c)] -= k_v;
-      double best_gain = 0;
-      int best_c = old_c;
-      const double w_old = weights.Get(old_c);
-      for (int cand : weights.touched) {
-        const double w_in = weights.Get(cand);
-        // Delta modularity of joining cand (relative to staying isolated):
-        //   w_in/m - k_v * sigma_tot[cand] / (2m^2) ... using 2m = m2:
-        double gain = (w_in - w_old) / m2 * 2.0 -
-                      k_v * (sigma_tot[static_cast<size_t>(cand)] -
-                             sigma_tot[static_cast<size_t>(old_c)]) /
-                          (m2 * m2) * 2.0;
-        if (gain > best_gain + config.min_modularity_gain) {
-          best_gain = gain;
-          best_c = cand;
-        }
-      }
-      sigma_tot[static_cast<size_t>(best_c)] += k_v;
-      if (best_c != old_c) {
-        label[v] = best_c;
+      if (MoveToBestCommunity(g, v, m2, config.min_modularity_gain, label,
+                              sigma_tot, weights)) {
         moved = true;
         *any_move = true;
       }
@@ -150,8 +79,7 @@ graph::WeightedGraph Aggregate(const graph::WeightedGraph& g,
 
   std::vector<std::tuple<uint32_t, uint32_t, double>> edges;
   edges.reserve(std::min(g.num_edges(), num_comms * 8));
-  NeighborWeights weights;
-  weights.Resize(num_comms);
+  NeighborWeights weights(num_comms);
   for (size_t a = 0; a < num_comms; ++a) {
     weights.Begin();
     for (size_t k = comm_offsets[a]; k < comm_offsets[a + 1]; ++k) {

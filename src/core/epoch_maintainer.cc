@@ -20,13 +20,10 @@ void EpochMaintainer::RunFullAnalytics() {
   artifacts_.projection = graph::WeightedGraph::ProjectLeft(
       artifacts_.graph, config_.max_right_degree);
   community::LouvainResult louvain =
-      community::RunLouvain(artifacts_.projection, config_.refine.full_louvain);
+      community::RunLouvain(artifacts_.projection, config_.refine.louvain);
   artifacts_.community_labels = std::move(louvain.labels);
   artifacts_.communities = std::move(louvain.communities);
   artifacts_.modularity = louvain.modularity;
-  if (config_.run_coda) {
-    artifacts_.coda = community::Coda(config_.coda).Fit(artifacts_.graph);
-  }
 }
 
 const EpochArtifacts& EpochMaintainer::FullBuild(
@@ -77,22 +74,6 @@ const EpochArtifacts& EpochMaintainer::Advance(
     community::RefineResult refined = community::RefineLouvain(
         projection, seeds, frontier, artifacts_.modularity, config_.refine);
     report.fell_back_full = refined.full_rebuild;
-
-    if (config_.run_coda) {
-      community::CodaWarmStart warm;
-      warm.previous = &artifacts_.coda;
-      warm.old_to_new_left = merge.old_to_new_left;
-      warm.old_to_new_right = merge.old_to_new_right;
-      warm.frontier_left = frontier;
-      for (const graph::TouchedRight& tr : merge.touched_rights) {
-        if (tr.new_index != graph::BipartiteGraph::kInvalidIndex) {
-          warm.frontier_right.push_back(tr.new_index);
-        }
-      }
-      std::sort(warm.frontier_right.begin(), warm.frontier_right.end());
-      artifacts_.coda =
-          community::Coda(config_.coda).FitWarm(merge.graph, warm);
-    }
 
     artifacts_.graph = std::move(merge.graph);
     artifacts_.projection = std::move(projection);

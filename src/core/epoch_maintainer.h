@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "community/coda.h"
 #include "community/incremental.h"
 #include "community/louvain.h"
 #include "graph/bipartite_graph.h"
@@ -16,15 +15,14 @@
 namespace cfnet::core {
 
 /// The serving-ready analytics of one epoch: the merged investor graph,
-/// its co-investment projection, the community partition, and (optionally)
-/// the CoDA factors. Exactly what `serve::AssembleServingSnapshot` needs.
+/// its co-investment projection and its Louvain partition. Exactly what
+/// `serve::AssembleServingSnapshot` needs.
 struct EpochArtifacts {
   graph::BipartiteGraph graph;
   graph::WeightedGraph projection;
   std::vector<int> community_labels;
   community::CommunitySet communities;
   double modularity = 0;
-  community::CodaResult coda;  // num_factors == 0 when CoDA is disabled
 };
 
 /// How the last epoch was produced.
@@ -41,11 +39,10 @@ struct EpochBuildReport {
 
 /// Maintains epoch artifacts across crawl rounds at delta cost: merges an
 /// edge-delta batch into the bipartite CSR, updates the projection only on
-/// the changed-neighborhood frontier, refines the previous Louvain
-/// partition (with a modularity-drop guard), and warm-starts CoDA from the
-/// previous factors. `Advance` output is bit-identical to a full rebuild
-/// for the graph and projection; the partition/CoDA quality is guarded
-/// within the configured tolerances.
+/// the changed-neighborhood frontier, and refines the previous Louvain
+/// partition (with a modularity-drop guard). `Advance` output is
+/// bit-identical to a full rebuild for the graph and projection; the
+/// partition's quality is guarded within the configured tolerance.
 class EpochMaintainer {
  public:
   struct Config {
@@ -57,8 +54,6 @@ class EpochMaintainer {
     /// the merged edge count take the full-rebuild path outright (the
     /// frontier would cover most of the graph anyway).
     double full_rebuild_delta_fraction = 0.25;
-    bool run_coda = false;
-    community::CodaConfig coda;
   };
 
   EpochMaintainer() = default;
@@ -78,7 +73,7 @@ class EpochMaintainer {
   const Config& config() const { return config_; }
 
  private:
-  void RunFullAnalytics();  // projection + Louvain (+ CoDA) from the graph
+  void RunFullAnalytics();  // projection + Louvain from the graph
 
   Config config_;
   EpochArtifacts artifacts_;

@@ -42,25 +42,14 @@ ExploratoryPlatform::ExploratoryPlatform(const Options& options)
   web_ = std::make_unique<net::SocialWeb>(world_.get());
   dfs_ = std::make_unique<dfs::MiniDfs>(options.dfs);
   crawler::CrawlConfig crawl = options.crawl;
-  const bool auto_advance =
-      options.incremental_epochs && options.auto_advance_epochs;
-  if (options.compact_snapshots || options.epoch_published_hook ||
-      auto_advance) {
+  if (options.compact_snapshots || options.epoch_published_hook) {
     // Fires after every successful crawl/replay flush; the platform outlives
     // the crawler it hands this to. A flush defines a snapshot epoch: once
     // the (optionally compacted) snapshots are durable, the epoch counter
     // advances and any subscriber (the serving tier) is told to rebuild.
-    crawl.post_flush_hook = [this, auto_advance]() -> Status {
+    crawl.post_flush_hook = [this]() -> Status {
       if (options_.compact_snapshots) {
         CFNET_RETURN_IF_ERROR(CompactSnapshots());
-      }
-      if (auto_advance) {
-        // Delta-scan the freshly flushed shards and publish an incremental
-        // epoch; AdvanceEpochLocked bumps the counter and fires the hook.
-        std::lock_guard<std::mutex> lock(epoch_mu_);
-        auto advanced = AdvanceEpochLocked();
-        if (!advanced.ok()) return advanced.status();
-        return Status::OK();
       }
       const uint64_t epoch =
           snapshot_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -80,7 +69,6 @@ ExploratoryPlatform::ExploratoryPlatform(const Options& options)
 Status ExploratoryPlatform::CollectData() {
   CFNET_RETURN_IF_ERROR(crawler_->Run());
   collected_ = true;
-  cached_inputs_.reset();
   return Status::OK();
 }
 
@@ -103,7 +91,6 @@ Result<AnalysisInputs> ExploratoryPlatform::LoadInputs() {
   if (!collected_) {
     return Status::FailedPrecondition("call CollectData() before LoadInputs()");
   }
-  if (cached_inputs_ != nullptr) return *cached_inputs_;
 
   const bool salvage = options_.salvage_loads;
   if (salvage) {
@@ -142,18 +129,12 @@ Result<AnalysisInputs> ExploratoryPlatform::LoadInputs() {
       inputs.twitter,
       LoadSnapshotRecords<TwitterRecord>(*dfs_, crawler_->TwitterSnapshotDir(),
                                          pool, salvage, &scan_report_));
-  cached_inputs_ = std::make_unique<AnalysisInputs>(inputs);
   return inputs;
 }
 
 Result<ExploratoryPlatform::EpochAdvanceReport>
 ExploratoryPlatform::AdvanceEpoch() {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  return AdvanceEpochLocked();
-}
-
-Result<ExploratoryPlatform::EpochAdvanceReport>
-ExploratoryPlatform::AdvanceEpochLocked() {
   EpochAdvanceReport report;
   if (epoch_maintainer_ == nullptr) {
     epoch_maintainer_ =

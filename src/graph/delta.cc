@@ -47,10 +47,6 @@ struct ResolvedDelta {
 
 }  // namespace
 
-std::vector<EdgeDelta> DeltaLog::Normalized() const {
-  return NormalizeDeltas(entries_);
-}
-
 /// Friend of both graph classes: assembles merged CSRs in place.
 class GraphDeltaOps {
  public:

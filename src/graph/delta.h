@@ -21,33 +21,6 @@ struct EdgeDelta {
   bool operator==(const EdgeDelta&) const = default;
 };
 
-/// Append-friendly edge-delta log. Producers (the crawl's epoch scanner,
-/// tests, benches) append in arrival order; `Normalized()` collapses the
-/// log into at most one operation per (left, right) pair with last-op-wins
-/// semantics, sorted by (left, right) — the canonical input to
-/// `MergeBipartiteDelta`.
-class DeltaLog {
- public:
-  void AddEdge(uint64_t left_id, uint64_t right_id) {
-    entries_.push_back({left_id, right_id, /*add=*/true});
-  }
-  void RemoveEdge(uint64_t left_id, uint64_t right_id) {
-    entries_.push_back({left_id, right_id, /*add=*/false});
-  }
-  void Append(const EdgeDelta& delta) { entries_.push_back(delta); }
-
-  bool empty() const { return entries_.empty(); }
-  size_t size() const { return entries_.size(); }
-  const std::vector<EdgeDelta>& entries() const { return entries_; }
-  void Clear() { entries_.clear(); }
-
-  /// Sorted by (left, right), one entry per pair, last appended op wins.
-  std::vector<EdgeDelta> Normalized() const;
-
- private:
-  std::vector<EdgeDelta> entries_;
-};
-
 struct DeltaMergeStats {
   size_t rows_reused = 0;    // untouched left rows spliced through
   size_t rows_rebuilt = 0;   // rows gallop-merged with their delta run
@@ -81,11 +54,13 @@ struct DeltaMergeResult {
   std::vector<uint32_t> touched_lefts;
 };
 
-/// Merges an edge-delta batch into the bipartite CSR: one counting pass
-/// over the normalized deltas sizes the new id spaces, untouched rows are
-/// copied through the monotonic remap (memcpy when the remap is identity
-/// over the row's range), and each touched row is gallop-merged with its
-/// sorted delta run. The result is bit-identical to rebuilding via
+/// Merges an edge-delta batch into the bipartite CSR. The batch is first
+/// normalized: sorted by (left, right), one op per pair, the last op in
+/// batch order wins. One counting pass over the normalized deltas then
+/// sizes the new id spaces, untouched rows are copied through the
+/// monotonic remap (memcpy when the remap is identity over the row's
+/// range), and each touched row is gallop-merged with its sorted delta
+/// run. The result is bit-identical to rebuilding via
 /// `BipartiteGraph::FromEdges` on the merged edge set, at O(E) copy cost
 /// instead of O(E log E) sort + hash cost.
 DeltaMergeResult MergeBipartiteDelta(const BipartiteGraph& g,

@@ -114,13 +114,6 @@ ApiResponse ApiService::Handle(const ApiRequest& request,
 
   *worker_time_micros += latency();
 
-  for (const auto& [begin, end] : config_.outage_windows) {
-    if (*worker_time_micros >= begin && *worker_time_micros < end) {
-      stats_.outage_rejections.fetch_add(1, std::memory_order_relaxed);
-      return ApiResponse::Error(503, "service under maintenance");
-    }
-  }
-
   if (fault.inject_error) {
     stats_.injected_errors.fetch_add(1, std::memory_order_relaxed);
     return ApiResponse::Error(503, "injected fault: service unavailable");

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <map>
 #include <utility>
-#include <vector>
 #include <memory>
 #include <string>
 
@@ -72,10 +71,6 @@ struct ServiceConfig {
   int64_t rate_limit_window_micros = 0;
   int page_size = 50;
   int max_apps_per_owner = 5;
-  /// Maintenance/outage windows in virtual time: any request whose worker
-  /// clock falls inside [begin, end) is answered 503. Crawlers ride these
-  /// out with (patient) exponential backoff.
-  std::vector<std::pair<int64_t, int64_t>> outage_windows;
 };
 
 /// Aggregate request counters.
@@ -85,7 +80,6 @@ struct ServiceStats {
   std::atomic<int64_t> unauthorized{0};
   std::atomic<int64_t> rate_limited{0};
   std::atomic<int64_t> transient_errors{0};
-  std::atomic<int64_t> outage_rejections{0};
   std::atomic<int64_t> not_found{0};
   // Scripted fault-plan injections (zero unless a FaultPlan is installed).
   std::atomic<int64_t> injected_errors{0};

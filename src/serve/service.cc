@@ -376,17 +376,6 @@ void QueryService::Shutdown() {
   }
 }
 
-void QueryService::RecordEpochBuild(double build_ms, bool incremental) {
-  const int64_t micros = static_cast<int64_t>(build_ms * 1000.0);
-  if (incremental) {
-    epochs_incremental_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    epochs_full_.fetch_add(1, std::memory_order_relaxed);
-  }
-  last_epoch_build_micros_.store(micros, std::memory_order_relaxed);
-  epoch_build_micros_total_.fetch_add(micros, std::memory_order_relaxed);
-}
-
 json::Json QueryService::StatsJson() const {
   json::Json doc = json::Json::MakeObject();
   json::Json classes = json::Json::MakeObject();
@@ -433,20 +422,6 @@ json::Json QueryService::StatsJson() const {
   epochs.Set("live", json::Json(static_cast<int64_t>(store_->live_epochs())));
   epochs.Set("pin_retries",
              json::Json(static_cast<int64_t>(store_->pin_retries())));
-  epochs.Set("epochs_incremental",
-             json::Json(static_cast<int64_t>(
-                 epochs_incremental_.load(std::memory_order_relaxed))));
-  epochs.Set("epochs_full",
-             json::Json(static_cast<int64_t>(
-                 epochs_full_.load(std::memory_order_relaxed))));
-  epochs.Set("last_epoch_build_ms",
-             json::Json(static_cast<double>(last_epoch_build_micros_.load(
-                            std::memory_order_relaxed)) /
-                        1000.0));
-  epochs.Set("epoch_build_ms_total",
-             json::Json(static_cast<double>(epoch_build_micros_total_.load(
-                            std::memory_order_relaxed)) /
-                        1000.0));
   doc.Set("epochs", std::move(epochs));
   return doc;
 }

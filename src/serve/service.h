@@ -144,12 +144,6 @@ class QueryService {
   }
   int64_t now_micros() const { return now_(); }
 
-  /// Records how the last published epoch was built, for StatsJson's
-  /// `epochs` block (`epochs_incremental` / `epochs_full` counters,
-  /// `epoch_build_ms` gauges). Called by whatever drives epoch production
-  /// (e.g. the platform's epoch_published_hook subscriber).
-  void RecordEpochBuild(double build_ms, bool incremental);
-
   /// Point-in-time metrics document (per class + cache + epochs).
   json::Json StatsJson() const;
 
@@ -204,12 +198,6 @@ class QueryService {
   mutable std::array<ClassStats, kNumClasses> stats_;
   ResultCache cache_;
   std::atomic<uint64_t> last_seen_epoch_{0};
-  /// Epoch-build accounting (RecordEpochBuild). Durations are stored as
-  /// integer microseconds so they stay plain atomics.
-  std::atomic<uint64_t> epochs_incremental_{0};
-  std::atomic<uint64_t> epochs_full_{0};
-  std::atomic<int64_t> last_epoch_build_micros_{0};
-  std::atomic<int64_t> epoch_build_micros_total_{0};
   std::vector<std::thread> workers_;
   bool shut_down_ = false;
 };

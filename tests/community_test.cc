@@ -1,14 +1,21 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "community/coda.h"
+#include "community/incremental.h"
 #include "community/label_propagation.h"
 #include "community/louvain.h"
 #include "community/random_baseline.h"
 #include "community/sbm.h"
+#include "core/epoch_maintainer.h"
 #include "graph/bipartite_graph.h"
+#include "graph/delta.h"
 #include "graph/weighted_graph.h"
 #include "util/rng.h"
 
@@ -270,6 +277,230 @@ TEST(CommunitySetTest, FromLabelsAndPrune) {
   ASSERT_EQ(set.communities.size(), 3u);
   set.PruneSmall(2);
   ASSERT_EQ(set.communities.size(), 2u);  // singleton label-1 removed
+}
+
+
+// --- pinned outputs ------------------------------------------------------------
+// Digests of every bit the community kernels produce (labels, modularity
+// bits, the refiner's counters, CoDA factors), pinned so that a kernel
+// refactor which moves any bit fails here. The pins are portable: the build
+// is -std=c++20 with GNU extensions off, so GCC contracts no FMAs, and the
+// CoDA SIMD kernels are bit-identical to scalar.
+
+/// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void Word(uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (x >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void Bits(double x) { Word(std::bit_cast<uint64_t>(x)); }
+  void Labels(const std::vector<int>& labels) {
+    Word(labels.size());
+    for (int l : labels) Word(static_cast<uint64_t>(static_cast<int64_t>(l)));
+  }
+  void Doubles(const std::vector<double>& xs) {
+    Word(xs.size());
+    for (double x : xs) Bits(x);
+  }
+  void Communities(const CommunitySet& set) {
+    Word(set.num_nodes);
+    Word(set.communities.size());
+    for (const auto& c : set.communities) {
+      Word(c.size());
+      for (uint32_t v : c) Word(v);
+    }
+  }
+  void Projection(const graph::WeightedGraph& g) {
+    Word(g.num_nodes());
+    for (uint32_t v = 0; v < g.num_nodes(); ++v) {
+      auto nbrs = g.Neighbors(v);
+      auto ws = g.Weights(v);
+      Word(nbrs.size());
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        Word(nbrs[i]);
+        Bits(ws[i]);
+      }
+      Bits(g.WeightedDegree(v));
+    }
+    Bits(g.TotalWeight2m());
+  }
+  void Bipartite(const graph::BipartiteGraph& g) {
+    Word(g.num_left());
+    Word(g.num_right());
+    for (uint32_t l = 0; l < g.num_left(); ++l) {
+      Word(g.LeftId(l));
+      for (uint32_t r : g.OutNeighbors(l)) Word(r);
+    }
+    for (uint32_t r = 0; r < g.num_right(); ++r) Word(g.RightId(r));
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Investors over companies of Zipfian popularity, so a projection cap of 8
+/// drops the popular companies that a cap of 500 keeps.
+std::vector<std::pair<uint64_t, uint64_t>> SeededInvestments(uint64_t seed,
+                                                              int edges) {
+  Rng rng(seed);
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (int i = 0; i < edges; ++i) {
+    out.emplace_back(1 + rng.NextUint64(300),
+                     1000 + static_cast<uint64_t>(rng.Zipf(150, 1.1)));
+  }
+  return out;
+}
+
+/// A seeded batch of removals of present edges and additions that reach
+/// new investors and companies.
+std::vector<graph::EdgeDelta> SeededBatch(const graph::BipartiteGraph& g,
+                                          Rng& rng, size_t size) {
+  std::vector<graph::EdgeDelta> batch;
+  for (size_t i = 0; i < size; ++i) {
+    if (rng.NextUint64(3) == 0 && g.num_left() > 0) {
+      const uint32_t l = static_cast<uint32_t>(rng.NextUint64(g.num_left()));
+      auto row = g.OutNeighbors(l);
+      if (row.empty()) continue;
+      const uint32_t r = row[rng.NextUint64(row.size())];
+      batch.push_back({g.LeftId(l), g.RightId(r), /*add=*/false});
+    } else {
+      batch.push_back({1 + rng.NextUint64(340),
+                       1000 + static_cast<uint64_t>(rng.Zipf(170, 1.1)),
+                       /*add=*/true});
+    }
+  }
+  return batch;
+}
+
+TEST(PinnedOutputsTest, LouvainAndLabelPropagation) {
+  struct Pin {
+    size_t cap;
+    uint64_t louvain;
+    uint64_t label_propagation;
+  };
+  const Pin pins[] = {{8, 0xf0d96d47cf5098f5ull, 0x72db5a2b69a0aa3bull},
+                      {500, 0xa8810ac8caa9cf54ull, 0xaceec99747a7b7e0ull}};
+  for (const Pin& pin : pins) {
+    Digest louvain;
+    Digest lp;
+    for (uint64_t seed : {3u, 17u}) {
+      graph::WeightedGraph g = graph::WeightedGraph::ProjectLeft(
+          graph::BipartiteGraph::FromEdges(SeededInvestments(seed, 1500)),
+          pin.cap);
+      LouvainResult l = RunLouvain(g, {.seed = seed});
+      louvain.Labels(l.labels);
+      louvain.Bits(l.modularity);
+      louvain.Word(static_cast<uint64_t>(l.levels));
+      LabelPropagationResult p = RunLabelPropagation(g, {.seed = seed});
+      lp.Labels(p.labels);
+      lp.Bits(Modularity(g, p.labels));
+      lp.Word(static_cast<uint64_t>(p.iterations));
+    }
+    EXPECT_EQ(louvain.value(), pin.louvain)
+        << "cap " << pin.cap << std::hex << " louvain 0x" << louvain.value();
+    EXPECT_EQ(lp.value(), pin.label_propagation)
+        << "cap " << pin.cap << std::hex << " lp 0x" << lp.value();
+  }
+}
+
+TEST(PinnedOutputsTest, RefineLouvainChainWithFallbacks) {
+  constexpr size_t kCap = 8;
+  Rng rng(20261017);
+  graph::BipartiteGraph g =
+      graph::BipartiteGraph::FromEdges(SeededInvestments(29, 1200));
+  graph::WeightedGraph proj = graph::WeightedGraph::ProjectLeft(g, kCap);
+  LouvainResult base = RunLouvain(proj);
+  std::vector<int> labels = base.labels;
+  double modularity = base.modularity;
+  // A tight guard, so the chain takes both the refined and the fallback
+  // path (14 of the 30 rounds fall back).
+  IncrementalCommunityConfig config;
+  config.modularity_drop_tolerance = 0.004;
+
+  Digest digest;
+  int fallbacks = 0;
+  for (int round = 0; round < 30; ++round) {
+    graph::DeltaMergeResult merge = graph::MergeBipartiteDelta(
+        g, SeededBatch(g, rng, 1 + rng.NextUint64(60)));
+    std::vector<uint32_t> frontier =
+        graph::ProjectionFrontier(g, merge, kCap);
+    graph::WeightedGraph next = graph::UpdateProjection(proj, g, merge, kCap);
+    RefineResult refined = RefineLouvain(
+        next, MapLabels(labels, merge.old_to_new_left, merge.graph.num_left()),
+        frontier, modularity, config);
+    digest.Labels(refined.labels);
+    digest.Communities(refined.communities);
+    digest.Bits(refined.modularity);
+    digest.Word(static_cast<uint64_t>(refined.sweeps));
+    digest.Word(refined.active_nodes);
+    digest.Word(refined.frontier_size);
+    digest.Word(refined.full_rebuild);
+    fallbacks += refined.full_rebuild;
+    g = std::move(merge.graph);
+    proj = std::move(next);
+    labels = std::move(refined.labels);
+    modularity = refined.modularity;
+  }
+  EXPECT_GE(fallbacks, 1);
+  EXPECT_LT(fallbacks, 30);
+  EXPECT_EQ(digest.value(), 0xdb63ea167417b3c6ull)
+      << std::hex << "0x" << digest.value();
+}
+
+TEST(PinnedOutputsTest, EpochMaintainerFullBuildAndAdvance) {
+  core::EpochMaintainer::Config config;
+  config.max_right_degree = 16;
+  core::EpochMaintainer maintainer(config);
+  Digest digest;
+  auto add = [&](const core::EpochArtifacts& a) {
+    digest.Bipartite(a.graph);
+    digest.Projection(a.projection);
+    digest.Labels(a.community_labels);
+    digest.Communities(a.communities);
+    digest.Bits(a.modularity);
+    const core::EpochBuildReport& r = maintainer.last_report();
+    digest.Word(r.incremental);
+    digest.Word(r.fell_back_full);
+    digest.Word(r.delta_edges);
+    digest.Word(r.noop_deltas);
+    digest.Word(r.frontier_size);
+    digest.Word(r.rows_reused);
+    digest.Word(r.rows_rebuilt);
+  };
+  add(maintainer.FullBuild(SeededInvestments(41, 1500)));
+  Rng rng(41);
+  // Batch sizes reach past full_rebuild_delta_fraction once (the last).
+  for (size_t size : {1u, 12u, 40u, 0u, 90u, 600u}) {
+    add(maintainer.Advance(
+        SeededBatch(maintainer.artifacts().graph, rng, size)));
+  }
+  EXPECT_FALSE(maintainer.last_report().incremental);
+  EXPECT_EQ(digest.value(), 0xbe526c468ff28446ull)
+      << std::hex << "0x" << digest.value();
+}
+
+TEST(PinnedOutputsTest, CodaFitFactors) {
+  CodaConfig config;
+  config.num_communities = 6;
+  config.max_iterations = 12;
+  config.num_threads = 2;
+  config.seed = 5;
+  CodaResult result = Coda(config).Fit(
+      graph::BipartiteGraph::FromEdges(SeededInvestments(53, 1500)));
+  Digest digest;
+  digest.Doubles(result.f);
+  digest.Doubles(result.h);
+  digest.Doubles(result.log_likelihood_trace);
+  digest.Bits(result.final_log_likelihood);
+  digest.Word(static_cast<uint64_t>(result.iterations));
+  digest.Communities(result.investor_communities);
+  digest.Communities(result.company_communities);
+  EXPECT_EQ(digest.value(), 0x986bc61d137e8310ull)
+      << std::hex << "0x" << digest.value();
 }
 
 }  // namespace

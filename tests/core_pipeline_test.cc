@@ -6,6 +6,7 @@
 #include "core/experiments.h"
 #include "core/investor_graph.h"
 #include "core/platform.h"
+#include "net/fault_plan.h"
 
 namespace cfnet::core {
 namespace {
@@ -244,6 +245,33 @@ TEST_F(PipelineFixture, Fig7ProducesRenderableViz) {
   EXPECT_NE(fig7.strong.svg.find("<svg"), std::string::npos);
   EXPECT_NE(fig7.strong.dot.find("graph community_"), std::string::npos);
   EXPECT_NE(fig7.weak.svg.find("</svg>"), std::string::npos);
+}
+
+// A dead-letter replay commits segments after CollectData(); the next
+// LoadInputs() must read them rather than return what an earlier call read.
+TEST(PlatformLoadTest, LoadInputsSeesRecordsOfADeadLetterReplay) {
+  ExploratoryPlatform::Options options;
+  options.world.scale = 0.002;
+  options.world.seed = 11;
+  options.crawl.num_workers = 2;
+  ExploratoryPlatform platform(options);
+  net::FaultPlan outage;  // CrunchBase is down for the whole crawl
+  outage.error_bursts = {{0, 365ll * 24 * 3600 * 1000000ll, 1.0}};
+  platform.web().crunchbase().set_fault_plan(outage);
+  ASSERT_TRUE(platform.CollectData().ok());
+
+  auto before = platform.LoadInputs();
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_TRUE(before->crunchbase.empty());
+
+  platform.web().crunchbase().set_fault_plan({});
+  ASSERT_TRUE(platform.crawler().ReplayDeadLetters().ok());
+  const int64_t profiles = platform.crawl_report().crunchbase_profiles;
+  ASSERT_GT(profiles, 0);
+  auto after = platform.LoadInputs();
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(static_cast<int64_t>(after->crunchbase.size()), profiles);
+  EXPECT_EQ(after->users.size(), before->users.size());
 }
 
 }  // namespace

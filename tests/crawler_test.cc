@@ -392,8 +392,10 @@ TEST(CrawlerTest, PatientRetriesRideOutServiceOutage) {
   net::ServiceConfig al_config;
   al_config.latency_mean_micros = 80000;
   al_config.transient_error_rate = 0;
-  al_config.outage_windows = {{30ll * 1000000, 150ll * 1000000}};
   net::AngelListService al(&world, al_config);
+  net::FaultPlan outage;
+  outage.error_bursts = {{30ll * 1000000, 150ll * 1000000, 1.0}};
+  al.set_fault_plan(outage);
 
   FetchPolicy patient;
   patient.max_retries = 12;
@@ -405,7 +407,7 @@ TEST(CrawlerTest, PatientRetriesRideOutServiceOutage) {
   EXPECT_TRUE(resp.ok()) << "patient retry should outlast the outage";
   EXPECT_GT(t, 150ll * 1000000);  // clock advanced past the window
   EXPECT_GT(counters.retries, 3);
-  EXPECT_GT(al.stats().outage_rejections.load(), 3);
+  EXPECT_GT(al.stats().injected_errors.load(), 3);
 
   // An impatient policy inside the same window fails.
   FetchPolicy impatient;

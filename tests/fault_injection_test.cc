@@ -441,18 +441,19 @@ TEST(FaultInjectionCrawlTest, CrawlStartingInsideOutageWindowCompletes) {
   // AngelList is in a maintenance window when the crawl starts (worker
   // clocks begin at 0, inside [0, 20s)); patient backoff rides it out and
   // the BFS proceeds once the window closes.
-  net::SocialWebConfig wc = NoRandomErrors();
-  wc.angellist->outage_windows = {{0, 20 * kSecond}};
   CrawlConfig config;
   config.fetch.max_retries = 12;  // patient: ~0.5s * (2^12 - 1) of budget
-  TestBed bed = MakeTestBed(wc, config);
+  TestBed bed = MakeTestBed(NoRandomErrors(), config);
+  net::FaultPlan outage;
+  outage.error_bursts = {{0, 20 * kSecond, 1.0}};
+  bed.web->angellist().set_fault_plan(outage);
 
   ASSERT_TRUE(bed.crawler->Run().ok());
   const CrawlReport& report = bed.crawler->report();
   EXPECT_GT(report.companies_crawled, 0);
   EXPECT_GT(report.users_crawled, 0);
   EXPECT_GT(report.fetch.retries, 0);
-  EXPECT_GT(bed.web->angellist().stats().outage_rejections.load(), 0);
+  EXPECT_GT(bed.web->angellist().stats().injected_errors.load(), 0);
   EXPECT_GT(report.makespan_micros, 20 * kSecond);
 }
 

@@ -495,9 +495,10 @@ namespace cfnet::net {
 namespace {
 
 TEST(ApiServiceTest, OutageWindowRejectsUntilItEnds) {
-  ServiceConfig config = NoErrors({.latency_mean_micros = 80000});
-  config.outage_windows = {{1000000, 5000000}};  // seconds 1..5 of virtual time
-  AngelListService al(&TestWorld(), config);
+  AngelListService al(&TestWorld(), NoErrors({.latency_mean_micros = 80000}));
+  FaultPlan outage;  // down for seconds 1..5 of virtual time
+  outage.error_bursts = {{1000000, 5000000, 1.0}};
+  al.set_fault_plan(outage);
   ApiRequest req("startups.get", {{"id", "1"}});
 
   int64_t t = 0;  // before the outage
@@ -506,7 +507,7 @@ TEST(ApiServiceTest, OutageWindowRejectsUntilItEnds) {
   t = 2000000;  // inside
   ApiResponse down = al.Handle(req, &t);
   EXPECT_EQ(down.status, 503);
-  EXPECT_GT(al.stats().outage_rejections.load(), 0);
+  EXPECT_GT(al.stats().injected_errors.load(), 0);
 
   t = 6000000;  // after
   EXPECT_TRUE(al.Handle(req, &t).ok());
