@@ -1,10 +1,11 @@
 // MiniSpark (dataflow substrate) throughput: the operators the paper's
 // analyses are built from, measured standalone with google-benchmark, plus
-// a fixed set of engine workloads (fused narrow chain, skewed aggregation,
-// sort, repartition) whose results are written as machine-readable JSON for
-// before/after comparison (--json=PATH, default BENCH_dataflow.json;
-// --records=N sets the workload size).
+// a fixed set of engine workloads (fused narrow chain, the investor-graph
+// merge's Union + Distinct) whose results are written as machine-readable
+// JSON for before/after comparison (--json=PATH, default
+// BENCH_dataflow.json; --records=N sets the workload size).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +18,8 @@
 #include "dataflow/dataset.h"
 #include "json/json.h"
 #include "util/flags.h"
+#include "util/logging.h"
+#include "util/rng.h"
 
 namespace cfnet::bench {
 namespace {
@@ -33,6 +36,46 @@ std::vector<int64_t> Numbers(size_t n) {
   std::vector<int64_t> v(n);
   std::iota(v.begin(), v.end(), 0);
   return v;
+}
+
+/// The two edge streams `core::BuildInvestorGraph` unions and deduplicates:
+/// AngelList's and CrunchBase's (investor << 32 | company) keys. Neither
+/// stream repeats a key; the merge's duplicates are the edges both sources
+/// saw.
+struct MergeStreams {
+  std::vector<uint64_t> angellist;
+  std::vector<uint64_t> crunchbase;
+  size_t merged = 0;  // distinct keys over both streams
+};
+
+/// Draws about `records` keys in all: investments drawn like bench_graph's
+/// graph (47 investors per 60 companies), split between the sources as
+/// `ComputeEdgeProvenance` measured them on the end-to-end analyze world
+/// (scale 0.1, seed 20160626, 4 crawl workers). Of its 15,711 merged edges
+/// 1,179 were CrunchBase's alone and 1,188 both sources', so 7.0% of the
+/// union's records are duplicates (6.0% at scale 0.03, 6.6% at 0.2).
+MergeStreams DrawMergeStreams(size_t records, uint64_t seed) {
+  constexpr int64_t kMerged = 15711;
+  constexpr int64_t kCrunchBaseOnly = 1179;
+  constexpr int64_t kBoth = 1188;
+  // A drawn investor holds about four distinct investments.
+  const size_t investors = std::max<size_t>(1, records / 4);
+  std::vector<uint64_t> edges;
+  for (const auto& [investor, company] :
+       DrawInvestments(investors, investors * 60 / 47, seed)) {
+    edges.push_back((investor << 32) | company);
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  MergeStreams s;
+  s.merged = edges.size();
+  Rng rng(seed + 1);
+  for (uint64_t e : edges) {
+    const int64_t u = rng.UniformInt(0, kMerged - 1);
+    if (u >= kCrunchBaseOnly) s.angellist.push_back(e);
+    if (u < kCrunchBaseOnly + kBoth) s.crunchbase.push_back(e);
+  }
+  return s;
 }
 
 void BM_Map(benchmark::State& state) {
@@ -63,25 +106,6 @@ void BM_FilterChain(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterChain)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
-void BM_ReduceByKey(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::pair<int64_t, int64_t>> kvs;
-  kvs.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    kvs.emplace_back(static_cast<int64_t>(i % 10007), 1);
-  }
-  for (auto _ : state) {
-    auto out = ReduceByKey(
-                   Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), kvs),
-                   [](int64_t a, int64_t b) { return a + b; })
-                   .Count();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ReduceByKey)->Arg(100000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Join(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<std::pair<int64_t, int64_t>> left;
@@ -93,10 +117,11 @@ void BM_Join(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    auto out =
-        Join(Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), left),
-             Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), right))
-            .Count();
+    // The Figure 6 join shape: every left row survives, half find a match.
+    auto out = LeftOuterJoin(
+                   Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), left),
+                   Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), right))
+                   .Count();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
@@ -104,17 +129,21 @@ void BM_Join(benchmark::State& state) {
 BENCHMARK(BM_Join)->Arg(100000)->Arg(500000)->Unit(benchmark::kMillisecond);
 
 void BM_Distinct(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<int64_t> data;
-  data.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    data.push_back(static_cast<int64_t>(i % (n / 4)));
-  }
+  const MergeStreams streams =
+      DrawMergeStreams(static_cast<size_t>(state.range(0)), 17);
   for (auto _ : state) {
-    auto out = Dataset<int64_t>::FromVector(Ctx(), data).Distinct().Count();
+    // The investor-graph merge: both sources' edges, deduplicated.
+    auto out = Dataset<uint64_t>::FromVector(Ctx(), streams.angellist)
+                   .Union(Dataset<uint64_t>::FromVector(Ctx(),
+                                                        streams.crunchbase))
+                   .Distinct()
+                   .Count();
     benchmark::DoNotOptimize(out);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<int64_t>(streams.angellist.size() +
+                           streams.crunchbase.size()));
 }
 BENCHMARK(BM_Distinct)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
@@ -171,7 +200,7 @@ Measured Measure(ExecutionContext& ctx, F&& fn, int reps) {
 
 /// Runs the fixed engine workloads and writes one JSON document. Sources are
 /// materialized before timing so each rep measures the engine work (narrow
-/// pipeline, shuffle, sort), not the cost of copying the input vector.
+/// pipeline, shuffle), not the cost of copying the input vector.
 void RunMeasuredWorkloads(const cfnet::FlagParser& flags) {
   const size_t n = static_cast<size_t>(flags.GetInt("records", 2000000));
   const std::string path = flags.GetString("json", "BENCH_dataflow.json");
@@ -185,24 +214,26 @@ void RunMeasuredWorkloads(const cfnet::FlagParser& flags) {
   doc.Set("morsel_size", static_cast<int64_t>(ctx->morsel_size()));
   json::Json workloads = json::Json::MakeArray();
 
-  auto emit = [&workloads, n](const std::string& name, const Measured& m) {
+  // One workload's JSON row; `records` is its input size.
+  auto row = [](const std::string& name, const Measured& m, size_t records) {
     json::Json w = json::Json::MakeObject();
     w.Set("name", name);
+    w.Set("records", static_cast<int64_t>(records));
     w.Set("ms_per_rep", m.ms_per_rep);
-    w.Set("records_per_sec", m.ms_per_rep > 0
-                                 ? static_cast<double>(n) / m.ms_per_rep * 1e3
-                                 : 0.0);
+    w.Set("records_per_sec",
+          m.ms_per_rep > 0 ? static_cast<double>(records) / m.ms_per_rep * 1e3
+                           : 0.0);
     w.Set("stages_run", static_cast<int64_t>(m.stages_run));
     w.Set("fused_ops", static_cast<int64_t>(m.fused_ops));
     w.Set("morsels_run", static_cast<int64_t>(m.morsels_run));
     w.Set("stage_wall_ms", m.stage_wall_ms);
-    workloads.Append(std::move(w));
     std::printf("%-22s %8.2f ms  %7.1f Mrec/s  (stages=%llu fused_ops=%llu "
                 "morsels=%llu)\n",
-                name.c_str(), m.ms_per_rep, n / m.ms_per_rep / 1e3,
+                name.c_str(), m.ms_per_rep, records / m.ms_per_rep / 1e3,
                 static_cast<unsigned long long>(m.stages_run),
                 static_cast<unsigned long long>(m.fused_ops),
                 static_cast<unsigned long long>(m.morsels_run));
+    return w;
   };
 
   Section("Measured engine workloads");
@@ -210,57 +241,34 @@ void RunMeasuredWorkloads(const cfnet::FlagParser& flags) {
   {
     auto src = Dataset<int64_t>::FromVector(ctx, Numbers(n));
     src.Count();
-    emit("map_filter_chain", Measure(*ctx, [&src]() {
+    workloads.Append(row("map_filter_chain", Measure(*ctx, [&src]() {
       auto c = src.Map([](const int64_t& x) { return x * 3 + 1; })
                    .Filter([](const int64_t& x) { return x % 2 == 0; })
                    .Map([](const int64_t& x) { return x / 2; })
                    .Count();
       benchmark::DoNotOptimize(c);
-    }, reps));
+    }, reps), n));
   }
 
   {
-    // 90% of the records hit 100 hot keys: stresses shuffle skew handling.
-    std::vector<std::pair<int64_t, int64_t>> kvs;
-    kvs.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      int64_t k = (i % 10 != 0) ? static_cast<int64_t>(i % 100)
-                                : static_cast<int64_t>(1000 + i % 100000);
-      kvs.emplace_back(k, 1);
-    }
-    auto src =
-        Dataset<std::pair<int64_t, int64_t>>::FromVector(ctx, std::move(kvs));
-    src.Count();
-    emit("skewed_reduce_by_key", Measure(*ctx, [&src]() {
-      auto c = ReduceByKey(src.Map([](const std::pair<int64_t, int64_t>& kv) {
-                             return std::make_pair(kv.first, kv.second * 2);
-                           }),
-                           [](int64_t a, int64_t b) { return a + b; })
-                   .Count();
+    // The §5.1 merge's shuffle: AngelList and CrunchBase edge keys joined by
+    // Union, then Distinct.
+    MergeStreams streams = DrawMergeStreams(n, 20260806);
+    const size_t input = streams.angellist.size() + streams.crunchbase.size();
+    auto al = Dataset<uint64_t>::FromVector(ctx, std::move(streams.angellist));
+    auto cb = Dataset<uint64_t>::FromVector(ctx, std::move(streams.crunchbase));
+    al.Count();
+    cb.Count();
+    const size_t distinct = al.Union(cb).Distinct().Count();
+    CFNET_CHECK(distinct == streams.merged);
+    json::Json w = row("edge_merge_distinct", Measure(*ctx, [&al, &cb]() {
+      auto c = al.Union(cb).Distinct().Count();
       benchmark::DoNotOptimize(c);
-    }, reps));
-  }
-
-  {
-    std::vector<int64_t> shuffled(n);
-    for (size_t i = 0; i < n; ++i) {
-      shuffled[i] = static_cast<int64_t>((i * 2654435761u) % n);
-    }
-    auto src = Dataset<int64_t>::FromVector(ctx, std::move(shuffled));
-    src.Count();
-    emit("sort_by", Measure(*ctx, [&src]() {
-      auto sorted = src.SortBy([](const int64_t& x) { return x; });
-      benchmark::DoNotOptimize(sorted);
-    }, reps));
-  }
-
-  {
-    auto src = Dataset<int64_t>::FromVector(ctx, Numbers(n), 8);
-    src.Count();
-    emit("repartition", Measure(*ctx, [&src]() {
-      auto c = src.Repartition(5).Count();
-      benchmark::DoNotOptimize(c);
-    }, reps));
+    }, reps), input);
+    w.Set("distinct_records", static_cast<int64_t>(distinct));
+    w.Set("duplicate_share",
+          1.0 - static_cast<double>(distinct) / static_cast<double>(input));
+    workloads.Append(std::move(w));
   }
 
   doc.Set("workloads", std::move(workloads));

@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/simd.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -52,6 +53,23 @@ Testbed& GetTestbed(const FlagParser& flags, double default_scale,
               WithThousandsSeparators(report.fetch.requests).c_str(),
               static_cast<double>(report.makespan_micros) / 60e6);
   return *bed;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> DrawInvestments(size_t investors,
+                                                           size_t companies,
+                                                           uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  edges.reserve(investors * 4);
+  for (size_t i = 0; i < investors; ++i) {
+    const size_t degree = static_cast<size_t>(rng.PowerLaw(1, 400, 2.2));
+    for (size_t d = 0; d < degree; ++d) {
+      const uint64_t c = static_cast<uint64_t>(
+          rng.Zipf(static_cast<int64_t>(companies), 0.75));
+      edges.emplace_back(i + 1, 1000000 + c);
+    }
+  }
+  return edges;
 }
 
 void PrintComparison(const std::string& name, const std::string& paper,

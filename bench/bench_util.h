@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.h"
@@ -25,6 +26,14 @@ struct Testbed {
 /// bench under a few seconds; pass --scale=1.0 for a paper-sized run.
 Testbed& GetTestbed(const FlagParser& flags, double default_scale = 0.05,
                     int coda_communities = 96, int coda_iterations = 25);
+
+/// Investments drawn like the paper's AngelList investor graph: investor i
+/// (ids 1..investors) draws a power-law portfolio size (1-400, exponent
+/// 2.2), then that many Zipfian companies (exponent 0.75, ids 1000000 +
+/// rank in [1, companies]). A portfolio may draw a company twice.
+std::vector<std::pair<uint64_t, uint64_t>> DrawInvestments(size_t investors,
+                                                           size_t companies,
+                                                           uint64_t seed);
 
 /// Prints "<name>: paper=<paper> measured=<measured>" rows consistently.
 void PrintComparison(const std::string& name, const std::string& paper,

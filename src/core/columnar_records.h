@@ -92,7 +92,8 @@ uint32_t SnapshotFingerprint(const dfs::MiniDfs& dfs, const std::string& dir);
 
 /// Decodes one JSON-lines shard set line by line with `DecodeLine<T>` —
 /// the reference record stream the columnar path is differential-tested
-/// against. Partitioned for FromPartitions; parallel when `pool` is set.
+/// against. One partition per scan range (LoadSnapshotRecords flattens
+/// them in order); parallel when `pool` is set.
 template <typename T>
 Result<std::vector<std::vector<T>>> ScanSnapshotJson(
     const dfs::MiniDfs& dfs, const std::vector<std::string>& files,

@@ -42,23 +42,19 @@ ExploratoryPlatform::ExploratoryPlatform(const Options& options)
   web_ = std::make_unique<net::SocialWeb>(world_.get());
   dfs_ = std::make_unique<dfs::MiniDfs>(options.dfs);
   crawler::CrawlConfig crawl = options.crawl;
-  if (options.compact_snapshots || options.epoch_published_hook) {
-    // Fires after every successful crawl/replay flush; the platform outlives
-    // the crawler it hands this to. A flush defines a snapshot epoch: once
-    // the (optionally compacted) snapshots are durable, the epoch counter
-    // advances and any subscriber (the serving tier) is told to rebuild.
-    crawl.post_flush_hook = [this]() -> Status {
-      if (options_.compact_snapshots) {
-        CFNET_RETURN_IF_ERROR(CompactSnapshots());
-      }
-      const uint64_t epoch =
-          snapshot_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (options_.epoch_published_hook) {
-        options_.epoch_published_hook(epoch);
-      }
-      return Status::OK();
-    };
-  }
+  // Fires after every successful crawl/replay flush; the platform outlives
+  // the crawler it hands this to. A flush defines a snapshot epoch: once
+  // the compacted snapshots are durable, the epoch counter advances and any
+  // subscriber (the serving tier) is told to rebuild.
+  crawl.post_flush_hook = [this]() -> Status {
+    CFNET_RETURN_IF_ERROR(CompactSnapshots());
+    const uint64_t epoch =
+        snapshot_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (options_.epoch_published_hook) {
+      options_.epoch_published_hook(epoch);
+    }
+    return Status::OK();
+  };
   crawler_ = std::make_unique<crawler::Crawler>(web_.get(), dfs_.get(),
                                                 std::move(crawl));
   ctx_ = std::make_shared<dataflow::ExecutionContext>(

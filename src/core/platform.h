@@ -58,13 +58,8 @@ class ExploratoryPlatform {
     /// Off by default: a healthy pipeline should fail loudly on damage it
     /// did not expect.
     bool salvage_loads = false;
-    /// Compact JSON snapshots into columnar (.cfc) files after each crawl
-    /// flush, and prefer them on load (see core/columnar_records.h). JSON
-    /// shards stay in place as the write/replay boundary and the fallback
-    /// when a columnar file is stale or damaged.
-    bool compact_snapshots = true;
-    /// Fires after every successful crawl/replay flush (post compaction when
-    /// `compact_snapshots` is on) with a monotonically increasing epoch
+    /// Fires after every successful crawl/replay flush, once the flush's
+    /// snapshots are compacted, with a monotonically increasing epoch
     /// number. The serving tier hooks this to rebuild and hot-swap its
     /// query snapshot; see src/serve. Runs on the crawler's flush thread —
     /// keep it cheap or hand the work off.
@@ -99,9 +94,11 @@ class ExploratoryPlatform {
   Result<AnalysisInputs> LoadInputs();
 
   /// Compacts every snapshot directory's JSON shards into columnar files
-  /// (no-op for up-to-date directories). Runs automatically after each
-  /// crawl flush when `compact_snapshots` is on; exposed for tests and for
-  /// re-compacting after out-of-band snapshot edits.
+  /// (no-op for up-to-date directories), which loads then prefer (see
+  /// core/columnar_records.h); JSON shards stay in place as the
+  /// write/replay boundary and the fallback when a columnar file is stale
+  /// or damaged. Runs automatically after each crawl flush; exposed for
+  /// tests and for re-compacting after out-of-band snapshot edits.
   Status CompactSnapshots();
 
   const synth::World& world() const { return *world_; }

@@ -16,7 +16,6 @@
 #include "dataflow/context.h"
 #include "dataflow/narrow_chain.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace cfnet::dataflow {
 
@@ -45,9 +44,6 @@ struct Impl {
   /// Set once `data` is valid; downstream ops then read `data` directly
   /// instead of re-running `chain`.
   std::atomic<bool> materialized{false};
-  /// Set by Dataset::Cache(): downstream narrow ops must materialize here
-  /// rather than fuse past this impl.
-  std::atomic<bool> cache_pinned{false};
 
   const Partitions<T>& Materialize() {
     std::call_once(once, [this]() {
@@ -66,13 +62,16 @@ struct Impl {
 /// executes once, on the first action (`Collect`, `Count`, ...), in parallel
 /// across partitions on the context's thread pool.
 ///
-/// Chained narrow transformations (Map/Filter/FlatMap/Sample) fuse into a
-/// single stage: one pass per partition morsel, one output allocation, no
-/// intermediate partitions. Wide (shuffle) operations and `Cache()` are the
+/// Chained narrow transformations (Map/Filter/FlatMap) fuse into a single
+/// stage: one pass per partition morsel, one output allocation, no
+/// intermediate partitions. Wide (shuffle) operations and `Union` are the
 /// materialization boundaries. A consequence of fusion: an *unmaterialized*
 /// narrow dataset used by several downstream pipelines is recomputed from
-/// its source by each of them (as in Spark) — call `Cache()` on it to pin a
-/// shared materialization instead.
+/// its source by each of them (as in Spark).
+///
+/// The operators are the ones the paper's analyses run: the narrow three,
+/// `Union`, `Distinct` and `LeftOuterJoin` (the hash-shuffled wide ones),
+/// and the actions `Collect`, `Count` and `Reduce`.
 ///
 /// Copying a Dataset is cheap (shared immutable state). Element types must
 /// be copyable; key types used in wide operations additionally need
@@ -89,11 +88,11 @@ class Dataset {
   Dataset& operator=(const Dataset&) = default;
 
   /// Creates a dataset by range-partitioning `data` into
-  /// `num_partitions` (0 = context default) chunks.
+  /// `num_partitions` (0 = one per pool thread) chunks.
   static Dataset FromVector(std::shared_ptr<ExecutionContext> ctx,
                             std::vector<T> data, size_t num_partitions = 0) {
     CFNET_CHECK(ctx != nullptr);
-    size_t np = num_partitions == 0 ? ctx->default_partitions() : num_partitions;
+    size_t np = num_partitions == 0 ? ctx->parallelism() : num_partitions;
     np = std::max<size_t>(1, np);
     auto impl = std::make_shared<internal_dataset::Impl<T>>();
     impl->ctx = ctx;
@@ -115,22 +114,6 @@ class Dataset {
     return Dataset(std::move(impl));
   }
 
-  /// Creates a dataset directly from pre-built partitions, keeping their
-  /// layout as-is (no repartition pass). This is how parallel scans hand
-  /// their per-range outputs to the dataflow layer. An empty `parts` becomes
-  /// one empty partition.
-  static Dataset FromPartitions(std::shared_ptr<ExecutionContext> ctx,
-                                Partitions<T> parts) {
-    CFNET_CHECK(ctx != nullptr);
-    if (parts.empty()) parts.emplace_back();
-    auto impl = std::make_shared<internal_dataset::Impl<T>>();
-    impl->ctx = ctx;
-    impl->num_partitions = parts.size();
-    auto shared = std::make_shared<Partitions<T>>(std::move(parts));
-    impl->compute = [shared]() { return std::move(*shared); };
-    return Dataset(std::move(impl));
-  }
-
   std::shared_ptr<ExecutionContext> context() const { return impl_->ctx; }
   size_t num_partitions() const { return impl_->num_partitions; }
 
@@ -146,28 +129,26 @@ class Dataset {
     auto chain = std::make_shared<internal_chain::NarrowChain<U>>();
     InheritSource(*chain, *pchain);
     if (auto src = pchain->source_part) {
-      chain->run = [src, f](size_t p, size_t begin, size_t end, uint64_t idx0,
-                            bool want_idx, internal_chain::Batch<U>& out) {
+      chain->run = [src, f](size_t p, size_t begin, size_t end,
+                            std::vector<U>& out) {
         const std::vector<T>& part = *src(p);
-        out.vals.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) out.vals.push_back(f(part[i]));
-        if (want_idx) FillDenseIdx(out.idx, idx0, end - begin);
+        out.reserve(end - begin);
+        for (size_t i = begin; i < end; ++i) out.push_back(f(part[i]));
+      };
+    } else if constexpr (std::is_same_v<T, U>) {
+      // 1:1 same-type transform: rewrite the parent's buffer in place.
+      chain->run = [pchain, f](size_t p, size_t begin, size_t end,
+                               std::vector<U>& out) {
+        pchain->run(p, begin, end, out);
+        for (T& x : out) x = f(std::as_const(x));
       };
     } else {
       chain->run = [pchain, f](size_t p, size_t begin, size_t end,
-                               uint64_t idx0, bool want_idx,
-                               internal_chain::Batch<U>& out) {
-        internal_chain::Batch<T> in;
-        pchain->run(p, begin, end, idx0, want_idx, in);
-        if constexpr (std::is_same_v<T, U>) {
-          // 1:1 same-type transform: reuse the parent's buffer in place.
-          for (T& x : in.vals) x = f(std::as_const(x));
-          out.vals = std::move(in.vals);
-        } else {
-          out.vals.reserve(in.vals.size());
-          for (const T& x : in.vals) out.vals.push_back(f(x));
-        }
-        out.idx = std::move(in.idx);
+                               std::vector<U>& out) {
+        std::vector<T> in;
+        pchain->run(p, begin, end, in);
+        out.reserve(in.size());
+        for (const T& x : in) out.push_back(f(x));
       };
     }
     return Dataset<U>(MakeChained<U>(impl_->ctx, chain));
@@ -181,26 +162,19 @@ class Dataset {
     InheritSource(*chain, *pchain);
     if (auto src = pchain->source_part) {
       chain->run = [src, pred](size_t p, size_t begin, size_t end,
-                               uint64_t idx0, bool want_idx,
-                               internal_chain::Batch<T>& out) {
+                               std::vector<T>& out) {
         const std::vector<T>& part = *src(p);
-        out.vals.reserve(end - begin);
+        out.reserve(end - begin);
         for (size_t i = begin; i < end; ++i) {
-          if (pred(part[i])) {
-            out.vals.push_back(part[i]);
-            if (want_idx) out.idx.push_back(idx0 + (i - begin));
-          }
+          if (pred(part[i])) out.push_back(part[i]);
         }
       };
     } else {
+      // Compacts the parent's buffer in place.
       chain->run = [pchain, pred](size_t p, size_t begin, size_t end,
-                                  uint64_t idx0, bool want_idx,
-                                  internal_chain::Batch<T>& out) {
-        internal_chain::Batch<T> in;
-        pchain->run(p, begin, end, idx0, want_idx, in);
-        CompactBatch(in, [&pred](const T& x, uint64_t) { return pred(x); },
-                     want_idx);
-        out = std::move(in);
+                                  std::vector<T>& out) {
+        pchain->run(p, begin, end, out);
+        std::erase_if(out, [&pred](const T& x) { return !pred(x); });
       };
     }
     return Dataset<T>(MakeChained<T>(impl_->ctx, chain));
@@ -216,80 +190,25 @@ class Dataset {
     auto pchain = ChainFor(impl_);
     auto chain = std::make_shared<internal_chain::NarrowChain<U>>();
     InheritSource(*chain, *pchain);
-    // Children get stream indices derived from the parent's, so downstream
-    // Sample stays partition-count independent.
-    auto expand = [f](const T& x, uint64_t idx, bool want_idx,
-                      internal_chain::Batch<U>& out) {
+    auto expand = [f](const T& x, std::vector<U>& out) {
       C items = f(x);
-      uint64_t child = Mix64(idx + 0x9e3779b97f4a7c15ull);
-      for (auto& item : items) {
-        out.vals.push_back(std::move(item));
-        if (want_idx) out.idx.push_back(child++);
-      }
+      for (auto& item : items) out.push_back(std::move(item));
     };
     if (auto src = pchain->source_part) {
       chain->run = [src, expand](size_t p, size_t begin, size_t end,
-                                 uint64_t idx0, bool want_idx,
-                                 internal_chain::Batch<U>& out) {
+                                 std::vector<U>& out) {
         const std::vector<T>& part = *src(p);
-        for (size_t i = begin; i < end; ++i) {
-          expand(part[i], idx0 + (i - begin), want_idx, out);
-        }
+        for (size_t i = begin; i < end; ++i) expand(part[i], out);
       };
     } else {
       chain->run = [pchain, expand](size_t p, size_t begin, size_t end,
-                                    uint64_t idx0, bool want_idx,
-                                    internal_chain::Batch<U>& out) {
-        internal_chain::Batch<T> in;
-        pchain->run(p, begin, end, idx0, want_idx, in);
-        for (size_t i = 0; i < in.vals.size(); ++i) {
-          expand(in.vals[i], want_idx ? in.idx[i] : 0, want_idx, out);
-        }
+                                    std::vector<U>& out) {
+        std::vector<T> in;
+        pchain->run(p, begin, end, in);
+        for (const T& x : in) expand(x, out);
       };
     }
     return Dataset<U>(MakeChained<U>(impl_->ctx, chain));
-  }
-
-  /// Bernoulli sample of roughly `fraction` of the elements. Each element's
-  /// decision hashes (seed, stable stream index), so the sampled set is
-  /// deterministic per seed and independent of `num_partitions`.
-  Dataset<T> Sample(double fraction, uint64_t seed) const {
-    auto pchain = ChainFor(impl_);
-    auto chain = std::make_shared<internal_chain::NarrowChain<T>>();
-    InheritSource(*chain, *pchain);
-    const uint64_t salt = Mix64(seed + 0x9e3779b97f4a7c15ull);
-    auto keep = [fraction, salt](uint64_t idx) {
-      uint64_t h = Mix64(idx ^ salt);
-      return static_cast<double>(h >> 11) * 0x1.0p-53 < fraction;
-    };
-    if (auto src = pchain->source_part) {
-      chain->run = [src, keep](size_t p, size_t begin, size_t end,
-                               uint64_t idx0, bool want_idx,
-                               internal_chain::Batch<T>& out) {
-        const std::vector<T>& part = *src(p);
-        for (size_t i = begin; i < end; ++i) {
-          uint64_t idx = idx0 + (i - begin);
-          if (keep(idx)) {
-            out.vals.push_back(part[i]);
-            if (want_idx) out.idx.push_back(idx);
-          }
-        }
-      };
-    } else {
-      chain->run = [pchain, keep](size_t p, size_t begin, size_t end,
-                                  uint64_t idx0, bool want_idx,
-                                  internal_chain::Batch<T>& out) {
-        internal_chain::Batch<T> in;
-        // The decision hashes the stream index, so the parent must produce
-        // indices even when our own consumer does not need them.
-        pchain->run(p, begin, end, idx0, /*want_idx=*/true, in);
-        CompactBatch(in, [&keep](const T&, uint64_t idx) { return keep(idx); },
-                     /*have_idx=*/true);
-        if (!want_idx) in.idx.clear();
-        out = std::move(in);
-      };
-    }
-    return Dataset<T>(MakeChained<T>(impl_->ctx, chain));
   }
 
   /// Concatenation (partitions of both inputs are preserved).
@@ -311,24 +230,13 @@ class Dataset {
     return Dataset<T>(std::move(out));
   }
 
-  /// Marks this dataset as an explicit materialization point: downstream
-  /// narrow transformations read its memoized partitions instead of fusing
-  /// past it (and re-running its chain from the source once per consumer).
-  /// Use before branching an expensive narrow pipeline into multiple
-  /// downstream pipelines. Returns *this; materialization still happens
-  /// lazily on the first action.
-  Dataset<T> Cache() const {
-    impl_->cache_pinned.store(true, std::memory_order_release);
-    return *this;
-  }
-
   /// --- wide transformations (shuffle) -------------------------------------
 
   /// Deduplicates (hash shuffle so equal elements meet in one partition).
   /// First occurrence order within a partition is retained.
-  Dataset<T> Distinct(size_t num_partitions = 0) const {
+  Dataset<T> Distinct() const {
     auto parent = impl_;
-    size_t np = num_partitions == 0 ? parent->num_partitions : num_partitions;
+    const size_t np = parent->num_partitions;
     auto out = std::make_shared<internal_dataset::Impl<T>>();
     out->ctx = parent->ctx;
     out->num_partitions = np;
@@ -342,38 +250,6 @@ class Dataset {
         seen.reserve(shuffled[p].size());
         for (T& x : shuffled[p]) {
           if (seen.insert(x).second) result[p].push_back(std::move(x));
-        }
-      });
-      return result;
-    };
-    return Dataset<T>(std::move(out));
-  }
-
-  /// Rebalances into `n` partitions (round-robin), in parallel across the
-  /// output partitions.
-  Dataset<T> Repartition(size_t n) const {
-    CFNET_CHECK(n > 0);
-    auto parent = impl_;
-    auto out = std::make_shared<internal_dataset::Impl<T>>();
-    out->ctx = parent->ctx;
-    out->num_partitions = n;
-    out->compute = [parent, n]() {
-      const auto& in = parent->Materialize();
-      std::vector<uint64_t> offsets(in.size() + 1, 0);
-      for (size_t p = 0; p < in.size(); ++p) {
-        offsets[p + 1] = offsets[p] + in[p].size();
-      }
-      const uint64_t total = offsets.back();
-      Partitions<T> result(n);
-      // Each output partition r owns global indices r, r+n, r+2n, ... ; a
-      // cursor over the input partitions makes the walk O(total/n + #parts).
-      parent->ctx->RunParallel(n, [&](size_t r) {
-        const uint64_t count = total > r ? (total - r - 1) / n + 1 : 0;
-        result[r].reserve(count);
-        size_t p = 0;
-        for (uint64_t g = r; g < total; g += n) {
-          while (offsets[p + 1] <= g) ++p;
-          result[r].push_back(in[p][g - offsets[p]]);
         }
       });
       return result;
@@ -417,124 +293,13 @@ class Dataset {
     return acc;
   }
 
-  /// Applies `f` to every element, in parallel across partitions.
-  template <typename F>
-  void ForEach(F f) const {
-    const auto& parts = impl_->Materialize();
-    impl_->ctx->RunParallel(parts.size(), [&](size_t i) {
-      for (const T& x : parts[i]) f(x);
-    });
-  }
-
-  /// Collects and sorts ascending by `key_fn(x)`. Large inputs run a
-  /// parallel sample sort: sampled splitters partition the key space into
-  /// one range per worker, ranges are gathered and sorted concurrently, and
-  /// the sorted ranges concatenate in order.
-  template <typename F>
-  std::vector<T> SortBy(F key_fn) const {
-    const auto& parts = impl_->Materialize();
-    size_t total = 0;
-    for (const auto& p : parts) total += p.size();
-    ExecutionContext* ctx = impl_->ctx.get();
-    auto asc = [&key_fn](const T& a, const T& b) {
-      return key_fn(a) < key_fn(b);
-    };
-    const size_t ways =
-        std::min<size_t>(ctx->parallelism(), total / kMinSortRangeSize);
-    if (ways <= 1) {
-      std::vector<T> all = Collect();
-      std::sort(all.begin(), all.end(), asc);
-      return all;
-    }
-    using K = std::decay_t<std::invoke_result_t<F, const T&>>;
-    // Evenly-strided key sample -> ways-1 splitters.
-    std::vector<K> sample;
-    const size_t stride = std::max<size_t>(1, total / (ways * 32));
-    size_t seen = 0, next = stride / 2;
-    for (const auto& part : parts) {
-      for (const T& x : part) {
-        if (seen++ == next) {
-          sample.push_back(key_fn(x));
-          next += stride;
-        }
-      }
-    }
-    std::sort(sample.begin(), sample.end());
-    std::vector<K> splitters;
-    splitters.reserve(ways - 1);
-    for (size_t s = 1; s < ways; ++s) {
-      splitters.push_back(sample[s * sample.size() / ways]);
-    }
-    // Range-bucket each partition locally, in parallel.
-    std::vector<Partitions<T>> local(parts.size());
-    ctx->RunParallel(parts.size(), [&](size_t i) {
-      local[i].assign(ways, {});
-      for (const T& x : parts[i]) {
-        size_t b = static_cast<size_t>(
-            std::upper_bound(splitters.begin(), splitters.end(), key_fn(x)) -
-            splitters.begin());
-        local[i][b].push_back(x);
-      }
-    });
-    // Gather and sort each key range, in parallel.
-    Partitions<T> ranges(ways);
-    ctx->RunParallel(ways, [&](size_t b) {
-      size_t sz = 0;
-      for (const auto& l : local) sz += l[b].size();
-      ranges[b].reserve(sz);
-      for (auto& l : local) {
-        ranges[b].insert(ranges[b].end(), std::make_move_iterator(l[b].begin()),
-                         std::make_move_iterator(l[b].end()));
-      }
-      std::sort(ranges[b].begin(), ranges[b].end(), asc);
-    });
-    std::vector<T> out;
-    out.reserve(total);
-    for (auto& r : ranges) {
-      out.insert(out.end(), std::make_move_iterator(r.begin()),
-                 std::make_move_iterator(r.end()));
-    }
-    return out;
-  }
-
-  /// Top-k elements by `key_fn`, descending: per-partition partial sorts in
-  /// parallel, then a merge of the k-candidate lists.
-  template <typename F>
-  std::vector<T> TopBy(size_t k, F key_fn) const {
-    const auto& parts = impl_->Materialize();
-    if (k == 0) return {};
-    auto desc = [&key_fn](const T& a, const T& b) {
-      return key_fn(a) > key_fn(b);
-    };
-    Partitions<T> local(parts.size());
-    impl_->ctx->RunParallel(parts.size(), [&](size_t i) {
-      std::vector<T> top(parts[i].begin(), parts[i].end());
-      if (top.size() > k) {
-        std::partial_sort(top.begin(), top.begin() + static_cast<long>(k),
-                          top.end(), desc);
-        top.resize(k);
-      }
-      local[i] = std::move(top);
-    });
-    std::vector<T> all;
-    for (auto& l : local) {
-      all.insert(all.end(), std::make_move_iterator(l.begin()),
-                 std::make_move_iterator(l.end()));
-    }
-    k = std::min(k, all.size());
-    std::partial_sort(all.begin(), all.begin() + static_cast<long>(k),
-                      all.end(), desc);
-    all.resize(k);
-    return all;
-  }
-
-  /// Internal access for the key-value free functions below.
+  /// Internal access for LeftOuterJoin.
   const std::shared_ptr<internal_dataset::Impl<T>>& impl() const { return impl_; }
 
   /// Hash-partitions `in` into `np` buckets by `key_of(x)` (already-hashed
-  /// values). Used by every wide operation; exposed for reuse by GroupByKey
-  /// et al. A counting pass pre-sizes every bucket exactly, so the bucketing
-  /// pass never reallocates.
+  /// values). Used by every wide operation; exposed for LeftOuterJoin. A
+  /// counting pass pre-sizes every bucket exactly, so the bucketing pass
+  /// never reallocates.
   template <typename KeyHashFn>
   static Partitions<T> ShuffleBy(ExecutionContext* ctx, const Partitions<T>& in,
                                  size_t np, KeyHashFn key_of) {
@@ -574,9 +339,6 @@ class Dataset {
   template <typename U>
   friend class Dataset;
 
-  /// SortBy runs sequentially below one range per this many elements.
-  static constexpr size_t kMinSortRangeSize = 65536;
-
   /// Mixes an already-hashed key into a bucket index so that sequential
   /// keys spread (std::hash<int> is identity).
   static size_t MixToBucket(size_t h, size_t np) {
@@ -587,13 +349,12 @@ class Dataset {
   }
 
   /// The chain a new narrow op should extend: this impl's own chain while it
-  /// is still unmaterialized and not cache-pinned (fusion), otherwise a
-  /// fresh base chain streaming this impl's (to-be-)materialized partitions.
+  /// is still unmaterialized (fusion), otherwise a fresh base chain
+  /// streaming this impl's (to-be-)materialized partitions.
   static std::shared_ptr<internal_chain::NarrowChain<T>> ChainFor(
       const std::shared_ptr<internal_dataset::Impl<T>>& impl) {
     auto chain = impl->chain;
-    if (chain && !impl->materialized.load(std::memory_order_acquire) &&
-        !impl->cache_pinned.load(std::memory_order_acquire)) {
+    if (chain && !impl->materialized.load(std::memory_order_acquire)) {
       return chain;
     }
     auto base = std::make_shared<internal_chain::NarrowChain<T>>();
@@ -604,43 +365,15 @@ class Dataset {
       for (const auto& part : impl->data) sizes.push_back(part.size());
       return sizes;
     };
-    base->run = [impl](size_t p, size_t begin, size_t end, uint64_t idx0,
-                       bool want_idx, internal_chain::Batch<T>& out) {
+    base->run = [impl](size_t p, size_t begin, size_t end,
+                       std::vector<T>& out) {
       const std::vector<T>& part = impl->data[p];
-      out.vals.assign(part.begin() + begin, part.begin() + end);
-      if (want_idx) FillDenseIdx(out.idx, idx0, end - begin);
+      out.assign(part.begin() + begin, part.begin() + end);
     };
     base->source_part = [impl](size_t p) { return &impl->data[p]; };
     base->num_partitions = impl->num_partitions;
     base->fused_ops = 0;
     return base;
-  }
-
-  /// Appends `n` consecutive stream indices starting at `idx0`.
-  static void FillDenseIdx(std::vector<uint64_t>& idx, uint64_t idx0,
-                           size_t n) {
-    idx.reserve(idx.size() + n);
-    for (size_t i = 0; i < n; ++i) idx.push_back(idx0 + i);
-  }
-
-  /// In-place filter of a batch: keeps elements where `keep(val, idx)` holds,
-  /// compacting `vals` (and `idx`, when populated) without reallocating.
-  template <typename Keep>
-  static void CompactBatch(internal_chain::Batch<T>& b, Keep keep,
-                           bool have_idx) {
-    size_t w = 0;
-    const size_t n = b.vals.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (keep(b.vals[i], have_idx ? b.idx[i] : 0)) {
-        if (w != i) {
-          b.vals[w] = std::move(b.vals[i]);
-          if (have_idx) b.idx[w] = b.idx[i];
-        }
-        ++w;
-      }
-    }
-    b.vals.resize(w);
-    if (have_idx) b.idx.resize(w);
   }
 
   /// Copies source plumbing from the parent chain and counts the new op.
@@ -673,118 +406,20 @@ class Dataset {
 };
 
 /// --- key-value operations ----------------------------------------------
-/// These operate on Dataset<std::pair<K, V>>. K requires std::hash and ==.
 
-/// Merges values per key with an associative `reduce_fn(V, V) -> V`.
-template <typename K, typename V, typename F>
-Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
-                                     F reduce_fn, size_t num_partitions = 0) {
-  using KV = std::pair<K, V>;
-  auto parent = ds.impl();
-  size_t np = num_partitions == 0 ? parent->num_partitions : num_partitions;
-  auto out = std::make_shared<internal_dataset::Impl<KV>>();
-  out->ctx = parent->ctx;
-  out->num_partitions = np;
-  out->compute = [parent, reduce_fn, np]() {
-    Partitions<KV> shuffled = Dataset<KV>::ShuffleBy(
-        parent->ctx.get(), parent->Materialize(), np,
-        [](const KV& kv) { return std::hash<K>{}(kv.first); });
-    Partitions<KV> result(np);
-    parent->ctx->RunParallel(np, [&](size_t p) {
-      std::unordered_map<K, V> agg;
-      agg.reserve(shuffled[p].size());
-      for (KV& kv : shuffled[p]) {
-        auto [it, inserted] = agg.try_emplace(kv.first, kv.second);
-        if (!inserted) it->second = reduce_fn(it->second, kv.second);
-      }
-      result[p].reserve(agg.size());
-      for (auto& [k, v] : agg) result[p].emplace_back(k, std::move(v));
-    });
-    return result;
-  };
-  return Dataset<KV>(std::move(out));
-}
-
-/// Groups values per key.
-template <typename K, typename V>
-Dataset<std::pair<K, std::vector<V>>> GroupByKey(
-    const Dataset<std::pair<K, V>>& ds, size_t num_partitions = 0) {
-  using KV = std::pair<K, V>;
-  using KG = std::pair<K, std::vector<V>>;
-  auto parent = ds.impl();
-  size_t np = num_partitions == 0 ? parent->num_partitions : num_partitions;
-  auto out = std::make_shared<internal_dataset::Impl<KG>>();
-  out->ctx = parent->ctx;
-  out->num_partitions = np;
-  out->compute = [parent, np]() {
-    Partitions<KV> shuffled = Dataset<KV>::ShuffleBy(
-        parent->ctx.get(), parent->Materialize(), np,
-        [](const KV& kv) { return std::hash<K>{}(kv.first); });
-    Partitions<KG> result(np);
-    parent->ctx->RunParallel(np, [&](size_t p) {
-      std::unordered_map<K, std::vector<V>> groups;
-      for (KV& kv : shuffled[p]) {
-        groups[kv.first].push_back(std::move(kv.second));
-      }
-      result[p].reserve(groups.size());
-      for (auto& [k, vs] : groups) result[p].emplace_back(k, std::move(vs));
-    });
-    return result;
-  };
-  return Dataset<KG>(std::move(out));
-}
-
-/// Inner hash join: emits (k, (v1, v2)) for every matching pair.
-template <typename K, typename V1, typename V2>
-Dataset<std::pair<K, std::pair<V1, V2>>> Join(
-    const Dataset<std::pair<K, V1>>& left,
-    const Dataset<std::pair<K, V2>>& right, size_t num_partitions = 0) {
-  using L = std::pair<K, V1>;
-  using R = std::pair<K, V2>;
-  using O = std::pair<K, std::pair<V1, V2>>;
-  auto lp = left.impl();
-  auto rp = right.impl();
-  size_t np = num_partitions == 0 ? lp->num_partitions : num_partitions;
-  auto out = std::make_shared<internal_dataset::Impl<O>>();
-  out->ctx = lp->ctx;
-  out->num_partitions = np;
-  out->compute = [lp, rp, np]() {
-    Partitions<L> ls = Dataset<L>::ShuffleBy(
-        lp->ctx.get(), lp->Materialize(), np,
-        [](const L& kv) { return std::hash<K>{}(kv.first); });
-    Partitions<R> rs = Dataset<R>::ShuffleBy(
-        lp->ctx.get(), rp->Materialize(), np,
-        [](const R& kv) { return std::hash<K>{}(kv.first); });
-    Partitions<O> result(np);
-    lp->ctx->RunParallel(np, [&](size_t p) {
-      std::unordered_multimap<K, V1> table;
-      table.reserve(ls[p].size());
-      for (L& kv : ls[p]) table.emplace(kv.first, std::move(kv.second));
-      for (const R& kv : rs[p]) {
-        auto range = table.equal_range(kv.first);
-        for (auto it = range.first; it != range.second; ++it) {
-          result[p].emplace_back(kv.first,
-                                 std::make_pair(it->second, kv.second));
-        }
-      }
-    });
-    return result;
-  };
-  return Dataset<O>(std::move(out));
-}
-
-/// Left outer hash join: right side is optional (missing -> default V2 and
-/// matched=false flag).
+/// Left outer hash join over Dataset<std::pair<K, V>> (K requires std::hash
+/// and ==): right side is optional (missing -> default V2 and matched=false
+/// flag). The output has the left side's partition count.
 template <typename K, typename V1, typename V2>
 Dataset<std::pair<K, std::pair<V1, std::pair<V2, bool>>>> LeftOuterJoin(
     const Dataset<std::pair<K, V1>>& left,
-    const Dataset<std::pair<K, V2>>& right, size_t num_partitions = 0) {
+    const Dataset<std::pair<K, V2>>& right) {
   using L = std::pair<K, V1>;
   using R = std::pair<K, V2>;
   using O = std::pair<K, std::pair<V1, std::pair<V2, bool>>>;
   auto lp = left.impl();
   auto rp = right.impl();
-  size_t np = num_partitions == 0 ? lp->num_partitions : num_partitions;
+  const size_t np = lp->num_partitions;
   auto out = std::make_shared<internal_dataset::Impl<O>>();
   out->ctx = lp->ctx;
   out->num_partitions = np;
@@ -817,109 +452,6 @@ Dataset<std::pair<K, std::pair<V1, std::pair<V2, bool>>>> LeftOuterJoin(
     return result;
   };
   return Dataset<O>(std::move(out));
-}
-
-/// Aggregates values per key into an accumulator of a different type:
-/// `seq(acc, value)` folds values into a partition-local accumulator
-/// starting from `zero`; `comb(acc, acc)` merges accumulators across
-/// partitions (Spark's aggregateByKey).
-template <typename K, typename V, typename A, typename SeqFn, typename CombFn>
-Dataset<std::pair<K, A>> AggregateByKey(const Dataset<std::pair<K, V>>& ds,
-                                        A zero, SeqFn seq, CombFn comb,
-                                        size_t num_partitions = 0) {
-  using KV = std::pair<K, V>;
-  using KA = std::pair<K, A>;
-  auto parent = ds.impl();
-  size_t np = num_partitions == 0 ? parent->num_partitions : num_partitions;
-  auto out = std::make_shared<internal_dataset::Impl<KA>>();
-  out->ctx = parent->ctx;
-  out->num_partitions = np;
-  out->compute = [parent, zero, seq, comb, np]() {
-    // Phase 1: partition-local pre-aggregation (the combiner optimization —
-    // shuffles accumulators instead of raw values).
-    const auto& in = parent->Materialize();
-    Partitions<KA> local(in.size());
-    parent->ctx->RunParallel(in.size(), [&](size_t i) {
-      std::unordered_map<K, A> agg;
-      for (const KV& kv : in[i]) {
-        auto [it, inserted] = agg.try_emplace(kv.first, zero);
-        it->second = seq(it->second, kv.second);
-      }
-      local[i].reserve(agg.size());
-      for (auto& [k, a] : agg) local[i].emplace_back(k, std::move(a));
-    });
-    // Phase 2: shuffle accumulators and merge.
-    Partitions<KA> shuffled = Dataset<KA>::ShuffleBy(
-        parent->ctx.get(), local, np,
-        [](const KA& ka) { return std::hash<K>{}(ka.first); });
-    Partitions<KA> result(np);
-    parent->ctx->RunParallel(np, [&](size_t p) {
-      std::unordered_map<K, A> agg;
-      for (KA& ka : shuffled[p]) {
-        auto [it, inserted] = agg.try_emplace(ka.first, std::move(ka.second));
-        if (!inserted) it->second = comb(it->second, ka.second);
-      }
-      result[p].reserve(agg.size());
-      for (auto& [k, a] : agg) result[p].emplace_back(k, std::move(a));
-    });
-    return result;
-  };
-  return Dataset<KA>(std::move(out));
-}
-
-/// Groups both sides by key: emits (k, (values_left, values_right)) for
-/// every key present in either input (Spark's cogroup).
-template <typename K, typename V1, typename V2>
-Dataset<std::pair<K, std::pair<std::vector<V1>, std::vector<V2>>>> CoGroup(
-    const Dataset<std::pair<K, V1>>& left,
-    const Dataset<std::pair<K, V2>>& right, size_t num_partitions = 0) {
-  using L = std::pair<K, V1>;
-  using R = std::pair<K, V2>;
-  using O = std::pair<K, std::pair<std::vector<V1>, std::vector<V2>>>;
-  auto lp = left.impl();
-  auto rp = right.impl();
-  size_t np = num_partitions == 0 ? lp->num_partitions : num_partitions;
-  auto out = std::make_shared<internal_dataset::Impl<O>>();
-  out->ctx = lp->ctx;
-  out->num_partitions = np;
-  out->compute = [lp, rp, np]() {
-    Partitions<L> ls = Dataset<L>::ShuffleBy(
-        lp->ctx.get(), lp->Materialize(), np,
-        [](const L& kv) { return std::hash<K>{}(kv.first); });
-    Partitions<R> rs = Dataset<R>::ShuffleBy(
-        lp->ctx.get(), rp->Materialize(), np,
-        [](const R& kv) { return std::hash<K>{}(kv.first); });
-    Partitions<O> result(np);
-    lp->ctx->RunParallel(np, [&](size_t p) {
-      std::unordered_map<K, std::pair<std::vector<V1>, std::vector<V2>>> groups;
-      for (L& kv : ls[p]) groups[kv.first].first.push_back(std::move(kv.second));
-      for (R& kv : rs[p]) groups[kv.first].second.push_back(std::move(kv.second));
-      result[p].reserve(groups.size());
-      for (auto& [k, vs] : groups) result[p].emplace_back(k, std::move(vs));
-    });
-    return result;
-  };
-  return Dataset<O>(std::move(out));
-}
-
-/// Counts occurrences per key (action).
-template <typename K, typename V>
-std::unordered_map<K, size_t> CountByKey(const Dataset<std::pair<K, V>>& ds) {
-  auto counted = ReduceByKey(
-      ds.Map([](const std::pair<K, V>& kv) { return std::make_pair(kv.first, size_t{1}); }),
-      [](size_t a, size_t b) { return a + b; });
-  std::unordered_map<K, size_t> out;
-  for (auto& [k, c] : counted.Collect()) out[k] = c;
-  return out;
-}
-
-/// Keys a dataset by `key_fn(x)`, producing (key, x) pairs.
-template <typename T, typename F>
-auto KeyBy(const Dataset<T>& ds, F key_fn)
-    -> Dataset<std::pair<std::decay_t<std::invoke_result_t<F, const T&>>, T>> {
-  using K = std::decay_t<std::invoke_result_t<F, const T&>>;
-  return ds.Map(
-      [key_fn](const T& x) { return std::make_pair(K(key_fn(x)), x); });
 }
 
 }  // namespace cfnet::dataflow

@@ -327,13 +327,11 @@ class GraphDeltaOps {
   static WeightedGraph Update(const WeightedGraph& old_projection,
                               const BipartiteGraph& old_graph,
                               const DeltaMergeResult& merge,
-                              size_t max_right_degree,
-                              const ParallelOptions& par) {
+                              size_t max_right_degree) {
     const BipartiteGraph& new_graph = merge.graph;
     const std::vector<uint32_t>& old_to_new = merge.old_to_new_left;
     const size_t n = new_graph.num_left();
     const size_t old_n = old_to_new.size();
-    (void)par;  // generation + merge are append-ordered; see fill below
     WeightedGraph out;
     if (n == 0) {
       out.offsets_ = {0};
@@ -596,10 +594,9 @@ std::vector<uint32_t> ProjectionFrontier(const BipartiteGraph& old_graph,
 WeightedGraph UpdateProjection(const WeightedGraph& old_projection,
                                const BipartiteGraph& old_graph,
                                const DeltaMergeResult& merge,
-                               size_t max_right_degree,
-                               const ParallelOptions& par) {
+                               size_t max_right_degree) {
   return GraphDeltaOps::Update(old_projection, old_graph, merge,
-                               max_right_degree, par);
+                               max_right_degree);
 }
 
 }  // namespace cfnet::graph

@@ -6,7 +6,6 @@
 
 #include "graph/bipartite_graph.h"
 #include "graph/weighted_graph.h"
-#include "util/parallel.h"
 
 namespace cfnet::graph {
 
@@ -94,8 +93,7 @@ std::vector<uint32_t> ProjectionFrontier(const BipartiteGraph& old_graph,
 WeightedGraph UpdateProjection(const WeightedGraph& old_projection,
                                const BipartiteGraph& old_graph,
                                const DeltaMergeResult& merge,
-                               size_t max_right_degree,
-                               const ParallelOptions& par = {});
+                               size_t max_right_degree);
 
 }  // namespace cfnet::graph
 

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -14,6 +13,7 @@
 #include "community/random_baseline.h"
 #include "community/sbm.h"
 #include "core/epoch_maintainer.h"
+#include "fnv_digest.h"
 #include "graph/bipartite_graph.h"
 #include "graph/delta.h"
 #include "graph/weighted_graph.h"
@@ -287,16 +287,8 @@ TEST(CommunitySetTest, FromLabelsAndPrune) {
 // is -std=c++20 with GNU extensions off, so GCC contracts no FMAs, and the
 // CoDA SIMD kernels are bit-identical to scalar.
 
-/// FNV-1a over 64-bit words.
-class Digest {
+class Digest : public FnvDigest {
  public:
-  void Word(uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (x >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void Bits(double x) { Word(std::bit_cast<uint64_t>(x)); }
   void Labels(const std::vector<int>& labels) {
     Word(labels.size());
     for (int l : labels) Word(static_cast<uint64_t>(static_cast<int64_t>(l)));
@@ -336,10 +328,6 @@ class Digest {
     }
     for (uint32_t r = 0; r < g.num_right(); ++r) Word(g.RightId(r));
   }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
 /// Investors over companies of Zipfian popularity, so a projection cap of 8

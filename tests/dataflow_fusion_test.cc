@@ -71,21 +71,6 @@ TEST(FusionTest, FlatMapIntoFilterMatchesReference) {
   EXPECT_EQ(out, expect);
 }
 
-TEST(FusionTest, SampleInsideChainMatchesSampleAtBoundary) {
-  // Sample keys off stable stream indices; a 1:1 op before it must not
-  // change which elements are picked.
-  auto ctx = Ctx();
-  auto src = Dataset<int64_t>::FromVector(ctx, Range64(20000), 6);
-  auto sampled_then_mapped =
-      src.Sample(0.25, 42).Map([](const int64_t& x) { return x + 1; }).Collect();
-  auto mapped_then_sampled =
-      src.Map([](const int64_t& x) { return x + 1; }).Sample(0.25, 42).Collect();
-  EXPECT_EQ(sampled_then_mapped, mapped_then_sampled);
-  // And roughly the requested fraction survives.
-  EXPECT_NEAR(static_cast<double>(sampled_then_mapped.size()) / 20000.0, 0.25,
-              0.02);
-}
-
 TEST(FusionTest, ThreeOpChainRunsAsSingleStage) {
   auto ctx = Ctx();
   auto ds = Dataset<int64_t>::FromVector(ctx, Range64(50000), 4)
@@ -124,24 +109,7 @@ TEST(FusionTest, MorselSplittingPreservesOrderOnSkewedPartitions) {
   EXPECT_GT(ctx->metrics().morsels_run.load(), 100u);
 }
 
-TEST(FusionTest, CachePinsMaterializationForDownstreamBranches) {
-  auto ctx = Ctx();
-  std::atomic<int> evals{0};
-  auto expensive = Dataset<int64_t>::FromVector(ctx, Range64(1000), 4)
-                       .Map([&evals](const int64_t& x) {
-                         evals.fetch_add(1, std::memory_order_relaxed);
-                         return x * 2;
-                       })
-                       .Cache();
-  auto a = expensive.Filter([](const int64_t& x) { return x % 4 == 0; }).Count();
-  auto b = expensive.Filter([](const int64_t& x) { return x % 4 != 0; }).Count();
-  EXPECT_EQ(a + b, 1000u);
-  // Cache() pins one materialization; the two branches reuse it instead of
-  // re-running the Map from the source.
-  EXPECT_EQ(evals.load(), 1000);
-}
-
-TEST(FusionTest, UncachedBranchedChainRecomputesSparkStyle) {
+TEST(FusionTest, BranchedChainRecomputesSparkStyle) {
   auto ctx = Ctx();
   std::atomic<int> evals{0};
   auto mapped = Dataset<int64_t>::FromVector(ctx, Range64(100), 2)

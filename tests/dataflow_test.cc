@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <numeric>
-#include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,48 +102,11 @@ TEST(DatasetTest, DistinctOnStrings) {
   EXPECT_EQ(out, (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(DatasetTest, SampleApproximatesFraction) {
-  auto ctx = Ctx();
-  size_t n = Dataset<int>::FromVector(ctx, Range(20000)).Sample(0.25, 99).Count();
-  EXPECT_NEAR(static_cast<double>(n), 5000, 300);
-  // Deterministic per seed.
-  size_t n2 = Dataset<int>::FromVector(ctx, Range(20000)).Sample(0.25, 99).Count();
-  EXPECT_EQ(n, n2);
-}
-
-TEST(DatasetTest, RepartitionPreservesElements) {
-  auto ctx = Ctx();
-  auto ds = Dataset<int>::FromVector(ctx, Range(100), 2).Repartition(9);
-  EXPECT_EQ(ds.num_partitions(), 9u);
-  auto out = ds.Collect();
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, Range(100));
-}
-
 TEST(DatasetTest, ReduceSums) {
   auto ctx = Ctx();
   int sum = Dataset<int>::FromVector(ctx, Range(101))
                 .Reduce([](int a, int b) { return a + b; }, 0);
   EXPECT_EQ(sum, 5050);
-}
-
-TEST(DatasetTest, ForEachVisitsAll) {
-  auto ctx = Ctx();
-  std::atomic<int> sum{0};
-  Dataset<int>::FromVector(ctx, Range(100)).ForEach([&sum](const int& x) {
-    sum.fetch_add(x);
-  });
-  EXPECT_EQ(sum.load(), 4950);
-}
-
-TEST(DatasetTest, SortByAndTopBy) {
-  auto ctx = Ctx();
-  auto ds = Dataset<int>::FromVector(ctx, {5, 3, 9, 1, 7});
-  EXPECT_EQ(ds.SortBy([](const int& x) { return x; }),
-            (std::vector<int>{1, 3, 5, 7, 9}));
-  EXPECT_EQ(ds.TopBy(2, [](const int& x) { return x; }),
-            (std::vector<int>{9, 7}));
-  EXPECT_EQ(ds.TopBy(99, [](const int& x) { return x; }).size(), 5u);
 }
 
 TEST(DatasetTest, LazinessComputesOnce) {
@@ -184,49 +148,6 @@ TEST(DatasetTest, ChainedPipelineMatchesSerialReference) {
 
 // --- key-value operations ---------------------------------------------------
 
-TEST(KeyValueTest, ReduceByKeySums) {
-  auto ctx = Ctx();
-  std::vector<std::pair<int, int>> kvs;
-  for (int i = 0; i < 1000; ++i) kvs.emplace_back(i % 10, 1);
-  auto out = ReduceByKey(Dataset<std::pair<int, int>>::FromVector(ctx, kvs),
-                         [](int a, int b) { return a + b; })
-                 .Collect();
-  ASSERT_EQ(out.size(), 10u);
-  for (const auto& [k, v] : out) EXPECT_EQ(v, 100);
-}
-
-TEST(KeyValueTest, GroupByKeyCollectsValues) {
-  auto ctx = Ctx();
-  std::vector<std::pair<std::string, int>> kvs = {
-      {"a", 1}, {"b", 2}, {"a", 3}, {"a", 5}};
-  auto out = GroupByKey(
-                 Dataset<std::pair<std::string, int>>::FromVector(ctx, kvs))
-                 .Collect();
-  ASSERT_EQ(out.size(), 2u);
-  std::sort(out.begin(), out.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  EXPECT_EQ(out[0].first, "a");
-  std::vector<int> vals = out[0].second;
-  std::sort(vals.begin(), vals.end());
-  EXPECT_EQ(vals, (std::vector<int>{1, 3, 5}));
-  EXPECT_EQ(out[1].second, (std::vector<int>{2}));
-}
-
-TEST(KeyValueTest, InnerJoinMatchesPairs) {
-  auto ctx = Ctx();
-  auto left = Dataset<std::pair<int, std::string>>::FromVector(
-      ctx, {{1, "a"}, {2, "b"}, {2, "b2"}, {3, "c"}});
-  auto right = Dataset<std::pair<int, double>>::FromVector(
-      ctx, {{2, 2.0}, {3, 3.0}, {4, 4.0}});
-  auto out = Join(left, right).Collect();
-  // Key 2 joins twice (two left rows), key 3 once; keys 1,4 drop.
-  ASSERT_EQ(out.size(), 3u);
-  std::multiset<int> keys;
-  for (const auto& [k, v] : out) keys.insert(k);
-  EXPECT_EQ(keys.count(2), 2u);
-  EXPECT_EQ(keys.count(3), 1u);
-}
-
 TEST(KeyValueTest, LeftOuterJoinKeepsUnmatched) {
   auto ctx = Ctx();
   auto left = Dataset<std::pair<int, std::string>>::FromVector(
@@ -245,124 +166,55 @@ TEST(KeyValueTest, LeftOuterJoinKeepsUnmatched) {
   }
 }
 
-TEST(KeyValueTest, CountByKey) {
-  auto ctx = Ctx();
-  std::vector<std::pair<std::string, int>> kvs = {
-      {"x", 0}, {"y", 0}, {"x", 0}, {"x", 0}};
-  auto counts =
-      CountByKey(Dataset<std::pair<std::string, int>>::FromVector(ctx, kvs));
-  EXPECT_EQ(counts["x"], 3u);
-  EXPECT_EQ(counts["y"], 1u);
-}
-
-TEST(KeyValueTest, KeyByDerivesKeys) {
-  auto ctx = Ctx();
-  auto out = KeyBy(Dataset<std::string>::FromVector(ctx, {"aa", "b", "ccc"}),
-                   [](const std::string& s) { return s.size(); })
-                 .Collect();
-  ASSERT_EQ(out.size(), 3u);
-  for (const auto& [k, v] : out) EXPECT_EQ(k, v.size());
-}
-
 TEST(KeyValueTest, LargeShuffleMatchesReference) {
   auto ctx = Ctx(8);
   std::vector<std::pair<int, int>> kvs;
-  std::unordered_map<int, long> expected;
+  std::map<int, std::vector<int>> expected;
   for (int i = 0; i < 50000; ++i) {
     int k = (i * 7919) % 997;
     kvs.emplace_back(k, i);
-    expected[k] += i;
+    expected[k].push_back(i);
   }
-  auto out = ReduceByKey(
-                 Dataset<std::pair<int, int>>::FromVector(ctx, kvs, 32)
-                     .Map([](const std::pair<int, int>& kv) {
-                       return std::make_pair(kv.first,
-                                             static_cast<long>(kv.second));
-                     }),
-                 [](long a, long b) { return a + b; }, 16)
-                 .Collect();
-  ASSERT_EQ(out.size(), expected.size());
-  for (const auto& [k, v] : out) EXPECT_EQ(v, expected[k]) << "key " << k;
+  auto ds = Dataset<std::pair<int, int>>::FromVector(ctx, kvs, 32);
+
+  // Distinct of the keys: every key exactly once.
+  auto keys = ds.Map([](const std::pair<int, int>& kv) { return kv.first; })
+                  .Distinct()
+                  .Collect();
+  std::sort(keys.begin(), keys.end());
+  std::vector<int> expected_keys;
+  for (const auto& [k, vs] : expected) expected_keys.push_back(k);
+  EXPECT_EQ(keys, expected_keys);
+
+  // Left outer join against half of the keys: a matched row carries the
+  // right side's value, and an unmatched one keeps its left row.
+  std::vector<std::pair<int, int>> right;
+  for (int k : expected_keys) {
+    if (k % 2 == 0) right.emplace_back(k, -k);
+  }
+  auto joined =
+      LeftOuterJoin(ds, Dataset<std::pair<int, int>>::FromVector(ctx, right, 5))
+          .Collect();
+  ASSERT_EQ(joined.size(), kvs.size());
+  std::map<int, std::vector<int>> left_rows;
+  for (const auto& [k, v] : joined) {
+    const auto& [left_value, match] = v;
+    EXPECT_EQ(match.second, k % 2 == 0) << "key " << k;
+    EXPECT_EQ(match.first, k % 2 == 0 ? -k : 0) << "key " << k;
+    left_rows[k].push_back(left_value);
+  }
+  for (auto& [k, vs] : left_rows) std::sort(vs.begin(), vs.end());
+  EXPECT_EQ(left_rows, expected);
 }
 
 TEST(EngineMetricsTest, CountsTasksAndShuffles) {
   auto ctx = Ctx(4);
   auto ds = Dataset<int>::FromVector(ctx, Range(100), 4)
-                .Map([](const int& x) { return std::make_pair(x % 5, x); });
-  ReduceByKey(ds, [](int a, int b) { return a + b; }).Collect();
+                .Map([](const int& x) { return x % 5; });
+  EXPECT_EQ(ds.Distinct().Count(), 5u);
   EXPECT_GT(ctx->metrics().tasks_launched.load(), 0u);
   EXPECT_EQ(ctx->metrics().shuffle_records.load(), 100u);
   EXPECT_GT(ctx->metrics().stages_run.load(), 0u);
-}
-
-}  // namespace
-}  // namespace cfnet::dataflow
-
-namespace cfnet::dataflow {
-namespace {
-
-TEST(KeyValueTest, AggregateByKeyWithDifferentAccumulatorType) {
-  auto ctx = std::make_shared<ExecutionContext>(4);
-  std::vector<std::pair<int, int>> kvs;
-  for (int i = 0; i < 300; ++i) kvs.emplace_back(i % 3, i);
-  // Accumulator: (count, sum) pair.
-  using Acc = std::pair<long, long>;
-  auto out = AggregateByKey(
-      Dataset<std::pair<int, int>>::FromVector(ctx, kvs, 8), Acc{0, 0},
-      [](Acc a, int v) {
-        return Acc{a.first + 1, a.second + v};
-      },
-      [](Acc a, Acc b) {
-        return Acc{a.first + b.first, a.second + b.second};
-      });
-  auto collected = out.Collect();
-  ASSERT_EQ(collected.size(), 3u);
-  for (const auto& [k, acc] : collected) {
-    EXPECT_EQ(acc.first, 100);  // 100 values per key
-    long expected_sum = 0;
-    for (int i = 0; i < 300; ++i) {
-      if (i % 3 == k) expected_sum += i;
-    }
-    EXPECT_EQ(acc.second, expected_sum);
-  }
-}
-
-TEST(KeyValueTest, AggregateByKeyEqualsReduceByKeyForSameType) {
-  auto ctx = std::make_shared<ExecutionContext>(4);
-  std::vector<std::pair<int, long>> kvs;
-  for (int i = 0; i < 5000; ++i) kvs.emplace_back(i % 97, 1L);
-  auto via_reduce =
-      ReduceByKey(Dataset<std::pair<int, long>>::FromVector(ctx, kvs),
-                  [](long a, long b) { return a + b; })
-          .Collect();
-  auto via_agg = AggregateByKey(
-                     Dataset<std::pair<int, long>>::FromVector(ctx, kvs), 0L,
-                     [](long a, long v) { return a + v; },
-                     [](long a, long b) { return a + b; })
-                     .Collect();
-  std::unordered_map<int, long> expect(via_reduce.begin(), via_reduce.end());
-  ASSERT_EQ(via_agg.size(), expect.size());
-  for (const auto& [k, v] : via_agg) EXPECT_EQ(v, expect[k]);
-}
-
-TEST(KeyValueTest, CoGroupKeepsBothSides) {
-  auto ctx = std::make_shared<ExecutionContext>(4);
-  auto left = Dataset<std::pair<int, std::string>>::FromVector(
-      ctx, {{1, "a"}, {1, "b"}, {2, "c"}});
-  auto right =
-      Dataset<std::pair<int, int>>::FromVector(ctx, {{1, 10}, {3, 30}});
-  auto out = CoGroup(left, right).Collect();
-  ASSERT_EQ(out.size(), 3u);  // keys 1, 2, 3
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  EXPECT_EQ(out[0].first, 1);
-  EXPECT_EQ(out[0].second.first.size(), 2u);
-  EXPECT_EQ(out[0].second.second, (std::vector<int>{10}));
-  EXPECT_EQ(out[1].first, 2);
-  EXPECT_TRUE(out[1].second.second.empty());
-  EXPECT_EQ(out[2].first, 3);
-  EXPECT_TRUE(out[2].second.first.empty());
-  EXPECT_EQ(out[2].second.second, (std::vector<int>{30}));
 }
 
 }  // namespace

@@ -3,18 +3,23 @@
 // promises it.
 
 #include <algorithm>
-#include <numeric>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "community/coda.h"
-#include "dataflow/dataset.h"
 #include "community/louvain.h"
 #include "community/sbm.h"
 #include "core/engagement_analysis.h"
+#include "core/experiments.h"
 #include "core/investor_graph.h"
 #include "core/platform.h"
+#include "core/prediction.h"
+#include "dataflow/context.h"
+#include "fnv_digest.h"
 #include "util/rng.h"
 
 namespace cfnet {
@@ -135,36 +140,120 @@ TEST(DeterminismTest, DetectorsDeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(sa.log_posterior, sb.log_posterior);
 }
 
-TEST(DeterminismTest, SampleIndependentOfPartitionCountAndThreads) {
-  // Dataset::Sample decides per element by hashing (seed, stable stream
-  // index), so the sampled set must be identical across partitionings,
-  // thread counts and morsel sizes.
-  std::vector<int64_t> data(50000);
-  std::iota(data.begin(), data.end(), 0);
+// --- pinned MiniSpark analyses ---------------------------------------------
+// Digests of every value the MiniSpark pipelines produce: the Figure 6 join,
+// the §5.1 investor-graph merge and its provenance counts, the dataset
+// stats reduce and the success-prediction features. They are pinned (not
+// compared across two runs of this binary), so an engine refactor that
+// moves any bit of any analysis fails here. One crawl worker keeps the
+// crawled inputs independent of the schedule; the analyses run on contexts
+// of 1, 3 and 4 threads, one of them splitting partitions into small
+// morsels, and must agree bit for bit.
 
-  auto sample_with = [&data](size_t threads, size_t partitions,
-                             size_t morsel) {
-    auto ctx = std::make_shared<dataflow::ExecutionContext>(threads);
-    ctx->set_morsel_size(morsel);
-    return dataflow::Dataset<int64_t>::FromVector(ctx, data, partitions)
-        .Sample(0.1, 77)
-        .Collect();
+class Digest : public FnvDigest {
+ public:
+  void Int(int64_t x) { Word(static_cast<uint64_t>(x)); }
+  void Text(const std::string& s) {
+    Word(s.size());
+    for (char c : s) Word(static_cast<unsigned char>(c));
+  }
+};
+
+uint64_t EngagementDigest(const core::EngagementTable& t) {
+  Digest d;
+  d.Int(t.total_companies);
+  d.Int(t.funded_companies);
+  d.Bits(t.fb_likes_median);
+  d.Bits(t.tw_tweets_median);
+  d.Bits(t.tw_followers_median);
+  d.Int(t.twitter_nonnull_followers);
+  d.Word(t.rows.size());
+  for (const core::EngagementRow& row : t.rows) {
+    d.Text(row.label);
+    d.Int(row.num_companies);
+    d.Bits(row.pct_of_companies);
+    d.Bits(row.success_pct);
+    d.Bits(row.chi_square_p_value);
+    d.Bits(row.odds_ratio);
+  }
+  return d.value();
+}
+
+uint64_t InvestorGraphDigest(const graph::BipartiteGraph& g) {
+  Digest d;
+  d.Word(g.num_left());
+  d.Word(g.num_right());
+  for (uint32_t l = 0; l < g.num_left(); ++l) {
+    d.Word(g.LeftId(l));
+    auto out = g.OutNeighbors(l);
+    d.Word(out.size());
+    for (uint32_t r : out) d.Word(g.RightId(r));
+  }
+  return d.value();
+}
+
+uint64_t ProvenanceDigest(const core::EdgeProvenance& p) {
+  Digest d;
+  d.Word(p.angellist_edges);
+  d.Word(p.crunchbase_edges);
+  d.Word(p.merged_unique_edges);
+  return d.value();
+}
+
+uint64_t DatasetStatsDigest(const core::DatasetStatsResult& r) {
+  Digest d;
+  for (int64_t x : {r.companies, r.users, r.crunchbase_profiles,
+                    r.facebook_profiles, r.twitter_profiles, r.investors,
+                    r.founders, r.employees}) {
+    d.Int(x);
+  }
+  d.Bits(r.investor_pct);
+  d.Bits(r.founder_pct);
+  d.Bits(r.employee_pct);
+  return d.value();
+}
+
+uint64_t FeaturesDigest(const std::vector<core::LabeledExample>& examples) {
+  Digest d;
+  d.Word(examples.size());
+  for (const core::LabeledExample& e : examples) {
+    d.Word(e.company_id);
+    d.Word(e.success ? 1 : 0);
+    d.Word(e.features.size());
+    for (double f : e.features) d.Bits(f);
+  }
+  return d.value();
+}
+
+TEST(DeterminismTest, MiniSparkAnalysesMatchPinnedDigests) {
+  core::ExploratoryPlatform platform(SmallOptions(1));
+  ASSERT_TRUE(platform.CollectData().ok());
+  auto inputs = platform.LoadInputs();
+  ASSERT_TRUE(inputs.ok());
+  ASSERT_FALSE(inputs->startups.empty());
+
+  struct Shape {
+    size_t threads;
+    size_t morsel;  // 0 = the context default
   };
-
-  std::vector<int64_t> reference = sample_with(1, 1, 1024);
-  ASSERT_FALSE(reference.empty());
-  EXPECT_EQ(sample_with(4, 3, 512), reference);
-  EXPECT_EQ(sample_with(2, 16, 4096), reference);
-  EXPECT_EQ(sample_with(4, 7, 100), reference);
-
-  // The guarantee holds inside fused chains too: a 1:1 op upstream of the
-  // Sample preserves stream indices.
-  auto ctx = std::make_shared<dataflow::ExecutionContext>(3);
-  auto chained = dataflow::Dataset<int64_t>::FromVector(ctx, data, 5)
-                     .Map([](const int64_t& x) { return x; })
-                     .Sample(0.1, 77)
-                     .Collect();
-  EXPECT_EQ(chained, reference);
+  for (Shape shape : {Shape{1, 0}, Shape{3, 64}, Shape{4, 0}}) {
+    SCOPED_TRACE(::testing::Message() << shape.threads << " threads, morsel "
+                                      << shape.morsel);
+    auto ctx = std::make_shared<dataflow::ExecutionContext>(shape.threads);
+    ctx->set_morsel_size(shape.morsel);
+    graph::BipartiteGraph g = core::BuildInvestorGraph(ctx, *inputs);
+    ASSERT_GT(g.num_edges(), 0u);
+    EXPECT_EQ(EngagementDigest(core::AnalyzeEngagement(ctx, *inputs)),
+              0xba9806dae4cac8b7ull);
+    EXPECT_EQ(InvestorGraphDigest(g), 0x7c5b83cc11c9d64full);
+    EXPECT_EQ(ProvenanceDigest(core::ComputeEdgeProvenance(ctx, *inputs)),
+              0xba73c8530db23b09ull);
+    EXPECT_EQ(
+        DatasetStatsDigest(core::ExperimentSuite(ctx, *inputs).RunDatasetStats()),
+        0x00742bb803fc72b8ull);
+    EXPECT_EQ(FeaturesDigest(core::BuildSuccessFeatures(ctx, *inputs, g)),
+              0x2b69a62dfc6e6cdaull);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // intersection path must agree exactly with the sorted-merge fallback.
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -159,6 +160,104 @@ TEST(GraphParallelTest, BitsetIntersectionMatchesBruteForce) {
           << "pair (" << i << ", " << j << ")";
     }
   }
+}
+
+TEST(GraphParallelTest, MetricsMatchBruteForceOnHeavyMembers) {
+  // A realistic heavy-tailed graph (power-law portfolios over Zipfian
+  // companies) and its heaviest investors: high-high pairs take the
+  // AND+popcount path, mixed pairs probe a bitset row from either side, and
+  // low-low pairs fall back to the sorted merge.
+  Rng rng(20260806);
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (uint64_t i = 0; i < 3000; ++i) {
+    const int64_t degree = rng.PowerLaw(1, 400, 2.2);
+    for (int64_t d = 0; d < degree; ++d) {
+      edges.emplace_back(i + 1, 1000000 + static_cast<uint64_t>(
+                                              rng.Zipf(4000, 0.75)));
+    }
+  }
+  // Two heavy investors also hold a company above every Zipf draw, so it
+  // takes the highest right index and the AND+popcount path must count the
+  // last bitset word.
+  {
+    const graph::BipartiteGraph drawn = graph::BipartiteGraph::FromEdges(edges);
+    size_t added = 0;
+    for (uint32_t l = 0; l < drawn.num_left() && added < 2; ++l) {
+      if (drawn.OutDegree(l) < 64) continue;
+      edges.emplace_back(drawn.LeftId(l), 1000000 + 4001);
+      ++added;
+    }
+    ASSERT_EQ(added, 2u);
+  }
+  const graph::BipartiteGraph g = graph::BipartiteGraph::FromEdges(edges);
+
+  std::vector<std::pair<size_t, uint32_t>> by_degree;
+  for (uint32_t l = 0; l < g.num_left(); ++l) {
+    if (g.OutDegree(l) >= 4) by_degree.emplace_back(g.OutDegree(l), l);
+  }
+  std::sort(by_degree.rbegin(), by_degree.rend());
+  ASSERT_GE(by_degree.size(), 300u);
+  by_degree.resize(300);
+  std::vector<uint32_t> members;
+  for (const auto& [degree, l] : by_degree) members.push_back(l);
+  std::sort(members.begin(), members.end());
+  auto heavy = [&g](uint32_t l) { return g.OutDegree(l) >= 64; };
+  ASSERT_GE(std::count_if(members.begin(), members.end(), heavy), 10);
+
+  // The added company is the highest right index, so the two heavy members
+  // holding it share a company in the last bitset word.
+  const uint32_t last = static_cast<uint32_t>(g.num_right() - 1);
+  ASSERT_EQ(g.RightId(last), 1000000u + 4001);
+  ASSERT_EQ(std::count_if(members.begin(), members.end(),
+                          [&](uint32_t l) {
+                            auto n = g.OutNeighbors(l);
+                            return heavy(l) &&
+                                   std::binary_search(n.begin(), n.end(), last);
+                          }),
+            2);
+
+  const std::vector<double> sizes = core::SharedInvestmentSizes(g, members);
+  ASSERT_EQ(sizes.size(), members.size() * (members.size() - 1) / 2);
+  size_t pos = 0;
+  size_t heavy_first = 0;
+  size_t heavy_second = 0;
+  for (size_t i = 0; i < members.size(); ++i) {
+    for (size_t j = i + 1; j < members.size(); ++j, ++pos) {
+      heavy_first += heavy(members[i]) && !heavy(members[j]) ? 1 : 0;
+      heavy_second += !heavy(members[i]) && heavy(members[j]) ? 1 : 0;
+      ASSERT_EQ(sizes[pos], static_cast<double>(g.SharedOutNeighbors(
+                                members[i], members[j])))
+          << "pair (" << i << ", " << j << ")";
+    }
+  }
+  EXPECT_GT(heavy_first, 0u);   // the row's own bitset is probed
+  EXPECT_GT(heavy_second, 0u);  // the partner's bitset is probed
+
+  // 40-investor communities over every investor; the reference counts each
+  // community's companies in a std::map and folds the percents in
+  // community order.
+  community::CommunitySet set;
+  set.num_nodes = g.num_left();
+  for (uint32_t l = 0; l < g.num_left(); ++l) {
+    if (set.communities.empty() || set.communities.back().size() == 40) {
+      set.communities.emplace_back();
+    }
+    set.communities.back().push_back(l);
+  }
+  double sum = 0;
+  for (const auto& community : set.communities) {
+    std::map<uint32_t, size_t> investors_of;
+    for (uint32_t l : community) {
+      for (uint32_t c : g.OutNeighbors(l)) ++investors_of[c];
+    }
+    if (investors_of.empty()) continue;
+    size_t shared = 0;
+    for (const auto& [c, count] : investors_of) shared += count >= 2 ? 1 : 0;
+    sum += 100.0 * static_cast<double>(shared) /
+           static_cast<double>(investors_of.size());
+  }
+  EXPECT_EQ(core::MeanSharedInvestorCompanyPercent(g, set, 2),
+            sum / static_cast<double>(set.communities.size()));
 }
 
 TEST(GraphParallelTest, GlobalSampleAndPercentIdenticalAcrossSharding) {

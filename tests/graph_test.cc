@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "commit_fixture.h"
-#include "dfs/commit.h"
-#include "graph/graph_io.h"
 #include "graph/weighted_graph.h"
 
 namespace cfnet::graph {
@@ -156,92 +153,6 @@ TEST(WeightedGraphTest, FromEdgesBuildsSymmetricAdjacency) {
   auto n0 = g.Neighbors(0);
   ASSERT_EQ(n0.size(), 1u);
   EXPECT_EQ(n0[0], 1u);
-}
-
-}  // namespace
-}  // namespace cfnet::graph
-
-namespace cfnet::graph {
-namespace {
-
-// --- serialization + SNAP interop -------------------------------------------
-
-TEST(GraphIoTest, BinaryRoundTripThroughDfs) {
-  BipartiteGraph g = Sample();
-  dfs::MiniDfs fs;
-  ASSERT_TRUE(WriteBipartiteGraph(&fs, "/graphs/investors.bin", g).ok());
-  auto loaded = ReadBipartiteGraph(fs, "/graphs/investors.bin");
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->num_left(), g.num_left());
-  EXPECT_EQ(loaded->num_right(), g.num_right());
-  EXPECT_EQ(loaded->num_edges(), g.num_edges());
-  for (uint32_t l = 0; l < g.num_left(); ++l) {
-    uint32_t ll = loaded->LeftIndexOf(g.LeftId(l));
-    ASSERT_NE(ll, BipartiteGraph::kInvalidIndex);
-    ASSERT_EQ(loaded->OutDegree(ll), g.OutDegree(l));
-    for (uint32_t r : g.OutNeighbors(l)) {
-      uint32_t rr = loaded->RightIndexOf(g.RightId(r));
-      auto nbrs = loaded->OutNeighbors(ll);
-      EXPECT_TRUE(std::binary_search(nbrs.begin(), nbrs.end(), rr));
-    }
-  }
-}
-
-TEST(GraphIoTest, EmptyGraphRoundTrips) {
-  BipartiteGraph g = BipartiteGraph::FromEdges({});
-  dfs::MiniDfs fs;
-  ASSERT_TRUE(WriteBipartiteGraph(&fs, "/graphs/empty.bin", g).ok());
-  auto loaded = ReadBipartiteGraph(fs, "/graphs/empty.bin");
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->num_edges(), 0u);
-}
-
-TEST(GraphIoTest, RejectsCorruptedFiles) {
-  BipartiteGraph g = Sample();
-  dfs::MiniDfs fs;
-  ASSERT_TRUE(WriteBipartiteGraph(&fs, "/g.bin", g).ok());
-  // The export is a committed file: it reads back through the contract.
-  auto payload = dfs::ReadCommitted(fs, "/g.bin");
-  ASSERT_TRUE(payload.ok()) << payload.status();
-  auto verdict = [&](const std::string& path) {
-    return ReadBipartiteGraph(fs, path).status();
-  };
-  // A raw write without a commit footer is damage.
-  ASSERT_TRUE(fs.WriteFile("/raw.bin", *payload).ok());
-  EXPECT_EQ(verdict("/raw.bin").code(), StatusCode::kCorruption);
-  // Committed but structurally broken payloads reach the format checks.
-  std::string bad = *payload;
-  bad[0] = 'X';
-  CommitFixture(&fs, "/bad1.bin", bad);
-  EXPECT_EQ(verdict("/bad1.bin").ToString(),
-            "Corruption: bad graph file magic: /bad1.bin");
-  CommitFixture(&fs, "/bad2.bin", payload->substr(0, 40));
-  EXPECT_EQ(verdict("/bad2.bin").ToString(), "Corruption: truncated ids");
-  CommitFixture(&fs, "/bad3.bin", *payload + "junk");
-  EXPECT_EQ(verdict("/bad3.bin").ToString(),
-            "Corruption: trailing bytes in graph file");
-  EXPECT_TRUE(verdict("/missing.bin").IsNotFound());
-}
-
-TEST(GraphIoTest, SnapEdgeListRoundTrip) {
-  BipartiteGraph g = Sample();
-  std::string snap = ToSnapEdgeList(g);
-  EXPECT_NE(snap.find("# Nodes: 3+4 Edges: 7"), std::string::npos);
-  EXPECT_NE(snap.find("10\t1"), std::string::npos);
-  auto parsed = FromSnapEdgeList(snap);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->num_edges(), g.num_edges());
-  EXPECT_EQ(parsed->num_left(), g.num_left());
-  EXPECT_EQ(parsed->num_right(), g.num_right());
-}
-
-TEST(GraphIoTest, SnapParserRejectsMalformedLines) {
-  EXPECT_FALSE(FromSnapEdgeList("1 2\n").ok());      // space, not tab
-  EXPECT_FALSE(FromSnapEdgeList("a\tb\n").ok());     // non-numeric
-  EXPECT_FALSE(FromSnapEdgeList("1\t2x\n").ok());    // trailing garbage
-  auto ok = FromSnapEdgeList("# comment\n\n1\t2\n");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->num_edges(), 1u);
 }
 
 }  // namespace

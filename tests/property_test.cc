@@ -670,7 +670,8 @@ TEST_P(DataflowPipelineProperty, MatchesSerialReference) {
         break;
       }
       default: {
-        ds = ds.Repartition(1 + rng.NextUint64(8));
+        ds = ds.Union(dataflow::Dataset<int64_t>::FromVector(
+            ctx, {}, 1 + rng.NextUint64(8)));
         break;  // reference unchanged (element-preserving)
       }
     }

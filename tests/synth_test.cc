@@ -98,7 +98,9 @@ TEST_F(WorldFixture, InvestmentsSortedUniqueAndValid) {
       CompanyId c = u.investments[i];
       ASSERT_GE(c, 1u);
       ASSERT_LE(c, world().companies().size());
-      if (i > 0) ASSERT_LT(u.investments[i - 1], c);
+      if (i > 0) {
+        ASSERT_LT(u.investments[i - 1], c);
+      }
     }
     if (!u.investments.empty()) {
       EXPECT_EQ(u.role, UserRole::kInvestor);
