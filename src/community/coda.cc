@@ -13,6 +13,15 @@ namespace {
 
 constexpr double kMinDot = 1e-10;
 
+/// Backtracking line search: first step, shrink factor and extra tries.
+constexpr double kInitialStep = 0.25;
+constexpr double kStepBeta = 0.5;
+constexpr int kMaxBacktracks = 8;
+/// Affiliation clamp for numeric safety (bigCLAM's cap).
+constexpr double kMaxAffiliation = 1000;
+/// Communities smaller than this are discarded in the output.
+constexpr size_t kMinCommunitySize = 3;
+
 /// Per-worker buffers for one row update, sized once for the maximum degree
 /// on either side so the row loop never reallocates (degree-skewed graphs
 /// used to churn `gather` on every high-degree row). `gather` holds the
@@ -110,18 +119,17 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
 
     double base = row_objective(x, nbr_rows, count, rest);
     double* candidate = scratch.candidate.data();
-    double step = config_.initial_step;
-    for (int bt = 0; bt <= config_.max_backtracks; ++bt) {
-      double gdx = simd::ClampedStepDotF64(x, grad, step, 0.0,
-                                           config_.max_affiliation, candidate,
-                                           cs);
+    double step = kInitialStep;
+    for (int bt = 0; bt <= kMaxBacktracks; ++bt) {
+      double gdx = simd::ClampedStepDotF64(x, grad, step, 0.0, kMaxAffiliation,
+                                           candidate, cs);
       if (gdx <= 0) break;  // projected step is not an ascent direction
       double obj = row_objective(candidate, nbr_rows, count, rest);
       if (obj >= base + 1e-4 * gdx) {  // Armijo
         std::copy(candidate, candidate + cs, x);
         return;
       }
-      step *= config_.step_beta;
+      step *= kStepBeta;
     }
     // No improving step found: leave the row unchanged.
   };
@@ -209,11 +217,9 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
   result.final_log_likelihood = prev_ll;
 
   // --- membership assignment -------------------------------------------
-  double delta = config_.membership_threshold;
-  if (delta <= 0) {
-    double eps = std::clamp(density, 1e-12, 1.0 - 1e-12);
-    delta = std::sqrt(-std::log1p(-eps));
-  }
+  // Density-based threshold delta = sqrt(-log(1 - eps)), eps = |E|/(|L||R|).
+  const double eps = std::clamp(density, 1e-12, 1.0 - 1e-12);
+  const double delta = std::sqrt(-std::log1p(-eps));
   result.threshold_used = delta;
   result.investor_communities.communities.assign(static_cast<size_t>(c), {});
   result.company_communities.communities.assign(static_cast<size_t>(c), {});
@@ -233,8 +239,8 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
       }
     }
   }
-  result.investor_communities.PruneSmall(config_.min_community_size);
-  result.company_communities.PruneSmall(config_.min_community_size);
+  result.investor_communities.PruneSmall(kMinCommunitySize);
+  result.company_communities.PruneSmall(kMinCommunitySize);
   result.num_factors = c;
   result.f = std::move(f);
   result.h = std::move(h);

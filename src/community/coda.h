@@ -16,18 +16,9 @@ struct CodaConfig {
   int num_communities = 96;
   int max_iterations = 50;       // full F/H sweeps
   double tolerance = 1e-4;       // relative log-likelihood improvement stop
-  double initial_step = 0.25;    // backtracking line-search start
-  double step_beta = 0.5;        // backtracking shrink factor
-  int max_backtracks = 8;
-  double max_affiliation = 1000; // clamp for numeric safety (bigCLAM's cap)
   uint64_t seed = 1;
   /// Parallel row updates (F rows are independent given H, and vice versa).
   int num_threads = 0;  // 0 = hardware default
-  /// Membership threshold; <= 0 selects the density-based default
-  /// delta = sqrt(-log(1 - eps)), eps = |E| / (|L|*|R|).
-  double membership_threshold = 0;
-  /// Communities smaller than this are discarded in the output.
-  size_t min_community_size = 3;
 };
 
 /// Result of a CoDA fit.

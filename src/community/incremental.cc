@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "community/local_move.h"
+#include "community/louvain.h"
 #include "graph/bipartite_graph.h"
 #include "util/logging.h"
 
@@ -83,13 +84,11 @@ RefineResult RefineLouvain(const graph::WeightedGraph& g,
     std::vector<char> next(n, 0);
     std::vector<uint32_t> next_list;
     NeighborWeights weights(n);
-    for (int sweep = 0; sweep < config.louvain.max_sweeps_per_level;
-         ++sweep) {
+    for (int sweep = 0; sweep < kMaxSweepsPerLevel; ++sweep) {
       bool moved = false;
       next_list.clear();
       for (uint32_t v : active_list) {
-        if (!MoveToBestCommunity(g, v, m2, config.louvain.min_modularity_gain,
-                                 label, sigma_tot, weights)) {
+        if (!MoveToBestCommunity(g, v, m2, label, sigma_tot, weights)) {
           continue;
         }
         moved = true;
@@ -124,7 +123,7 @@ RefineResult RefineLouvain(const graph::WeightedGraph& g,
   res.modularity = Modularity(g, res.labels);
   if (previous_modularity - res.modularity >
       config.modularity_drop_tolerance) {
-    LouvainResult full = RunLouvain(g, config.louvain);
+    LouvainResult full = RunLouvain(g);
     res.labels = std::move(full.labels);
     res.communities = std::move(full.communities);
     res.modularity = full.modularity;

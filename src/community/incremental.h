@@ -5,22 +5,19 @@
 #include <vector>
 
 #include "community/community_set.h"
-#include "community/louvain.h"
 #include "graph/weighted_graph.h"
 
 namespace cfnet::community {
 
 /// Knobs for incremental Louvain refinement. The frontier rule and the
-/// fallback guard are documented in DESIGN.md §15.
+/// fallback guard are documented in DESIGN.md §15; the refinement shares
+/// full Louvain's sweep cap and minimum gain (local_move.h), and its
+/// fallback runs `RunLouvain(g)`.
 struct IncrementalCommunityConfig {
   /// Fallback guard: if refined modularity drops more than this below the
   /// previous epoch's, the refinement is discarded and the full algorithm
   /// reruns. Negative values force the fallback (used in tests).
   double modularity_drop_tolerance = 0.02;
-  /// The refinement's sweep cap and minimum gain come from
-  /// `max_sweeps_per_level` and `min_modularity_gain`; the fallback runs
-  /// `RunLouvain` with this config.
-  LouvainConfig louvain;
 };
 
 struct RefineResult {

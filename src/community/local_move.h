@@ -54,15 +54,21 @@ struct NeighborWeights {
   }
 };
 
+/// Local-move sweeps per Louvain level (full Louvain) or per refinement
+/// (the incremental refiner); sweeping stops earlier once no node moves.
+inline constexpr int kMaxSweepsPerLevel = 20;
+
+/// A move must beat the best gain so far by more than this.
+inline constexpr double kMinModularityGain = 1e-6;
+
 /// One Louvain local move: takes v out of its community and puts it into
 /// the neighboring community with the largest modularity gain, staying put
-/// unless a gain beats the best so far by more than `min_gain`. Updates
-/// `label[v]` and `sigma_tot` (total weighted degree per community; m2 is
-/// the graph's 2m). Returns true when v changed community. Zero-degree
-/// nodes never move.
+/// unless a gain beats the best so far by more than `kMinModularityGain`.
+/// Updates `label[v]` and `sigma_tot` (total weighted degree per community;
+/// m2 is the graph's 2m). Returns true when v changed community.
+/// Zero-degree nodes never move.
 inline bool MoveToBestCommunity(const graph::WeightedGraph& g, uint32_t v,
-                                double m2, double min_gain,
-                                std::vector<int>& label,
+                                double m2, std::vector<int>& label,
                                 std::vector<double>& sigma_tot,
                                 NeighborWeights& weights) {
   const double k_v = g.WeightedDegree(v);
@@ -88,7 +94,7 @@ inline bool MoveToBestCommunity(const graph::WeightedGraph& g, uint32_t v,
                   k_v * (sigma_tot[static_cast<size_t>(cand)] -
                          sigma_tot[static_cast<size_t>(old_c)]) /
                       (m2 * m2) * 2.0;
-    if (gain > best_gain + min_gain) {
+    if (gain > best_gain + kMinModularityGain) {
       best_gain = gain;
       best_c = cand;
     }

@@ -10,10 +10,12 @@
 namespace cfnet::community {
 namespace {
 
+/// Aggregation levels at most; each level is one local-move phase.
+constexpr int kMaxLevels = 10;
+
 /// One Louvain level: local node moves until no modularity gain. Returns
 /// the per-node community labels within this level's graph.
-std::vector<int> LocalMovePhase(const graph::WeightedGraph& g,
-                                const LouvainConfig& config, Rng& rng,
+std::vector<int> LocalMovePhase(const graph::WeightedGraph& g, Rng& rng,
                                 bool* any_move) {
   const size_t n = g.num_nodes();
   std::vector<int> label(n);
@@ -31,11 +33,10 @@ std::vector<int> LocalMovePhase(const graph::WeightedGraph& g,
   rng.Shuffle(order);
 
   NeighborWeights weights(n);  // community -> edge weight sum for current node
-  for (int sweep = 0; sweep < config.max_sweeps_per_level; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweepsPerLevel; ++sweep) {
     bool moved = false;
     for (uint32_t v : order) {
-      if (MoveToBestCommunity(g, v, m2, config.min_modularity_gain, label,
-                              sigma_tot, weights)) {
+      if (MoveToBestCommunity(g, v, m2, label, sigma_tot, weights)) {
         moved = true;
         *any_move = true;
       }
@@ -146,9 +147,9 @@ LouvainResult RunLouvain(const graph::WeightedGraph& g,
   std::iota(node_map.begin(), node_map.end(), 0);
   graph::WeightedGraph current = g;
 
-  for (int level = 0; level < config.max_levels; ++level) {
+  for (int level = 0; level < kMaxLevels; ++level) {
     bool any_move = false;
-    std::vector<int> labels = LocalMovePhase(current, config, rng, &any_move);
+    std::vector<int> labels = LocalMovePhase(current, rng, &any_move);
     size_t num_comms = 0;
     graph::WeightedGraph next = Aggregate(current, labels, &num_comms);
     for (size_t v = 0; v < n; ++v) {

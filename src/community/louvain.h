@@ -9,10 +9,9 @@
 
 namespace cfnet::community {
 
+/// Seeds the node-visiting order. The level cap, the sweep cap and the
+/// minimum gain are constants (louvain.cc, local_move.h).
 struct LouvainConfig {
-  int max_levels = 10;
-  int max_sweeps_per_level = 20;
-  double min_modularity_gain = 1e-6;
   uint64_t seed = 1;
 };
 

@@ -10,6 +10,7 @@ namespace cfnet::community {
 namespace {
 
 constexpr double kMinProb = 1e-9;
+constexpr double kHoldoutFraction = 0.15;
 
 }  // namespace
 
@@ -34,7 +35,7 @@ ModelSelectionResult SelectCodaCommunities(const graph::BipartiteGraph& g,
   rng.Shuffle(edges);
   size_t holdout = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(edges.size()) *
-                             config.holdout_fraction));
+                             kHoldoutFraction));
   holdout = std::min(holdout, edges.size() - 1);
   std::vector<std::pair<uint64_t, uint64_t>> heldout_edges(
       edges.begin(), edges.begin() + static_cast<long>(holdout));

@@ -10,11 +10,10 @@
 namespace cfnet::community {
 
 /// Choosing CoDA's community count C by held-out likelihood — the standard
-/// affiliation-model selection recipe (hold out a fraction of the edges,
+/// affiliation-model selection recipe (hold out 15% of the edges,
 /// fit on the rest, score the held-out edges plus an equal sample of
 /// non-edges under the fitted edge-probability model).
 struct ModelSelectionConfig {
-  double holdout_fraction = 0.15;
   /// Base CoDA settings; num_communities is overridden per candidate.
   CodaConfig coda;
   uint64_t seed = 1;

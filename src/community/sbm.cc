@@ -8,6 +8,10 @@
 namespace cfnet::community {
 namespace {
 
+/// Beta(a, b) prior on block-pair edge rates: the uniform Beta(1, 1).
+constexpr double kPriorA = 1.0;
+constexpr double kPriorB = 1.0;
+
 double SafeLog(double x) { return std::log(std::max(x, 1e-300)); }
 
 }  // namespace
@@ -41,9 +45,6 @@ SbmResult RunSbm(const graph::BipartiteGraph& g, const SbmConfig& config) {
     for (uint32_t v : g.OutNeighbors(u)) ++mat(zl[u], zr[v]);
   }
 
-  const double a = config.prior_a;
-  const double b = config.prior_b;
-
   std::vector<int64_t> edges_to_block(static_cast<size_t>(std::max(bk, bl)), 0);
 
   for (int sweep = 0; sweep < config.max_sweeps; ++sweep) {
@@ -67,7 +68,8 @@ SbmResult RunSbm(const graph::BipartiteGraph& g, const SbmConfig& config) {
         for (int l = 0; l < bl; ++l) {
           double pairs = static_cast<double>(size_l[static_cast<size_t>(k)]) *
                          static_cast<double>(size_r[static_cast<size_t>(l)]);
-          double p = (static_cast<double>(mat(k, l)) + a) / (pairs + a + b);
+          double p = (static_cast<double>(mat(k, l)) + kPriorA) /
+                     (pairs + kPriorA + kPriorB);
           p = std::clamp(p, 1e-9, 1.0 - 1e-9);
           double e = static_cast<double>(edges_to_block[static_cast<size_t>(l)]);
           double non_e = static_cast<double>(size_r[static_cast<size_t>(l)]) - e;
@@ -101,7 +103,8 @@ SbmResult RunSbm(const graph::BipartiteGraph& g, const SbmConfig& config) {
         for (int k = 0; k < bk; ++k) {
           double pairs = static_cast<double>(size_l[static_cast<size_t>(k)]) *
                          static_cast<double>(size_r[static_cast<size_t>(l)]);
-          double p = (static_cast<double>(mat(k, l)) + a) / (pairs + a + b);
+          double p = (static_cast<double>(mat(k, l)) + kPriorA) /
+                     (pairs + kPriorA + kPriorB);
           p = std::clamp(p, 1e-9, 1.0 - 1e-9);
           double e = static_cast<double>(edges_to_block[static_cast<size_t>(k)]);
           double non_e = static_cast<double>(size_l[static_cast<size_t>(k)]) - e;
@@ -130,7 +133,8 @@ SbmResult RunSbm(const graph::BipartiteGraph& g, const SbmConfig& config) {
                      static_cast<double>(size_r[static_cast<size_t>(l)]);
       if (pairs <= 0) continue;
       double edges = static_cast<double>(mat(k, l));
-      double p = std::clamp((edges + a) / (pairs + a + b), 1e-9, 1.0 - 1e-9);
+      double p = std::clamp((edges + kPriorA) / (pairs + kPriorA + kPriorB),
+                            1e-9, 1.0 - 1e-9);
       ll += edges * SafeLog(p) + (pairs - edges) * SafeLog(1.0 - p);
     }
   }

@@ -13,9 +13,6 @@ struct SbmConfig {
   int num_investor_blocks = 16;
   int num_company_blocks = 16;
   int max_sweeps = 30;
-  /// Beta(a, b) prior on block-pair edge rates.
-  double prior_a = 1.0;
-  double prior_b = 1.0;
   uint64_t seed = 1;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "community/incremental.h"
 #include "util/logging.h"
 
 namespace cfnet::core {
@@ -20,7 +21,7 @@ void EpochMaintainer::RunFullAnalytics() {
   artifacts_.projection = graph::WeightedGraph::ProjectLeft(
       artifacts_.graph, config_.max_right_degree);
   community::LouvainResult louvain =
-      community::RunLouvain(artifacts_.projection, config_.refine.louvain);
+      community::RunLouvain(artifacts_.projection);
   artifacts_.community_labels = std::move(louvain.labels);
   artifacts_.communities = std::move(louvain.communities);
   artifacts_.modularity = louvain.modularity;
@@ -72,7 +73,7 @@ const EpochArtifacts& EpochMaintainer::Advance(
         community::MapLabels(artifacts_.community_labels,
                              merge.old_to_new_left, merge.graph.num_left());
     community::RefineResult refined = community::RefineLouvain(
-        projection, seeds, frontier, artifacts_.modularity, config_.refine);
+        projection, seeds, frontier, artifacts_.modularity);
     report.fell_back_full = refined.full_rebuild;
 
     artifacts_.graph = std::move(merge.graph);

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "community/incremental.h"
 #include "community/louvain.h"
 #include "graph/bipartite_graph.h"
 #include "graph/delta.h"
@@ -40,16 +39,15 @@ struct EpochBuildReport {
 /// Maintains epoch artifacts across crawl rounds at delta cost: merges an
 /// edge-delta batch into the bipartite CSR, updates the projection only on
 /// the changed-neighborhood frontier, and refines the previous Louvain
-/// partition (with a modularity-drop guard). `Advance` output is
-/// bit-identical to a full rebuild for the graph and projection; the
-/// partition's quality is guarded within the configured tolerance.
+/// partition. `Advance` output is bit-identical to a full rebuild for the
+/// graph and projection; the partition's quality is guarded by the
+/// refiner's default modularity-drop tolerance (0.02).
 class EpochMaintainer {
  public:
   struct Config {
     /// Projection popularity cap; must match the serving tier's
     /// `SnapshotBuildOptions::max_right_degree`.
     size_t max_right_degree = 500;
-    community::IncrementalCommunityConfig refine;
     /// Delta batches whose effective edge count exceeds this fraction of
     /// the merged edge count take the full-rebuild path outright (the
     /// frontier would cover most of the graph anyway).

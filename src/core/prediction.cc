@@ -15,6 +15,10 @@ namespace {
 
 constexpr size_t kNumFeatures = 12;
 
+constexpr double kTrainFraction = 0.7;
+constexpr double kLearningRate = 0.5;
+constexpr double kL2 = 1e-4;
+
 double Sigmoid(double z) {
   if (z >= 0) {
     double e = std::exp(-z);
@@ -177,7 +181,7 @@ PredictionResult TrainSuccessPredictor(
   rng.Shuffle(order);
   size_t train_n = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(examples.size()) *
-                             config.train_fraction));
+                             kTrainFraction));
   train_n = std::min(train_n, examples.size() - 1);
   result.train_size = train_n;
   result.test_size = examples.size() - train_n;
@@ -241,13 +245,12 @@ PredictionResult TrainSuccessPredictor(
       grad_bias += err;
       weight_total += sample_weight;
     }
-    double lr = config.learning_rate;
     for (size_t k = 0; k < dims; ++k) {
-      double step = grad[k] / weight_total + config.l2 * w[k];
-      w[k] -= lr * step;
+      double step = grad[k] / weight_total + kL2 * w[k];
+      w[k] -= kLearningRate * step;
       if (config.l1 > 0) {
         // Proximal soft-threshold (ISTA).
-        double threshold = lr * config.l1;
+        double threshold = kLearningRate * config.l1;
         if (w[k] > threshold) {
           w[k] -= threshold;
         } else if (w[k] < -threshold) {
@@ -257,7 +260,7 @@ PredictionResult TrainSuccessPredictor(
         }
       }
     }
-    bias -= lr * grad_bias / weight_total;
+    bias -= kLearningRate * grad_bias / weight_total;
   }
   result.weights = w;
   result.bias = bias;

@@ -43,11 +43,10 @@ std::vector<LabeledExample> BuildSuccessFeatures(
     const AnalysisInputs& inputs, const graph::BipartiteGraph& investor_graph,
     bool include_graph_features = true);
 
+/// Full-batch gradient descent on a 70/30 train/test split, with step
+/// size 0.5 and L2 strength 1e-4.
 struct TrainConfig {
-  double train_fraction = 0.7;
   int epochs = 300;
-  double learning_rate = 0.5;
-  double l2 = 1e-4;
   /// L1 strength; > 0 enables proximal soft-thresholding (lasso-style
   /// feature selection: irrelevant weights are driven to exactly 0).
   double l1 = 0;

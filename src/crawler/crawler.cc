@@ -153,7 +153,6 @@ void Crawler::MergeCounters() {
   report_.fetch = SumShardCounters();
   report_.makespan_micros = MaxShardClock();
   report_.breaker_trips = SumBreakerTrips();
-  web_->clock().AdvanceTo(report_.makespan_micros);
 }
 
 Status Crawler::FlushAllShards() {
@@ -597,7 +596,7 @@ Status Crawler::RunPhase(std::string_view phase, size_t start_cursor) {
       const CrawledCompany& cc = companies_[cursor + i];
       // Degraded: the source burned through its breaker budget — stop
       // hammering it and queue the remainder for later replay.
-      if (breaker->trips() - trips_before > config_.breaker_trip_budget) {
+      if (breaker->trips() - trips_before > kBreakerTripBudget) {
         DeadLetter(shard, phase, cc.id, "degraded").ok();
         dead.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -615,7 +614,7 @@ Status Crawler::RunPhase(std::string_view phase, size_t start_cursor) {
 
   const int64_t trips = breaker->trips() - trips_before;
   report_.dead_lettered_ids += dead.load();
-  if (trips > config_.breaker_trip_budget) {
+  if (trips > kBreakerTripBudget) {
     report_.degraded_phases.push_back(
         {std::string(phase), trips, dead.load(),
          "circuit breaker trip budget exceeded"});

@@ -30,6 +30,11 @@ inline constexpr std::string_view kPhaseFacebook = "facebook";
 inline constexpr std::string_view kPhaseTwitter = "twitter";
 inline constexpr std::string_view kPhaseDone = "done";
 
+/// Breaker trips an augmentation phase may absorb before the phase
+/// degrades: remaining entities go straight to the dead-letter log and the
+/// crawl continues without the source.
+inline constexpr int kBreakerTripBudget = 2;
+
 /// Crawl pipeline configuration.
 struct CrawlConfig {
   /// Parallel crawler workers (each carries its own virtual clock).
@@ -56,10 +61,6 @@ struct CrawlConfig {
   /// Per-service circuit breaker tuning (one breaker per augmentation
   /// source, shared by all workers).
   CircuitBreakerConfig breaker;
-  /// Breaker trips an augmentation phase may absorb before the phase
-  /// degrades: remaining entities go straight to the dead-letter log and
-  /// the crawl continues without the source.
-  int breaker_trip_budget = 2;
 
   // --- crash-safe checkpointing -------------------------------------------
   /// Periodically persist what the crawl state gained (frontier, seen ids,
@@ -167,7 +168,7 @@ struct CrawledCompany {
 /// whose chain is intact, deletes every snapshot file it does not list
 /// (exactly-once records), and continues. Each
 /// augmentation source sits behind a circuit breaker; a source that trips
-/// past `breaker_trip_budget` degrades gracefully — its remaining entities
+/// past `kBreakerTripBudget` degrades gracefully — its remaining entities
 /// are dead-lettered for later `ReplayDeadLetters()` instead of failing the
 /// crawl.
 class Crawler {

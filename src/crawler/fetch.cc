@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace cfnet::crawler {
+namespace {
+
+/// Virtual-time wait before the first retry; each later retry doubles it.
+constexpr int64_t kFirstRetryDelayMicros = 500'000;
+
+}  // namespace
 
 net::ApiResponse FetchWithRetry(net::ApiService* service,
                                 net::ApiRequest request, TokenPool* tokens,
@@ -13,10 +19,6 @@ net::ApiResponse FetchWithRetry(net::ApiService* service,
     request.access_token = tokens->current();
   }
   int attempt = 0;
-  ExponentialBackoff backoff(
-      BackoffPolicy{policy.backoff_base_micros, policy.backoff_multiplier,
-                    policy.backoff_max_micros, policy.backoff_jitter},
-      policy.backoff_seed);
   size_t rotations_this_window = 0;
   for (;;) {
     if (breaker != nullptr && !breaker->AllowRequest(*worker_time)) {
@@ -53,7 +55,7 @@ net::ApiResponse FetchWithRetry(net::ApiService* service,
         return resp;
       }
       // Exponential backoff in virtual time.
-      *worker_time += backoff.NextDelayMicros();
+      *worker_time += kFirstRetryDelayMicros << attempt;
       ++attempt;
       ++counters->retries;
       continue;
@@ -61,7 +63,6 @@ net::ApiResponse FetchWithRetry(net::ApiService* service,
     if (resp.status == 429) {
       int64_t retry_at = resp.body.Get("retry_at_micros").AsInt();
       if (tokens != nullptr && tokens->size() > 1 &&
-          policy.rotate_tokens_on_rate_limit &&
           rotations_this_window + 1 < tokens->size()) {
         tokens->Rotate();
         request.access_token = tokens->current();
@@ -69,7 +70,7 @@ net::ApiResponse FetchWithRetry(net::ApiService* service,
         ++counters->token_rotations;
         continue;
       }
-      // All tokens exhausted (or rotation disabled): wait out the window.
+      // All tokens exhausted: wait out the window.
       *worker_time = std::max(*worker_time + 1000, retry_at);
       rotations_this_window = 0;
       ++counters->rate_limit_waits;

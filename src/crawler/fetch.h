@@ -9,29 +9,18 @@
 #include <vector>
 
 #include "net/service.h"
-#include "util/backoff.h"
 #include "util/circuit_breaker.h"
 #include "util/result.h"
 
 namespace cfnet::crawler {
 
-/// Retry/backoff and rate-limit-handling policy for one crawler worker.
-/// Delays come from util::ExponentialBackoff; the defaults (multiplier 2,
-/// no cap, no jitter) reproduce the historical `base << attempt` schedule
-/// bit-for-bit, which the virtual-time tests rely on.
+/// Retry policy for one crawler worker. A transient failure waits
+/// `500'000 << attempt` microseconds of virtual time before the next try; a
+/// 429 rotates through the token pool and, once every token is exhausted,
+/// advances the worker clock to the earliest retry time (waiting out the
+/// window).
 struct FetchPolicy {
   int max_retries = 4;
-  int64_t backoff_base_micros = 500000;  // 0.5 s, doubled per attempt
-  double backoff_multiplier = 2.0;
-  int64_t backoff_max_micros = 0;  // per-delay cap; 0 = uncapped
-  /// Jitter fraction in [0, 1] (see BackoffPolicy::jitter); deterministic
-  /// draws keyed on `backoff_seed`, so a given worker replays exactly.
-  double backoff_jitter = 0.0;
-  uint64_t backoff_seed = 0;
-  /// When rate limited: rotate through the token pool before waiting; if
-  /// every token is exhausted, advance the worker clock to the earliest
-  /// retry time (waiting out the window).
-  bool rotate_tokens_on_rate_limit = true;
   /// When the circuit breaker is open: wait out the cooldown (advancing the
   /// worker clock) and contend for a half-open probe slot. Workers that
   /// lose the probe race — or policies that disable waiting — fail fast
@@ -104,7 +93,7 @@ using CircuitBreaker = util::CircuitBreaker;
 
 /// Issues `request` against `service`, handling transient 503s and
 /// malformed 200 bodies (retry with exponential backoff in virtual time)
-/// and 429s (token rotation and/or waiting). Advances `*worker_time`
+/// and 429s (token rotation, then waiting). Advances `*worker_time`
 /// accordingly. Non-retryable statuses (404, 401, 400) are returned to the
 /// caller as-is; a malformed body that survives every retry comes back as a
 /// 502. With a `breaker`, a request arriving while it is open waits out the

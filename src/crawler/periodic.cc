@@ -24,17 +24,14 @@ Result<DaySnapshotReport> PeriodicCohortCrawler::CrawlDay(net::SocialWeb* web,
   int64_t clock = static_cast<int64_t>(day) * 86400ll * 1000000;
 
   // One Twitter token for the day's (small) cohort.
-  TokenPool tokens;
-  if (config_.fetch_twitter) {
-    net::ApiResponse reg = FetchWithRetry(
-        &web->twitter(),
-        net::ApiRequest("apps.register", {{"owner", "periodic"}}), nullptr,
-        config_.fetch, &clock, &report.fetch);
-    if (!reg.ok()) {
-      return Status::Unavailable("twitter app registration failed");
-    }
-    tokens = TokenPool({reg.body.Get("access_token").AsString()});
+  net::ApiResponse reg = FetchWithRetry(
+      &web->twitter(),
+      net::ApiRequest("apps.register", {{"owner", "periodic"}}), nullptr,
+      config_.fetch, &clock, &report.fetch);
+  if (!reg.ok()) {
+    return Status::Unavailable("twitter app registration failed");
   }
+  TokenPool tokens({reg.body.Get("access_token").AsString()});
 
   std::vector<uint64_t> raising;
   net::ApiResponse listing = FetchAllPages(
@@ -65,24 +62,21 @@ Result<DaySnapshotReport> PeriodicCohortCrawler::CrawlDay(net::SocialWeb* web,
     json::Json record = profile.body;
     record.Set("day", day);
 
-    if (config_.fetch_twitter) {
-      const std::string twitter_url =
-          profile.body.Get("twitter_url").AsString();
-      if (!twitter_url.empty()) {
-        net::ApiResponse tw = FetchWithRetry(
-            &web->twitter(),
-            net::ApiRequest(
-                "users.show",
-                {{"screen_name", std::string(LastUrlSegment(twitter_url))}}),
-            &tokens, config_.fetch, &clock, &report.fetch);
-        if (tw.ok()) {
-          if (!tw.body.Get("followers_count").is_null()) {
-            record.Set("twitter_followers",
-                       tw.body.Get("followers_count").AsInt());
-          }
-          record.Set("twitter_tweets", tw.body.Get("statuses_count").AsInt());
-          ++report.twitter_profiles;
+    const std::string twitter_url = profile.body.Get("twitter_url").AsString();
+    if (!twitter_url.empty()) {
+      net::ApiResponse tw = FetchWithRetry(
+          &web->twitter(),
+          net::ApiRequest(
+              "users.show",
+              {{"screen_name", std::string(LastUrlSegment(twitter_url))}}),
+          &tokens, config_.fetch, &clock, &report.fetch);
+      if (tw.ok()) {
+        if (!tw.body.Get("followers_count").is_null()) {
+          record.Set("twitter_followers",
+                     tw.body.Get("followers_count").AsInt());
         }
+        record.Set("twitter_tweets", tw.body.Get("statuses_count").AsInt());
+        ++report.twitter_profiles;
       }
     }
     CFNET_RETURN_IF_ERROR(snapshot.Write(record));

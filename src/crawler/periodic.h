@@ -17,9 +17,6 @@ namespace cfnet::crawler {
 struct PeriodicCrawlConfig {
   std::string snapshot_dir = "/longitudinal";
   FetchPolicy fetch;
-  /// Also fetch each raising company's Twitter profile (follower growth is
-  /// the longitudinal signal §7 cares about).
-  bool fetch_twitter = true;
 };
 
 /// One day's collection summary.

@@ -391,7 +391,6 @@ struct ColumnarWriteOptions {
   size_t block_rows = 64 * 1024;
   /// Stored in the header; see ColumnarHeader::source_fingerprint.
   uint32_t source_fingerprint = 0;
-  CommitOptions commit;
 };
 
 /// Buffers rows, encodes full blocks eagerly, and commits the whole file
@@ -420,7 +419,7 @@ class ColumnarWriter {
   /// Encodes any buffered tail block and commits the file.
   Status Finish() {
     if (!buffer_.empty()) EncodeBufferedBlock();
-    return CommitFile(dfs_, path_, encoded_, options_.commit);
+    return CommitFile(dfs_, path_, encoded_);
   }
 
   uint64_t rows_added() const { return rows_added_; }

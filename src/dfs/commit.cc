@@ -39,11 +39,6 @@ bool ParseDec64(std::string_view s, uint64_t* out) {
   return true;
 }
 
-void ChargeDelay(ExponentialBackoff* backoff, const CommitOptions& opts) {
-  int64_t delay = backoff->NextDelayMicros();
-  if (opts.clock_micros != nullptr) *opts.clock_micros += delay;
-}
-
 }  // namespace
 
 std::string MakeCommitFooter(uint32_t payload_crc, uint64_t payload_len) {
@@ -93,17 +88,15 @@ std::string QuarantinePath(const std::string& path) {
 }
 
 Status CommitFile(MiniDfs* dfs, const std::string& path,
-                  std::string_view payload, const CommitOptions& opts) {
+                  std::string_view payload) {
   const std::string tmp = TempPath(path);
   std::string framed;
   framed.reserve(payload.size() + kCommitFooterSize);
   framed.append(payload.data(), payload.size());
   framed += MakeCommitFooter(Crc32(payload), payload.size());
 
-  ExponentialBackoff backoff(opts.backoff, opts.backoff_seed);
   Status last = Status::Internal("commit never attempted");
-  for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
-    if (attempt > 0) ChargeDelay(&backoff, opts);
+  for (int attempt = 0; attempt < kCommitAttempts; ++attempt) {
     last = dfs->WriteFile(tmp, framed);
     if (!last.ok()) continue;
     // The read-back is the only step that catches silent fsync loss and
@@ -126,12 +119,9 @@ Status CommitFile(MiniDfs* dfs, const std::string& path,
 }
 
 Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path,
-                                  const CommitOptions& opts,
                                   std::string* damaged) {
-  ExponentialBackoff backoff(opts.backoff, opts.backoff_seed);
   Status last = Status::Internal("read never attempted");
-  for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
-    if (attempt > 0) ChargeDelay(&backoff, opts);
+  for (int attempt = 0; attempt < kCommitAttempts; ++attempt) {
     auto content = dfs.ReadFile(path);
     if (!content.ok()) {
       last = content.status();

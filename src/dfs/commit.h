@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dfs/dfs.h"
-#include "util/backoff.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -67,19 +66,10 @@ bool IsTempPath(std::string_view path);
 /// aborting the scan that found it.
 std::string QuarantinePath(const std::string& path);
 
-/// Knobs for CommitFile/ReadCommitted retry behaviour.
-struct CommitOptions {
-  /// Total tries per operation (first attempt included).
-  int max_attempts = 4;
-  /// Delay schedule charged to `clock_micros` between attempts. Retries
-  /// also consume fresh storage op serials, which is what lets a commit
-  /// escape an op-indexed fault window deterministically.
-  BackoffPolicy backoff{/*base_micros=*/10000, /*multiplier=*/2.0,
-                        /*max_micros=*/0, /*jitter=*/0.0};
-  uint64_t backoff_seed = 0;
-  /// Virtual clock the backoff delays accrue to (nullptr = untracked).
-  int64_t* clock_micros = nullptr;
-};
+/// Tries per CommitFile/ReadCommitted (first attempt included). Retries run
+/// back to back; each consumes fresh storage op serials, which is what lets
+/// a commit escape an op-indexed fault window deterministically.
+inline constexpr int kCommitAttempts = 4;
 
 /// Atomically replaces `path` with `payload` + footer:
 /// write `<path>.tmp` -> verify read-back -> rename over `path`.
@@ -87,16 +77,15 @@ struct CommitOptions {
 /// survives intact or the new content is fully committed. Best-effort
 /// deletes the temp on a failed commit.
 Status CommitFile(MiniDfs* dfs, const std::string& path,
-                  std::string_view payload, const CommitOptions& opts = {});
+                  std::string_view payload);
 
 /// Reads `path` and verifies its footer. A valid footer yields the payload.
-/// An absent or corrupt footer is re-read up to `opts.max_attempts` times
+/// An absent or corrupt footer is re-read up to `kCommitAttempts` times
 /// (short reads and in-flight bit flips are transient) and then fails
 /// Corruption; `*damaged`, when given, then holds the last bytes read, minus
 /// the footer when its magic survived, for salvage-mode decoding. NotFound
 /// returns at once; other read errors are retried.
 Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path,
-                                  const CommitOptions& opts = {},
                                   std::string* damaged = nullptr);
 
 /// What a recovery sweep found and did.

@@ -4,14 +4,11 @@
 
 #include "util/crc32.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace cfnet::dfs {
 namespace {
-
-double UnitFromHash(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 /// Prefix length a torn/silently-lost write leaves behind: always strictly
 /// shorter than the payload (the fault must lose at least one byte).

@@ -3,13 +3,6 @@
 #include "util/rng.h"
 
 namespace cfnet::dfs {
-namespace {
-
-double UnitFromHash(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 bool IoFaultInjector::Hit(const std::vector<IoFaultWindow>& windows,
                           uint64_t op, uint64_t category) {

@@ -86,7 +86,7 @@ Result<ShardLoad> LoadShardContents(const MiniDfs& dfs,
   for (const std::string& path : paths) {
     std::string damaged;
     Result<std::string> payload =
-        ReadCommitted(dfs, path, CommitOptions(), salvage ? &damaged : nullptr);
+        ReadCommitted(dfs, path, salvage ? &damaged : nullptr);
     const bool lenient =
         !payload.ok() && salvage &&
         payload.status().code() == StatusCode::kCorruption;

@@ -129,12 +129,10 @@ Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
 /// Options for `ScanJsonLines`.
 struct ScanOptions {
   /// Decode ranges in parallel on this pool (`ThreadPool::RunBulk`, caller
-  /// participates); nullptr decodes sequentially on the caller.
+  /// participates); nullptr decodes sequentially on the caller. The scan
+  /// targets 4 line-aligned ranges per pool thread (1 when sequential), so
+  /// the morsel scheduler can balance skewed shards.
   ThreadPool* pool = nullptr;
-  /// Target number of output partitions (line-aligned byte ranges across all
-  /// shards). 0 picks 4x the pool's thread count (1 when sequential) so the
-  /// morsel scheduler can balance skewed shards.
-  size_t target_partitions = 0;
   /// Ranges are not split below this many bytes.
   size_t min_range_bytes = 64 * 1024;
   /// Salvage mode: instead of failing the scan, a damaged file (see
@@ -204,10 +202,8 @@ Result<std::vector<std::vector<T>>> ScanJsonLines(
       internal_scan::ShardLoad load,
       internal_scan::LoadShardContents(dfs, paths, options.salvage, report));
   const std::vector<std::string>& contents = load.contents;
-  size_t target = options.target_partitions;
-  if (target == 0) {
-    target = options.pool != nullptr ? options.pool->num_threads() * 4 : 1;
-  }
+  const size_t target =
+      options.pool != nullptr ? options.pool->num_threads() * 4 : 1;
   std::vector<internal_scan::LineRange> ranges = internal_scan::SplitLineRanges(
       contents, std::max<size_t>(1, target), options.min_range_bytes);
   std::vector<std::vector<T>> parts(ranges.size());

@@ -1,24 +1,8 @@
 #include "net/fault_plan.h"
 
+#include "util/rng.h"
+
 namespace cfnet::net {
-namespace {
-
-// SplitMix64 finalizer, the same stateless mix the service layer uses for
-// its latency/error draws.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
-double UnitFromHash(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 bool FaultInjector::Hit(const std::vector<FaultWindow>& windows, int64_t now,
                         uint64_t category) {
@@ -27,8 +11,8 @@ bool FaultInjector::Hit(const std::vector<FaultWindow>& windows, int64_t now,
     if (w.rate >= 1.0) return true;
     if (w.rate <= 0.0) continue;
     uint64_t serial = draw_serial_.fetch_add(1, std::memory_order_relaxed);
-    double u = UnitFromHash(Mix(plan_.seed * 0x9e3779b97f4a7c15ull +
-                                category * 0x2545f4914f6cdd1dull + serial));
+    double u = UnitFromHash(Mix64(plan_.seed * 0x9e3779b97f4a7c15ull +
+                                  category * 0x2545f4914f6cdd1dull + serial));
     if (u < w.rate) return true;
   }
   return false;

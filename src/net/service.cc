@@ -2,23 +2,12 @@
 
 #include <cstdlib>
 
+#include "util/rng.h"
+
 namespace cfnet::net {
 namespace {
 
-/// Stateless 64-bit mix (SplitMix64 finalizer) for deterministic yet
-/// contention-free per-request latency/error draws.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
-double UnitFromHash(uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
+constexpr int64_t kPageSize = 50;
 
 }  // namespace
 
@@ -32,8 +21,7 @@ ApiService::ApiService(std::string name, const synth::World* world,
                        ServiceConfig config)
     : name_(std::move(name)),
       world_(world),
-      config_(config),
-      tokens_(config.max_apps_per_owner) {
+      config_(config) {
   if (config_.rate_limit_calls > 0) {
     limiter_ = std::make_unique<SlidingWindowRateLimiter>(
         config_.rate_limit_calls, config_.rate_limit_window_micros);
@@ -42,7 +30,7 @@ ApiService::ApiService(std::string name, const synth::World* world,
 
 int64_t ApiService::SampleLatency() {
   uint64_t serial = request_serial_.fetch_add(1, std::memory_order_relaxed);
-  double u = UnitFromHash(Mix(serial * 2 + 1));
+  double u = UnitFromHash(Mix64(serial * 2 + 1));
   double factor = 1.0 - config_.latency_jitter +
                   2.0 * config_.latency_jitter * u;
   return static_cast<int64_t>(
@@ -52,7 +40,7 @@ int64_t ApiService::SampleLatency() {
 bool ApiService::ShouldInjectError() {
   if (config_.transient_error_rate <= 0) return false;
   uint64_t serial = request_serial_.load(std::memory_order_relaxed);
-  return UnitFromHash(Mix(serial * 2)) < config_.transient_error_rate;
+  return UnitFromHash(Mix64(serial * 2)) < config_.transient_error_rate;
 }
 
 bool ApiService::EndpointRequiresToken(const std::string&) const {
@@ -65,11 +53,10 @@ void ApiService::set_fault_plan(FaultPlan plan) {
 
 bool ApiService::PageRange(int64_t total, int64_t page, int64_t* begin,
                            int64_t* end, int64_t* last_page) const {
-  const int64_t per_page = config_.page_size;
-  *last_page = total == 0 ? 1 : (total + per_page - 1) / per_page;
+  *last_page = total == 0 ? 1 : (total + kPageSize - 1) / kPageSize;
   if (page < 1 || page > *last_page) return false;
-  *begin = (page - 1) * per_page;
-  *end = std::min<int64_t>(total, *begin + per_page);
+  *begin = (page - 1) * kPageSize;
+  *end = std::min<int64_t>(total, *begin + kPageSize);
   return true;
 }
 

@@ -69,8 +69,6 @@ struct ServiceConfig {
   bool requires_token = false;
   int rate_limit_calls = 0;  // 0 = unlimited
   int64_t rate_limit_window_micros = 0;
-  int page_size = 50;
-  int max_apps_per_owner = 5;
 };
 
 /// Aggregate request counters.
@@ -129,8 +127,9 @@ class ApiService {
 
   const synth::World& world() const { return *world_; }
 
-  /// Paginates `total` items: computes [begin, end) for `page` (1-based)
-  /// and the last page number. Returns false for out-of-range pages.
+  /// Paginates `total` items, 50 per page: computes [begin, end) for `page`
+  /// (1-based) and the last page number. Returns false for out-of-range
+  /// pages.
   bool PageRange(int64_t total, int64_t page, int64_t* begin, int64_t* end,
                  int64_t* last_page) const;
 

@@ -9,7 +9,6 @@
 #include "net/facebook.h"
 #include "net/twitter.h"
 #include "synth/world.h"
-#include "util/sim_clock.h"
 
 namespace cfnet::net {
 
@@ -24,8 +23,7 @@ struct SocialWebConfig {
 };
 
 /// The whole simulated web: one instance of each service over a shared
-/// ground-truth world, plus the global virtual clock. This is what a
-/// Crawler is pointed at.
+/// ground-truth world. This is what a Crawler is pointed at.
 class SocialWeb {
  public:
   explicit SocialWeb(const synth::World* world,
@@ -52,11 +50,9 @@ class SocialWeb {
   CrunchBaseService& crunchbase() { return *crunchbase_; }
   FacebookService& facebook() { return *facebook_; }
   TwitterService& twitter() { return *twitter_; }
-  SimClock& clock() { return clock_; }
 
  private:
   const synth::World* world_;
-  SimClock clock_;
   std::unique_ptr<AngelListService> angellist_;
   std::unique_ptr<CrunchBaseService> crunchbase_;
   std::unique_ptr<FacebookService> facebook_;

@@ -12,7 +12,7 @@ std::string TokenRegistry::NewTokenLocked(const std::string& owner,
 Result<std::string> TokenRegistry::RegisterApp(const std::string& owner) {
   std::lock_guard<std::mutex> lock(mu_);
   int& count = apps_per_owner_[owner];
-  if (count >= max_apps_per_owner_) {
+  if (count >= kMaxAppsPerOwner) {
     return Status::ResourceExhausted("owner '" + owner + "' already has " +
                                      std::to_string(count) + " apps");
   }

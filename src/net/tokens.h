@@ -13,7 +13,7 @@ namespace cfnet::net {
 /// Access-token issuance and validation for the simulated services.
 ///
 /// Models the two auth flows §3 relies on:
-///  - Twitter: each user may register at most `max_apps_per_owner` apps,
+///  - Twitter: each user may register at most `kMaxAppsPerOwner` apps,
 ///    each app yielding one access token (so the paper shards the crawl
 ///    across machines/tokens to beat the per-token rate limit).
 ///  - Facebook: login yields a short-lived token which can be exchanged
@@ -21,8 +21,9 @@ namespace cfnet::net {
 ///    a Facebook App"), after which the crawler "works without limitations".
 class TokenRegistry {
  public:
-  explicit TokenRegistry(int max_apps_per_owner = 5)
-      : max_apps_per_owner_(max_apps_per_owner) {}
+  static constexpr int kMaxAppsPerOwner = 5;
+
+  TokenRegistry() = default;
 
   TokenRegistry(const TokenRegistry&) = delete;
   TokenRegistry& operator=(const TokenRegistry&) = delete;
@@ -53,7 +54,6 @@ class TokenRegistry {
 
   std::string NewTokenLocked(const std::string& owner, int64_t expires_at);
 
-  int max_apps_per_owner_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, TokenInfo> tokens_;
   std::unordered_map<std::string, int> apps_per_owner_;

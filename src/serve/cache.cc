@@ -3,18 +3,10 @@
 namespace cfnet::serve {
 
 std::shared_ptr<const json::Json> ResultCache::Lookup(uint64_t fingerprint,
-                                                      uint64_t epoch,
-                                                      int64_t now_micros) {
+                                                      uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(Key{fingerprint, epoch});
   if (it == index_.end()) {
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  if (ttl_micros_ > 0 && now_micros - it->second->inserted_micros >= ttl_micros_) {
-    lru_.erase(it->second);
-    index_.erase(it);
-    stats_.ttl_expirations.fetch_add(1, std::memory_order_relaxed);
     stats_.misses.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -24,22 +16,19 @@ std::shared_ptr<const json::Json> ResultCache::Lookup(uint64_t fingerprint,
 }
 
 void ResultCache::Insert(uint64_t fingerprint, uint64_t epoch,
-                         int64_t now_micros,
                          std::shared_ptr<const json::Json> body) {
-  if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   const Key key{fingerprint, epoch};
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->inserted_micros = now_micros;
     it->second->body = std::move(body);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, now_micros, std::move(body)});
+  lru_.push_front(Entry{key, std::move(body)});
   index_[key] = lru_.begin();
   stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-  while (lru_.size() > capacity_) {
+  while (lru_.size() > kCapacity) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
     stats_.lru_evictions.fetch_add(1, std::memory_order_relaxed);

@@ -13,12 +13,13 @@
 
 namespace cfnet::serve {
 
-/// LRU + TTL result cache keyed on (query fingerprint, snapshot epoch).
-/// Because the epoch is part of the key, a snapshot hot-swap naturally
-/// invalidates every cached answer — a query against the new epoch can
-/// never be served bytes computed from the old one. `EvictEpochsBefore`
-/// additionally drops the dead entries eagerly so they stop occupying LRU
-/// capacity.
+/// LRU result cache keyed on (query fingerprint, snapshot epoch), holding
+/// `kCapacity` entries. Because the epoch is part of the key and a
+/// published snapshot never changes, an entry cannot go stale: a snapshot
+/// hot-swap naturally invalidates every cached answer — a query against the
+/// new epoch can never be served bytes computed from the old one.
+/// `EvictEpochsBefore` additionally drops the dead entries eagerly so they
+/// stop occupying LRU capacity.
 ///
 /// Bodies are held behind shared_ptr so a hit hands out a reference without
 /// copying the JSON under the lock.
@@ -29,21 +30,17 @@ class ResultCache {
     std::atomic<int64_t> misses{0};
     std::atomic<int64_t> inserts{0};
     std::atomic<int64_t> lru_evictions{0};
-    std::atomic<int64_t> ttl_expirations{0};
     std::atomic<int64_t> epoch_evictions{0};
   };
 
-  /// `capacity` entries; entries older than `ttl_micros` (by the caller's
-  /// clock) expire lazily at lookup. ttl_micros <= 0 disables expiry.
-  ResultCache(size_t capacity, int64_t ttl_micros)
-      : capacity_(capacity), ttl_micros_(ttl_micros) {}
+  static constexpr size_t kCapacity = 8192;
 
   /// Returns the cached body for (fingerprint, epoch), refreshing its LRU
-  /// position, or nullptr on miss/expiry.
+  /// position, or nullptr on a miss.
   std::shared_ptr<const json::Json> Lookup(uint64_t fingerprint,
-                                           uint64_t epoch, int64_t now_micros);
+                                           uint64_t epoch);
 
-  void Insert(uint64_t fingerprint, uint64_t epoch, int64_t now_micros,
+  void Insert(uint64_t fingerprint, uint64_t epoch,
               std::shared_ptr<const json::Json> body);
 
   /// Drops every entry whose epoch predates `epoch` (hot-swap cleanup).
@@ -65,12 +62,9 @@ class ResultCache {
   };
   struct Entry {
     Key key;
-    int64_t inserted_micros;
     std::shared_ptr<const json::Json> body;
   };
 
-  size_t capacity_;
-  int64_t ttl_micros_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;

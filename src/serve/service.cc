@@ -50,8 +50,7 @@ QueryService::QueryService(EpochStore<ServingSnapshot>* store,
                            QueryServiceConfig config)
     : store_(store),
       config_(std::move(config)),
-      now_(config_.now_fn ? config_.now_fn : SteadyNowMicros),
-      cache_(config_.cache_capacity, config_.cache_ttl_micros) {
+      now_(config_.now_fn ? config_.now_fn : SteadyNowMicros) {
   breakers_[static_cast<size_t>(QueryClass::kSearch)] =
       std::make_unique<util::CircuitBreaker>(config_.search.breaker);
   breakers_[static_cast<size_t>(QueryClass::kRecommend)] =
@@ -292,7 +291,7 @@ void QueryService::Process(Pending pending) {
   const uint64_t fingerprint =
       FingerprintQuery(pending.request.endpoint, pending.request.params);
   std::shared_ptr<const json::Json> cached =
-      cache_.Lookup(fingerprint, pin.epoch(), dequeue);
+      cache_.Lookup(fingerprint, pin.epoch());
   const int64_t exec_start = now_();
   if (cached) {
     resp.status = 200;
@@ -325,7 +324,7 @@ void QueryService::Process(Pending pending) {
         breaker.RecordSuccess();
       }
       if (outcome.status == 200 && !outcome.truncated) {
-        cache_.Insert(fingerprint, pin.epoch(), exec_end, resp.body);
+        cache_.Insert(fingerprint, pin.epoch(), resp.body);
       }
     }
   }
@@ -411,7 +410,6 @@ json::Json QueryService::StatsJson() const {
   cache.Set("misses", json::Json(cstats.misses.load()));
   cache.Set("inserts", json::Json(cstats.inserts.load()));
   cache.Set("lru_evictions", json::Json(cstats.lru_evictions.load()));
-  cache.Set("ttl_expirations", json::Json(cstats.ttl_expirations.load()));
   cache.Set("epoch_evictions", json::Json(cstats.epoch_evictions.load()));
   doc.Set("cache", std::move(cache));
 

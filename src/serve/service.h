@@ -89,8 +89,6 @@ struct QueryServiceConfig {
   ClassPolicy facet{/*queue_capacity=*/512,
                     /*default_deadline_micros=*/25'000,
                     /*latency_budget_micros=*/5'000};
-  size_t cache_capacity = 8192;
-  int64_t cache_ttl_micros = 5'000'000;
   /// Service clock; defaults to steady_clock microseconds. Tests install a
   /// manual clock to drive deadlines and breaker cooldowns deterministically.
   std::function<int64_t()> now_fn;
@@ -110,7 +108,7 @@ struct QueryServiceConfig {
 ///    truncated top-K marked `degraded`) instead of starving the others;
 ///  * epoch-pinned reads: each execution pins the current snapshot, so a
 ///    concurrent hot-swap never tears a response;
-///  * an LRU/TTL result cache keyed on (fingerprint, epoch) — a swap
+///  * an LRU result cache keyed on (fingerprint, epoch) — a swap
 ///    naturally invalidates it.
 ///
 /// Shed / timeout / served / degraded are first-class per-class metrics.

@@ -18,6 +18,9 @@ std::string ToLower(const std::string& s) {
   return out;
 }
 
+/// Members listed per community in the facets payload.
+constexpr size_t kFacetTopMembers = 5;
+
 std::string DefaultName(const char* prefix, uint64_t id) {
   return std::string(prefix) + "-" + std::to_string(id);
 }
@@ -27,16 +30,10 @@ std::string DefaultName(const char* prefix, uint64_t id) {
 std::unique_ptr<const ServingSnapshot> BuildServingSnapshot(
     uint64_t epoch, const graph::BipartiteGraph& g,
     const SnapshotBuildOptions& options) {
-  const graph::BipartiteGraph* graph = &g;
-  graph::BipartiteGraph filtered;
-  if (options.min_investments > 1) {
-    filtered = g.FilterLeftByMinDegree(options.min_investments);
-    graph = &filtered;
-  }
   graph::WeightedGraph projection =
-      graph::WeightedGraph::ProjectLeft(*graph, options.max_right_degree);
+      graph::WeightedGraph::ProjectLeft(g, options.max_right_degree);
   community::LouvainResult louvain = community::RunLouvain(projection);
-  return AssembleServingSnapshot(epoch, *graph, projection, louvain.labels,
+  return AssembleServingSnapshot(epoch, g, projection, louvain.labels,
                                  louvain.communities, options);
 }
 
@@ -126,9 +123,7 @@ std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
         }
         return ia.id < ib.id;
       });
-      if (top.size() > options.facet_top_members) {
-        top.resize(options.facet_top_members);
-      }
+      if (top.size() > kFacetTopMembers) top.resize(kFacetTopMembers);
       json::Json names = json::Json::MakeArray();
       for (uint32_t m : top) names.Append(json::Json(snap->investors[m].name));
       entry.Set("top_members", std::move(names));

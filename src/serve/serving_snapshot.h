@@ -49,21 +49,17 @@ struct ServingSnapshot {
 
 /// Knobs for BuildServingSnapshot.
 struct SnapshotBuildOptions {
-  /// §5.2 cleaning: drop investors with fewer investments before serving
-  /// (1 = keep everyone).
-  size_t min_investments = 1;
   /// Projection popularity cap (companies with more investors are skipped).
   size_t max_right_degree = 500;
   /// Display names; defaults derive "investor-<id>" / "company-<id>".
   std::function<std::string(uint64_t id)> investor_name;
   std::function<std::string(uint64_t id)> company_name;
-  /// Members listed per community in the facets payload.
-  size_t facet_top_members = 5;
 };
 
 /// Builds a serving snapshot for `epoch` from the merged investor graph.
 /// Deterministic per (graph, options): Louvain communities, PageRank
-/// centrality, sorted name index, facet payloads.
+/// centrality, sorted name index, facet payloads (the facets list each
+/// community's 5 most central members).
 std::unique_ptr<const ServingSnapshot> BuildServingSnapshot(
     uint64_t epoch, const graph::BipartiteGraph& g,
     const SnapshotBuildOptions& options = {});
@@ -73,9 +69,8 @@ std::unique_ptr<const ServingSnapshot> BuildServingSnapshot(
 /// partition across epochs at delta cost, and this finishes the serving
 /// side — PageRank, investor entries, search/centrality indexes, facet
 /// payloads, fingerprint). `projection`/`community_labels`/`communities`
-/// must describe exactly `g`; `options.min_investments` is NOT applied
-/// here (the caller owns graph hygiene). BuildServingSnapshot is
-/// equivalent to filtering + projecting + Louvain + this call.
+/// must describe exactly `g`. BuildServingSnapshot is equivalent to
+/// projecting + Louvain + this call.
 std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
     uint64_t epoch, const graph::BipartiteGraph& g,
     const graph::WeightedGraph& projection,

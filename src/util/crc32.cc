@@ -9,15 +9,13 @@
 // constants from Intel's "Fast CRC Computation Using PCLMULQDQ" paper — the
 // same constants zlib ships. aarch64 exposes the IEEE polynomial directly as
 // the ARMv8 `crc32{b,h,w,x}` instructions. Both reduce to the identical
-// bit stream the table produces; -DCFNET_DISABLE_HW_CRC=ON removes them.
-#if !defined(CFNET_DISABLE_HW_CRC)
+// bit stream the table produces.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define CFNET_CRC32_X86_CLMUL 1
 #include <immintrin.h>
 #elif defined(__aarch64__) && defined(__ARM_FEATURE_CRC32)
 #define CFNET_CRC32_ARM 1
 #include <arm_acle.h>
-#endif
 #endif
 
 namespace cfnet {

@@ -12,8 +12,7 @@ namespace cfnet {
 /// carry-less-multiply folding (PCLMULQDQ) on x86-64, the ARMv8 `crc32`
 /// instructions on aarch64. Both are bit-identical to the table fallback —
 /// footers and block checksums written by either path verify under the
-/// other (pinned by the differential test in util_misc_test). Build with
-/// -DCFNET_DISABLE_HW_CRC=ON to force the table path everywhere.
+/// other (pinned by the differential test in columnar_test).
 uint32_t Crc32(std::string_view data);
 
 /// Incremental form: feed chunks with the previous return value.
@@ -25,8 +24,7 @@ uint32_t Crc32Update(uint32_t crc, std::string_view data);
 uint32_t Crc32FallbackUpdate(uint32_t crc, std::string_view data);
 
 /// True when this process dispatches large inputs to a hardware CRC path
-/// (compile-time support present, runtime CPU check passed, and the build
-/// did not force the fallback).
+/// (compile-time support present and runtime CPU check passed).
 bool Crc32HardwareEnabled();
 
 }  // namespace cfnet

@@ -65,7 +65,7 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
 }
 
 double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  return UnitFromHash(Next());
 }
 
 double Rng::Uniform(double lo, double hi) {

@@ -14,6 +14,12 @@ namespace cfnet {
 /// the input when zero inputs are possible.
 uint64_t Mix64(uint64_t x);
 
+/// Uniform double in [0, 1) from the top 53 bits of a 64-bit hash (the
+/// unit draw behind every Mix64-keyed fault, latency and error decision).
+inline double UnitFromHash(uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
 /// Deterministic pseudo-random source (xoshiro256** seeded via SplitMix64)
 /// plus the sampling distributions used across the synthetic-world generator
 /// and the analyses. Every stochastic component in cfnet draws from an Rng

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 
 #include "util/simd_internal.h"
 
@@ -11,7 +10,7 @@
 // flags needed) + runtime dispatch. The AVX2 and NEON tiers live in their
 // own TUs (simd_avx2.cc / simd_neon.cc) so their -mavx2-style flags never
 // leak into portable code; see util/CMakeLists.txt.
-#if defined(__x86_64__) && !defined(CFNET_DISABLE_SIMD)
+#if defined(__x86_64__)
 #define CFNET_SIMD_SSE2 1
 #include <emmintrin.h>
 #endif
@@ -265,23 +264,13 @@ const Kernels kSse2Kernels = {
 // Dispatch
 // --------------------------------------------------------------------------
 
-bool DisabledByEnv() {
-  const char* v = std::getenv("CFNET_DISABLE_SIMD");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 const Kernels* DetectKernels() {
-#if defined(CFNET_DISABLE_SIMD)
-  return &kScalarKernels;
-#else
-  if (DisabledByEnv()) return &kScalarKernels;
   if (const Kernels* k = internal::GetAvx2Kernels()) return k;
   if (const Kernels* k = internal::GetNeonKernels()) return k;
 #if defined(CFNET_SIMD_SSE2)
   return &kSse2Kernels;
 #else
   return &kScalarKernels;
-#endif
 #endif
 }
 

@@ -10,11 +10,9 @@ namespace cfnet::simd {
 ///
 /// Dispatch follows the hardware-CRC32 precedent in util/crc32: the best
 /// backend is selected once at first use — AVX2 (runtime CPU check) or SSE2
-/// on x86-64, NEON on aarch64, portable scalar otherwise. Three switches
-/// force the scalar path:
-///   * build with -DCFNET_DISABLE_SIMD=ON (removes the vector TUs' codegen),
-///   * set the CFNET_DISABLE_SIMD environment variable to anything but "0",
-///   * instantiate a ScopedForceScalar (tests and benchmarks).
+/// on x86-64, NEON on aarch64, portable scalar otherwise. A
+/// ScopedForceScalar forces the scalar path (tests and benchmarks compare
+/// against it).
 ///
 /// # The virtual-lane bit-identity contract
 ///
@@ -60,7 +58,7 @@ inline constexpr size_t kVirtualLanes = 16;
 // --- runtime dispatch introspection ---------------------------------------
 
 /// True when the process dispatches to a vector backend (compile-time
-/// support present, runtime CPU check passed, no disable switch active).
+/// support present, runtime CPU check passed, no ScopedForceScalar alive).
 bool SimdEnabled();
 
 /// Active backend: "avx2", "sse2", "neon" or "scalar".

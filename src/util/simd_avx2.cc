@@ -12,7 +12,7 @@
 #include "util/simd.h"
 #include "util/simd_internal.h"
 
-#if defined(__AVX2__) && !defined(CFNET_DISABLE_SIMD)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
@@ -255,7 +255,7 @@ const Kernels* GetAvx2Kernels() {
 
 }  // namespace cfnet::simd::internal
 
-#else  // !__AVX2__ || CFNET_DISABLE_SIMD
+#else  // !__AVX2__
 
 namespace cfnet::simd::internal {
 const Kernels* GetAvx2Kernels() { return nullptr; }

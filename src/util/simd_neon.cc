@@ -12,7 +12,7 @@
 #include "util/simd.h"
 #include "util/simd_internal.h"
 
-#if defined(__aarch64__) && !defined(CFNET_DISABLE_SIMD)
+#if defined(__aarch64__)
 
 #include <arm_neon.h>
 
@@ -236,7 +236,7 @@ const Kernels* GetNeonKernels() { return &kNeonKernels; }
 
 }  // namespace cfnet::simd::internal
 
-#else  // !__aarch64__ || CFNET_DISABLE_SIMD
+#else  // !__aarch64__
 
 namespace cfnet::simd::internal {
 const Kernels* GetNeonKernels() { return nullptr; }

@@ -20,9 +20,8 @@ std::vector<Point2D> FruchtermanReingold(
   if (num_nodes == 1) return pos;
 
   const double area = config.width * config.height;
-  const double k = config.ideal_edge_length > 0
-                       ? config.ideal_edge_length
-                       : std::sqrt(area / static_cast<double>(num_nodes));
+  // Ideal edge length: the repulsion/attraction balance point.
+  const double k = std::sqrt(area / static_cast<double>(num_nodes));
   double temperature = config.width / 10.0;
   const double cooling =
       temperature / static_cast<double>(std::max(1, config.iterations));

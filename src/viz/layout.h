@@ -18,14 +18,13 @@ struct LayoutConfig {
   double width = 1000;
   double height = 1000;
   uint64_t seed = 1;
-  /// Repulsion/attraction balance; <= 0 selects sqrt(area / n).
-  double ideal_edge_length = 0;
 };
 
 /// Fruchterman–Reingold force-directed layout (the classic spring embedder
 /// igraph uses for plots like the paper's Figure 7). O(n^2 + e) per
 /// iteration with linearly cooling temperature; fine for the few-hundred-
-/// node community renderings it serves.
+/// node community renderings it serves. The ideal edge length is
+/// sqrt(width * height / n).
 std::vector<Point2D> FruchtermanReingold(
     size_t num_nodes, const std::vector<std::pair<uint32_t, uint32_t>>& edges,
     const LayoutConfig& config = {});

@@ -10,6 +10,7 @@
 #include "community/incremental.h"
 #include "community/label_propagation.h"
 #include "community/louvain.h"
+#include "community/model_selection.h"
 #include "community/random_baseline.h"
 #include "community/sbm.h"
 #include "core/epoch_maintainer.h"
@@ -488,6 +489,41 @@ TEST(PinnedOutputsTest, CodaFitFactors) {
   digest.Communities(result.investor_communities);
   digest.Communities(result.company_communities);
   EXPECT_EQ(digest.value(), 0x986bc61d137e8310ull)
+      << std::hex << "0x" << digest.value();
+}
+
+TEST(PinnedOutputsTest, SbmLabelsAndPosterior) {
+  SbmResult result = RunSbm(
+      graph::BipartiteGraph::FromEdges(SeededInvestments(61, 1500)),
+      {.num_investor_blocks = 6, .num_company_blocks = 5, .seed = 7});
+  Digest digest;
+  digest.Labels(result.investor_labels);
+  digest.Labels(result.company_labels);
+  digest.Communities(result.investor_communities);
+  digest.Bits(result.log_posterior);
+  digest.Word(static_cast<uint64_t>(result.sweeps));
+  EXPECT_EQ(digest.value(), 0x90d67c951ab6a6c8ull)
+      << std::hex << "0x" << digest.value();
+}
+
+TEST(PinnedOutputsTest, CodaModelSelectionScores) {
+  ModelSelectionConfig config;
+  config.coda.max_iterations = 8;
+  config.coda.num_threads = 2;
+  config.seed = 3;
+  ModelSelectionResult result = SelectCodaCommunities(
+      graph::BipartiteGraph::FromEdges(SeededInvestments(67, 1500)),
+      {2, 4, 8}, config);
+  Digest digest;
+  for (const CandidateScore& s : result.scores) {
+    digest.Word(static_cast<uint64_t>(s.num_communities));
+    digest.Bits(s.heldout_log_likelihood);
+    digest.Bits(s.train_log_likelihood);
+    digest.Word(s.detected_communities);
+  }
+  digest.Word(static_cast<uint64_t>(result.best_num_communities));
+  EXPECT_EQ(result.scores.size(), 3u);
+  EXPECT_EQ(digest.value(), 0xb2f100e7a396ea4eull)
       << std::hex << "0x" << digest.value();
 }
 

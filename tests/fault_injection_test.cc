@@ -409,8 +409,7 @@ TEST(FaultInjectionCrawlTest, BreakerTripsDegradePhaseAndReplayRecovers) {
   const CrawlReport& report = bed.crawler->report();
 
   // The breaker opened past its budget and the phase degraded.
-  EXPECT_GT(bed.crawler->crunchbase_breaker().trips(),
-            clean_config.breaker_trip_budget);
+  EXPECT_GT(bed.crawler->crunchbase_breaker().trips(), kBreakerTripBudget);
   EXPECT_GT(report.breaker_trips, 0);
   ASSERT_EQ(report.degraded_phases.size(), 1u);
   EXPECT_EQ(report.degraded_phases[0].phase, kPhaseCrunchBase);
@@ -455,6 +454,91 @@ TEST(FaultInjectionCrawlTest, CrawlStartingInsideOutageWindowCompletes) {
   EXPECT_GT(report.fetch.retries, 0);
   EXPECT_GT(bed.web->angellist().stats().injected_errors.load(), 0);
   EXPECT_GT(report.makespan_micros, 20 * kSecond);
+}
+
+// --- pinned one-worker crawl -------------------------------------------------
+// With one worker the request order, and so every latency and transient-error
+// draw, is fixed. These pins cover the retry schedule, the rotate-then-wait
+// answer to Twitter's rate limit and the commit protocol's storage ops.
+
+TEST(FaultInjectionCrawlTest, OneWorkerCrawlCountersArePinned) {
+  synth::WorldConfig wc;
+  wc.scale = 0.01;
+  wc.seed = 99;
+  synth::World world = synth::World::Generate(wc);
+  net::SocialWeb web(&world);
+  dfs::MiniDfs dfs;
+  CrawlConfig config;
+  config.num_workers = 1;
+  config.num_twitter_machines = 1;
+  config.twitter_apps_per_machine = 2;
+  Crawler crawler(&web, &dfs, config);
+  ASSERT_TRUE(crawler.Run().ok());
+  const CrawlReport& r = crawler.report();
+  EXPECT_GT(r.fetch.token_rotations, 0);
+  EXPECT_GT(r.fetch.rate_limit_waits, 0);
+
+  EXPECT_EQ(r.companies_crawled, 7440);
+  EXPECT_EQ(r.users_crawled, 11094);
+  EXPECT_EQ(r.bfs_rounds, 4);
+  EXPECT_EQ(r.crunchbase_profiles, 88);
+  EXPECT_EQ(r.crunchbase_matched_by_url, 68);
+  EXPECT_EQ(r.crunchbase_matched_by_search, 20);
+  EXPECT_EQ(r.crunchbase_ambiguous_skipped, 0);
+  EXPECT_EQ(r.crunchbase_backlink_mismatches, 17);
+  EXPECT_EQ(r.crunchbase_misses, 7335);
+  EXPECT_EQ(r.facebook_profiles, 391);
+  EXPECT_EQ(r.twitter_profiles, 732);
+  EXPECT_EQ(r.twitter_tokens, 2);
+  EXPECT_EQ(r.fetch.requests, 61942);
+  EXPECT_EQ(r.fetch.retries, 247);
+  EXPECT_EQ(r.fetch.rate_limit_waits, 4);
+  EXPECT_EQ(r.fetch.token_rotations, 8);
+  EXPECT_EQ(r.fetch.failures, 0);
+  EXPECT_EQ(r.fetch.malformed_retries, 0);
+  EXPECT_EQ(r.fetch.breaker_fast_fails, 0);
+  EXPECT_EQ(r.fetch.breaker_waits, 0);
+  EXPECT_EQ(r.makespan_micros, 7136470919);
+  EXPECT_EQ(r.breaker_trips, 0);
+  EXPECT_EQ(r.checkpoint_writes, 29);
+  EXPECT_EQ(r.checkpoint_restores, 0);
+  EXPECT_EQ(r.checkpoint_bytes, 242680);
+  EXPECT_EQ(r.dead_lettered_ids, 0);
+  EXPECT_EQ(r.dead_letters_replayed, 0);
+  EXPECT_EQ(r.storage_temps_removed, 0);
+  EXPECT_EQ(r.storage_quarantined, 0);
+  EXPECT_TRUE(r.degraded_phases.empty());
+  const dfs::DfsStats stats = dfs.GetStats();
+  EXPECT_EQ(stats.mutation_ops, 122u);
+  EXPECT_EQ(stats.read_ops, 61u);
+}
+
+// Every attempt of a fetch under a total outage costs one latency, and the
+// waits between them double from half a second: 0.5 + 1 + 2 + 4 s.
+TEST(FetchRetryTest, RetriesWaitHalfASecondDoubling) {
+  synth::WorldConfig wc;
+  wc.scale = 0.002;
+  wc.seed = 99;
+  synth::World world = synth::World::Generate(wc);
+  net::ServiceConfig config;
+  config.transient_error_rate = 0;
+  config.latency_jitter = 0;
+  net::AngelListService al(&world, config);
+  net::FaultPlan outage;
+  outage.error_bursts = {{0, 365ll * 24 * 3600 * kSecond, 1.0}};
+  al.set_fault_plan(outage);
+
+  FetchPolicy policy;
+  policy.max_retries = 4;
+  FetchCounters counters;
+  int64_t t = 0;
+  net::ApiResponse resp =
+      FetchWithRetry(&al, net::ApiRequest("startups.get", {{"id", "1"}}),
+                     nullptr, policy, &t, &counters);
+  EXPECT_EQ(resp.status, 503);
+  EXPECT_EQ(counters.retries, 4);
+  EXPECT_EQ(counters.failures, 1);
+  EXPECT_EQ(t, 5 * config.latency_mean_micros + 7'500'000);
 }
 
 }  // namespace

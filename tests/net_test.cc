@@ -69,7 +69,7 @@ TEST(RateLimiterTest, OutOfOrderTimestamps) {
 // --- token registry ------------------------------------------------------------
 
 TEST(TokenRegistryTest, AppCapEnforced) {
-  TokenRegistry registry(5);
+  TokenRegistry registry;
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(registry.RegisterApp("alice").ok());
   }

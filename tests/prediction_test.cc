@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fnv_digest.h"
 #include "util/rng.h"
 
 namespace cfnet::core {
@@ -114,6 +115,20 @@ TEST(TrainTest, PredictAppliesStandardization) {
   strong_neg[2] = 3.0;
   EXPECT_GT(model.Predict(strong_pos), 0.8);
   EXPECT_LT(model.Predict(strong_neg), 0.2);
+}
+
+// Every bit of a default-config model: the split, the step size and the L2
+// strength all feed it.
+TEST(TrainTest, PinnedWeightsAndAuc) {
+  PredictionResult model = TrainSuccessPredictor(SyntheticExamples(2000, 29));
+  FnvDigest digest;
+  for (double w : model.weights) digest.Bits(w);
+  digest.Bits(model.bias);
+  digest.Bits(model.train_auc);
+  digest.Bits(model.test_auc);
+  digest.Word(model.train_size);
+  EXPECT_EQ(digest.value(), 0xb3498dbb8da47a14ull)
+      << std::hex << "0x" << digest.value();
 }
 
 TEST(TrainTest, EmptyInput) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -10,11 +11,14 @@
 
 #include "core/investor_graph.h"
 #include "core/platform.h"
+#include "fnv_digest.h"
+#include "serve/cache.h"
 #include "serve/epoch_store.h"
 #include "serve/load_gen.h"
 #include "serve/queries.h"
 #include "serve/service.h"
 #include "serve/serving_snapshot.h"
+#include "util/rng.h"
 
 namespace cfnet::serve {
 namespace {
@@ -143,6 +147,32 @@ TEST_F(QueryTest, FacetsArePrecomputed) {
   EXPECT_GT(centrality.body.Get("most_central").size(), 0u);
 }
 
+// Both facet payloads of a snapshot whose largest communities outgrow the
+// listed top members, byte for byte.
+TEST(ServingSnapshotTest, PinnedFacetPayloads) {
+  Rng rng(31);
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (int i = 0; i < 900; ++i) {
+    const uint64_t inv = 1 + rng.NextUint64(160);
+    edges.emplace_back(inv, 1000 + (inv % 8) * 20 + rng.NextUint64(20));
+  }
+  auto snap = BuildServingSnapshot(3, graph::BipartiteGraph::FromEdges(edges));
+  size_t largest = 0;
+  for (const auto& members : snap->communities.communities) {
+    largest = std::max(largest, members.size());
+  }
+  ASSERT_GT(largest, 5u);  // more members than the facets list
+  FnvDigest digest;
+  for (const json::Json* facet :
+       {&snap->facet_communities, &snap->facet_centrality}) {
+    const std::string text = facet->Dump();
+    digest.Word(text.size());
+    for (char c : text) digest.Word(static_cast<unsigned char>(c));
+  }
+  EXPECT_EQ(digest.value(), 0x17bb97115b010f70ull)
+      << std::hex << "0x" << digest.value();
+}
+
 TEST_F(QueryTest, UnknownEndpointIs404) {
   QueryOutcome out = ExecuteQuery(snap(), "investors.frobnicate", {});
   EXPECT_EQ(out.status, 404);
@@ -181,6 +211,22 @@ TEST_F(QueryTest, ClassifyEndpointRoutesClasses) {
   EXPECT_EQ(ClassifyEndpoint("investors.similar"), QueryClass::kRecommend);
   EXPECT_EQ(ClassifyEndpoint("facets.communities"), QueryClass::kFacet);
   EXPECT_EQ(ClassifyEndpoint("facets.centrality"), QueryClass::kFacet);
+}
+
+// ---------------------------------------------------------------------------
+// Result cache.
+
+TEST(ResultCacheTest, LeastRecentlyUsedEntryIsEvictedPastCapacity) {
+  ResultCache cache;
+  auto body = std::make_shared<const json::Json>(json::Json(1));
+  for (uint64_t key = 0; key <= ResultCache::kCapacity; ++key) {
+    cache.Insert(key, /*epoch=*/1, body);
+  }
+  EXPECT_EQ(cache.size(), 8192u);
+  EXPECT_EQ(cache.Lookup(0, 1), nullptr);  // the first key went
+  EXPECT_NE(cache.Lookup(1, 1), nullptr);
+  EXPECT_NE(cache.Lookup(ResultCache::kCapacity, 1), nullptr);
+  EXPECT_EQ(cache.stats().lru_evictions.load(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,18 +393,6 @@ TEST(ServeServiceTest, RepeatQueryHitsCache) {
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(*hit.body, *miss.body);
   EXPECT_EQ(h.service->stats(QueryClass::kSearch).cache_hits.load(), 1);
-}
-
-TEST(ServeServiceTest, CacheEntriesExpireByTtl) {
-  QueryServiceConfig config;
-  config.cache_ttl_micros = 1000;
-  ServiceHarness h(std::move(config));
-  QueryRequest req("investors.search", {{"q", "al"}});
-  EXPECT_FALSE(h.service->Call(req).cache_hit);
-  EXPECT_TRUE(h.service->Call(req).cache_hit);
-  h.clock.fetch_add(2000);
-  EXPECT_FALSE(h.service->Call(req).cache_hit);
-  EXPECT_GE(h.service->cache().stats().ttl_expirations.load(), 1);
 }
 
 TEST(ServeServiceTest, SnapshotSwapInvalidatesCache) {

@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "util/backoff.h"
 #include "util/crc32.h"
 #include "util/flags.h"
-#include "util/sim_clock.h"
 #include "util/string_util.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -163,64 +161,6 @@ TEST(FlagParserTest, BoolSpellings) {
   EXPECT_FALSE(flags.GetBool("d", true));
 }
 
-// --- sim clock ------------------------------------------------------------------
-
-TEST(SimClockTest, AdvanceMonotone) {
-  SimClock clock;
-  EXPECT_EQ(clock.NowMicros(), 0);
-  EXPECT_EQ(clock.Advance(100), 100);
-  clock.AdvanceTo(50);  // no-op: behind current time
-  EXPECT_EQ(clock.NowMicros(), 100);
-  clock.AdvanceTo(500);
-  EXPECT_EQ(clock.NowMicros(), 500);
-}
-
-// --- exponential backoff --------------------------------------------------------
-
-TEST(ExponentialBackoffTest, DefaultsReproduceShiftSchedule) {
-  // The historical crawler schedule was `base << attempt`; the shared policy
-  // must reproduce it bit-for-bit so virtual-time tests stay stable.
-  BackoffPolicy policy;
-  policy.base_micros = 500000;
-  ExponentialBackoff backoff(policy);
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    EXPECT_EQ(backoff.NextDelayMicros(), 500000ll << attempt) << attempt;
-  }
-  backoff.Reset();
-  EXPECT_EQ(backoff.NextDelayMicros(), 500000);
-}
-
-TEST(ExponentialBackoffTest, CapBoundsEveryDelay) {
-  BackoffPolicy policy;
-  policy.base_micros = 1000;
-  policy.max_micros = 5000;
-  ExponentialBackoff backoff(policy);
-  EXPECT_EQ(backoff.NextDelayMicros(), 1000);
-  EXPECT_EQ(backoff.NextDelayMicros(), 2000);
-  EXPECT_EQ(backoff.NextDelayMicros(), 4000);
-  EXPECT_EQ(backoff.NextDelayMicros(), 5000);  // capped from 8000
-  EXPECT_EQ(backoff.NextDelayMicros(), 5000);
-}
-
-TEST(ExponentialBackoffTest, JitterIsBoundedAndSeedDeterministic) {
-  BackoffPolicy policy;
-  policy.base_micros = 100000;
-  policy.jitter = 0.25;
-  ExponentialBackoff a(policy, /*seed=*/7);
-  ExponentialBackoff b(policy, /*seed=*/7);
-  ExponentialBackoff c(policy, /*seed=*/8);
-  bool seeds_diverge = false;
-  for (int attempt = 0; attempt < 10; ++attempt) {
-    const int64_t exact = 100000ll << attempt;
-    int64_t da = a.NextDelayMicros();
-    EXPECT_EQ(da, b.NextDelayMicros()) << attempt;  // same seed: same delays
-    EXPECT_GE(da, static_cast<int64_t>(static_cast<double>(exact) * 0.74));
-    EXPECT_LE(da, static_cast<int64_t>(static_cast<double>(exact) * 1.26));
-    seeds_diverge = seeds_diverge || da != c.NextDelayMicros();
-  }
-  EXPECT_TRUE(seeds_diverge);
-}
-
 // --- crc32 ----------------------------------------------------------------------
 
 TEST(Crc32Test, MatchesKnownVectorAndComposes) {
@@ -229,18 +169,6 @@ TEST(Crc32Test, MatchesKnownVectorAndComposes) {
   EXPECT_EQ(Crc32(""), 0u);
   uint32_t streamed = Crc32Update(Crc32Update(0, "1234"), "56789");
   EXPECT_EQ(streamed, 0xCBF43926u);
-}
-
-TEST(SimClockTest, ConcurrentAdvanceToTakesMax) {
-  SimClock clock;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&clock, t]() {
-      for (int i = 0; i < 1000; ++i) clock.AdvanceTo(t * 1000 + i);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(clock.NowMicros(), 7999);
 }
 
 }  // namespace

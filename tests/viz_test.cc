@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fnv_digest.h"
 #include "viz/layout.h"
 #include "viz/render.h"
 
@@ -54,6 +55,22 @@ TEST(LayoutTest, EmptyAndSingle) {
   EXPECT_TRUE(FruchtermanReingold(0, {}).empty());
   auto one = FruchtermanReingold(1, {});
   EXPECT_EQ(one.size(), 1u);
+}
+
+TEST(LayoutTest, PinnedPositions) {
+  // A ring of 24 nodes with chords, laid out with the default edge length.
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (uint32_t v = 0; v < 24; ++v) {
+    edges.emplace_back(v, (v + 1) % 24);
+    if (v % 3 == 0) edges.emplace_back(v, (v + 7) % 24);
+  }
+  FnvDigest digest;
+  for (const Point2D& p : FruchtermanReingold(24, edges)) {
+    digest.Bits(p.x);
+    digest.Bits(p.y);
+  }
+  EXPECT_EQ(digest.value(), 0x3bfb82b3939d31e6ull)
+      << std::hex << "0x" << digest.value();
 }
 
 TEST(RenderTest, SvgContainsNodesEdgesAndTitle) {
