@@ -86,15 +86,6 @@ double CollectMs(double scale, bool checkpointing) {
       .count();
 }
 
-json::Json Spread(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  json::Json o = json::Json::MakeObject();
-  o.Set("median", v[v.size() / 2]);
-  o.Set("min", v.front());
-  o.Set("max", v.back());
-  return o;
-}
-
 /// Least-squares slope of log(y) against log(x).
 double LogLogSlope(const std::vector<double>& x,
                    const std::vector<double>& y) {

@@ -225,8 +225,8 @@ void RunGraphBench(const FlagParser& flags) {
                 name.c_str(), scalar_ms, simd_ms, speedup);
   };
 
-  // coda_row_update: the full projected-gradient fit (gather, fused
-  // expm1-weighted gradient, clamped step, Armijo objective) end to end.
+  // coda_row_update: the full projected-gradient fit (fused expm1-weighted
+  // gradient, clamped step, Armijo objective) end to end.
   {
     community::CodaConfig coda_config;
     coda_config.num_communities = 32;
@@ -333,6 +333,42 @@ void RunGraphBench(const FlagParser& flags) {
                                       simd::PearsonAccumF64Scalar));
     }, reps).ms_per_rep;
     emit_simd("stats_reduce", scalar_ms, simd_ms);
+  }
+
+  // ---- CoDA fit at the `analyze` workload's shape -----------------------
+  // C = 96, 25 iterations, 1 thread, on a graph filtered to investors with
+  // >= 4 investments as in the paper's §5 analysis. Unlike coda_row_update
+  // (C = 32, 2 iterations, rows still dense), most of F and H is zero by
+  // the end and most line-search candidates fail the Armijo test.
+  Section("coda fit at the analyze shape (C=96, 25 iterations, 1 thread)");
+  json::Json coda_fit = json::Json::MakeObject();
+  {
+    const graph::BipartiteGraph fg =
+        graph::BipartiteGraph::FromEdges(DrawInvestments(4800, 6000, 20260806))
+            .FilterLeftByMinDegree(4);
+    community::CodaConfig config;
+    config.num_communities = 96;
+    config.max_iterations = 25;
+    config.num_threads = 1;
+    config.seed = 11;
+    const community::Coda coda(config);
+    constexpr int kFits = 11;
+    json::Json ms = Spread(TimeRepsMs([&]() {
+      benchmark::DoNotOptimize(coda.Fit(fg).final_log_likelihood);
+    }, kFits));
+    std::printf("coda_fit: %zu investors, %zu companies, %zu edges; "
+                "median %.1f ms (min %.1f, max %.1f) over %d fits\n",
+                fg.num_left(), fg.num_right(), fg.num_edges(),
+                ms.Get("median").AsDouble(), ms.Get("min").AsDouble(),
+                ms.Get("max").AsDouble(), kFits);
+    coda_fit.Set("investors", static_cast<int64_t>(fg.num_left()));
+    coda_fit.Set("companies", static_cast<int64_t>(fg.num_right()));
+    coda_fit.Set("investments", static_cast<int64_t>(fg.num_edges()));
+    coda_fit.Set("communities", static_cast<int64_t>(config.num_communities));
+    coda_fit.Set("iterations", static_cast<int64_t>(config.max_iterations));
+    coda_fit.Set("threads", static_cast<int64_t>(config.num_threads));
+    coda_fit.Set("fits", static_cast<int64_t>(kFits));
+    coda_fit.Set("ms", std::move(ms));
   }
 
   // ---- incremental epoch maintenance vs full rebuild --------------------
@@ -469,6 +505,7 @@ void RunGraphBench(const FlagParser& flags) {
   out_doc.Set("simd_note",
               "single-thread scalar-vs-dispatched comparisons; the two "
               "backends' outputs are checked byte-identical.");
+  out_doc.Set("coda_fit", std::move(coda_fit));
   std::printf("acceptance: incremental 1%% delta epoch %.2fx vs full rebuild "
               "(target 5x)\n",
               inc_speedup_1pct);

@@ -1,6 +1,9 @@
 #ifndef CFNET_BENCH_BENCH_UTIL_H_
 #define CFNET_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -34,6 +37,37 @@ Testbed& GetTestbed(const FlagParser& flags, double default_scale = 0.05,
 std::vector<std::pair<uint64_t, uint64_t>> DrawInvestments(size_t investors,
                                                            size_t companies,
                                                            uint64_t seed);
+
+// The repetition runner is header-only: e2ebench compiles bench_util.cc
+// into its own binary, and code added there moves that binary's layout
+// (serve_fresh freshness read ~10% higher from that alone).
+
+/// Wall milliseconds of each of `reps` calls of `fn`, after one untimed
+/// warm-up call.
+inline std::vector<double> TimeRepsMs(const std::function<void()>& fn,
+                                      int reps) {
+  fn();  // warm-up
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  return ms;
+}
+
+/// {"median", "min", "max"} of `samples` (the upper median for an even
+/// count): how a BENCH_*.json row reports a repeated measurement.
+inline json::Json Spread(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  json::Json o = json::Json::MakeObject();
+  o.Set("median", samples[samples.size() / 2]);
+  o.Set("min", samples.front());
+  o.Set("max", samples.back());
+  return o;
+}
 
 /// Prints "<name>: paper=<paper> measured=<measured>" rows consistently.
 void PrintComparison(const std::string& name, const std::string& paper,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -23,24 +24,28 @@ constexpr double kMaxAffiliation = 1000;
 constexpr size_t kMinCommunitySize = 3;
 
 /// Per-worker buffers for one row update, sized once for the maximum degree
-/// on either side so the row loop never reallocates (degree-skewed graphs
-/// used to churn `gather` on every high-degree row). `gather` holds the
-/// neighbor rows copied contiguously (count * c doubles), so the dot-product
-/// kernels stream sequential memory instead of chasing a pointer per
-/// neighbor.
+/// on either side so the row loop never reallocates. `dots`/`terms` hold the
+/// clamped dot and log term of each neighbor edge at the row's current
+/// value, `cand_dots`/`cand_terms` those at the line-search candidate.
 struct RowScratch {
-  std::vector<double> gather;
   std::vector<double> nbr_sum;
   std::vector<double> rest;
   std::vector<double> grad;
   std::vector<double> candidate;
+  std::vector<double> dots;
+  std::vector<double> terms;
+  std::vector<double> cand_dots;
+  std::vector<double> cand_terms;
 
   RowScratch(int c, size_t max_degree)
-      : gather(max_degree * static_cast<size_t>(c)),
-        nbr_sum(static_cast<size_t>(c)),
+      : nbr_sum(static_cast<size_t>(c)),
         rest(static_cast<size_t>(c)),
         grad(static_cast<size_t>(c)),
-        candidate(static_cast<size_t>(c)) {}
+        candidate(static_cast<size_t>(c)),
+        dots(max_degree),
+        terms(max_degree),
+        cand_dots(max_degree),
+        cand_terms(max_degree) {}
 };
 
 }  // namespace
@@ -96,37 +101,76 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
     scratches.emplace_back(c, max_degree);
   }
 
-  // Local objective of one row x (F_u against its out-neighborhood, or H_v
-  // against its in-neighborhood):
-  //   l(x) = sum_{nbr} log(1 - exp(-x . Y_nbr)) - x . rest
-  // where rest = (column sums of the other side) - (sum over neighbors),
-  // and the neighbor rows are packed contiguously in `nbr_rows`.
-  auto row_objective = [cs](const double* x, const double* nbr_rows,
-                            size_t count, const double* rest) {
-    return simd::SumLogEdgeProbF64(x, nbr_rows, count, cs, kMinDot) -
-           simd::DotF64(x, rest, cs);
-  };
+  // Each edge's clamped dot and log term, in out-edge (CSR) order: the
+  // order the log-likelihood sums them in. `in_edge_slot` maps company v's
+  // i-th in-edge (in-neighbors ascending, numbered company by company) to
+  // its CSR position, so the H phase can file each row's final values.
+  const size_t ne = g.num_edges();
+  std::vector<double> edge_dot(ne);
+  std::vector<double> edge_term(ne);
+  std::vector<size_t> in_edge_begin(nr + 1, 0);
+  for (uint32_t v = 0; v < nr; ++v) {
+    in_edge_begin[v + 1] = in_edge_begin[v] + g.InNeighbors(v).size();
+  }
+  std::vector<size_t> in_edge_slot(ne);
+  {
+    std::vector<size_t> cursor(in_edge_begin.begin(), in_edge_begin.end() - 1);
+    size_t e = 0;
+    for (uint32_t u = 0; u < nl; ++u) {
+      const double* fu = &f[u * cs];
+      for (uint32_t v : g.OutNeighbors(u)) {
+        in_edge_slot[cursor[v]++] = e;
+        edge_dot[e] = std::max(simd::DotF64(fu, &h[v * cs], cs), kMinDot);
+        edge_term[e] = std::log1p(-std::exp(-edge_dot[e]));
+        ++e;
+      }
+    }
+  }
 
-  auto update_row = [&](double* x, const double* nbr_rows, size_t count,
-                        RowScratch& scratch) {
+  // Local objective of one row x (F_u against its out-neighborhood, or H_v
+  // against its in-neighborhood), with Y the other side's factor matrix
+  // `other`, read in place:
+  //   l(x) = sum_{nbr} log(1 - exp(-x . Y_nbr)) - x . rest
+  // where rest = (column sums of the other side) - (sum over neighbors).
+  // On return scratch.dots/terms hold the edges' values at the row's final
+  // value, moved or not.
+  auto update_row = [&](double* x, const double* other,
+                        const double* sum_other,
+                        std::span<const uint32_t> nbrs, RowScratch& scratch) {
+    const size_t count = nbrs.size();
+    std::fill(scratch.nbr_sum.begin(), scratch.nbr_sum.end(), 0.0);
+    for (uint32_t j : nbrs) {
+      simd::AddF64(scratch.nbr_sum.data(), &other[j * cs], cs);
+    }
+    simd::ClampedSubF64(scratch.rest.data(), sum_other, scratch.nbr_sum.data(),
+                        cs);
     const double* rest = scratch.rest.data();
-    // Gradient: sum_nbr Y / expm1(dot) - rest.
+    // Gradient: sum_nbr Y / expm1(dot) - rest. Its pass also yields the
+    // edge terms of l(x).
     double* grad = scratch.grad.data();
     std::fill(scratch.grad.begin(), scratch.grad.end(), 0.0);
-    simd::AccumExpm1RowsF64(x, nbr_rows, count, cs, kMinDot, 1.0 / kMinDot,
-                            grad);
+    const double base =
+        simd::AccumExpm1RowsF64(x, other, nbrs.data(), count, cs, kMinDot,
+                                1.0 / kMinDot, grad, scratch.dots.data(),
+                                scratch.terms.data()) -
+        simd::DotF64(x, rest, cs);
     simd::SubF64(grad, rest, cs);
 
-    double base = row_objective(x, nbr_rows, count, rest);
     double* candidate = scratch.candidate.data();
     double step = kInitialStep;
     for (int bt = 0; bt <= kMaxBacktracks; ++bt) {
       double gdx = simd::ClampedStepDotF64(x, grad, step, 0.0, kMaxAffiliation,
                                            candidate, cs);
       if (gdx <= 0) break;  // projected step is not an ascent direction
-      double obj = row_objective(candidate, nbr_rows, count, rest);
-      if (obj >= base + 1e-4 * gdx) {  // Armijo
+      const double bar = base + 1e-4 * gdx;
+      const double obj = simd::SumLogEdgeProbF64(
+          candidate, other, nbrs.data(), count, cs, kMinDot,
+          simd::DotF64(candidate, rest, cs), bar, scratch.cand_dots.data(),
+          scratch.cand_terms.data());
+      if (obj >= bar) {  // Armijo
         std::copy(candidate, candidate + cs, x);
+        std::swap(scratch.dots, scratch.cand_dots);
+        std::swap(scratch.terms, scratch.cand_terms);
         return;
       }
       step *= kStepBeta;
@@ -134,9 +178,10 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
     // No improving step found: leave the row unchanged.
   };
 
-  // Rows are independent within a phase (each writes only its own row
-  // against the fixed other side), so any worker assignment produces
-  // identical results. fn(i, scratch) gets a worker-local RowScratch.
+  // Rows are independent within a phase (each writes only its own row, and
+  // in the H phase its own edges' slots, against the fixed other side), so
+  // any worker assignment produces identical results. fn(i, scratch) gets a
+  // worker-local RowScratch.
   auto parallel_rows = [&](size_t n, auto&& fn) {
     const size_t workers = pool.num_threads();
     std::vector<std::future<void>> futs;
@@ -151,13 +196,9 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
   auto log_likelihood = [&]() {
     double ll = 0;
     double edge_dot_sum = 0;
-    for (uint32_t u = 0; u < nl; ++u) {
-      const double* fu = &f[u * cs];
-      for (uint32_t v : g.OutNeighbors(u)) {
-        double dot = std::max(simd::DotF64(fu, &h[v * cs], cs), kMinDot);
-        ll += std::log1p(-std::exp(-dot));
-        edge_dot_sum += dot;
-      }
+    for (size_t e = 0; e < ne; ++e) {
+      ll += edge_term[e];
+      edge_dot_sum += edge_dot[e];
     }
     double all_pairs = simd::DotF64(sum_f.data(), sum_h.data(), cs);
     ll -= all_pairs - edge_dot_sum;
@@ -170,16 +211,8 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     // --- F phase (investor rows; H and sum_h fixed). ---------------------
     parallel_rows(nl, [&](size_t u, RowScratch& scratch) {
-      auto nbrs_span = g.OutNeighbors(static_cast<uint32_t>(u));
-      double* gather = scratch.gather.data();
-      std::fill(scratch.nbr_sum.begin(), scratch.nbr_sum.end(), 0.0);
-      for (size_t i = 0; i < nbrs_span.size(); ++i) {
-        simd::CopyAddF64(gather + i * cs, scratch.nbr_sum.data(),
-                         &h[nbrs_span[i] * cs], cs);
-      }
-      simd::ClampedSubF64(scratch.rest.data(), sum_h.data(),
-                          scratch.nbr_sum.data(), cs);
-      update_row(&f[u * cs], gather, nbrs_span.size(), scratch);
+      update_row(&f[u * cs], h.data(), sum_h.data(),
+                 g.OutNeighbors(static_cast<uint32_t>(u)), scratch);
     });
     std::fill(sum_f.begin(), sum_f.end(), 0.0);
     for (size_t u = 0; u < nl; ++u) {
@@ -187,17 +220,16 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
     }
 
     // --- H phase (company rows; F and sum_f fixed). ----------------------
+    // F is final for this iteration, so each company's edge values at its
+    // final row are the iteration's: file them for the log-likelihood.
     parallel_rows(nr, [&](size_t v, RowScratch& scratch) {
-      auto nbrs_span = g.InNeighbors(static_cast<uint32_t>(v));
-      double* gather = scratch.gather.data();
-      std::fill(scratch.nbr_sum.begin(), scratch.nbr_sum.end(), 0.0);
-      for (size_t i = 0; i < nbrs_span.size(); ++i) {
-        simd::CopyAddF64(gather + i * cs, scratch.nbr_sum.data(),
-                         &f[nbrs_span[i] * cs], cs);
+      auto nbrs = g.InNeighbors(static_cast<uint32_t>(v));
+      update_row(&h[v * cs], f.data(), sum_f.data(), nbrs, scratch);
+      const size_t* slots = in_edge_slot.data() + in_edge_begin[v];
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        edge_dot[slots[i]] = scratch.dots[i];
+        edge_term[slots[i]] = scratch.terms[i];
       }
-      simd::ClampedSubF64(scratch.rest.data(), sum_f.data(),
-                          scratch.nbr_sum.data(), cs);
-      update_row(&h[v * cs], gather, nbrs_span.size(), scratch);
     });
     std::fill(sum_h.begin(), sum_h.end(), 0.0);
     for (size_t v = 0; v < nr; ++v) {

@@ -237,13 +237,14 @@ World World::Generate(const WorldConfig& config) {
     rng.Shuffle(investable);  // rank order for popularity is random
   }
 
+  // Zipf(s=0.62) over the shuffled rank order: popular head, but flat
+  // enough that invested companies spread across most of the pool
+  // (calibrates companies-with-investors to the paper's 59,953 and the
+  // 2.6 investors/company average).
+  const ZipfSampler investable_rank(static_cast<int64_t>(investable.size()),
+                                    0.62);
   auto pick_investable = [&](Rng& r) -> CompanyId {
-    // Zipf(s=0.62) over the shuffled rank order: popular head, but flat
-    // enough that invested companies spread across most of the pool
-    // (calibrates companies-with-investors to the paper's 59,953 and the
-    // 2.6 investors/company average).
-    int64_t rank = r.Zipf(static_cast<int64_t>(investable.size()), 0.62);
-    return investable[static_cast<size_t>(rank - 1)];
+    return investable[static_cast<size_t>(investable_rank.Sample(r) - 1)];
   };
 
   // ---------------------------------------------------------------------
@@ -298,6 +299,8 @@ World World::Generate(const WorldConfig& config) {
   std::vector<std::vector<size_t>> community_member_idx(
       static_cast<size_t>(num_communities));
   std::vector<int> memberships_of_active(active.size(), 0);
+  const ZipfSampler member_rank(static_cast<int64_t>(active_by_degree.size()),
+                                0.85);
 
   // Pass 1: herding intensity, target strength and membership.
   for (int ci = 0; ci < num_communities; ++ci) {
@@ -334,9 +337,8 @@ World World::Generate(const WorldConfig& config) {
     int64_t attempts = 0;
     while (static_cast<int64_t>(member_idx.size()) < size &&
            attempts++ < size * 30) {
-      int64_t rank =
-          rng.Zipf(static_cast<int64_t>(active_by_degree.size()), 0.85);
-      size_t idx = active_by_degree[static_cast<size_t>(rank - 1)];
+      size_t idx =
+          active_by_degree[static_cast<size_t>(member_rank.Sample(rng) - 1)];
       if (memberships_of_active[idx] >= kMaxMembershipsPerInvestor) continue;
       if (member_idx.insert(idx).second) ++memberships_of_active[idx];
     }
@@ -438,12 +440,22 @@ World World::Generate(const WorldConfig& config) {
         1, static_cast<int64_t>(std::llround(rng.LogNormal(std::log(median), sigma))));
   };
 
-  for (UserTruth& u : w.users_) {
+  // Both follow loops dedupe with a stamp per followed id: `stamp[id] == s`
+  // marks id as already followed by the user with stamp s (index + 1).
+  const ZipfSampler company_rank(num_companies, 0.9);
+  std::vector<size_t> company_stamp(static_cast<size_t>(num_companies) + 1, 0);
+  for (size_t ui = 0; ui < w.users_.size(); ++ui) {
+    UserTruth& u = w.users_[ui];
+    const size_t stamp = ui + 1;
     int64_t want = (u.role == UserRole::kInvestor)
                        ? sample_follow_count(config.investor_follows_mean, 1.0)
                        : sample_follow_count(config.other_user_follows_mean, 1.2);
-    std::unordered_set<CompanyId> follows(u.investments.begin(),
-                                          u.investments.end());
+    // The loop stops at want + |investments| follows, so this reserve is
+    // the list's final size unless the attempts run out first.
+    std::vector<CompanyId>& follows = u.follows_companies;
+    follows.reserve(static_cast<size_t>(want) + u.investments.size());
+    follows.assign(u.investments.begin(), u.investments.end());
+    for (CompanyId c : follows) company_stamp[c] = stamp;
     int64_t attempts = 0;
     const int64_t cap = want * 4 + 16;
     while (static_cast<int64_t>(follows.size()) <
@@ -453,22 +465,27 @@ World World::Generate(const WorldConfig& config) {
       // has followers (full BFS coverage needs the tail reachable).
       CompanyId pick;
       if (rng.Bernoulli(0.7)) {
-        int64_t rank = rng.Zipf(num_companies, 0.9);
-        pick = static_cast<CompanyId>(rank);
+        pick = static_cast<CompanyId>(company_rank.Sample(rng));
       } else {
         pick = static_cast<CompanyId>(rng.NextUint64(
                    static_cast<uint64_t>(num_companies)) + 1);
       }
-      follows.insert(pick);
+      if (company_stamp[pick] != stamp) {
+        company_stamp[pick] = stamp;
+        follows.push_back(pick);
+      }
     }
-    u.follows_companies.assign(follows.begin(), follows.end());
-    std::sort(u.follows_companies.begin(), u.follows_companies.end());
+    std::sort(follows.begin(), follows.end());
   }
 
   // User->user follows: preferential toward investors (ecosystem hubs).
-  for (UserTruth& u : w.users_) {
+  std::vector<size_t> user_stamp(static_cast<size_t>(num_users) + 1, 0);
+  for (size_t ui = 0; ui < w.users_.size(); ++ui) {
+    UserTruth& u = w.users_[ui];
+    const size_t stamp = ui + 1;
     int64_t want = sample_follow_count(config.user_user_follows_mean, 1.0);
-    std::unordered_set<UserId> follows;
+    std::vector<UserId>& follows = u.follows_users;
+    follows.reserve(static_cast<size_t>(want));
     int64_t attempts = 0;
     while (static_cast<int64_t>(follows.size()) < want && attempts++ < want * 4 + 8) {
       UserId pick;
@@ -477,10 +494,12 @@ World World::Generate(const WorldConfig& config) {
       } else {
         pick = static_cast<UserId>(rng.NextUint64(static_cast<uint64_t>(num_users)) + 1);
       }
-      if (pick != u.id) follows.insert(pick);
+      if (pick != u.id && user_stamp[pick] != stamp) {
+        user_stamp[pick] = stamp;
+        follows.push_back(pick);
+      }
     }
-    u.follows_users.assign(follows.begin(), follows.end());
-    std::sort(u.follows_users.begin(), u.follows_users.end());
+    std::sort(follows.begin(), follows.end());
   }
 
   // ---------------------------------------------------------------------
@@ -502,6 +521,18 @@ World World::Generate(const WorldConfig& config) {
   // ---------------------------------------------------------------------
   w.company_followers_.resize(w.companies_.size());
   w.company_investors_.resize(w.companies_.size());
+  {
+    std::vector<size_t> followers(w.companies_.size(), 0);
+    std::vector<size_t> investors_of(w.companies_.size(), 0);
+    for (const UserTruth& u : w.users_) {
+      for (CompanyId c : u.follows_companies) ++followers[c - 1];
+      for (CompanyId c : u.investments) ++investors_of[c - 1];
+    }
+    for (size_t i = 0; i < w.companies_.size(); ++i) {
+      w.company_followers_[i].reserve(followers[i]);
+      w.company_investors_[i].reserve(investors_of[i]);
+    }
+  }
   for (const UserTruth& u : w.users_) {
     for (CompanyId c : u.follows_companies) {
       w.company_followers_[c - 1].push_back(u.id);

@@ -125,39 +125,7 @@ int64_t Rng::Poisson(double mean) {
   return k;
 }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  assert(n >= 1);
-  if (n == 1) return 1;
-  if (s < 1e-9) return UniformInt(1, n);
-  // Rejection-inversion sampling (Hormann & Derflinger 1996), following the
-  // Apache Commons Math formulation.
-  const double nd = static_cast<double>(n);
-  auto h_integral = [s](double x) {
-    double log_x = std::log(x);
-    if (std::fabs(s - 1.0) < 1e-12) return log_x;
-    return std::expm1((1.0 - s) * log_x) / (1.0 - s);
-  };
-  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
-  auto h_integral_inv = [s](double y) {
-    if (std::fabs(s - 1.0) < 1e-12) return std::exp(y);
-    double t = y * (1.0 - s);
-    if (t < -1.0) t = -1.0;  // guard against rounding below the pole
-    return std::exp(std::log1p(t) / (1.0 - s));
-  };
-  const double h_x1 = h_integral(1.5) - 1.0;
-  const double h_n = h_integral(nd + 0.5);
-  const double s_const = 2.0 - h_integral_inv(h_integral(2.5) - h(2.0));
-  for (;;) {
-    double u = h_n + NextDouble() * (h_x1 - h_n);
-    double x = h_integral_inv(u);
-    double kd = std::floor(x + 0.5);
-    if (kd < 1.0) kd = 1.0;
-    if (kd > nd) kd = nd;
-    if (kd - x <= s_const || u >= h_integral(kd + 0.5) - h(kd)) {
-      return static_cast<int64_t>(kd);
-    }
-  }
-}
+int64_t Rng::Zipf(int64_t n, double s) { return ZipfSampler(n, s).Sample(*this); }
 
 int64_t Rng::PowerLaw(int64_t xmin, int64_t xmax, double alpha) {
   assert(xmin >= 1 && xmax >= xmin && alpha > 1.0);
@@ -211,5 +179,44 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ull); }
+
+ZipfSampler::ZipfSampler(int64_t n, double s) : n_(n), s_(s) {
+  if (n <= 1 || s < 1e-9) return;  // Sample needs no constants
+  h_x1_ = HIntegral(1.5) - 1.0;
+  h_n_ = HIntegral(static_cast<double>(n) + 0.5);
+  s_const_ = 2.0 - HIntegralInv(HIntegral(2.5) - H(2.0));
+}
+
+double ZipfSampler::HIntegral(double x) const {
+  double log_x = std::log(x);
+  if (std::fabs(s_ - 1.0) < 1e-12) return log_x;
+  return std::expm1((1.0 - s_) * log_x) / (1.0 - s_);
+}
+
+double ZipfSampler::H(double x) const { return std::exp(-s_ * std::log(x)); }
+
+double ZipfSampler::HIntegralInv(double y) const {
+  if (std::fabs(s_ - 1.0) < 1e-12) return std::exp(y);
+  double t = y * (1.0 - s_);
+  if (t < -1.0) t = -1.0;  // guard against rounding below the pole
+  return std::exp(std::log1p(t) / (1.0 - s_));
+}
+
+int64_t ZipfSampler::Sample(Rng& rng) const {
+  assert(n_ >= 1);
+  if (n_ == 1) return 1;
+  if (s_ < 1e-9) return rng.UniformInt(1, n_);
+  const double nd = static_cast<double>(n_);
+  for (;;) {
+    double u = h_n_ + rng.NextDouble() * (h_x1_ - h_n_);
+    double x = HIntegralInv(u);
+    double kd = std::floor(x + 0.5);
+    if (kd < 1.0) kd = 1.0;
+    if (kd > nd) kd = nd;
+    if (kd - x <= s_const_ || u >= HIntegral(kd + 0.5) - H(kd)) {
+      return static_cast<int64_t>(kd);
+    }
+  }
+}
 
 }  // namespace cfnet

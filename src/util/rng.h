@@ -67,6 +67,8 @@ class Rng {
 
   /// Zipf-distributed rank in [1, n] with exponent s >= 0.
   /// Uses rejection-inversion (Hormann & Derflinger) so it is O(1) per draw.
+  /// Same as ZipfSampler(n, s).Sample(*this); draw many ranks of one (n, s)
+  /// from a ZipfSampler, which sets up its constants once.
   int64_t Zipf(int64_t n, double s);
 
   /// Discrete power-law sample in [xmin, xmax] with exponent alpha > 1,
@@ -96,6 +98,29 @@ class Rng {
 
  private:
   uint64_t s_[4];
+};
+
+/// Zipf-distributed ranks in [1, n] with exponent s >= 0 by
+/// rejection-inversion (Hormann & Derflinger 1996, as formulated in Apache
+/// Commons Math). The constructor computes the three constants of the
+/// inversion once per (n, s), so a Sample costs only its own draws and libm
+/// calls.
+class ZipfSampler {
+ public:
+  ZipfSampler(int64_t n, double s);
+
+  int64_t Sample(Rng& rng) const;
+
+ private:
+  double HIntegral(double x) const;
+  double H(double x) const;
+  double HIntegralInv(double y) const;
+
+  int64_t n_;
+  double s_;
+  double h_x1_ = 0;     // HIntegral(1.5) - 1
+  double h_n_ = 0;      // HIntegral(n + 0.5)
+  double s_const_ = 0;  // 2 - HIntegralInv(HIntegral(2.5) - H(2))
 };
 
 }  // namespace cfnet

@@ -91,13 +91,6 @@ void SubF64Scalar(double* y, const double* x, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] -= x[i];
 }
 
-void CopyAddF64Scalar(double* dst, double* acc, const double* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = src[i];
-    acc[i] += src[i];
-  }
-}
-
 void ClampedSubF64Scalar(double* out, const double* a, const double* b,
                          size_t n) {
   for (size_t i = 0; i < n; ++i) {
@@ -126,7 +119,6 @@ const Kernels kScalarKernels = {
     AxpyF64Scalar,
     AddF64Scalar,
     SubF64Scalar,
-    CopyAddF64Scalar,
     ClampedSubF64Scalar,
     AndPopcountU64Scalar,
 };
@@ -217,19 +209,6 @@ void SubSse2(double* y, const double* x, size_t n) {
   for (; i < n; ++i) y[i] -= x[i];
 }
 
-void CopyAddSse2(double* dst, double* acc, const double* src, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d s = _mm_loadu_pd(src + i);
-    _mm_storeu_pd(dst + i, s);
-    _mm_storeu_pd(acc + i, _mm_add_pd(_mm_loadu_pd(acc + i), s));
-  }
-  for (; i < n; ++i) {
-    dst[i] = src[i];
-    acc[i] += src[i];
-  }
-}
-
 void ClampedSubSse2(double* out, const double* a, const double* b, size_t n) {
   const __m128d zero = _mm_setzero_pd();
   size_t i = 0;
@@ -253,7 +232,6 @@ const Kernels kSse2Kernels = {
     AxpySse2,
     AddSse2,
     SubSse2,
-    CopyAddSse2,
     ClampedSubSse2,
     AndPopcountU64Scalar,
 };
@@ -338,10 +316,6 @@ void AddF64(double* y, const double* x, size_t n) { Active().add(y, x, n); }
 
 void SubF64(double* y, const double* x, size_t n) { Active().sub(y, x, n); }
 
-void CopyAddF64(double* dst, double* acc, const double* src, size_t n) {
-  Active().copy_add(dst, acc, src, n);
-}
-
 void ClampedSubF64(double* out, const double* a, const double* b, size_t n) {
   Active().clamped_sub(out, a, b, n);
 }
@@ -352,34 +326,47 @@ uint64_t AndPopcountU64(const uint64_t* a, const uint64_t* b, size_t n) {
 
 // --------------------------------------------------------------------------
 // Fused CoDA row helpers: backend-independent composition. The per-row
-// fold is sequential in row order on every backend, each dot obeys the
+// fold is sequential in neighbor order on every backend, each dot obeys the
 // lane contract, and the libm calls (exp/log1p/expm1) see bit-identical
 // inputs — so the whole helper is bit-identical SIMD-on vs SIMD-off.
 // --------------------------------------------------------------------------
 
-double SumLogEdgeProbF64(const double* x, const double* rows, size_t count,
-                         size_t c, double min_dot) {
+double AccumExpm1RowsF64(const double* x, const double* rows,
+                         const uint32_t* idx, size_t count, size_t c,
+                         double min_dot, double w_cap, double* grad,
+                         double* dots, double* terms) {
   const Kernels& k = Active();
-  double obj = 0;
+  double sum = 0;
   for (size_t i = 0; i < count; ++i) {
-    double d = k.dot(x, rows + i * c, c);
-    if (d < min_dot) d = min_dot;
-    obj += std::log1p(-std::exp(-d));
-  }
-  return obj;
-}
-
-void AccumExpm1RowsF64(const double* x, const double* rows, size_t count,
-                       size_t c, double min_dot, double w_cap, double* grad) {
-  const Kernels& k = Active();
-  for (size_t i = 0; i < count; ++i) {
-    const double* row = rows + i * c;
+    const double* row = rows + idx[i] * c;
     double d = k.dot(x, row, c);
     if (d < min_dot) d = min_dot;
     double w = 1.0 / std::expm1(d);
     if (w > w_cap) w = w_cap;
     k.axpy(w, row, grad, c);
+    dots[i] = d;
+    terms[i] = std::log1p(-std::exp(-d));
+    sum += terms[i];
   }
+  return sum;
+}
+
+double SumLogEdgeProbF64(const double* x, const double* rows,
+                         const uint32_t* idx, size_t count, size_t c,
+                         double min_dot, double x_rest, double bar,
+                         double* dots, double* terms) {
+  const Kernels& k = Active();
+  double sum = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const double partial = sum - x_rest;
+    if (partial < bar) return partial;
+    double d = k.dot(x, rows + idx[i] * c, c);
+    if (d < min_dot) d = min_dot;
+    dots[i] = d;
+    terms[i] = std::log1p(-std::exp(-d));
+    sum += terms[i];
+  }
+  return sum - x_rest;
 }
 
 }  // namespace cfnet::simd

@@ -117,10 +117,6 @@ void AddF64(double* y, const double* x, size_t n);
 /// y[i] -= x[i].
 void SubF64(double* y, const double* x, size_t n);
 
-/// dst[i] = src[i]; acc[i] += src[i]. The CoDA neighbor-row gather: copy
-/// the row into contiguous scratch while accumulating the neighbor sum.
-void CopyAddF64(double* dst, double* acc, const double* src, size_t n);
-
 /// out[i] = max(a[i] - b[i], 0) via compare-select — the CoDA "rest"
 /// projection (column sum minus neighbor sum, floored at zero).
 void ClampedSubF64(double* out, const double* a, const double* b, size_t n);
@@ -131,21 +127,36 @@ void ClampedSubF64(double* out, const double* a, const double* b, size_t n);
 uint64_t AndPopcountU64(const uint64_t* a, const uint64_t* b, size_t n);
 
 // --- fused CoDA row helpers (backend-independent composition) -------------
+//
+// Both read the neighbor rows in place: neighbor i is the row
+// y_i = rows + idx[i] * c of a row-major factor matrix. Each walks the
+// neighbors in index order, each dot obeys the virtual-lane contract, and
+// the libm calls (exp/log1p/expm1) see identical inputs on every backend.
+// For each neighbor they write the clamped dot and the edge's log term:
+//   dots[i]  = d_i = max(DotF64(x, y_i, c), min_dot)
+//   terms[i] = t_i = log1p(-exp(-d_i))    (always <= 0)
 
-/// sum over `count` contiguous rows y_i (each `c` doubles, row-major in
-/// `rows`) of log1p(-exp(-max(DotF64(x, y_i, c), min_dot))) — the
-/// edge-probability term of the CoDA local objective. The per-row fold is
-/// sequential in row order; each dot obeys the virtual-lane contract, and
-/// the libm calls see identical inputs on every backend.
-double SumLogEdgeProbF64(const double* x, const double* rows, size_t count,
-                         size_t c, double min_dot);
+/// Fused CoDA gradient pass: besides dots and terms,
+///   grad += min(1 / expm1(d_i), w_cap) * y_i   (AxpyF64 per row, in order)
+/// and returns sum_i t_i folded in index order from 0 — the edge part of
+/// the row's objective at x.
+double AccumExpm1RowsF64(const double* x, const double* rows,
+                         const uint32_t* idx, size_t count, size_t c,
+                         double min_dot, double w_cap, double* grad,
+                         double* dots, double* terms);
 
-/// Fused CoDA gradient accumulation over the same row layout:
-///   d_i = max(DotF64(x, y_i, c), min_dot)
-///   w_i = min(1 / expm1(d_i), w_cap)
-///   grad += w_i * y_i          (AxpyF64 per row, in row order)
-void AccumExpm1RowsF64(const double* x, const double* rows, size_t count,
-                       size_t c, double min_dot, double w_cap, double* grad);
+/// Line-search objective of a CoDA candidate row x against the Armijo bar:
+/// returns (sum_i t_i) - x_rest, the sum folded in index order from 0, when
+/// that is >= bar. Otherwise it may stop early: every t_i is <= 0, so the
+/// partial sums only fall, and round-to-nearest keeps fl(S_i - x_rest)
+/// monotone too; the fold returns the first partial objective below `bar`,
+/// which the full objective could not reach either. The caller's test
+/// `obj >= bar` thus decides exactly as on the full objective. dots/terms
+/// are complete only when the result is >= bar.
+double SumLogEdgeProbF64(const double* x, const double* rows,
+                         const uint32_t* idx, size_t count, size_t c,
+                         double min_dot, double x_rest, double bar,
+                         double* dots, double* terms);
 
 // --- scalar reference forms (the canonical semantics) ---------------------
 //
@@ -164,7 +175,6 @@ double ClampedStepDotF64Scalar(const double* x, const double* g, double step,
 void AxpyF64Scalar(double alpha, const double* x, double* y, size_t n);
 void AddF64Scalar(double* y, const double* x, size_t n);
 void SubF64Scalar(double* y, const double* x, size_t n);
-void CopyAddF64Scalar(double* dst, double* acc, const double* src, size_t n);
 void ClampedSubF64Scalar(double* out, const double* a, const double* b,
                          size_t n);
 uint64_t AndPopcountU64Scalar(const uint64_t* a, const uint64_t* b, size_t n);

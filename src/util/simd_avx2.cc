@@ -173,19 +173,6 @@ void SubAvx2(double* y, const double* x, size_t n) {
   for (; i < n; ++i) y[i] -= x[i];
 }
 
-void CopyAddAvx2(double* dst, double* acc, const double* src, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d s = _mm256_loadu_pd(src + i);
-    _mm256_storeu_pd(dst + i, s);
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), s));
-  }
-  for (; i < n; ++i) {
-    dst[i] = src[i];
-    acc[i] += src[i];
-  }
-}
-
 void ClampedSubAvx2(double* out, const double* a, const double* b, size_t n) {
   const __m256d zero = _mm256_setzero_pd();
   size_t i = 0;
@@ -238,7 +225,6 @@ const Kernels kAvx2Kernels = {
     AxpyAvx2,
     AddAvx2,
     SubAvx2,
-    CopyAddAvx2,
     ClampedSubAvx2,
     AndPopcountAvx2,
 };

@@ -23,7 +23,6 @@ struct Kernels {
   void (*axpy)(double, const double*, double*, size_t);
   void (*add)(double*, const double*, size_t);
   void (*sub)(double*, const double*, size_t);
-  void (*copy_add)(double*, double*, const double*, size_t);
   void (*clamped_sub)(double*, const double*, const double*, size_t);
   uint64_t (*and_popcount)(const uint64_t*, const uint64_t*, size_t);
 };

@@ -176,19 +176,6 @@ void SubNeon(double* y, const double* x, size_t n) {
   for (; i < n; ++i) y[i] -= x[i];
 }
 
-void CopyAddNeon(double* dst, double* acc, const double* src, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t s = vld1q_f64(src + i);
-    vst1q_f64(dst + i, s);
-    vst1q_f64(acc + i, vaddq_f64(vld1q_f64(acc + i), s));
-  }
-  for (; i < n; ++i) {
-    dst[i] = src[i];
-    acc[i] += src[i];
-  }
-}
-
 void ClampedSubNeon(double* out, const double* a, const double* b, size_t n) {
   const float64x2_t zero = vdupq_n_f64(0.0);
   size_t i = 0;
@@ -225,7 +212,6 @@ const Kernels kNeonKernels = {
     AxpyNeon,
     AddNeon,
     SubNeon,
-    CopyAddNeon,
     ClampedSubNeon,
     AndPopcountNeon,
 };

@@ -492,6 +492,61 @@ TEST(PinnedOutputsTest, CodaFitFactors) {
       << std::hex << "0x" << digest.value();
 }
 
+/// The shape of the `analyze` workload's CoDA input: investors with at least
+/// 4 investments and power-law out-degrees (960 of them) over companies of
+/// Zipfian popularity (4,235), 10,406 edges; 30% of each investor's picks
+/// come from one of 40 planted portfolios.
+graph::BipartiteGraph AnalyzeShapeGraph() {
+  Rng rng(1);
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (uint64_t investor = 1; investor <= 1350; ++investor) {
+    const int64_t degree = rng.PowerLaw(3, 250, 2.3);
+    const uint64_t group = rng.NextUint64(40);
+    for (int64_t k = 0; k < degree; ++k) {
+      const uint64_t company =
+          rng.Bernoulli(0.3)
+              ? group * 60 + rng.NextUint64(60)
+              : static_cast<uint64_t>(rng.Zipf(7000, 0.6)) - 1;
+      edges.emplace_back(investor, 100000 + company);
+    }
+  }
+  return graph::BipartiteGraph::FromEdges(edges).FilterLeftByMinDegree(4);
+}
+
+// The earlier CoDA pins fit C <= 24 for <= 12 iterations, while rows are
+// still dense and the line search rejects few candidates. This one runs the
+// `analyze` fit (C = 96, 25 iterations), which ends with most of F and H
+// exactly zero and most Armijo candidates rejected.
+TEST(PinnedOutputsTest, CodaFitAtAnalyzeShape) {
+  const graph::BipartiteGraph g = AnalyzeShapeGraph();
+  ASSERT_EQ(g.num_left(), 960u);
+  ASSERT_EQ(g.num_right(), 4235u);
+  ASSERT_EQ(g.num_edges(), 10406u);
+  for (int threads : {1, 3}) {
+    CodaConfig config;
+    config.num_communities = 96;
+    config.max_iterations = 25;
+    config.num_threads = threads;
+    config.seed = 7;
+    CodaResult result = Coda(config).Fit(g);
+    EXPECT_EQ(result.iterations, 25);
+    const double zero_f =
+        static_cast<double>(std::count(result.f.begin(), result.f.end(), 0.0)) /
+        static_cast<double>(result.f.size());
+    EXPECT_GT(zero_f, 0.9) << threads << " threads";
+    Digest digest;
+    digest.Doubles(result.f);
+    digest.Doubles(result.h);
+    digest.Doubles(result.log_likelihood_trace);
+    digest.Bits(result.final_log_likelihood);
+    digest.Word(static_cast<uint64_t>(result.iterations));
+    digest.Communities(result.investor_communities);
+    digest.Communities(result.company_communities);
+    EXPECT_EQ(digest.value(), 0x7d52dea719429b75ull)
+        << threads << " threads" << std::hex << " 0x" << digest.value();
+  }
+}
+
 TEST(PinnedOutputsTest, SbmLabelsAndPosterior) {
   SbmResult result = RunSbm(
       graph::BipartiteGraph::FromEdges(SeededInvestments(61, 1500)),

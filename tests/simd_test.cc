@@ -126,11 +126,6 @@ TEST(SimdTest, ElementwiseKernelsMatchScalarOnFullGrid) {
       ExpectSameVector(y_v, y_s, "SubF64", n, offset);
 
       std::vector<double> dst_v(n, -1), dst_s(n, -1);
-      simd::CopyAddF64(dst_v.data(), y_v.data(), b, n);
-      simd::CopyAddF64Scalar(dst_s.data(), y_s.data(), b, n);
-      ExpectSameVector(dst_v, dst_s, "CopyAddF64 dst", n, offset);
-      ExpectSameVector(y_v, y_s, "CopyAddF64 acc", n, offset);
-
       simd::ClampedSubF64(dst_v.data(), x, b, n);
       simd::ClampedSubF64Scalar(dst_s.data(), x, b, n);
       ExpectSameVector(dst_v, dst_s, "ClampedSubF64", n, offset);
@@ -180,27 +175,110 @@ TEST(SimdTest, ScalarFormFollowsVirtualLaneContract) {
   EXPECT_EQ(Bits(simd::SumF64Scalar(a.data(), a.size())), Bits(expected));
 }
 
-TEST(SimdTest, FusedCodaHelpersBitIdenticalSimdOnOff) {
-  Rng rng(106);
-  const size_t c = 33;
-  const size_t count = 9;
-  std::vector<double> x(c), rows(count * c), grad_on(c, 0), grad_off(c, 0);
-  for (auto& v : x) v = rng.Uniform(0.0, 0.5);
-  for (auto& v : rows) v = rng.Uniform(0.0, 0.5);
+/// CoDA-shaped input for the fused helpers: a row x, a rest vector and a
+/// 12-row factor matrix, all nonnegative (row 6 is zero, so its dot clamps
+/// to min_dot), and neighbor indices into the matrix in an arbitrary order
+/// with a repeat.
+struct CodaRows {
+  static constexpr size_t kC = 33;
+  std::vector<double> x, rest, rows;
+  std::vector<uint32_t> idx = {4, 0, 9, 2, 4, 7, 11, 1, 6};
 
-  const double obj_on = simd::SumLogEdgeProbF64(x.data(), rows.data(), count,
-                                                c, 1e-10);
-  simd::AccumExpm1RowsF64(x.data(), rows.data(), count, c, 1e-10, 1e10,
-                          grad_on.data());
+  explicit CodaRows(uint64_t seed) : x(kC), rest(kC), rows(12 * kC) {
+    Rng rng(seed);
+    for (auto& v : x) v = rng.Uniform(0.0, 0.5);
+    for (auto& v : rest) v = rng.Uniform(0.0, 2.0);
+    for (auto& v : rows) v = rng.Uniform(0.0, 0.5);
+    std::fill(rows.begin() + 6 * kC, rows.begin() + 7 * kC, 0.0);  // d = min
+  }
+};
+
+TEST(SimdTest, FusedCodaHelpersBitIdenticalSimdOnOff) {
+  CodaRows in(106);
+  const size_t c = CodaRows::kC;
+  const size_t count = in.idx.size();
+  struct Out {
+    std::vector<double> grad, dots, terms, cand_dots, cand_terms;
+    double sum = 0;
+    double obj = 0;
+  };
+  auto run = [&] {
+    Out out;
+    out.grad.assign(c, 0);
+    for (auto* v : {&out.dots, &out.terms, &out.cand_dots, &out.cand_terms}) {
+      v->assign(count, -1);
+    }
+    out.sum = simd::AccumExpm1RowsF64(
+        in.x.data(), in.rows.data(), in.idx.data(), count, c, 1e-10, 1e10,
+        out.grad.data(), out.dots.data(), out.terms.data());
+    out.obj = simd::SumLogEdgeProbF64(
+        in.x.data(), in.rows.data(), in.idx.data(), count, c, 1e-10, 0.75,
+        -std::numeric_limits<double>::infinity(), out.cand_dots.data(),
+        out.cand_terms.data());
+    return out;
+  };
+  const Out on = run();
+  Out off;
   {
     simd::ScopedForceScalar force;
-    const double obj_off = simd::SumLogEdgeProbF64(x.data(), rows.data(),
-                                                   count, c, 1e-10);
-    simd::AccumExpm1RowsF64(x.data(), rows.data(), count, c, 1e-10, 1e10,
-                            grad_off.data());
-    EXPECT_EQ(Bits(obj_on), Bits(obj_off));
+    off = run();
   }
-  ExpectSameVector(grad_on, grad_off, "AccumExpm1RowsF64 grad", count, 0);
+  EXPECT_EQ(Bits(on.sum), Bits(off.sum));
+  EXPECT_EQ(Bits(on.obj), Bits(off.obj));
+  ExpectSameVector(on.grad, off.grad, "AccumExpm1RowsF64 grad", count, 0);
+  ExpectSameVector(on.dots, off.dots, "AccumExpm1RowsF64 dots", count, 0);
+  ExpectSameVector(on.terms, off.terms, "AccumExpm1RowsF64 terms", count, 0);
+
+  // Both helpers agree with the plain definitions, and with each other.
+  double sum = 0;
+  for (size_t i = 0; i < count; ++i) {
+    double d = simd::DotF64(in.x.data(), &in.rows[in.idx[i] * c], c);
+    if (d < 1e-10) d = 1e-10;
+    EXPECT_EQ(Bits(on.dots[i]), Bits(d)) << i;
+    EXPECT_EQ(Bits(on.terms[i]), Bits(std::log1p(-std::exp(-d)))) << i;
+    sum += on.terms[i];
+  }
+  EXPECT_EQ(on.dots[8], 1e-10);  // idx[8] is the zero row
+  EXPECT_EQ(Bits(on.sum), Bits(sum));
+  EXPECT_EQ(Bits(on.obj), Bits(sum - 0.75));
+  ExpectSameVector(on.cand_dots, on.dots, "SumLogEdgeProbF64 dots", count, 0);
+  ExpectSameVector(on.cand_terms, on.terms, "SumLogEdgeProbF64 terms", count,
+                   0);
+}
+
+// Stopping early must never change the Armijo verdict `obj >= bar`: for
+// every bar, the early-exit result passes exactly when the full objective
+// does, and then it is the full objective.
+TEST(SimdTest, SumLogEdgeProbEarlyExitKeepsArmijoVerdict) {
+  CodaRows in(108);
+  const size_t c = CodaRows::kC;
+  const size_t count = in.idx.size();
+  const double x_rest = simd::DotF64(in.x.data(), in.rest.data(), c);
+  std::vector<double> dots(count), terms(count);
+  const double full = simd::SumLogEdgeProbF64(
+      in.x.data(), in.rows.data(), in.idx.data(), count, c, 1e-10, x_rest,
+      -std::numeric_limits<double>::infinity(), dots.data(), terms.data());
+  std::vector<double> bars = {std::nextafter(full, 0.0), full,
+                              std::nextafter(full, -1e300), -x_rest,
+                              std::nextafter(-x_rest, 0.0),
+                              std::numeric_limits<double>::quiet_NaN()};
+  double sum = 0;
+  for (double t : terms) {
+    sum += t;
+    bars.push_back(sum - x_rest);
+    bars.push_back(std::nextafter(sum - x_rest, 0.0));
+  }
+  for (double bar : bars) {
+    std::vector<double> d(count), t(count);
+    const double obj =
+        simd::SumLogEdgeProbF64(in.x.data(), in.rows.data(), in.idx.data(),
+                                count, c, 1e-10, x_rest, bar, d.data(),
+                                t.data());
+    EXPECT_EQ(obj >= bar, full >= bar) << "bar " << bar;
+    if (full >= bar) {
+      EXPECT_EQ(Bits(obj), Bits(full)) << "bar " << bar;
+    }
+  }
 }
 
 TEST(SimdTest, ScopedForceScalarSwapsAndRestoresBackend) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fnv_digest.h"
+
 namespace cfnet::synth {
 namespace {
 
@@ -267,6 +269,88 @@ TEST(WorldGenerateTest, MedianEngagementNearConfigured) {
   std::sort(likes.begin(), likes.end());
   double median = static_cast<double>(likes[likes.size() / 2]);
   EXPECT_NEAR(median, 652, 652 * 0.15);
+}
+
+/// Folds every field of a generated world, and its three inverted indices,
+/// into one FNV digest.
+class WorldDigest : public FnvDigest {
+ public:
+  template <typename T>
+  void Ints(const std::vector<T>& xs) {
+    Word(xs.size());
+    for (T x : xs) Word(static_cast<uint64_t>(x));
+  }
+  void Str(const std::string& s) {
+    Word(s.size());
+    for (unsigned char ch : s) Word(ch);
+  }
+
+  void Add(const World& w) {
+    for (const CompanyTruth& c : w.companies()) {
+      Word(c.id);
+      Str(c.name);
+      Word(c.currently_raising);
+      Word(static_cast<uint64_t>(c.social));
+      Word(c.has_demo_video);
+      Word(c.raised_funding);
+      Word(c.has_crunchbase);
+      Word(c.crunchbase_url_listed);
+      Word(static_cast<uint64_t>(c.facebook_likes));
+      Word(static_cast<uint64_t>(c.twitter_tweets));
+      Word(static_cast<uint64_t>(c.twitter_followers));
+      Word(c.twitter_followers_null);
+      Bits(c.raised_amount_usd);
+      Word(static_cast<uint64_t>(c.funding_rounds));
+      Ints(c.founders);
+      Ints(w.FollowersOf(c.id));
+      Ints(w.InvestorsOf(c.id));
+      Ints(w.RoundsOf(c.id));
+    }
+    for (const UserTruth& u : w.users()) {
+      Word(u.id);
+      Str(u.name);
+      Word(static_cast<uint64_t>(u.role));
+      Ints(u.follows_companies);
+      Ints(u.follows_users);
+      Ints(u.investments);
+      Ints(u.investment_on_angellist);
+      Ints(u.communities);
+    }
+    for (const CommunityTruth& c : w.communities()) {
+      Word(static_cast<uint64_t>(c.id));
+      Bits(c.herd);
+      Ints(c.members);
+      Ints(c.portfolio);
+    }
+    for (const FundingRound& r : w.rounds()) {
+      Word(r.company);
+      Word(static_cast<uint64_t>(r.round_index));
+      Bits(r.amount_usd);
+      Word(static_cast<uint64_t>(r.announced_on_micros));
+      Ints(r.investors);
+    }
+  }
+};
+
+TEST(WorldGenerateTest, PinnedDigest) {
+  struct Pin {
+    double scale;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Pin pins[] = {{0.002, 42, 0xe2cf78097c131b6aull},
+                      {0.002, 7, 0x2b0bcd47673ba746ull},
+                      {0.012, 42, 0x86d3c744ad0d35d6ull},
+                      {0.012, 7, 0xcdfba559072d396cull}};
+  for (const Pin& pin : pins) {
+    WorldConfig config = TestConfig(pin.scale);
+    config.seed = pin.seed;
+    WorldDigest digest;
+    digest.Add(World::Generate(config));
+    EXPECT_EQ(digest.value(), pin.digest)
+        << "scale " << pin.scale << " seed " << pin.seed << std::hex << " 0x"
+        << digest.value();
+  }
 }
 
 }  // namespace
