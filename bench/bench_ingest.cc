@@ -168,8 +168,7 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
           std::to_string(shards) + " shards)");
 
   // Serialization: Json::AppendTo into a reused buffer — the JsonLinesWriter
-  // hot path, minus the MiniDfs append (which rewrites whole files and would
-  // swamp the measurement).
+  // hot path, minus the segment commit into MiniDfs.
   std::string serialize_buf;
   emit("dump_serialize", Time([&]() {
     serialize_buf.clear();

@@ -1,5 +1,5 @@
 // Substrate microbenchmarks: JSON parse/serialize throughput, MiniDFS
-// write/read/replication, and the sliding-window rate limiter.
+// write/read, and the sliding-window rate limiter.
 
 #include <string>
 
@@ -62,9 +62,7 @@ void BM_JsonDump(benchmark::State& state) {
 BENCHMARK(BM_JsonDump);
 
 void BM_DfsWrite(benchmark::State& state) {
-  dfs::DfsConfig config;
-  config.replication = static_cast<int>(state.range(0));
-  dfs::MiniDfs fs(config);
+  dfs::MiniDfs fs;
   std::string data(1 << 20, 'x');
   int i = 0;
   for (auto _ : state) {
@@ -72,9 +70,8 @@ void BM_DfsWrite(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(data.size()));
-  state.SetLabel("replication=" + std::to_string(config.replication));
 }
-BENCHMARK(BM_DfsWrite)->Arg(1)->Arg(3);
+BENCHMARK(BM_DfsWrite);
 
 void BM_DfsRead(benchmark::State& state) {
   dfs::MiniDfs fs;
@@ -88,23 +85,6 @@ void BM_DfsRead(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
 }
 BENCHMARK(BM_DfsRead);
-
-void BM_DfsReplicationMonitor(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    dfs::DfsConfig config;
-    config.num_datanodes = 6;
-    dfs::MiniDfs fs(config);
-    for (int i = 0; i < 32; ++i) {
-      fs.WriteFile("/f" + std::to_string(i), std::string(1 << 16, 'z')).ok();
-    }
-    fs.KillDataNode(0).ok();
-    fs.KillDataNode(1).ok();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(fs.RunReplicationMonitor());
-  }
-}
-BENCHMARK(BM_DfsReplicationMonitor)->Unit(benchmark::kMillisecond);
 
 void BM_RateLimiterAdmit(benchmark::State& state) {
   net::SlidingWindowRateLimiter limiter(180, 15ll * 60 * 1000000);

@@ -40,7 +40,7 @@ ExploratoryPlatform::ExploratoryPlatform(const Options& options)
     : options_(options) {
   world_ = std::make_unique<synth::World>(synth::World::Generate(options.world));
   web_ = std::make_unique<net::SocialWeb>(world_.get());
-  dfs_ = std::make_unique<dfs::MiniDfs>(options.dfs);
+  dfs_ = std::make_unique<dfs::MiniDfs>();
   crawler::CrawlConfig crawl = options.crawl;
   // Fires after every successful crawl/replay flush; the platform outlives
   // the crawler it hands this to. A flush defines a snapshot epoch: once

@@ -48,7 +48,6 @@ class ExploratoryPlatform {
   struct Options {
     synth::WorldConfig world;
     crawler::CrawlConfig crawl;
-    dfs::DfsConfig dfs;
     /// Worker threads for the analytics engine (0 = hardware default).
     size_t analytics_parallelism = 0;
     /// Corruption-aware loads: before reading, sweep the snapshot tree

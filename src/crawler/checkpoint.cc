@@ -359,7 +359,7 @@ Result<CheckpointStep> CheckpointStore::LoadLatestValid() {
   auto load = [&](int64_t seq) -> const Loaded& {
     auto [it, added] = loaded.try_emplace(seq);
     if (added) {
-      // Damage or lost replicas disqualify the file, and with it every
+      // A damaged or unreadable file is disqualified, and with it every
       // checkpoint chained on it.
       auto payload = dfs::ReadCommitted(*dfs_, PathFor(seq));
       if (payload.ok()) {

@@ -93,16 +93,18 @@ class ByteReader {
 
   bool ReadUVarint(uint64_t* out) {
     uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
+    for (int shift = 0;; shift += 7) {
       if (p_ == end_) return false;
       uint8_t byte = static_cast<uint8_t>(*p_++);
+      // The 10th byte carries bit 63 alone: anything above 1 would overflow
+      // 64 bits or make the varint longer than 10 bytes.
+      if (shift == 63 && byte > 1) return false;
       v |= static_cast<uint64_t>(byte & 0x7f) << shift;
       if ((byte & 0x80) == 0) {
         *out = v;
         return true;
       }
     }
-    return false;  // varint longer than 10 bytes
   }
 
   bool ReadRaw(size_t n, std::string_view* out) {

@@ -135,7 +135,7 @@ Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path,
       return std::move(*content);
     }
     // A short read or an in-flight flip looks exactly like damage at rest;
-    // only a retry, which reads the intact replicas again, tells them apart.
+    // only a retry, which reads the stored bytes again, tells them apart.
     last = Status::Corruption(
         (footer == FooterState::kAbsent ? "missing commit footer on "
                                         : "corrupt commit footer on ") +
@@ -169,7 +169,8 @@ RecoveryReport SweepDir(MiniDfs* dfs, const std::string& dir_prefix) {
       continue;
     }
     // Only the final verdict counts: a transient read fault must not
-    // quarantine a healthy file, and unreadable files are the scrubber's job.
+    // quarantine a healthy file, and a file that cannot be read at all is
+    // not known to be damaged.
     auto content = ReadCommitted(*dfs, path);
     if (content.ok() || content.status().code() != StatusCode::kCorruption) {
       continue;

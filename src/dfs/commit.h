@@ -20,13 +20,12 @@ namespace cfnet::dfs {
 ///     CFNETFTR1 <8-hex crc32> <20-digit payload length>\n
 ///
 /// and is produced by write-to-temp -> footer -> read-back verify ->
-/// atomic rename. The footer is the only defence that works against
-/// corruption introduced *above* the replication layer (silent fsync loss,
-/// rotten write buffers): block checksums are computed from whatever bytes
-/// the write handed down, so they verify "clean" even when those bytes are
-/// wrong. Every read goes through ReadCommitted, the one place a footer
-/// verdict becomes a decision: a valid footer yields the payload, and a
-/// footer that is absent or corrupt after retries means damage.
+/// atomic rename. The footer is MiniDFS's one integrity check: MiniDFS
+/// stores and returns bytes as they are, so silent fsync loss, rotten write
+/// buffers, short reads and the prefix a killed writer leaves behind all
+/// reach the footer. Every read goes through ReadCommitted, the one place
+/// a footer verdict becomes a decision: a valid footer yields the payload,
+/// and a footer that is absent or corrupt after retries means damage.
 
 /// Fixed footer width in bytes.
 inline constexpr size_t kCommitFooterSize = 40;
@@ -106,8 +105,8 @@ struct RecoveryReport {
 ///    commit history by definition;
 ///  - files that ReadCommitted judges damaged (footer absent or corrupt
 ///    after retries) are renamed under /.quarantine for inspection instead
-///    of aborting startup; files that cannot be read at all are left to
-///    the replication layer.
+///    of aborting startup; files that cannot be read at all (the storage
+///    layer is down) are left where they are.
 /// Logs a one-line summary when anything was repaired.
 RecoveryReport SweepDir(MiniDfs* dfs, const std::string& dir_prefix);
 

@@ -6,43 +6,19 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "dfs/fault_fs.h"
 #include "util/result.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace cfnet::dfs {
 
-using BlockId = uint64_t;
-
-/// Placement + health info for one block of a file.
-struct BlockInfo {
-  BlockId id = 0;
-  uint64_t length = 0;
-  uint32_t checksum = 0;      // CRC-32 of the block contents
-  std::vector<int> replicas;  // datanode ids holding a copy
-};
-
-/// MiniDFS configuration.
-struct DfsConfig {
-  int num_datanodes = 4;
-  uint64_t block_size = 4 * 1024 * 1024;  // 4 MiB
-  int replication = 3;                    // clamped to num_datanodes
-  uint64_t seed = 42;                     // placement randomization
-};
-
-/// Aggregate cluster statistics.
+/// Aggregate namespace statistics.
 struct DfsStats {
   uint64_t num_files = 0;
-  uint64_t num_blocks = 0;
-  uint64_t logical_bytes = 0;   // sum of file lengths
-  uint64_t physical_bytes = 0;  // including replicas
-  uint64_t under_replicated_blocks = 0;
-  uint64_t corruption_events_detected = 0;
-  int live_datanodes = 0;
+  uint64_t logical_bytes = 0;  // sum of file lengths
   /// Mutation ops (WriteFile/Rename/Delete) and whole-file reads
   /// issued so far — the op serials IoFaultWindows and the kill switch are
   /// scripted against.
@@ -51,17 +27,19 @@ struct DfsStats {
   uint64_t storage_faults_injected = 0;
 };
 
-/// Single-process reproduction of the HDFS storage substrate the paper's
-/// platform writes crawl snapshots into: a namenode namespace over
-/// fixed-size blocks replicated across simulated datanodes.
+/// Single-process reproduction of the HDFS namespace the paper's platform
+/// writes crawl snapshots into: a sorted map from absolute path to the
+/// file's bytes, one copy of each. It keeps HDFS's namespace semantics
+/// (immutable files, atomic rename, sorted listing); block placement and
+/// replication, which no analysis observes, are not modelled. Integrity is
+/// the commit protocol's (dfs/commit.h): every committed file ends in a
+/// footer that every read verifies.
 ///
-/// Supports the failure modes that matter for replication invariants:
-/// datanodes can be killed/revived, reads fail over to surviving replicas,
-/// and `RunReplicationMonitor` restores the target replication factor.
+/// Faults come from the scripted injector and the kill switch below.
 /// All operations are thread-safe (crawler workers commit concurrently).
 class MiniDfs {
  public:
-  explicit MiniDfs(const DfsConfig& config = DfsConfig());
+  MiniDfs() = default;
 
   MiniDfs(const MiniDfs&) = delete;
   MiniDfs& operator=(const MiniDfs&) = delete;
@@ -71,10 +49,10 @@ class MiniDfs {
   /// semantics for our purposes). Paths must start with '/'.
   Status WriteFile(const std::string& path, std::string_view data);
 
-  /// Reads a whole file. Fails with IOError if any block lost all replicas.
+  /// Reads a whole file.
   Result<std::string> ReadFile(const std::string& path) const;
 
-  /// Removes a file and frees its blocks.
+  /// Removes a file.
   Status Delete(const std::string& path);
 
   /// Atomically moves `from` to `to`, replacing any existing `to` — the
@@ -90,9 +68,6 @@ class MiniDfs {
 
   /// All file paths under `dir_prefix` (e.g. "/crawl/"), sorted.
   std::vector<std::string> List(const std::string& dir_prefix) const;
-
-  /// Block layout of a file (for tests and the replication monitor).
-  Result<std::vector<BlockInfo>> GetBlockLocations(const std::string& path) const;
 
   /// --- failure injection -------------------------------------------------
 
@@ -111,62 +86,21 @@ class MiniDfs {
   void DisarmKill();
   bool killed() const;
 
-  Status KillDataNode(int node);
-  Status ReviveDataNode(int node);
-  bool IsDataNodeAlive(int node) const;
-
-  /// Re-replicates every under-replicated block onto live datanodes.
-  /// Returns the number of new replicas created.
-  size_t RunReplicationMonitor();
-
-  /// --- data integrity ------------------------------------------------------
-  /// Every block carries a CRC-32; reads verify it per replica and fail
-  /// over to an intact copy when a replica is corrupt.
-
-  /// Test/chaos hook: flips a byte in one replica of one block.
-  Status CorruptReplica(const std::string& path, size_t block_index, int node);
-
-  /// Verifies every replica against its block checksum and drops corrupt
-  /// copies (a follow-up RunReplicationMonitor restores replication).
-  /// Returns the number of corrupt replicas removed.
-  size_t ScrubBlocks();
-
   DfsStats GetStats() const;
-  const DfsConfig& config() const { return config_; }
 
  private:
-  struct DataNode {
-    bool alive = true;
-    std::unordered_map<BlockId, std::string> blocks;
-    uint64_t used_bytes = 0;
-  };
-
-  struct FileEntry {
-    std::vector<BlockInfo> blocks;
-    uint64_t length = 0;
-  };
-
   // All private helpers assume mu_ is held.
-  Status WriteLocked(const std::string& path, std::string_view data);
   /// Fault-aware write entry point: consumes a mutation-op serial, applies
-  /// the kill switch and any scripted write fault, then delegates to
-  /// WriteLocked with whatever bytes "reached the disk".
+  /// the kill switch and any scripted write fault, then stores whatever
+  /// bytes "reached the disk".
   Status WriteWithFaultsLocked(const std::string& path, std::string_view data);
   /// Consumes a mutation-op serial for a metadata op (rename/delete);
   /// returns non-OK when the kill switch fires or has fired.
   Status AdmitMutationLocked(const char* what);
   Status ValidatePath(const std::string& path) const;
-  std::vector<int> PickReplicaNodes(int count);
-  void FreeBlocksLocked(const FileEntry& entry);
-  Result<std::string> ReadBlockLocked(const BlockInfo& info) const;
 
-  DfsConfig config_;
   mutable std::mutex mu_;
-  std::map<std::string, FileEntry> namespace_;  // sorted for List()
-  std::vector<DataNode> datanodes_;
-  BlockId next_block_id_ = 1;
-  mutable uint64_t corruption_events_ = 0;
-  Rng rng_;
+  std::map<std::string, std::string> files_;  // sorted for List()
 
   // Storage fault injection (fault_fs.h). The injector is mutable because
   // reads draw fault decisions; its internals are thread-safe.

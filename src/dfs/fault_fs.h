@@ -37,16 +37,15 @@ struct IoFaultWindow {
 ///    an acknowledged fsync whose pages never hit the platter. Only
 ///    read-back verification or a CRC footer can catch this.
 ///  - `write_bit_flips`: every byte persists but one of them flipped, and
-///    the block checksums are computed from the flipped data — corruption
-///    introduced *above* the replication layer (a rotten write buffer),
-///    which per-replica block CRCs can never detect. File-level footers do.
+///    the write reports OK (a rotten write buffer). Only the file-level
+///    footer can catch this.
 ///
 /// Read faults (consulted once per ReadFile):
 ///
 ///  - `short_reads`: only a seeded prefix of the file comes back (the call
 ///    still reports success, as POSIX short reads do).
 ///  - `read_bit_flips`: one byte of the returned copy is flipped in flight;
-///    the stored replicas stay intact, so a retry reads clean data.
+///    the stored bytes stay intact, so a retry reads clean data.
 struct IoFaultPlan {
   std::vector<IoFaultWindow> enospc;
   std::vector<IoFaultWindow> torn_writes;

@@ -6,13 +6,14 @@
 
 namespace cfnet {
 
-/// CRC-32 (IEEE 802.3 polynomial, the HDFS default block checksum).
+/// CRC-32 (IEEE 802.3 polynomial): the checksum of commit footers and of
+/// columnar block frames.
 ///
 /// Dispatches to a hardware-accelerated path when one is available:
 /// carry-less-multiply folding (PCLMULQDQ) on x86-64, the ARMv8 `crc32`
 /// instructions on aarch64. Both are bit-identical to the table fallback —
-/// footers and block checksums written by either path verify under the
-/// other (pinned by the differential test in columnar_test).
+/// commit footers and columnar block CRCs written by either path verify
+/// under the other (pinned by the differential test in columnar_test).
 uint32_t Crc32(std::string_view data);
 
 /// Incremental form: feed chunks with the previous return value.

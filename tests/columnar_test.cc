@@ -54,6 +54,24 @@ TEST(ColumnarCodecTest, VarintEdgeValuesRoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
+// The 10th byte of a varint carries bit 63 alone, so it must be 0 or 1.
+// Larger values would be cut to 64 bits (FF x9 02 would read as 2^63 - 1,
+// and FF x9 7F as FF x9 01) and must be rejected instead.
+TEST(ColumnarCodecTest, ByteReaderRejectsOverflowingTenthByte) {
+  const std::string nine_ff(9, '\xff');
+  const std::string max_bytes = nine_ff + '\x01';
+  uint64_t v = 0;
+  ByteReader max(max_bytes);
+  ASSERT_TRUE(max.ReadUVarint(&v));
+  EXPECT_EQ(v, std::numeric_limits<uint64_t>::max());
+  EXPECT_TRUE(max.done());
+  for (char tenth : {'\x02', '\x7f', '\x80', '\xff'}) {
+    const std::string bytes = nine_ff + tenth + '\x00';
+    ByteReader r(bytes);
+    EXPECT_FALSE(r.ReadUVarint(&v)) << static_cast<int>(tenth);
+  }
+}
+
 TEST(ColumnarCodecTest, ZigZagEdgeValuesRoundTrip) {
   const int64_t values[] = {0,
                             -1,

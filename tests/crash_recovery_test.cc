@@ -112,7 +112,9 @@ TEST(MiniDfsFaultTest, SilentLossReportsOkButDropsBytes) {
   EXPECT_LT(*dfs.FileSize("/f"), data.size());
 }
 
-TEST(MiniDfsFaultTest, WriteBitFlipEvadesBlockChecksums) {
+// The write reports success and stores the flipped byte, which a read
+// returns: only a commit footer can tell these bytes from the payload.
+TEST(MiniDfsFaultTest, WriteBitFlipStoresFlippedBytesSilently) {
   MiniDfs dfs;
   IoFaultPlan plan;
   plan.write_bit_flips = {OpOnly(1)};
@@ -122,10 +124,7 @@ TEST(MiniDfsFaultTest, WriteBitFlipEvadesBlockChecksums) {
   auto back = dfs.ReadFile("/f");
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->size(), data.size());
-  EXPECT_NE(*back, data);  // one byte flipped...
-  // ...and the replication layer cannot see it: block checksums were
-  // computed from the already-flipped bytes, so every replica verifies.
-  EXPECT_EQ(dfs.ScrubBlocks(), 0u);
+  EXPECT_NE(*back, data);  // one byte flipped
 }
 
 TEST(MiniDfsFaultTest, ReadFaultsAreTransient) {
@@ -180,7 +179,7 @@ TEST(MiniDfsRenameTest, RenameIsAnAtomicNamespaceMove) {
   EXPECT_FALSE(dfs.Exists("/a"));
   EXPECT_EQ(*dfs.ReadFile("/c"), "alpha");
 
-  // Replacing an existing target frees its blocks.
+  // Replacing an existing target drops the old file.
   const uint64_t files_before = dfs.GetStats().num_files;
   ASSERT_TRUE(dfs.Rename("/c", "/b").ok());
   EXPECT_EQ(*dfs.ReadFile("/b"), "alpha");

@@ -13,16 +13,8 @@
 namespace cfnet::dfs {
 namespace {
 
-DfsConfig SmallConfig() {
-  DfsConfig config;
-  config.num_datanodes = 4;
-  config.block_size = 16;  // force multi-block files
-  config.replication = 3;
-  return config;
-}
-
 TEST(MiniDfsTest, WriteReadRoundTrip) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   ASSERT_TRUE(dfs.WriteFile("/a/b.txt", "hello world").ok());
   auto read = dfs.ReadFile("/a/b.txt");
   ASSERT_TRUE(read.ok());
@@ -32,7 +24,7 @@ TEST(MiniDfsTest, WriteReadRoundTrip) {
 }
 
 TEST(MiniDfsTest, EmptyFile) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   ASSERT_TRUE(dfs.WriteFile("/empty", "").ok());
   auto read = dfs.ReadFile("/empty");
   ASSERT_TRUE(read.ok());
@@ -40,45 +32,28 @@ TEST(MiniDfsTest, EmptyFile) {
   EXPECT_EQ(*dfs.FileSize("/empty"), 0u);
 }
 
-TEST(MiniDfsTest, MultiBlockSplitting) {
-  MiniDfs dfs(SmallConfig());
-  std::string data(100, 'x');
-  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<char>('a' + i % 26);
-  ASSERT_TRUE(dfs.WriteFile("/big", data).ok());
-  auto blocks = dfs.GetBlockLocations("/big");
-  ASSERT_TRUE(blocks.ok());
-  EXPECT_EQ(blocks->size(), 7u);  // ceil(100/16)
-  uint64_t total = 0;
-  for (const auto& b : *blocks) {
-    total += b.length;
-    EXPECT_EQ(b.replicas.size(), 3u);
-  }
-  EXPECT_EQ(total, 100u);
-  EXPECT_EQ(*dfs.ReadFile("/big"), data);
-}
-
 TEST(MiniDfsTest, OverwriteReplacesContent) {
-  MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.WriteFile("/f", "old content that spans blocks!").ok());
+  MiniDfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("/f", "old content, longer than the new").ok());
   ASSERT_TRUE(dfs.WriteFile("/f", "new").ok());
   EXPECT_EQ(*dfs.ReadFile("/f"), "new");
-  // Old blocks must be freed.
   DfsStats stats = dfs.GetStats();
+  EXPECT_EQ(stats.num_files, 1u);
   EXPECT_EQ(stats.logical_bytes, 3u);
-  EXPECT_EQ(stats.physical_bytes, 9u);  // 3 bytes x replication 3
 }
 
 TEST(MiniDfsTest, DeleteRemovesFileAndFreesBlocks) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   ASSERT_TRUE(dfs.WriteFile("/f", "data").ok());
   ASSERT_TRUE(dfs.Delete("/f").ok());
   EXPECT_FALSE(dfs.Exists("/f"));
   EXPECT_TRUE(dfs.Delete("/f").IsNotFound());
-  EXPECT_EQ(dfs.GetStats().physical_bytes, 0u);
+  EXPECT_EQ(dfs.GetStats().num_files, 0u);
+  EXPECT_EQ(dfs.GetStats().logical_bytes, 0u);
 }
 
 TEST(MiniDfsTest, ListByPrefix) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   ASSERT_TRUE(dfs.WriteFile("/crawl/a.jsonl", "1").ok());
   ASSERT_TRUE(dfs.WriteFile("/crawl/b.jsonl", "2").ok());
   ASSERT_TRUE(dfs.WriteFile("/other/c.jsonl", "3").ok());
@@ -90,101 +65,20 @@ TEST(MiniDfsTest, ListByPrefix) {
 }
 
 TEST(MiniDfsTest, PathValidation) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   EXPECT_TRUE(dfs.WriteFile("relative", "x").IsInvalidArgument());
   EXPECT_TRUE(dfs.WriteFile("/dir/", "x").IsInvalidArgument());
   EXPECT_TRUE(dfs.ReadFile("").status().IsInvalidArgument());
   EXPECT_TRUE(dfs.ReadFile("/no/such").status().IsNotFound());
 }
 
-TEST(MiniDfsTest, ReadsSurviveSingleNodeFailure) {
-  MiniDfs dfs(SmallConfig());
-  std::string data(64, 'z');
-  ASSERT_TRUE(dfs.WriteFile("/f", data).ok());
-  ASSERT_TRUE(dfs.KillDataNode(0).ok());
-  EXPECT_FALSE(dfs.IsDataNodeAlive(0));
-  EXPECT_EQ(*dfs.ReadFile("/f"), data);  // replicas on other nodes
-}
-
-TEST(MiniDfsTest, ReadsSurviveReplicationMinusOneFailures) {
-  MiniDfs dfs(SmallConfig());
-  std::string data(64, 'q');
-  ASSERT_TRUE(dfs.WriteFile("/f", data).ok());
-  ASSERT_TRUE(dfs.KillDataNode(0).ok());
-  ASSERT_TRUE(dfs.KillDataNode(1).ok());
-  // Any block had 3 replicas over 4 nodes; with 2 nodes down at least one
-  // replica survives.
-  EXPECT_EQ(*dfs.ReadFile("/f"), data);
-}
-
-TEST(MiniDfsTest, UnderReplicationDetectedAndRepaired) {
-  MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.WriteFile("/f", std::string(40, 'r')).ok());
-  ASSERT_TRUE(dfs.KillDataNode(0).ok());
-  DfsStats before = dfs.GetStats();
-  EXPECT_GT(before.under_replicated_blocks, 0u);
-  size_t created = dfs.RunReplicationMonitor();
-  EXPECT_GT(created, 0u);
-  DfsStats after = dfs.GetStats();
-  EXPECT_EQ(after.under_replicated_blocks, 0u);
-  EXPECT_EQ(*dfs.ReadFile("/f"), std::string(40, 'r'));
-}
-
-TEST(MiniDfsTest, RepairThenOriginalNodeRevives) {
-  MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.WriteFile("/f", std::string(40, 'v')).ok());
-  ASSERT_TRUE(dfs.KillDataNode(2).ok());
-  dfs.RunReplicationMonitor();
-  ASSERT_TRUE(dfs.ReviveDataNode(2).ok());
-  // Revived node's stale copies don't break anything; file still reads.
-  EXPECT_EQ(*dfs.ReadFile("/f"), std::string(40, 'v'));
-  EXPECT_EQ(dfs.GetStats().under_replicated_blocks, 0u);
-}
-
-TEST(MiniDfsTest, WriteFailsWithNoLiveNodes) {
-  DfsConfig config = SmallConfig();
-  config.num_datanodes = 2;
-  config.replication = 2;
-  MiniDfs dfs(config);
-  ASSERT_TRUE(dfs.KillDataNode(0).ok());
-  ASSERT_TRUE(dfs.KillDataNode(1).ok());
-  EXPECT_TRUE(dfs.WriteFile("/f", "x").IsUnavailable());
-}
-
-TEST(MiniDfsTest, ReplicationClampedToNodeCount) {
-  DfsConfig config;
-  config.num_datanodes = 2;
-  config.replication = 5;
-  MiniDfs dfs(config);
-  ASSERT_TRUE(dfs.WriteFile("/f", "abc").ok());
-  auto blocks = dfs.GetBlockLocations("/f");
-  ASSERT_TRUE(blocks.ok());
-  EXPECT_EQ((*blocks)[0].replicas.size(), 2u);
-}
-
 TEST(MiniDfsTest, StatsAggregate) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   ASSERT_TRUE(dfs.WriteFile("/a", std::string(20, 'a')).ok());
   ASSERT_TRUE(dfs.WriteFile("/b", std::string(10, 'b')).ok());
   DfsStats stats = dfs.GetStats();
   EXPECT_EQ(stats.num_files, 2u);
-  EXPECT_EQ(stats.num_blocks, 3u);  // 20 -> 2 blocks, 10 -> 1 block
   EXPECT_EQ(stats.logical_bytes, 30u);
-  EXPECT_EQ(stats.physical_bytes, 90u);
-  EXPECT_EQ(stats.live_datanodes, 4);
-}
-
-TEST(MiniDfsTest, PlacementBalancesAcrossNodes) {
-  DfsConfig config = SmallConfig();
-  config.replication = 1;
-  MiniDfs dfs(config);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(
-        dfs.WriteFile("/f" + std::to_string(i), std::string(16, 'x')).ok());
-  }
-  // With least-used placement each node should hold ~10 blocks worth.
-  DfsStats stats = dfs.GetStats();
-  EXPECT_EQ(stats.physical_bytes, 40u * 16);
 }
 
 // --- JSON-lines layer -------------------------------------------------------
@@ -196,7 +90,7 @@ json::Json Numbered(int i) {
 }
 
 TEST(JsonlTest, WriteAndReadBack) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   {
     JsonLinesWriter writer(&dfs, "/snap/part-0-", /*flush_bytes=*/32);
     for (int i = 0; i < 10; ++i) ASSERT_TRUE(writer.Write(Numbered(i)).ok());
@@ -222,7 +116,7 @@ TEST(JsonlTest, WriteAndReadBack) {
 }
 
 TEST(JsonlTest, DestructorFlushes) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   {
     JsonLinesWriter writer(&dfs, "/snap/d-");
     ASSERT_TRUE(writer.Write(Numbered(7)).ok());
@@ -237,7 +131,7 @@ TEST(JsonlTest, DestructorFlushes) {
 // before, numbered on from the highest segment already under the prefix,
 // and no earlier segment is read or rewritten.
 TEST(JsonlTest, EveryFlushCommitsOneNewSegment) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   const std::string prefix = "/snap/part-0-";
   ASSERT_TRUE(CommitFile(&dfs, SegmentPath(prefix, 7), "{\"i\":-1}\n").ok());
   JsonLinesWriter writer(&dfs, prefix, /*flush_bytes=*/1);  // flush per line
@@ -266,7 +160,7 @@ TEST(JsonlTest, EveryFlushCommitsOneNewSegment) {
 }
 
 TEST(JsonlTest, CorruptLineReported) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   CommitFixture(&dfs, "/bad.jsonl", "{\"ok\":1}\nnot json\n");
   auto records = ReadJsonLines(dfs, "/bad.jsonl");
   EXPECT_FALSE(records.ok());
@@ -275,12 +169,12 @@ TEST(JsonlTest, CorruptLineReported) {
 }
 
 TEST(JsonlTest, MissingFileIsNotFound) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   EXPECT_TRUE(ReadJsonLines(dfs, "/nope.jsonl").status().IsNotFound());
 }
 
 TEST(JsonlTest, FooterlessFileIsDamage) {
-  MiniDfs dfs(SmallConfig());
+  MiniDfs dfs;
   ASSERT_TRUE(dfs.WriteFile("/raw.jsonl", "{\"ok\":1}\n").ok());
   EXPECT_EQ(ReadJsonLines(dfs, "/raw.jsonl").status().code(),
             StatusCode::kCorruption);
@@ -308,70 +202,6 @@ TEST(JsonlTest, LineWalkerSkipsBlankLinesAndStopsEarly) {
       /*first_line=*/10);
   EXPECT_EQ(seen, (std::vector<std::pair<std::string, int64_t>>{
                       {"a", 10}, {"b", 13}}));
-}
-
-}  // namespace
-}  // namespace cfnet::dfs
-
-namespace cfnet::dfs {
-namespace {
-
-// --- data integrity (checksums, corruption, scrubbing) ---------------------
-
-TEST(DfsIntegrityTest, ReadFailsOverCorruptReplica) {
-  MiniDfs dfs(SmallConfig());
-  std::string data(40, 'k');
-  ASSERT_TRUE(dfs.WriteFile("/f", data).ok());
-  auto blocks = dfs.GetBlockLocations("/f");
-  ASSERT_TRUE(blocks.ok());
-  int victim = (*blocks)[0].replicas[0];
-  ASSERT_TRUE(dfs.CorruptReplica("/f", 0, victim).ok());
-  // Read still succeeds from the intact replicas and detects corruption.
-  EXPECT_EQ(*dfs.ReadFile("/f"), data);
-  EXPECT_GE(dfs.GetStats().corruption_events_detected, 1u);
-}
-
-TEST(DfsIntegrityTest, AllReplicasCorruptIsIOError) {
-  MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.WriteFile("/f", std::string(8, 'm')).ok());
-  auto blocks = dfs.GetBlockLocations("/f");
-  ASSERT_TRUE(blocks.ok());
-  for (int node : (*blocks)[0].replicas) {
-    ASSERT_TRUE(dfs.CorruptReplica("/f", 0, node).ok());
-  }
-  auto read = dfs.ReadFile("/f");
-  EXPECT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kIOError);
-}
-
-TEST(DfsIntegrityTest, ScrubRemovesCorruptCopiesAndMonitorRepairs) {
-  MiniDfs dfs(SmallConfig());
-  std::string data(48, 'p');
-  ASSERT_TRUE(dfs.WriteFile("/f", data).ok());
-  auto blocks = dfs.GetBlockLocations("/f");
-  ASSERT_TRUE(blocks.ok());
-  ASSERT_TRUE(dfs.CorruptReplica("/f", 1, (*blocks)[1].replicas[0]).ok());
-  ASSERT_TRUE(dfs.CorruptReplica("/f", 2, (*blocks)[2].replicas[1]).ok());
-
-  size_t removed = dfs.ScrubBlocks();
-  EXPECT_EQ(removed, 2u);
-  DfsStats after_scrub = dfs.GetStats();
-  EXPECT_EQ(after_scrub.under_replicated_blocks, 2u);
-
-  EXPECT_GT(dfs.RunReplicationMonitor(), 0u);
-  DfsStats repaired = dfs.GetStats();
-  EXPECT_EQ(repaired.under_replicated_blocks, 0u);
-  EXPECT_EQ(*dfs.ReadFile("/f"), data);
-  // Scrubbing again finds nothing.
-  EXPECT_EQ(dfs.ScrubBlocks(), 0u);
-}
-
-TEST(DfsIntegrityTest, CorruptReplicaArgumentChecks) {
-  MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.WriteFile("/f", "abc").ok());
-  EXPECT_TRUE(dfs.CorruptReplica("/missing", 0, 0).IsNotFound());
-  EXPECT_EQ(dfs.CorruptReplica("/f", 9, 0).code(), StatusCode::kOutOfRange);
-  EXPECT_TRUE(dfs.CorruptReplica("/f", 0, 99).IsInvalidArgument());
 }
 
 }  // namespace

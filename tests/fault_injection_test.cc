@@ -4,12 +4,14 @@
 
 #include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "crawler/crawler.h"
 #include "crawler/fetch.h"
 #include "dfs/jsonl.h"
+#include "fnv_digest.h"
 #include "net/fault_plan.h"
 #include "net/social_web.h"
 #include "synth/world.h"
@@ -511,6 +513,25 @@ TEST(FaultInjectionCrawlTest, OneWorkerCrawlCountersArePinned) {
   const dfs::DfsStats stats = dfs.GetStats();
   EXPECT_EQ(stats.mutation_ops, 122u);
   EXPECT_EQ(stats.read_ops, 61u);
+
+  // The namespace the crawl leaves behind, byte for byte: every path in
+  // List order with its raw stored bytes, commit footers included. (These
+  // reads bump read_ops, so they come after the op-count pins.)
+  EXPECT_EQ(stats.num_files, 61u);
+  EXPECT_EQ(stats.logical_bytes, 4099915u);
+  FnvDigest digest;
+  auto text = [&digest](const std::string& s) {
+    digest.Word(s.size());
+    for (unsigned char ch : s) digest.Word(ch);
+  };
+  for (const std::string& path : dfs.List("/")) {
+    auto bytes = dfs.ReadFile(path);
+    ASSERT_TRUE(bytes.ok()) << path << ": " << bytes.status();
+    text(path);
+    text(*bytes);
+  }
+  EXPECT_EQ(digest.value(), 0x41016f0022f94ef1ull)
+      << std::hex << "0x" << digest.value();
 }
 
 // Every attempt of a fetch under a total outage costs one latency, and the

@@ -314,7 +314,7 @@ TEST(ColumnarSalvageTest, TruncatedFileKeepsWalkedPrefix) {
       WriteColumnarStartups(&dfs, path, /*n=*/20, /*block_rows=*/5);
 
   // Torn tail: the file loses its footer and half of the last block — the
-  // kind of damage a dying replica leaves behind.
+  // kind of damage a writer killed mid-write leaves behind.
   std::string raw = *dfs.ReadFile(path);
   ASSERT_TRUE(dfs.WriteFile(path, raw.substr(0, raw.size() - 60)).ok());
 

@@ -138,6 +138,28 @@ std::string Mutate(Rng& rng, const std::string& text,
   return out;
 }
 
+/// `bytes` with the varint at `at` replaced by one no decoder may accept:
+/// ten bytes whose last one overflows 64 bits, or an 11-byte run of 0xFF.
+std::string OverflowVarintAt(Rng& rng, const std::string& bytes, size_t at) {
+  size_t end = at;
+  while (end < bytes.size() && (static_cast<uint8_t>(bytes[end]) & 0x80)) {
+    ++end;
+  }
+  end = std::min(end + 1, bytes.size());
+  std::string overflow;
+  if (rng.Bernoulli(0.5)) {
+    for (int i = 0; i < 9; ++i) {
+      overflow.push_back(static_cast<char>(0x80 | rng.NextUint64(0x80)));
+    }
+    overflow.push_back(static_cast<char>(2 + rng.NextUint64(0x7e)));
+  } else {
+    overflow.assign(11, '\xff');
+  }
+  std::string out = bytes;
+  out.replace(at, end - at, overflow);
+  return out;
+}
+
 bool OkOrCorruption(const Status& status) {
   return status.ok() || status.code() == StatusCode::kCorruption;
 }
@@ -388,11 +410,44 @@ std::string WithOldFooter(const std::string& payload,
   return payload + committed.substr(committed.size() - dfs::kCommitFooterSize);
 }
 
+/// Offsets of the first length varints of a checkpoint step (EncodeStep's
+/// layout): the phase name's length, then the counts of the company
+/// frontier, the user frontier and the Twitter tokens.
+std::vector<size_t> StepLengthOffsets(const std::string& payload) {
+  std::vector<size_t> at;
+  dfs::ByteReader r(payload);
+  auto here = [&] { return payload.size() - r.remaining(); };
+  std::string_view raw;
+  uint64_t v = 0;
+  // The 8-byte magic, then the version, seq and parent varints.
+  if (!r.ReadRaw(8, &raw) || !r.ReadUVarint(&v) || !r.ReadUVarint(&v) ||
+      !r.ReadUVarint(&v)) {
+    return at;
+  }
+  at.push_back(here());
+  // The phase name, then the phase cursor and BFS round.
+  if (!r.ReadUVarint(&v) || !r.ReadRaw(v, &raw) || !r.ReadUVarint(&v) ||
+      !r.ReadUVarint(&v)) {
+    return at;
+  }
+  for (int frontier = 0; frontier < 2; ++frontier) {
+    at.push_back(here());
+    uint64_t n = 0;
+    if (!r.ReadUVarint(&n)) return at;
+    for (; n > 0; --n) {
+      if (!r.ReadUVarint(&v)) return at;
+    }
+  }
+  at.push_back(here());
+  return at;
+}
+
 // Each mutation of a checkpoint step's payload applied two ways. Raw, under
 // the step's old footer, ReadCommitted fails Corruption. Re-framed, under a
 // recomputed footer, the step decoder sees the hostile bytes itself:
 // DecodeStep and LoadLatestValid (of this store and of a restarted one)
-// each return a Status, and none crashes.
+// each return a Status, and none crashes. One mutation in four overwrites
+// a length varint with an overflowing one, which DecodeStep must reject.
 TEST_P(CommittedFileProperty, ReframedCheckpointBytesYieldAStatus) {
   Rng rng(GetParam() ^ 0x5EF7);
   for (int trial = 0; trial < 40; ++trial) {
@@ -405,13 +460,21 @@ TEST_P(CommittedFileProperty, ReframedCheckpointBytesYieldAStatus) {
       if (rng.Bernoulli(0.5)) continue;
       const std::string committed = *fs.ReadFile(path);
       const std::string payload = *dfs::ReadCommitted(fs, path);
-      const std::string hostile = Mutate(rng, payload, other);
+      const std::vector<size_t> lengths = StepLengthOffsets(payload);
+      const bool overflow = rng.NextUint64(4) == 0;
+      const std::string hostile =
+          overflow ? OverflowVarintAt(
+                         rng, payload, lengths[rng.NextUint64(lengths.size())])
+                   : Mutate(rng, payload, other);
       if (hostile != payload) {
         ASSERT_TRUE(fs.WriteFile(path, WithOldFooter(hostile, committed)).ok());
         EXPECT_EQ(dfs::ReadCommitted(fs, path).status().code(),
                   StatusCode::kCorruption);
       }
-      EXPECT_TRUE(OkOrCorruption(crawler::DecodeStep(hostile).status()));
+      const Status decoded = crawler::DecodeStep(hostile).status();
+      EXPECT_TRUE(overflow ? decoded.code() == StatusCode::kCorruption
+                           : OkOrCorruption(decoded))
+          << decoded;
       ASSERT_TRUE(dfs::CommitFile(&fs, path, hostile).ok());
     }
     auto loaded = store.LoadLatestValid();
@@ -468,6 +531,29 @@ void ReframeBlocks(std::string* payload) {
   }
 }
 
+/// Offsets of a columnar payload's frame length varints: the header's type
+/// name length, and each block's row count and payload length.
+std::vector<size_t> ColumnarLengthOffsets(const std::string& payload) {
+  std::vector<size_t> at = {dfs::kColumnarMagic.size()};
+  dfs::ByteReader r(payload);
+  dfs::ColumnarHeader header;
+  std::vector<dfs::RawBlock> blocks;
+  if (!dfs::ParseColumnarHeader(r, "lengths", &header).ok() ||
+      !dfs::WalkBlocks(r, "lengths", &blocks).ok()) {
+    return at;
+  }
+  for (const dfs::RawBlock& b : blocks) {
+    const size_t rows_at =
+        static_cast<size_t>(b.crc_region.data() - payload.data());
+    dfs::ByteReader frame(b.crc_region);
+    uint64_t rows = 0;
+    frame.ReadUVarint(&rows);
+    at.push_back(rows_at);
+    at.push_back(rows_at + b.crc_region.size() - frame.remaining());
+  }
+  return at;
+}
+
 // Each mutation of a committed columnar file's payload applied two ways.
 // Raw, under the file's old footer, every reader fails Corruption (a
 // salvage scan may still recover blocks). Re-framed, with every block CRC
@@ -475,7 +561,8 @@ void ReframeBlocks(std::string* payload) {
 // decoders see the hostile bytes: strict and salvage scans,
 // InspectColumnarFile and ReadColumnarFingerprint each return a Status, and
 // a strict scan that succeeds agrees with InspectColumnarFile on the row
-// count.
+// count. One mutation in four overwrites a frame length varint with an
+// overflowing one, which the strict scan must reject.
 TEST_P(CommittedFileProperty, HostileColumnarBytesYieldAStatus) {
   Rng rng(GetParam() ^ 0xCFC0);
   const std::string path = "/snap/users/part-all.cfc";
@@ -486,7 +573,12 @@ TEST_P(CommittedFileProperty, HostileColumnarBytesYieldAStatus) {
     const std::string other = WriteRandomColumnar(rng, &fs, "/other.cfc");
     const std::string payload = WriteRandomColumnar(rng, &fs, path);
     const std::string committed = *fs.ReadFile(path);
-    std::string hostile = Mutate(rng, payload, other);
+    const std::vector<size_t> lengths = ColumnarLengthOffsets(payload);
+    const bool overflow = rng.NextUint64(4) == 0;
+    std::string hostile =
+        overflow ? OverflowVarintAt(rng, payload,
+                                    lengths[rng.NextUint64(lengths.size())])
+                 : Mutate(rng, payload, other);
 
     if (hostile != payload) {
       ASSERT_TRUE(fs.WriteFile(path, WithOldFooter(hostile, committed)).ok());
@@ -506,7 +598,9 @@ TEST_P(CommittedFileProperty, HostileColumnarBytesYieldAStatus) {
     ReframeBlocks(&hostile);
     ASSERT_TRUE(dfs::CommitFile(&fs, path, hostile).ok());
     auto strict = dfs::ScanColumnBlocks<core::UserRecord>(fs, {path});
-    EXPECT_TRUE(OkOrCorruption(strict.status())) << strict.status();
+    EXPECT_TRUE(overflow ? strict.status().code() == StatusCode::kCorruption
+                         : OkOrCorruption(strict.status()))
+        << strict.status();
     auto info = dfs::InspectColumnarFile(&fs, path);
     EXPECT_TRUE(OkOrCorruption(info.status())) << info.status();
     if (strict.ok() && info.ok()) {
@@ -531,11 +625,7 @@ class DfsModelProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DfsModelProperty, MatchesReferenceModel) {
   Rng rng(GetParam());
-  dfs::DfsConfig config;
-  config.num_datanodes = 5;
-  config.block_size = 1 + rng.NextUint64(64);
-  config.replication = 3;
-  dfs::MiniDfs fs(config);
+  dfs::MiniDfs fs;
   std::map<std::string, std::string> reference;
 
   auto random_path = [&]() {
@@ -546,9 +636,8 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
                        static_cast<char>('a' + rng.NextUint64(26)));
   };
 
-  int dead_nodes = 0;
   for (int step = 0; step < 400; ++step) {
-    switch (rng.NextUint64(8)) {
+    switch (rng.NextUint64(4)) {
       case 0: {  // write
         std::string p = random_path();
         std::string d = random_data();
@@ -562,28 +651,7 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
         EXPECT_EQ(s.ok(), reference.erase(p) > 0);
         break;
       }
-      case 2: {  // kill a node (keep a quorum alive for replication=3)
-        if (dead_nodes < 2) {
-          int node = static_cast<int>(rng.NextUint64(5));
-          if (fs.IsDataNodeAlive(node)) {
-            ASSERT_TRUE(fs.KillDataNode(node).ok());
-            ++dead_nodes;
-          }
-        }
-        break;
-      }
-      case 3: {  // revive all
-        for (int node = 0; node < 5; ++node) fs.ReviveDataNode(node).ok();
-        dead_nodes = 0;
-        break;
-      }
-      case 4:
-        fs.RunReplicationMonitor();
-        break;
-      case 5:
-        EXPECT_EQ(fs.ScrubBlocks(), 0u);  // nothing corrupts itself
-        break;
-      case 6: {  // rename, the commit protocol's atomic step
+      case 2: {  // rename, the commit protocol's atomic step
         const std::string from = random_path();
         const std::string to = random_path();
         Status s = fs.Rename(from, to);
@@ -609,14 +677,15 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
       }
     }
   }
-  // Final full verification.
+  // Final full verification: the same files, listed in sorted order.
+  std::vector<std::string> paths;
   for (const auto& [p, d] : reference) {
     auto content = fs.ReadFile(p);
     ASSERT_TRUE(content.ok()) << p;
     EXPECT_EQ(*content, d);
+    paths.push_back(p);
   }
-  auto listed = fs.List("/p/");
-  EXPECT_EQ(listed.size(), reference.size());
+  EXPECT_EQ(fs.List("/p/"), paths);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DfsModelProperty,
