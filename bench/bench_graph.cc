@@ -4,17 +4,20 @@
 // the paper's AngelList snapshot (≈47k investors / 60k companies / 158k
 // investments at --scale=1.0).
 //
-// Three comparisons are recorded:
+// Four comparisons are recorded:
 //   * thread scaling — the ParallelOptions kernels at 1/2/4/8 threads
 //     against 1 thread; each thread count's output is checked
 //     bit-identical to the sequential one before it is timed.
+//   * PageRank on the projection at pool widths 1/2/3/4 (the caller runs
+//     rows too), each checked bit-identical to the 1-thread rank first.
 //   * SIMD — the dispatched numeric kernels against the scalar fallback;
 //     the two backends' outputs are checked bit-identical.
 //   * incremental epochs — delta merge, projection update and seeded
-//     Louvain refinement against a full rebuild. After timing, the merged
-//     graph and the updated projection are checked bit-identical to the
-//     rebuild's, and the refinement's modularity is held within 0.05 of
-//     the rebuild's Louvain.
+//     Louvain refinement against a full rebuild, each stage timed on its
+//     own, with the serving snapshot's assembly beside them. After timing,
+//     the merged graph and the updated projection are checked
+//     bit-identical to the rebuild's, and the refinement's modularity is
+//     held within 0.05 of the rebuild's Louvain.
 //
 // Results land in --json=PATH (default BENCH_graph.json); --scale and
 // --reps trade time for stability.
@@ -40,6 +43,7 @@
 #include "graph/centrality.h"
 #include "graph/weighted_graph.h"
 #include "json/json.h"
+#include "serve/serving_snapshot.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -53,6 +57,10 @@ namespace {
 struct Timing {
   double ms_per_rep = 0;
 };
+
+/// Timed calls behind each median/min/max (`Spread`) row: the PageRank
+/// widths and the incremental stages.
+constexpr int kSpreadReps = 7;
 
 template <typename F>
 Timing Time(F&& fn, int reps) {
@@ -204,6 +212,37 @@ void RunGraphBench(const FlagParser& flags) {
     entry.Set("workload", w.name);
     entry.Set("rows", std::move(rows));
     scaling.Append(std::move(entry));
+  }
+
+  // ---- PageRank over pool widths ----------------------------------------
+  // The serving snapshot's centrality. Width w runs rows on w workers plus
+  // the calling thread; width 1 runs them on the caller alone.
+  Section("pagerank over pool widths (bit-identity to 1 thread checked)");
+  json::Json pagerank = json::Json::MakeObject();
+  {
+    const std::vector<double> reference = graph::PageRank(proj);
+    json::Json rows = json::Json::MakeArray();
+    for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+      ThreadPool pool(width);
+      const ParallelOptions par{&pool};
+      CFNET_CHECK(graph::PageRank(proj, 0.85, 100, 1e-9, par) == reference);
+      json::Json ms = Spread(TimeRepsMs([&]() {
+        benchmark::DoNotOptimize(
+            graph::PageRank(proj, 0.85, 100, 1e-9, par).data());
+      }, kSpreadReps));
+      std::printf("pagerank  pool width %zu  median %8.2f ms (min %.2f, "
+                  "max %.2f)\n",
+                  width, ms.Get("median").AsDouble(), ms.Get("min").AsDouble(),
+                  ms.Get("max").AsDouble());
+      json::Json row = json::Json::MakeObject();
+      row.Set("pool_width", static_cast<int64_t>(width));
+      row.Set("ms", std::move(ms));
+      rows.Append(std::move(row));
+    }
+    pagerank.Set("nodes", static_cast<int64_t>(proj.num_nodes()));
+    pagerank.Set("edges", static_cast<int64_t>(proj.num_edges()));
+    pagerank.Set("reps", static_cast<int64_t>(kSpreadReps));
+    pagerank.Set("rows", std::move(rows));
   }
 
   // ---- SIMD kernels vs scalar fallback (single thread) ------------------
@@ -436,28 +475,46 @@ void RunGraphBench(const FlagParser& flags) {
       graph::BipartiteGraph full_graph;
       graph::WeightedGraph full_proj;
       community::LouvainResult full_louvain;
-      const double full_ms = Time([&]() {
+      json::Json full_ms = Spread(TimeRepsMs([&]() {
         full_graph = graph::BipartiteGraph::FromEdges(merged_edges);
         full_proj =
             graph::WeightedGraph::ProjectLeft(full_graph, kMaxRightDegree);
         full_louvain = community::RunLouvain(full_proj);
         benchmark::DoNotOptimize(full_louvain.modularity);
-      }, reps).ms_per_rep;
+      }, kSpreadReps));
 
+      // The incremental path end to end, then each stage on its own.
       graph::DeltaMergeResult merge;
       graph::WeightedGraph inc_proj;
       std::vector<uint32_t> frontier;
       community::RefineResult refined;
-      const double inc_ms = Time([&]() {
-        merge = graph::MergeBipartiteDelta(g, deltas);
-        frontier = graph::ProjectionFrontier(g, merge, kMaxRightDegree);
-        inc_proj = graph::UpdateProjection(proj, g, merge, kMaxRightDegree);
+      auto refine = [&]() {
         std::vector<int> seeds = community::MapLabels(
             louvain.labels, merge.old_to_new_left, merge.graph.num_left());
         refined = community::RefineLouvain(inc_proj, seeds, frontier,
                                            louvain.modularity, refine_config);
         benchmark::DoNotOptimize(refined.modularity);
-      }, reps).ms_per_rep;
+      };
+      json::Json inc_ms = Spread(TimeRepsMs([&]() {
+        merge = graph::MergeBipartiteDelta(g, deltas);
+        frontier = graph::ProjectionFrontier(g, merge, kMaxRightDegree);
+        inc_proj = graph::UpdateProjection(proj, g, merge, kMaxRightDegree);
+        refine();
+      }, kSpreadReps));
+      json::Json merge_ms = Spread(TimeRepsMs([&]() {
+        merge = graph::MergeBipartiteDelta(g, deltas);
+      }, kSpreadReps));
+      json::Json projection_ms = Spread(TimeRepsMs([&]() {
+        frontier = graph::ProjectionFrontier(g, merge, kMaxRightDegree);
+        inc_proj = graph::UpdateProjection(proj, g, merge, kMaxRightDegree);
+      }, kSpreadReps));
+      json::Json refine_ms = Spread(TimeRepsMs(refine, kSpreadReps));
+      json::Json assemble_ms = Spread(TimeRepsMs([&]() {
+        benchmark::DoNotOptimize(
+            serve::AssembleServingSnapshot(1, merge.graph, inc_proj,
+                                           refined.labels, refined.communities)
+                ->content_fingerprint);
+      }, kSpreadReps));
 
       // Bit-identity: the merged CSR and the updated projection must match
       // the from-scratch rebuild exactly.
@@ -476,30 +533,50 @@ void RunGraphBench(const FlagParser& flags) {
       CFNET_CHECK(FlattenWeights(full_proj) == FlattenWeights(inc_proj));
       CFNET_CHECK(refined.modularity >= full_louvain.modularity - 0.05);
 
-      const double speedup = inc_ms > 0 ? full_ms / inc_ms : 0.0;
+      auto median = [](const json::Json& spread) {
+        return spread.Get("median").AsDouble();
+      };
+      const double speedup =
+          median(inc_ms) > 0 ? median(full_ms) / median(inc_ms) : 0.0;
       if (frac == 0.01) inc_speedup_1pct = speedup;
+      std::printf("delta %5.1f%% (%6zu edges, frontier %6zu)  full %9.2f ms  "
+                  "incremental %9.2f ms  %6.2fx  dQ %+0.4f\n"
+                  "  merge %.2f  projection %.2f  refine %.2f  assemble "
+                  "%.2f ms (medians)\n",
+                  frac * 100.0, num_deltas, frontier.size(), median(full_ms),
+                  median(inc_ms), speedup,
+                  refined.modularity - full_louvain.modularity,
+                  median(merge_ms), median(projection_ms), median(refine_ms),
+                  median(assemble_ms));
       json::Json row = json::Json::MakeObject();
       row.Set("delta_fraction", frac);
       row.Set("delta_edges", static_cast<int64_t>(num_deltas));
       row.Set("frontier_size", static_cast<int64_t>(frontier.size()));
       row.Set("rows_reused", static_cast<int64_t>(merge.stats.rows_reused));
       row.Set("rows_rebuilt", static_cast<int64_t>(merge.stats.rows_rebuilt));
-      row.Set("full_rebuild_ms", full_ms);
-      row.Set("incremental_ms", inc_ms);
+      row.Set("full_rebuild_ms", std::move(full_ms));
+      row.Set("incremental_ms", std::move(inc_ms));
+      row.Set("merge_ms", std::move(merge_ms));
+      row.Set("projection_ms", std::move(projection_ms));
+      row.Set("refine_ms", std::move(refine_ms));
+      row.Set("assemble_ms", std::move(assemble_ms));
       row.Set("speedup", speedup);
       row.Set("full_modularity", full_louvain.modularity);
       row.Set("incremental_modularity", refined.modularity);
       row.Set("fell_back_full", refined.full_rebuild);
       inc_rows.Append(std::move(row));
-      std::printf("delta %5.1f%% (%6zu edges, frontier %6zu)  full %9.2f ms  "
-                  "incremental %9.2f ms  %6.2fx  dQ %+0.4f\n",
-                  frac * 100.0, num_deltas, frontier.size(), full_ms, inc_ms,
-                  speedup, refined.modularity - full_louvain.modularity);
     }
   }
 
   out_doc.Set("incremental", std::move(inc_rows));
+  out_doc.Set("incremental_note",
+              "*_ms rows are {median, min, max} over " +
+                  std::to_string(kSpreadReps) +
+                  " timed calls; incremental_ms times merge, projection "
+                  "update and refine together, and assemble_ms is "
+                  "serve::AssembleServingSnapshot over their output.");
   out_doc.Set("thread_scaling", std::move(scaling));
+  out_doc.Set("pagerank", std::move(pagerank));
   out_doc.Set("simd_backend", simd::SimdBackendName());
   out_doc.Set("simd", std::move(simd_rows));
   out_doc.Set("simd_note",

@@ -17,49 +17,36 @@ BipartiteGraph BipartiteGraph::FromEdges(
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
-  // Dense ids. Left ids appear grouped already; right ids need a sorted set.
+  // Dense ids follow external-id order. Left ids appear grouped already.
+  // Right ids: sort (id, edge position) pairs once, then one walk assigns
+  // each distinct id its dense index and writes it at every position.
   size_t left_count = 0;
   for (size_t i = 0; i < sorted.size(); ++i) {
     if (i == 0 || sorted[i].first != sorted[i - 1].first) ++left_count;
   }
   g.left_ids_.reserve(left_count);
+  g.out_offsets_.assign(left_count + 1, 0);
   for (const auto& [l, r] : sorted) {
     if (g.left_ids_.empty() || g.left_ids_.back() != l) g.left_ids_.push_back(l);
+    ++g.out_offsets_[g.left_ids_.size()];
   }
-  {
-    std::vector<uint64_t> rights;
-    rights.reserve(sorted.size());
-    for (const auto& [l, r] : sorted) rights.push_back(r);
-    std::sort(rights.begin(), rights.end());
-    rights.erase(std::unique(rights.begin(), rights.end()), rights.end());
-    g.right_ids_ = std::move(rights);
-  }
-  g.BuildIndexMaps();
-
-  g.out_offsets_.assign(g.left_ids_.size() + 1, 0);
-  g.out_neighbors_.reserve(sorted.size());
-  size_t li = 0;
-  for (const auto& [l, r] : sorted) {
-    while (g.left_ids_[li] != l) ++li;
-    g.out_neighbors_.push_back(g.right_index_.at(r));
-    ++g.out_offsets_[li + 1];
-  }
-  for (size_t i = 1; i <= g.left_ids_.size(); ++i) {
+  for (size_t i = 1; i <= left_count; ++i) {
     g.out_offsets_[i] += g.out_offsets_[i - 1];
+  }
+  std::vector<std::pair<uint64_t, size_t>> rights(sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) rights[i] = {sorted[i].second, i};
+  std::sort(rights.begin(), rights.end());
+  g.out_neighbors_.resize(sorted.size());
+  for (const auto& [r, pos] : rights) {
+    if (g.right_ids_.empty() || g.right_ids_.back() != r) {
+      g.right_ids_.push_back(r);
+    }
+    g.out_neighbors_[pos] = static_cast<uint32_t>(g.right_ids_.size() - 1);
   }
   // Out-neighbor lists are sorted by right id order == dense order, since
   // right dense indices are assigned in id order and edges were sorted.
   g.BuildInverse();
   return g;
-}
-
-void BipartiteGraph::BuildIndexMaps() {
-  left_index_.reserve(left_ids_.size() * 2);
-  for (uint32_t i = 0; i < left_ids_.size(); ++i) left_index_[left_ids_[i]] = i;
-  right_index_.reserve(right_ids_.size() * 2);
-  for (uint32_t i = 0; i < right_ids_.size(); ++i) {
-    right_index_[right_ids_[i]] = i;
-  }
 }
 
 void BipartiteGraph::BuildInverse() {
@@ -78,14 +65,23 @@ void BipartiteGraph::BuildInverse() {
   // Left indices were visited in ascending order, so in-lists are sorted.
 }
 
+namespace {
+
+uint32_t IndexOf(const std::vector<uint64_t>& ids, uint64_t id) {
+  auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  return it == ids.end() || *it != id
+             ? BipartiteGraph::kInvalidIndex
+             : static_cast<uint32_t>(it - ids.begin());
+}
+
+}  // namespace
+
 uint32_t BipartiteGraph::LeftIndexOf(uint64_t id) const {
-  auto it = left_index_.find(id);
-  return it == left_index_.end() ? kInvalidIndex : it->second;
+  return IndexOf(left_ids_, id);
 }
 
 uint32_t BipartiteGraph::RightIndexOf(uint64_t id) const {
-  auto it = right_index_.find(id);
-  return it == right_index_.end() ? kInvalidIndex : it->second;
+  return IndexOf(right_ids_, id);
 }
 
 size_t BipartiteGraph::SharedOutNeighbors(uint32_t l1, uint32_t l2) const {
@@ -151,7 +147,6 @@ BipartiteGraph BipartiteGraph::FilterLeftByMinDegree(size_t min_degree) const {
     }
     out.out_offsets_.push_back(out.out_neighbors_.size());
   }
-  out.BuildIndexMaps();
   out.BuildInverse();
   return out;
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,7 +51,8 @@ class BipartiteGraph {
   uint64_t LeftId(uint32_t l) const { return left_ids_[l]; }
   uint64_t RightId(uint32_t r) const { return right_ids_[r]; }
 
-  /// Dense index lookup; returns UINT32_MAX when absent.
+  /// Dense index lookup, a binary search over the ids (dense indices follow
+  /// external-id order); returns kInvalidIndex when absent.
   uint32_t LeftIndexOf(uint64_t id) const;
   uint32_t RightIndexOf(uint64_t id) const;
 
@@ -72,16 +72,13 @@ class BipartiteGraph {
   friend class GraphDeltaOps;
 
   void BuildInverse();
-  void BuildIndexMaps();
 
-  std::vector<uint64_t> left_ids_;
-  std::vector<uint64_t> right_ids_;
+  std::vector<uint64_t> left_ids_;   // ascending
+  std::vector<uint64_t> right_ids_;  // ascending
   std::vector<size_t> out_offsets_;   // size num_left()+1
   std::vector<uint32_t> out_neighbors_;
   std::vector<size_t> in_offsets_;    // size num_right()+1
   std::vector<uint32_t> in_neighbors_;
-  std::unordered_map<uint64_t, uint32_t> left_index_;
-  std::unordered_map<uint64_t, uint32_t> right_index_;
 };
 
 /// Degree-distribution summary used by the Figure 3 reproduction.

@@ -252,31 +252,44 @@ std::vector<int> CoreNumbers(const WeightedGraph& g) {
 }
 
 std::vector<double> PageRank(const WeightedGraph& g, double damping,
-                             int max_iterations, double tolerance) {
+                             int max_iterations, double tolerance,
+                             const ParallelOptions& par) {
   const size_t n = g.num_nodes();
   std::vector<double> rank(n, n == 0 ? 0.0 : 1.0 / static_cast<double>(n));
   if (n == 0) return rank;
-  std::vector<double> next(n, 0);
+  // share[u] is what u sends per unit of edge weight. It stays 0 for a
+  // dangling u, whose products then add a signed zero, which leaves a row
+  // sum started from the base unchanged.
+  std::vector<double> share(n, 0.0);
+  std::vector<double> next(n);
+  double dangling = 0;
+  auto fold = [&](uint32_t v, double r) {
+    const double wd = g.WeightedDegree(v);
+    if (wd <= 0) {
+      dangling += r;
+    } else {
+      share[v] = damping * r / wd;
+    }
+  };
+  for (uint32_t v = 0; v < n; ++v) fold(v, rank[v]);
   for (int iter = 0; iter < max_iterations; ++iter) {
-    double dangling = 0;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (g.WeightedDegree(v) <= 0) dangling += rank[v];
-    }
-    double base = (1.0 - damping) / static_cast<double>(n) +
-                  damping * dangling / static_cast<double>(n);
-    std::fill(next.begin(), next.end(), base);
-    for (uint32_t v = 0; v < n; ++v) {
-      double wd = g.WeightedDegree(v);
-      if (wd <= 0) continue;
-      auto nbrs = g.Neighbors(v);
-      auto ws = g.Weights(v);
-      double share = damping * rank[v] / wd;
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        next[nbrs[i]] += share * ws[i];
+    const double base = (1.0 - damping) / static_cast<double>(n) +
+                        damping * dangling / static_cast<double>(n);
+    ForEachMorsel(par, n, 64, [&](size_t begin, size_t end) {
+      for (size_t v = begin; v < end; ++v) {
+        auto nbrs = g.Neighbors(static_cast<uint32_t>(v));
+        auto ws = g.Weights(static_cast<uint32_t>(v));
+        double sum = base;
+        for (size_t i = 0; i < nbrs.size(); ++i) sum += share[nbrs[i]] * ws[i];
+        next[v] = sum;
       }
-    }
+    });
     double diff = 0;
-    for (uint32_t v = 0; v < n; ++v) diff += std::fabs(next[v] - rank[v]);
+    dangling = 0;
+    for (uint32_t v = 0; v < n; ++v) {
+      diff += std::fabs(next[v] - rank[v]);
+      fold(v, next[v]);
+    }
     rank.swap(next);
     if (diff < tolerance) break;
   }

@@ -169,15 +169,11 @@ class GraphDeltaOps {
       ResolvedDelta& r = resolved[i];
       r.left_id = d.left_id;
       r.add = d.add;
-      const uint32_t ro = g.RightIndexOf(d.right_id);
-      if (ro != kInvalid) {
-        r.old_right = ro;  // exact entry for removes, insertion key for adds
-      } else {
-        // Brand-new right: insertion point among the old dense indices.
-        auto it = std::lower_bound(g.right_ids_.begin(), g.right_ids_.end(),
-                                   d.right_id);
-        r.old_right = static_cast<uint32_t>(it - g.right_ids_.begin());
-      }
+      // The exact entry for a right id present in `g` (removes need it),
+      // else a brand-new right's insertion point among the old indices.
+      auto old_it = std::lower_bound(g.right_ids_.begin(), g.right_ids_.end(),
+                                     d.right_id);
+      r.old_right = static_cast<uint32_t>(old_it - g.right_ids_.begin());
       if (d.add) {
         auto it = std::lower_bound(out.right_ids_.begin(),
                                    out.right_ids_.end(), d.right_id);
@@ -289,7 +285,6 @@ class GraphDeltaOps {
     }
     CFNET_CHECK(out.out_neighbors_.size() == new_edges);
 
-    out.BuildIndexMaps();
     out.BuildInverse();
     return result;
   }

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <future>
 
 #include "community/louvain.h"
 #include "graph/centrality.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cfnet::serve {
 namespace {
@@ -21,8 +24,52 @@ std::string ToLower(const std::string& s) {
 /// Members listed per community in the facets payload.
 constexpr size_t kFacetTopMembers = 5;
 
+/// Workers of the pool each assembly owns: one copies the artifacts and
+/// builds the name tables while the other joins the caller on PageRank's
+/// rows. Two, not the host's width, because the serving tier's 2 query
+/// workers share the host.
+constexpr size_t kAssemblyWorkers = 2;
+
 std::string DefaultName(const char* prefix, uint64_t id) {
   return std::string(prefix) + "-" + std::to_string(id);
+}
+
+/// Fills every investor's id, names and community, the name index and the
+/// company names: the part of a snapshot that PageRank does not feed.
+void BuildNameTables(ServingSnapshot& snap,
+                     const SnapshotBuildOptions& options) {
+  const graph::BipartiteGraph& graph = snap.graph;
+  const size_t n = graph.num_left();
+  snap.investors.resize(n);
+  for (uint32_t l = 0; l < n; ++l) {
+    ServingSnapshot::Investor& inv = snap.investors[l];
+    inv.id = graph.LeftId(l);
+    inv.name = options.investor_name ? options.investor_name(inv.id)
+                                     : DefaultName("investor", inv.id);
+    inv.name_lower = ToLower(inv.name);
+    inv.community =
+        l < snap.community_labels.size() ? snap.community_labels[l] : -1;
+  }
+
+  snap.by_name.resize(n);
+  for (uint32_t l = 0; l < n; ++l) snap.by_name[l] = l;
+  std::sort(snap.by_name.begin(), snap.by_name.end(),
+            [&](uint32_t a, uint32_t b) {
+              const auto& ia = snap.investors[a];
+              const auto& ib = snap.investors[b];
+              if (ia.name_lower != ib.name_lower) {
+                return ia.name_lower < ib.name_lower;
+              }
+              return ia.id < ib.id;
+            });
+
+  snap.company_names.resize(graph.num_right());
+  for (uint32_t r = 0; r < graph.num_right(); ++r) {
+    const uint64_t id = graph.RightId(r);
+    snap.company_names[r] = options.company_name
+                                ? options.company_name(id)
+                                : DefaultName("company", id);
+  }
 }
 
 }  // namespace
@@ -45,39 +92,27 @@ std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
     const SnapshotBuildOptions& options) {
   auto snap = std::make_unique<ServingSnapshot>();
   snap->epoch = epoch;
-  snap->graph = g;
+
+  // The copies and the name tables do not depend on PageRank: one pool
+  // worker makes them while the caller and the other worker run PageRank's
+  // rows over the caller's projection. The rest reads both.
+  ThreadPool pool(kAssemblyWorkers);
+  std::future<void> names = pool.Submit([&]() {
+    snap->graph = g;
+    snap->projection = projection;
+    snap->community_labels = community_labels;
+    snap->communities = communities;
+    BuildNameTables(*snap, options);
+  });
+  std::vector<double> centrality = graph::PageRank(
+      projection, 0.85, 100, 1e-9, ParallelOptions{&pool});
+  names.get();
   const graph::BipartiteGraph& graph = snap->graph;
   const size_t n = graph.num_left();
 
-  snap->projection = projection;
-  snap->community_labels = community_labels;
-  snap->communities = communities;
-  std::vector<double> centrality = graph::PageRank(snap->projection);
-
-  snap->investors.resize(n);
   for (uint32_t l = 0; l < n; ++l) {
-    ServingSnapshot::Investor& inv = snap->investors[l];
-    inv.id = graph.LeftId(l);
-    inv.name = options.investor_name ? options.investor_name(inv.id)
-                                     : DefaultName("investor", inv.id);
-    inv.name_lower = ToLower(inv.name);
-    inv.community = l < snap->community_labels.size()
-                        ? snap->community_labels[l]
-                        : -1;
-    inv.centrality = l < centrality.size() ? centrality[l] : 0.0;
+    snap->investors[l].centrality = l < centrality.size() ? centrality[l] : 0.0;
   }
-
-  snap->by_name.resize(n);
-  for (uint32_t l = 0; l < n; ++l) snap->by_name[l] = l;
-  std::sort(snap->by_name.begin(), snap->by_name.end(),
-            [&](uint32_t a, uint32_t b) {
-              const auto& ia = snap->investors[a];
-              const auto& ib = snap->investors[b];
-              if (ia.name_lower != ib.name_lower) {
-                return ia.name_lower < ib.name_lower;
-              }
-              return ia.id < ib.id;
-            });
   snap->by_centrality = snap->by_name;  // any permutation works as input
   std::sort(snap->by_centrality.begin(), snap->by_centrality.end(),
             [&](uint32_t a, uint32_t b) {
@@ -88,14 +123,6 @@ std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
               }
               return ia.id < ib.id;
             });
-
-  snap->company_names.resize(graph.num_right());
-  for (uint32_t r = 0; r < graph.num_right(); ++r) {
-    const uint64_t id = graph.RightId(r);
-    snap->company_names[r] = options.company_name
-                                 ? options.company_name(id)
-                                 : DefaultName("company", id);
-  }
 
   // Facet payloads, precomputed so facet queries are pure JSON assembly.
   {

@@ -52,6 +52,9 @@ struct SnapshotBuildOptions {
   /// Projection popularity cap (companies with more investors are skipped).
   size_t max_right_degree = 500;
   /// Display names; defaults derive "investor-<id>" / "company-<id>".
+  /// Assembly calls them serially, but from a pool thread of its own rather
+  /// than the caller's thread, while PageRank runs: they must be safe to
+  /// call there (a const lookup is).
   std::function<std::string(uint64_t id)> investor_name;
   std::function<std::string(uint64_t id)> company_name;
 };
@@ -70,7 +73,10 @@ std::unique_ptr<const ServingSnapshot> BuildServingSnapshot(
 /// side — PageRank, investor entries, search/centrality indexes, facet
 /// payloads, fingerprint). `projection`/`community_labels`/`communities`
 /// must describe exactly `g`. BuildServingSnapshot is equivalent to
-/// projecting + Louvain + this call.
+/// projecting + Louvain + this call. Each call owns a 2-worker pool: one
+/// worker copies the inputs and builds the name tables while the caller
+/// and the other worker run PageRank; the result is the same bits as a
+/// serial assembly.
 std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
     uint64_t epoch, const graph::BipartiteGraph& g,
     const graph::WeightedGraph& projection,

@@ -106,6 +106,7 @@ TEST(GraphParallelTest, CentralityBitIdenticalAcrossThreadsAndMorsels) {
   const std::vector<double> hc = graph::HarmonicCentrality(proj);
   const std::vector<double> bc_s = graph::BetweennessCentrality(proj, 40, 9);
   const std::vector<double> hc_s = graph::HarmonicCentrality(proj, 40, 9);
+  const std::vector<double> pr = graph::PageRank(proj);
   for (const GridPoint& p : kGrid) {
     ThreadPool pool(p.threads);
     ParallelOptions par{&pool, p.morsel};
@@ -114,6 +115,8 @@ TEST(GraphParallelTest, CentralityBitIdenticalAcrossThreadsAndMorsels) {
     EXPECT_EQ(graph::HarmonicCentrality(proj, 0, 1, par), hc);
     EXPECT_EQ(graph::BetweennessCentrality(proj, 40, 9, par), bc_s);
     EXPECT_EQ(graph::HarmonicCentrality(proj, 40, 9, par), hc_s);
+    // PageRank's rows are disjoint writes; its sums fold serially.
+    EXPECT_EQ(graph::PageRank(proj, 0.85, 100, 1e-9, par), pr);
   }
 }
 

@@ -52,6 +52,23 @@ TEST(BipartiteGraphTest, IdMappingsRoundTrip) {
   EXPECT_EQ(g.RightIndexOf(999), BipartiteGraph::kInvalidIndex);
 }
 
+TEST(BipartiteGraphTest, AbsentIdsResolveInvalidBelowBetweenAndAbove) {
+  BipartiteGraph g = Sample();
+  for (uint64_t id : {0ull, 9ull, 15ull, 25ull, 31ull, ~0ull}) {
+    EXPECT_EQ(g.LeftIndexOf(id), BipartiteGraph::kInvalidIndex) << id;
+  }
+  for (uint64_t id : {0ull, 5ull, 10ull, 20ull, 30ull, ~0ull}) {
+    EXPECT_EQ(g.RightIndexOf(id), BipartiteGraph::kInvalidIndex) << id;
+  }
+  // Left ids 10, 20, 30 leave gaps below, between and above them; right
+  // ids 1..4 are contiguous, so only below and above.
+  EXPECT_EQ(g.RightIndexOf(1), 0u);
+  EXPECT_EQ(g.RightIndexOf(4), 3u);
+  BipartiteGraph empty = BipartiteGraph::FromEdges({});
+  EXPECT_EQ(empty.LeftIndexOf(10), BipartiteGraph::kInvalidIndex);
+  EXPECT_EQ(empty.RightIndexOf(1), BipartiteGraph::kInvalidIndex);
+}
+
 TEST(BipartiteGraphTest, NeighborsSortedAndConsistent) {
   BipartiteGraph g = Sample();
   // For every out-edge there must be the matching in-edge and vice versa.

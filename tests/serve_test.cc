@@ -12,6 +12,7 @@
 #include "core/investor_graph.h"
 #include "core/platform.h"
 #include "fnv_digest.h"
+#include "graph/centrality.h"
 #include "serve/cache.h"
 #include "serve/epoch_store.h"
 #include "serve/load_gen.h"
@@ -170,6 +171,63 @@ TEST(ServingSnapshotTest, PinnedFacetPayloads) {
     for (char c : text) digest.Word(static_cast<unsigned char>(c));
   }
   EXPECT_EQ(digest.value(), 0x17bb97115b010f70ull)
+      << std::hex << "0x" << digest.value();
+}
+
+// Every field of a snapshot that assembly computes, on a heavy-tailed graph
+// large enough that PageRank runs for dozens of iterations and its rows
+// split into many morsels: each investor's id, search key, community and
+// centrality bits, both indexes, the company names and both facet payloads.
+TEST(ServingSnapshotTest, PinnedWholeSnapshot) {
+  Rng rng(47);
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (uint64_t inv = 1; inv <= 2400; ++inv) {
+    const int64_t degree = rng.PowerLaw(1, 60, 2.1);
+    for (int64_t d = 0; d < degree; ++d) {
+      edges.emplace_back(
+          inv, 50000 + static_cast<uint64_t>(rng.Zipf(3000, 0.75)));
+    }
+  }
+  // Mixed-case names that collide once lowered, so the search key and the
+  // id tie-break both shape `by_name`.
+  SnapshotBuildOptions opts;
+  opts.investor_name = [](uint64_t id) {
+    static const char* kStems[] = {"Ada", "bo", "Cy", "dee", "Eve", "fa"};
+    return std::string(kStems[id % 6]) + (id % 4 == 0 ? "X" : "x") +
+           std::to_string(id % 211);
+  };
+  opts.company_name = [](uint64_t id) {
+    return "co-" + std::to_string(id * 7919 % 10007);
+  };
+  auto snap = BuildServingSnapshot(5, graph::BipartiteGraph::FromEdges(edges),
+                                   opts);
+  ASSERT_GE(snap->investors.size(), 2000u);
+  // PageRank stops on its tolerance after more than 40 iterations.
+  EXPECT_NE(graph::PageRank(snap->projection, 0.85, 40),
+            graph::PageRank(snap->projection));
+
+  FnvDigest digest;
+  auto text = [&digest](const std::string& s) {
+    digest.Word(s.size());
+    for (char c : s) digest.Word(static_cast<unsigned char>(c));
+  };
+  digest.Word(snap->investors.size());
+  for (const ServingSnapshot::Investor& inv : snap->investors) {
+    digest.Word(inv.id);
+    text(inv.name_lower);
+    digest.Word(static_cast<uint64_t>(static_cast<int64_t>(inv.community)));
+    digest.Bits(inv.centrality);
+  }
+  for (const std::vector<uint32_t>* index :
+       {&snap->by_name, &snap->by_centrality}) {
+    digest.Word(index->size());
+    for (uint32_t l : *index) digest.Word(l);
+  }
+  digest.Word(snap->company_names.size());
+  for (const std::string& name : snap->company_names) text(name);
+  text(snap->facet_communities.Dump());
+  text(snap->facet_centrality.Dump());
+  EXPECT_EQ(digest.value(), 0x777f7f60ba042553ull)
       << std::hex << "0x" << digest.value();
 }
 

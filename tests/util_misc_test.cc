@@ -1,7 +1,10 @@
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,22 +37,24 @@ TEST(ThreadPoolTest, SubmitReturnsValue) {
 }
 
 TEST(ThreadPoolTest, ParallelismActuallyParallel) {
-  ThreadPool pool(4);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 8; ++i) {
-    futs.push_back(pool.Submit([&]() {
-      int now = concurrent.fetch_add(1) + 1;
-      int old_peak = peak.load();
-      while (now > old_peak && !peak.compare_exchange_weak(old_peak, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      concurrent.fetch_sub(1);
-    }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_GE(peak.load(), 2);
+  // Each task arrives, then waits until both have: they can only both see
+  // the other if two workers run them at once. The timeout only bounds a
+  // failing run; a passing one never waits on the clock.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  auto rendezvous = [&]() {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    return cv.wait_for(lock, std::chrono::seconds(60),
+                       [&]() { return arrived == 2; });
+  };
+  std::future<bool> a = pool.Submit(rendezvous);
+  std::future<bool> b = pool.Submit(rendezvous);
+  EXPECT_TRUE(a.get());
+  EXPECT_TRUE(b.get());
 }
 
 TEST(ThreadPoolTest, WaitIdlesWithEmptyQueue) {
