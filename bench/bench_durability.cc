@@ -8,7 +8,6 @@
 // go to --json=PATH (default BENCH_durability.json); --records=N, --shards=S
 // and --reps=R size the run.
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -55,22 +54,6 @@ json::Json MakeDoc(uint64_t i, Rng& rng) {
   return doc;
 }
 
-struct Timing {
-  double ms_per_rep = 0;
-};
-
-template <typename F>
-Timing Time(F&& fn, int reps) {
-  fn();  // warmup
-  auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) fn();
-  auto t1 = std::chrono::steady_clock::now();
-  Timing t;
-  t.ms_per_rep = std::chrono::duration<double, std::milli>(t1 - t0).count() /
-                 static_cast<double>(reps);
-  return t;
-}
-
 void RunDurabilityBench(const cfnet::FlagParser& flags) {
   const size_t n = static_cast<size_t>(flags.GetInt("records", 200000));
   const size_t shards = static_cast<size_t>(flags.GetInt("shards", 4));
@@ -86,30 +69,33 @@ void RunDurabilityBench(const cfnet::FlagParser& flags) {
   out_doc.Set("bench", "bench_durability");
   out_doc.Set("records", static_cast<int64_t>(n));
   out_doc.Set("shards", static_cast<int64_t>(shards));
+  out_doc.Set("reps", static_cast<int64_t>(reps));
   json::Json workloads = json::Json::MakeArray();
 
   double corpus_mb = 0;  // set once the first writer pass sizes the corpus
-  // Records a row; throughput only for rows that process the whole corpus.
+  // Records a row of {median, min, max} ms over `reps` timed calls and
+  // returns the median; throughput, from the median, only for rows that
+  // process the whole corpus.
   auto emit = [&workloads, &corpus_mb, n](const std::string& name,
-                                          const Timing& t,
+                                          std::vector<double> samples,
                                           bool whole_corpus = true) {
+    json::Json ms = Spread(std::move(samples));
+    const double median = ms.Get("median").AsDouble();
+    std::printf("%-22s median %9.2f ms (min %.2f, max %.2f)", name.c_str(),
+                median, ms.Get("min").AsDouble(), ms.Get("max").AsDouble());
     json::Json w = json::Json::MakeObject();
     w.Set("name", name);
-    w.Set("ms_per_rep", t.ms_per_rep);
-    if (!whole_corpus) {
-      workloads.Append(std::move(w));
-      std::printf("%-22s %9.2f ms\n", name.c_str(), t.ms_per_rep);
-      return t.ms_per_rep;
+    w.Set("ms", std::move(ms));
+    if (whole_corpus) {
+      w.Set("records_per_sec",
+            median > 0 ? static_cast<double>(n) / median * 1e3 : 0.0);
+      w.Set("mb_per_sec", median > 0 ? corpus_mb / median * 1e3 : 0.0);
+      std::printf("  %8.2f MB/s  %7.1f krec/s", corpus_mb / median * 1e3,
+                  static_cast<double>(n) / median);
     }
-    w.Set("records_per_sec",
-          t.ms_per_rep > 0 ? static_cast<double>(n) / t.ms_per_rep * 1e3 : 0.0);
-    w.Set("mb_per_sec",
-          t.ms_per_rep > 0 ? corpus_mb / t.ms_per_rep * 1e3 : 0.0);
+    std::printf("\n");
     workloads.Append(std::move(w));
-    std::printf("%-22s %9.2f ms  %8.2f MB/s  %7.1f krec/s\n", name.c_str(),
-                t.ms_per_rep, corpus_mb / t.ms_per_rep * 1e3,
-                static_cast<double>(n) / t.ms_per_rep);
-    return t.ms_per_rep;
+    return median;
   };
 
   Section("Writer path: raw writes vs atomic commits (" + std::to_string(n) +
@@ -170,9 +156,10 @@ void RunDurabilityBench(const cfnet::FlagParser& flags) {
   std::vector<std::string> committed_paths;
   write_pass(/*commit=*/true, &committed_dfs, &committed_paths);
 
-  emit("write_raw", Time([&]() { write_pass(false, nullptr, nullptr); }, reps));
+  emit("write_raw",
+       TimeRepsMs([&]() { write_pass(false, nullptr, nullptr); }, reps));
   emit("write_commit",
-       Time([&]() { write_pass(true, nullptr, nullptr); }, reps));
+       TimeRepsMs([&]() { write_pass(true, nullptr, nullptr); }, reps));
 
   // Commit primitives on one 1 MiB segment's payload (what one flush
   // commits): a bare WriteFile vs the full protocol, whose extra cost is the
@@ -182,10 +169,11 @@ void RunDurabilityBench(const cfnet::FlagParser& flags) {
   double commit_vs_writefile = 0;
   {
     dfs::MiniDfs d;
-    const double writefile_ms = emit("primitive_writefile", Time([&]() {
-      CFNET_CHECK(d.WriteFile("/p", payload).ok());
-    }, reps), /*whole_corpus=*/false);
-    const double commit_ms = emit("primitive_commit", Time([&]() {
+    const double writefile_ms =
+        emit("primitive_writefile", TimeRepsMs([&]() {
+          CFNET_CHECK(d.WriteFile("/p", payload).ok());
+        }, reps), /*whole_corpus=*/false);
+    const double commit_ms = emit("primitive_commit", TimeRepsMs([&]() {
       CFNET_CHECK(dfs::CommitFile(&d, "/p", payload).ok());
     }, reps), /*whole_corpus=*/false);
     if (writefile_ms > 0) commit_vs_writefile = commit_ms / writefile_ms;
@@ -209,14 +197,14 @@ void RunDurabilityBench(const cfnet::FlagParser& flags) {
 
   ThreadPool pool(4);
   const double scan_verified_ms = emit(
-      "scan_footer_verified", Time([&]() { scan(&pool); }, reps));
+      "scan_footer_verified", TimeRepsMs([&]() { scan(&pool); }, reps));
   // The verification step alone, on the same committed bytes the scan loads:
   // one footer parse plus one CRC pass per segment.
   std::vector<std::string> committed_bytes;
   for (const std::string& p : committed_paths) {
     committed_bytes.push_back(*committed_dfs.ReadFile(p));
   }
-  const double verify_ms = emit("footer_verify", Time([&]() {
+  const double verify_ms = emit("footer_verify", TimeRepsMs([&]() {
     for (const std::string& bytes : committed_bytes) {
       uint64_t payload_len = 0;
       CFNET_CHECK(dfs::InspectFooter(bytes, &payload_len) ==
@@ -237,11 +225,11 @@ void RunDurabilityBench(const cfnet::FlagParser& flags) {
   std::string crc_buf;
   for (const std::string& p : raw_paths) crc_buf += *raw_dfs.ReadFile(p);
   uint32_t crc_sink = 0;
-  const double crc_hw_ms = emit("crc32_dispatch", Time([&]() {
+  const double crc_hw_ms = emit("crc32_dispatch", TimeRepsMs([&]() {
     crc_sink ^= Crc32Update(0, crc_buf);
     benchmark::DoNotOptimize(crc_sink);
   }, reps));
-  const double crc_table_ms = emit("crc32_table", Time([&]() {
+  const double crc_table_ms = emit("crc32_table", TimeRepsMs([&]() {
     crc_sink ^= Crc32FallbackUpdate(0, crc_buf);
     benchmark::DoNotOptimize(crc_sink);
   }, reps));

@@ -23,7 +23,6 @@
 // --reps trade time for stability.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -54,24 +53,12 @@
 namespace cfnet::bench {
 namespace {
 
-struct Timing {
-  double ms_per_rep = 0;
-};
-
-/// Timed calls behind each median/min/max (`Spread`) row: the PageRank
-/// widths and the incremental stages.
+/// Timed calls behind the PageRank and incremental rows; the thread
+/// scaling and SIMD rows take --reps.
 constexpr int kSpreadReps = 7;
 
-template <typename F>
-Timing Time(F&& fn, int reps) {
-  fn();  // warmup
-  auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) fn();
-  auto t1 = std::chrono::steady_clock::now();
-  Timing t;
-  t.ms_per_rep = std::chrono::duration<double, std::milli>(t1 - t0).count() /
-                 static_cast<double>(reps);
-  return t;
+double Median(const json::Json& spread) {
+  return spread.Get("median").AsDouble();
 }
 
 std::vector<double> FlattenWeights(const graph::WeightedGraph& g) {
@@ -106,6 +93,7 @@ void RunGraphBench(const FlagParser& flags) {
   json::Json out_doc = json::Json::MakeObject();
   out_doc.Set("bench", "bench_graph");
   out_doc.Set("scale", scale);
+  out_doc.Set("reps", static_cast<int64_t>(reps));
   out_doc.Set("investors", static_cast<int64_t>(g.num_left()));
   out_doc.Set("companies", static_cast<int64_t>(g.num_right()));
   out_doc.Set("investments", static_cast<int64_t>(g.num_edges()));
@@ -198,15 +186,19 @@ void RunGraphBench(const FlagParser& flags) {
       ThreadPool pool(threads);
       ParallelOptions par{&pool};
       CFNET_CHECK(w.result(par) == reference);  // bit-identical to 1 thread
-      const double ms = Time([&]() { w.run(par); }, reps).ms_per_rep;
-      if (threads == 1) base_ms = ms;
+      json::Json ms = Spread(TimeRepsMs([&]() { w.run(par); }, reps));
+      const double median = Median(ms);
+      if (threads == 1) base_ms = median;
+      const double speedup = median > 0 ? base_ms / median : 0.0;
+      std::printf("%-20s %zu threads  median %9.2f ms (min %.2f, max %.2f)  "
+                  "(%.2fx vs 1t)\n",
+                  w.name.c_str(), threads, median, ms.Get("min").AsDouble(),
+                  ms.Get("max").AsDouble(), speedup);
       json::Json row = json::Json::MakeObject();
       row.Set("threads", static_cast<int64_t>(threads));
-      row.Set("ms_per_rep", ms);
-      row.Set("speedup_vs_1t", ms > 0 ? base_ms / ms : 0.0);
+      row.Set("ms", std::move(ms));
+      row.Set("speedup_vs_1t", speedup);
       rows.Append(std::move(row));
-      std::printf("%-20s %zu threads  %9.2f ms  (%.2fx vs 1t)\n",
-                  w.name.c_str(), threads, ms, ms > 0 ? base_ms / ms : 0.0);
     }
     json::Json entry = json::Json::MakeObject();
     entry.Set("workload", w.name);
@@ -232,7 +224,7 @@ void RunGraphBench(const FlagParser& flags) {
       }, kSpreadReps));
       std::printf("pagerank  pool width %zu  median %8.2f ms (min %.2f, "
                   "max %.2f)\n",
-                  width, ms.Get("median").AsDouble(), ms.Get("min").AsDouble(),
+                  width, Median(ms), ms.Get("min").AsDouble(),
                   ms.Get("max").AsDouble());
       json::Json row = json::Json::MakeObject();
       row.Set("pool_width", static_cast<int64_t>(width));
@@ -251,17 +243,21 @@ void RunGraphBench(const FlagParser& flags) {
   // two backends before it is trusted.
   Section("simd kernels vs scalar fallback (1 thread; bit-identity checked)");
   json::Json simd_rows = json::Json::MakeArray();
-  auto emit_simd = [&simd_rows](const std::string& name, double scalar_ms,
-                                double simd_ms) {
-    const double speedup = simd_ms > 0 ? scalar_ms / simd_ms : 0.0;
+  auto emit_simd = [&simd_rows](const std::string& name,
+                                std::vector<double> scalar_samples,
+                                std::vector<double> simd_samples) {
+    json::Json scalar_ms = Spread(std::move(scalar_samples));
+    json::Json simd_ms = Spread(std::move(simd_samples));
+    const double speedup =
+        Median(simd_ms) > 0 ? Median(scalar_ms) / Median(simd_ms) : 0.0;
+    std::printf("%-26s scalar %9.2f ms   simd %9.2f ms   %5.2fx (medians)\n",
+                name.c_str(), Median(scalar_ms), Median(simd_ms), speedup);
     json::Json row = json::Json::MakeObject();
     row.Set("kernel", name);
-    row.Set("scalar_ms", scalar_ms);
-    row.Set("simd_ms", simd_ms);
+    row.Set("scalar_ms", std::move(scalar_ms));
+    row.Set("simd_ms", std::move(simd_ms));
     row.Set("speedup", speedup);
     simd_rows.Append(std::move(row));
-    std::printf("%-26s scalar %9.2f ms   simd %9.2f ms   %5.2fx\n",
-                name.c_str(), scalar_ms, simd_ms, speedup);
   };
 
   // coda_row_update: the full projected-gradient fit (fused expm1-weighted
@@ -274,10 +270,10 @@ void RunGraphBench(const FlagParser& flags) {
     coda_config.seed = 11;
     community::Coda coda(coda_config);
     community::CodaResult fit_simd = coda.Fit(g);
-    const double simd_ms = Time([&]() {
+    std::vector<double> simd_ms = TimeRepsMs([&]() {
       benchmark::DoNotOptimize(coda.Fit(g).final_log_likelihood);
-    }, reps).ms_per_rep;
-    double scalar_ms;
+    }, reps);
+    std::vector<double> scalar_ms;
     {
       simd::ScopedForceScalar force;
       community::CodaResult fit_scalar = coda.Fit(g);
@@ -285,11 +281,11 @@ void RunGraphBench(const FlagParser& flags) {
       CFNET_CHECK(fit_scalar.h == fit_simd.h);
       CFNET_CHECK(fit_scalar.log_likelihood_trace ==
                   fit_simd.log_likelihood_trace);
-      scalar_ms = Time([&]() {
+      scalar_ms = TimeRepsMs([&]() {
         benchmark::DoNotOptimize(coda.Fit(g).final_log_likelihood);
-      }, reps).ms_per_rep;
+      }, reps);
     }
-    emit_simd("coda_row_update", scalar_ms, simd_ms);
+    emit_simd("coda_row_update", std::move(scalar_ms), std::move(simd_ms));
   }
 
   // bitset_intersect: SharedInvestmentSizes over the top-degree community,
@@ -297,19 +293,19 @@ void RunGraphBench(const FlagParser& flags) {
   {
     const std::vector<double> sizes_simd =
         core::SharedInvestmentSizes(g, members);
-    const double simd_ms = Time([&]() {
+    std::vector<double> simd_ms = TimeRepsMs([&]() {
       benchmark::DoNotOptimize(core::SharedInvestmentSizes(g, members).data());
-    }, reps).ms_per_rep;
-    double scalar_ms;
+    }, reps);
+    std::vector<double> scalar_ms;
     {
       simd::ScopedForceScalar force;
       CFNET_CHECK(core::SharedInvestmentSizes(g, members) == sizes_simd);
-      scalar_ms = Time([&]() {
+      scalar_ms = TimeRepsMs([&]() {
         benchmark::DoNotOptimize(
             core::SharedInvestmentSizes(g, members).data());
-      }, reps).ms_per_rep;
+      }, reps);
     }
-    emit_simd("bitset_intersect", scalar_ms, simd_ms);
+    emit_simd("bitset_intersect", std::move(scalar_ms), std::move(simd_ms));
   }
 
   // bitset_intersect_kernel: AndPopcountU64 in isolation on company-sized
@@ -323,55 +319,46 @@ void RunGraphBench(const FlagParser& flags) {
     constexpr int kInner = 4000;
     CFNET_CHECK(simd::AndPopcountU64(wa.data(), wb.data(), words) ==
                 simd::AndPopcountU64Scalar(wa.data(), wb.data(), words));
-    const double simd_ms = Time([&]() {
+    std::vector<double> simd_ms = TimeRepsMs([&]() {
       uint64_t acc = 0;
       for (int it = 0; it < kInner; ++it) {
         acc += simd::AndPopcountU64(wa.data(), wb.data(), words);
       }
       benchmark::DoNotOptimize(acc);
-    }, reps).ms_per_rep;
-    const double scalar_ms = Time([&]() {
+    }, reps);
+    std::vector<double> scalar_ms = TimeRepsMs([&]() {
       uint64_t acc = 0;
       for (int it = 0; it < kInner; ++it) {
         acc += simd::AndPopcountU64Scalar(wa.data(), wb.data(), words);
       }
       benchmark::DoNotOptimize(acc);
-    }, reps).ms_per_rep;
-    emit_simd("bitset_intersect_kernel", scalar_ms, simd_ms);
+    }, reps);
+    emit_simd("bitset_intersect_kernel", std::move(scalar_ms),
+              std::move(simd_ms));
   }
 
-  // stats_reduce: the moment/correlation reductions feeding the Figure-6
-  // pipeline (SumF64 + SumSqDiffF64 + PearsonAccumF64 over one array of
-  // investment sizes per rep).
+  // stats_reduce: the moment reductions Summarize runs for the Figure 6
+  // medians (SumF64 for the mean, then SumSqDiffF64 about it) over one
+  // array per rep.
   {
     const size_t n = size_t{1} << 21;
     Rng rng(31);
-    std::vector<double> xs(n), ys(n);
-    for (size_t i = 0; i < n; ++i) {
-      xs[i] = rng.Uniform(-2.0, 2.0);
-      ys[i] = 0.4 * xs[i] + rng.Uniform(-1.0, 1.0);
-    }
-    auto reduce = [&](auto sum_fn, auto ssd_fn, auto pearson_fn) {
+    std::vector<double> xs(n);
+    for (double& x : xs) x = rng.Uniform(-2.0, 2.0);
+    auto reduce = [&](auto sum_fn, auto ssd_fn) {
       const double s = sum_fn(xs.data(), n);
-      const double ssd = ssd_fn(xs.data(), n, s / static_cast<double>(n));
-      double sxy, sxx, syy;
-      pearson_fn(xs.data(), ys.data(), n, 0.0, 0.0, &sxy, &sxx, &syy);
-      return s + ssd + sxy + sxx + syy;
+      return s + ssd_fn(xs.data(), n, s / static_cast<double>(n));
     };
-    CFNET_CHECK(reduce(simd::SumF64, simd::SumSqDiffF64,
-                       simd::PearsonAccumF64) ==
-                reduce(simd::SumF64Scalar, simd::SumSqDiffF64Scalar,
-                       simd::PearsonAccumF64Scalar));
-    const double simd_ms = Time([&]() {
+    CFNET_CHECK(reduce(simd::SumF64, simd::SumSqDiffF64) ==
+                reduce(simd::SumF64Scalar, simd::SumSqDiffF64Scalar));
+    std::vector<double> simd_ms = TimeRepsMs([&]() {
+      benchmark::DoNotOptimize(reduce(simd::SumF64, simd::SumSqDiffF64));
+    }, reps);
+    std::vector<double> scalar_ms = TimeRepsMs([&]() {
       benchmark::DoNotOptimize(
-          reduce(simd::SumF64, simd::SumSqDiffF64, simd::PearsonAccumF64));
-    }, reps).ms_per_rep;
-    const double scalar_ms = Time([&]() {
-      benchmark::DoNotOptimize(reduce(simd::SumF64Scalar,
-                                      simd::SumSqDiffF64Scalar,
-                                      simd::PearsonAccumF64Scalar));
-    }, reps).ms_per_rep;
-    emit_simd("stats_reduce", scalar_ms, simd_ms);
+          reduce(simd::SumF64Scalar, simd::SumSqDiffF64Scalar));
+    }, reps);
+    emit_simd("stats_reduce", std::move(scalar_ms), std::move(simd_ms));
   }
 
   // ---- CoDA fit at the `analyze` workload's shape -----------------------
@@ -398,7 +385,7 @@ void RunGraphBench(const FlagParser& flags) {
     std::printf("coda_fit: %zu investors, %zu companies, %zu edges; "
                 "median %.1f ms (min %.1f, max %.1f) over %d fits\n",
                 fg.num_left(), fg.num_right(), fg.num_edges(),
-                ms.Get("median").AsDouble(), ms.Get("min").AsDouble(),
+                Median(ms), ms.Get("min").AsDouble(),
                 ms.Get("max").AsDouble(), kFits);
     coda_fit.Set("investors", static_cast<int64_t>(fg.num_left()));
     coda_fit.Set("companies", static_cast<int64_t>(fg.num_right()));
@@ -533,21 +520,18 @@ void RunGraphBench(const FlagParser& flags) {
       CFNET_CHECK(FlattenWeights(full_proj) == FlattenWeights(inc_proj));
       CFNET_CHECK(refined.modularity >= full_louvain.modularity - 0.05);
 
-      auto median = [](const json::Json& spread) {
-        return spread.Get("median").AsDouble();
-      };
       const double speedup =
-          median(inc_ms) > 0 ? median(full_ms) / median(inc_ms) : 0.0;
+          Median(inc_ms) > 0 ? Median(full_ms) / Median(inc_ms) : 0.0;
       if (frac == 0.01) inc_speedup_1pct = speedup;
       std::printf("delta %5.1f%% (%6zu edges, frontier %6zu)  full %9.2f ms  "
                   "incremental %9.2f ms  %6.2fx  dQ %+0.4f\n"
                   "  merge %.2f  projection %.2f  refine %.2f  assemble "
                   "%.2f ms (medians)\n",
-                  frac * 100.0, num_deltas, frontier.size(), median(full_ms),
-                  median(inc_ms), speedup,
+                  frac * 100.0, num_deltas, frontier.size(), Median(full_ms),
+                  Median(inc_ms), speedup,
                   refined.modularity - full_louvain.modularity,
-                  median(merge_ms), median(projection_ms), median(refine_ms),
-                  median(assemble_ms));
+                  Median(merge_ms), Median(projection_ms), Median(refine_ms),
+                  Median(assemble_ms));
       json::Json row = json::Json::MakeObject();
       row.Set("delta_fraction", frac);
       row.Set("delta_edges", static_cast<int64_t>(num_deltas));
@@ -580,8 +564,10 @@ void RunGraphBench(const FlagParser& flags) {
   out_doc.Set("simd_backend", simd::SimdBackendName());
   out_doc.Set("simd", std::move(simd_rows));
   out_doc.Set("simd_note",
-              "single-thread scalar-vs-dispatched comparisons; the two "
-              "backends' outputs are checked byte-identical.");
+              "single-thread scalar-vs-dispatched comparisons, each "
+              "{median, min, max} over `reps` timed calls, speedup from the "
+              "medians; the two backends' outputs are checked "
+              "byte-identical.");
   out_doc.Set("coda_fit", std::move(coda_fit));
   std::printf("acceptance: incremental 1%% delta epoch %.2fx vs full rebuild "
               "(target 5x)\n",

@@ -8,7 +8,6 @@
 // (--json=PATH, default BENCH_ingest.json; --records=N and --shards=S set
 // the workload size/layout).
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -56,22 +55,6 @@ json::Json MakeDoc(uint64_t i, Rng& rng) {
   markets.Append("saas");
   doc.Set("markets", markets);
   return doc;
-}
-
-struct Timing {
-  double ms_per_rep = 0;
-};
-
-template <typename F>
-Timing Time(F&& fn, int reps) {
-  fn();  // warmup
-  auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) fn();
-  auto t1 = std::chrono::steady_clock::now();
-  Timing t;
-  t.ms_per_rep = std::chrono::duration<double, std::milli>(t1 - t0).count() /
-                 static_cast<double>(reps);
-  return t;
 }
 
 void RunIngestBench(const cfnet::FlagParser& flags) {
@@ -136,6 +119,7 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
   out_doc.Set("bench", "bench_ingest");
   out_doc.Set("records", static_cast<int64_t>(n));
   out_doc.Set("shards", static_cast<int64_t>(shards));
+  out_doc.Set("reps", static_cast<int64_t>(reps));
   out_doc.Set("bytes", static_cast<int64_t>(total_bytes));
   out_doc.Set("columnar_bytes", static_cast<int64_t>(columnar_bytes));
   out_doc.Set("columnar_compression_ratio",
@@ -147,21 +131,32 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
               static_cast<int64_t>(ThreadPool::DefaultParallelism()));
   json::Json workloads = json::Json::MakeArray();
 
-  // MB/s is against the format's own on-disk footprint, so JSON and
-  // columnar workloads stay comparable on records/s but honest on bytes/s.
-  auto emit = [&workloads, n](const std::string& name, const Timing& t,
-                              double mb) {
+  // Adds {median, min, max} ms over `reps` timed calls to `w`, with
+  // records/s and MB/s from the median. MB/s is against the format's own
+  // on-disk footprint, so JSON and columnar workloads stay comparable on
+  // records/s but honest on bytes/s.
+  auto timed = [n](json::Json w, json::Json ms, double mb) {
+    const double median = ms.Get("median").AsDouble();
+    w.Set("ms", std::move(ms));
+    w.Set("records_per_sec",
+          median > 0 ? static_cast<double>(n) / median * 1e3 : 0.0);
+    w.Set("mb_per_sec", median > 0 ? mb / median * 1e3 : 0.0);
+    return w;
+  };
+  // Records a named row in `workloads`; returns its ms spread.
+  auto emit = [&workloads, &timed, n](const std::string& name,
+                                      std::vector<double> samples, double mb) {
+    json::Json ms = Spread(std::move(samples));
+    const double median = ms.Get("median").AsDouble();
+    std::printf("%-22s median %9.2f ms (min %.2f, max %.2f)  %8.2f MB/s  "
+                "%9.1f krec/s\n",
+                name.c_str(), median, ms.Get("min").AsDouble(),
+                ms.Get("max").AsDouble(), mb / median * 1e3,
+                static_cast<double>(n) / median);
     json::Json w = json::Json::MakeObject();
     w.Set("name", name);
-    w.Set("ms_per_rep", t.ms_per_rep);
-    w.Set("records_per_sec",
-          t.ms_per_rep > 0 ? static_cast<double>(n) / t.ms_per_rep * 1e3 : 0.0);
-    w.Set("mb_per_sec", t.ms_per_rep > 0 ? mb / t.ms_per_rep * 1e3 : 0.0);
-    workloads.Append(std::move(w));
-    std::printf("%-22s %9.2f ms  %8.2f MB/s  %9.1f krec/s\n", name.c_str(),
-                t.ms_per_rep, mb / t.ms_per_rep * 1e3,
-                static_cast<double>(n) / t.ms_per_rep);
-    return t.ms_per_rep;
+    workloads.Append(timed(std::move(w), ms, mb));
+    return ms;
   };
 
   Section("Snapshot ingest throughput (" + std::to_string(n) + " records, " +
@@ -170,7 +165,7 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
   // Serialization: Json::AppendTo into a reused buffer — the JsonLinesWriter
   // hot path, minus the segment commit into MiniDfs.
   std::string serialize_buf;
-  emit("dump_serialize", Time([&]() {
+  emit("dump_serialize", TimeRepsMs([&]() {
     serialize_buf.clear();
     for (const json::Json& d : docs) {
       d.AppendTo(serialize_buf);
@@ -194,29 +189,27 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
 
   // Streaming decoder, single-threaded.
   const double stream_ms =
-      emit("stream_decode", Time([&]() { scan_startups(nullptr); }, reps),
-           json_mb);
+      emit("stream_decode",
+           TimeRepsMs([&]() { scan_startups(nullptr); }, reps), json_mb)
+          .Get("median")
+          .AsDouble();
 
-  // Parallel scan at fixed thread counts.
+  // Parallel scan at fixed thread counts; speedups are against the 1-thread
+  // scan's median.
   json::Json scaling = json::Json::MakeArray();
+  double base_ms = 0;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ThreadPool pool(threads);
-    double ms = emit("scan_threads_" + std::to_string(threads),
-                     Time([&]() { scan_startups(&pool); }, reps), json_mb);
+    json::Json ms =
+        emit("scan_threads_" + std::to_string(threads),
+             TimeRepsMs([&]() { scan_startups(&pool); }, reps), json_mb);
+    const double median = ms.Get("median").AsDouble();
+    if (threads == 1) base_ms = median;
     json::Json s = json::Json::MakeObject();
     s.Set("threads", static_cast<int64_t>(threads));
-    s.Set("ms_per_rep", ms);
-    s.Set("speedup_vs_1t", 0.0);  // filled below once 1t is known
+    s.Set("ms", std::move(ms));
+    s.Set("speedup_vs_1t", median > 0 ? base_ms / median : 0.0);
     scaling.Append(std::move(s));
-  }
-  // Fill speedups relative to the single-thread scan.
-  const double base_ms = scaling.at(0).Get("ms_per_rep").AsDouble();
-  json::Json scaling_filled = json::Json::MakeArray();
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    json::Json s = scaling.at(i);
-    double ms = s.Get("ms_per_rep").AsDouble();
-    s.Set("speedup_vs_1t", ms > 0 ? base_ms / ms : 0.0);
-    scaling_filled.Append(std::move(s));
   }
 
   // Columnar block scan: same records, binary columns instead of JSON text.
@@ -233,18 +226,21 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
     benchmark::DoNotOptimize(sum);
   };
 
-  const double col_ms = emit(
-      "columnar_scan",
-      Time([&]() { scan_columnar(col_path, nullptr); }, reps), col_mb);
+  const double col_ms =
+      emit("columnar_scan",
+           TimeRepsMs([&]() { scan_columnar(col_path, nullptr); }, reps),
+           col_mb)
+          .Get("median")
+          .AsDouble();
   json::Json col_scaling = json::Json::MakeArray();
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ThreadPool pool(threads);
-    double ms = emit("columnar_threads_" + std::to_string(threads),
-                     Time([&]() { scan_columnar(col_path, &pool); }, reps),
-                     col_mb);
     json::Json s = json::Json::MakeObject();
     s.Set("threads", static_cast<int64_t>(threads));
-    s.Set("ms_per_rep", ms);
+    s.Set("ms", emit("columnar_threads_" + std::to_string(threads),
+                     TimeRepsMs([&]() { scan_columnar(col_path, &pool); },
+                                reps),
+                     col_mb));
     col_scaling.Append(std::move(s));
   }
 
@@ -258,22 +254,22 @@ void RunIngestBench(const cfnet::FlagParser& flags) {
         "/bench/startups-col-sweep/rows-" + std::to_string(block_rows) + ".cfc";
     const uint64_t sweep_bytes = write_columnar(sweep_path, block_rows);
     const double sweep_mb = static_cast<double>(sweep_bytes) / 1e6;
-    Timing t = Time([&]() { scan_columnar(sweep_path, nullptr); }, reps);
+    json::Json ms = Spread(
+        TimeRepsMs([&]() { scan_columnar(sweep_path, nullptr); }, reps));
+    const double median = ms.Get("median").AsDouble();
+    std::printf("block_rows %-9zu median %9.2f ms (min %.2f, max %.2f)  "
+                "%8.2f MB/s  %9lu bytes\n",
+                block_rows, median, ms.Get("min").AsDouble(),
+                ms.Get("max").AsDouble(), sweep_mb / median * 1e3,
+                static_cast<unsigned long>(sweep_bytes));
     json::Json s = json::Json::MakeObject();
     s.Set("block_rows", static_cast<int64_t>(block_rows));
     s.Set("bytes", static_cast<int64_t>(sweep_bytes));
-    s.Set("ms_per_rep", t.ms_per_rep);
-    s.Set("records_per_sec",
-          t.ms_per_rep > 0 ? static_cast<double>(n) / t.ms_per_rep * 1e3 : 0.0);
-    s.Set("mb_per_sec", t.ms_per_rep > 0 ? sweep_mb / t.ms_per_rep * 1e3 : 0.0);
-    sweep.Append(std::move(s));
-    std::printf("block_rows %-9zu %9.2f ms  %8.2f MB/s  %9lu bytes\n",
-                block_rows, t.ms_per_rep, sweep_mb / t.ms_per_rep * 1e3,
-                static_cast<unsigned long>(sweep_bytes));
+    sweep.Append(timed(std::move(s), std::move(ms), sweep_mb));
   }
 
   out_doc.Set("workloads", std::move(workloads));
-  out_doc.Set("scan_scaling", std::move(scaling_filled));
+  out_doc.Set("scan_scaling", std::move(scaling));
   out_doc.Set("columnar_scaling", std::move(col_scaling));
   out_doc.Set("block_rows_sweep", std::move(sweep));
   out_doc.Set("columnar_vs_stream_speedup",

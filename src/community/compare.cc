@@ -1,8 +1,6 @@
 #include "community/compare.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "util/rng.h"
@@ -123,43 +121,6 @@ PairwiseAgreement ComparePairwise(const CommunitySet& detected,
     out.f1 = 2 * out.precision * out.recall / (out.precision + out.recall);
   }
   return out;
-}
-
-double NormalizedMutualInformation(const std::vector<int>& labels_a,
-                                   const std::vector<int>& labels_b) {
-  const size_t n = std::min(labels_a.size(), labels_b.size());
-  std::unordered_map<int, double> pa;
-  std::unordered_map<int, double> pb;
-  std::unordered_map<int64_t, double> pab;
-  double count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (labels_a[i] < 0 || labels_b[i] < 0) continue;
-    ++count;
-    ++pa[labels_a[i]];
-    ++pb[labels_b[i]];
-    ++pab[(static_cast<int64_t>(labels_a[i]) << 32) | labels_b[i]];
-  }
-  if (count == 0) return 0;
-  double ha = 0;
-  for (auto& [k, c] : pa) {
-    double p = c / count;
-    ha -= p * std::log(p);
-  }
-  double hb = 0;
-  for (auto& [k, c] : pb) {
-    double p = c / count;
-    hb -= p * std::log(p);
-  }
-  if (ha == 0 && hb == 0) return 1.0;  // both trivial and identical
-  if (ha == 0 || hb == 0) return 0.0;
-  double mi = 0;
-  for (auto& [key, c] : pab) {
-    double p = c / count;
-    double p_a = pa[static_cast<int>(key >> 32)] / count;
-    double p_b = pb[static_cast<int>(key & 0xffffffff)] / count;
-    mi += p * std::log(p / (p_a * p_b));
-  }
-  return mi / std::sqrt(ha * hb);
 }
 
 }  // namespace cfnet::community

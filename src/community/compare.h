@@ -2,16 +2,14 @@
 #define CFNET_COMMUNITY_COMPARE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "community/community_set.h"
 
 namespace cfnet::community {
 
-/// Agreement measures between two community covers — used to score how
-/// well each detector recovers the synthetic world's *planted* communities
-/// (the evaluation a real crawl can never run) and to quantify community
-/// drift over time (§7).
+/// Agreement between two community covers — used to score how well each
+/// detector recovers the synthetic world's *planted* communities (the
+/// evaluation a real crawl can never run).
 
 /// Pairwise co-membership precision/recall/F1: a node pair counts as
 /// "together" in a cover when some community contains both. Works for
@@ -29,11 +27,6 @@ PairwiseAgreement ComparePairwise(const CommunitySet& detected,
                                   const CommunitySet& truth,
                                   size_t max_pairs_per_side = 2000000,
                                   uint64_t seed = 1);
-
-/// Normalized mutual information of two *disjoint* label assignments
-/// (label < 0 = unassigned, excluded from both marginals). In [0, 1].
-double NormalizedMutualInformation(const std::vector<int>& labels_a,
-                                   const std::vector<int>& labels_b);
 
 }  // namespace cfnet::community
 

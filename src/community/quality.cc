@@ -37,42 +37,4 @@ double MeanConductance(const graph::WeightedGraph& g, const CommunitySet& set) {
   return counted == 0 ? 1.0 : sum / static_cast<double>(counted);
 }
 
-double Coverage(const graph::WeightedGraph& g, const CommunitySet& set) {
-  const double total = g.TotalWeight2m();
-  if (total <= 0) return 0;
-  // Per-node community memberships for overlap-aware membership checks.
-  std::vector<std::vector<uint32_t>> member_of(g.num_nodes());
-  for (uint32_t ci = 0; ci < set.communities.size(); ++ci) {
-    for (uint32_t v : set.communities[ci]) {
-      if (v < member_of.size()) member_of[v].push_back(ci);
-    }
-  }
-  for (auto& m : member_of) std::sort(m.begin(), m.end());
-  double covered = 0;
-  for (uint32_t v = 0; v < g.num_nodes(); ++v) {
-    auto nbrs = g.Neighbors(v);
-    auto ws = g.Weights(v);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const auto& a = member_of[v];
-      const auto& b = member_of[nbrs[i]];
-      // Sorted intersection test.
-      size_t x = 0;
-      size_t y = 0;
-      bool shared = false;
-      while (x < a.size() && y < b.size()) {
-        if (a[x] < b[y]) {
-          ++x;
-        } else if (a[x] > b[y]) {
-          ++y;
-        } else {
-          shared = true;
-          break;
-        }
-      }
-      if (shared) covered += ws[i];
-    }
-  }
-  return covered / total;
-}
-
 }  // namespace cfnet::community

@@ -22,10 +22,6 @@ double Conductance(const graph::WeightedGraph& g,
 /// Mean conductance over the communities of a set (ignoring empties).
 double MeanConductance(const graph::WeightedGraph& g, const CommunitySet& set);
 
-/// Fraction of total edge weight that falls inside some community
-/// (both endpoints share a community). In [0, 1]; higher = better cover.
-double Coverage(const graph::WeightedGraph& g, const CommunitySet& set);
-
 }  // namespace cfnet::community
 
 #endif  // CFNET_COMMUNITY_QUALITY_H_

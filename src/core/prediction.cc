@@ -7,7 +7,6 @@
 #include "dataflow/dataset.h"
 #include "graph/centrality.h"
 #include "graph/weighted_graph.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace cfnet::core {
@@ -153,18 +152,6 @@ double ComputeAuc(const std::vector<std::pair<double, bool>>& scored) {
   double u = rank_sum_pos - static_cast<double>(positives) *
                                 (static_cast<double>(positives) + 1) / 2.0;
   return u / (static_cast<double>(positives) * static_cast<double>(negatives));
-}
-
-double PredictionResult::Predict(const std::vector<double>& raw) const {
-  CFNET_CHECK(raw.size() == weights.size());
-  double z = bias;
-  for (size_t k = 0; k < raw.size(); ++k) {
-    double x = feature_stddev[k] > 0
-                   ? (raw[k] - feature_mean[k]) / feature_stddev[k]
-                   : 0.0;
-    z += weights[k] * x;
-  }
-  return Sigmoid(z);
 }
 
 PredictionResult TrainSuccessPredictor(

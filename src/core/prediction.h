@@ -74,9 +74,6 @@ struct PredictionResult {
   size_t train_size = 0;
   size_t test_size = 0;
   size_t nonzero_weights = 0;
-
-  /// Probability for a raw (unstandardized) feature vector.
-  double Predict(const std::vector<double>& raw_features) const;
 };
 
 /// Trains on a deterministic shuffle/split of `examples`.

@@ -2,59 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <numeric>
 
 #include "util/rng.h"
 
 namespace cfnet::graph {
-
-std::vector<int> ConnectedComponents(const WeightedGraph& g,
-                                     size_t* num_components) {
-  const size_t n = g.num_nodes();
-  std::vector<int> component(n, -1);
-  int next = 0;
-  std::deque<uint32_t> queue;
-  for (uint32_t start = 0; start < n; ++start) {
-    if (component[start] != -1) continue;
-    component[start] = next;
-    queue.push_back(start);
-    while (!queue.empty()) {
-      uint32_t v = queue.front();
-      queue.pop_front();
-      for (uint32_t u : g.Neighbors(v)) {
-        if (component[u] == -1) {
-          component[u] = next;
-          queue.push_back(u);
-        }
-      }
-    }
-    ++next;
-  }
-  if (num_components != nullptr) *num_components = static_cast<size_t>(next);
-  return component;
-}
-
-size_t LargestComponentSize(const WeightedGraph& g) {
-  size_t num = 0;
-  std::vector<int> component = ConnectedComponents(g, &num);
-  std::vector<size_t> sizes(num, 0);
-  for (int c : component) ++sizes[static_cast<size_t>(c)];
-  size_t best = 0;
-  for (size_t s : sizes) best = std::max(best, s);
-  return best;
-}
-
-std::vector<double> DegreeCentrality(const WeightedGraph& g) {
-  const size_t n = g.num_nodes();
-  std::vector<double> out(n, 0);
-  if (n <= 1) return out;
-  for (uint32_t v = 0; v < n; ++v) {
-    out[v] = static_cast<double>(g.Neighbors(v).size()) /
-             static_cast<double>(n - 1);
-  }
-  return out;
-}
 
 namespace {
 
@@ -73,11 +25,7 @@ std::vector<uint32_t> PickSources(size_t n, size_t samples, uint64_t seed) {
   return sources;
 }
 
-}  // namespace
-
-namespace {
-
-/// Per-slot scratch of one in-flight BFS/Brandes source. `order` doubles as
+/// Per-slot scratch of one in-flight Brandes source. `order` doubles as
 /// the BFS queue (a head cursor walks it), and survives until the ordered
 /// commit folds the slot's contribution into the global score.
 struct SourceScratch {
@@ -99,52 +47,6 @@ size_t WaveSlots(const ParallelOptions& par) {
 }
 
 }  // namespace
-
-std::vector<double> HarmonicCentrality(const WeightedGraph& g,
-                                       size_t sample_sources, uint64_t seed,
-                                       const ParallelOptions& par) {
-  const size_t n = g.num_nodes();
-  std::vector<double> score(n, 0);
-  if (n <= 1) return score;
-  std::vector<uint32_t> sources = PickSources(n, sample_sources, seed);
-
-  // Accumulate 1/d(source, v) into score[v]; by symmetry of distances this
-  // estimates the same quantity as summing from v outward. Each source's
-  // BFS runs in slot-private scratch; contributions commit in source order.
-  const size_t slots = WaveSlots(par);
-  std::vector<SourceScratch> scratch(slots);
-  for (auto& sc : scratch) sc.Resize(n);
-  RunOrderedWaves(
-      par, sources.size(), slots,
-      [&](size_t i, size_t slot) {
-        SourceScratch& sc = scratch[slot];
-        std::fill(sc.dist.begin(), sc.dist.end(), -1);
-        sc.order.clear();
-        const uint32_t s = sources[i];
-        sc.dist[s] = 0;
-        sc.order.push_back(s);
-        for (size_t head = 0; head < sc.order.size(); ++head) {
-          uint32_t v = sc.order[head];
-          for (uint32_t u : g.Neighbors(v)) {
-            if (sc.dist[u] == -1) {
-              sc.dist[u] = sc.dist[v] + 1;
-              sc.order.push_back(u);
-            }
-          }
-        }
-      },
-      [&](size_t i, size_t slot) {
-        const SourceScratch& sc = scratch[slot];
-        const uint32_t s = sources[i];
-        for (uint32_t v : sc.order) {
-          if (v != s) score[v] += 1.0 / sc.dist[v];
-        }
-      });
-  const double norm = static_cast<double>(sources.size()) /
-                      static_cast<double>(n) * static_cast<double>(n - 1);
-  for (double& x : score) x /= norm;
-  return score;
-}
 
 std::vector<double> BetweennessCentrality(const WeightedGraph& g,
                                           size_t sample_sources, uint64_t seed,

@@ -9,35 +9,10 @@
 
 namespace cfnet::graph {
 
-/// Centrality and connectivity measures over the (undirected, weighted)
-/// co-investment projection — the §7 graph characteristics the paper plans
-/// to feed into success prediction ("node degree, connectivity, and
-/// measures of centrality").
-
-/// Connected components; returns per-node component id (0-based, by
-/// discovery order) and sets *num_components.
-std::vector<int> ConnectedComponents(const WeightedGraph& g,
-                                     size_t* num_components);
-
-/// Size of the largest connected component.
-size_t LargestComponentSize(const WeightedGraph& g);
-
-/// Unweighted degree centrality, normalized by (n-1).
-std::vector<double> DegreeCentrality(const WeightedGraph& g);
-
-/// Harmonic (closeness-like) centrality via BFS on the unweighted
-/// skeleton: C(v) = sum_{u != v} 1/d(v,u), normalized by (n-1).
-/// Exact when `sample_sources` = 0; otherwise estimated from that many
-/// sampled sources (scales to large graphs).
-///
-/// Sources fan out over `par.pool` with per-slot BFS scratch; each source's
-/// contribution is folded into the score vector in ascending source order
-/// on the calling thread, so the result is bit-identical for every thread
-/// count and morsel size.
-std::vector<double> HarmonicCentrality(const WeightedGraph& g,
-                                       size_t sample_sources = 0,
-                                       uint64_t seed = 1,
-                                       const ParallelOptions& par = {});
+/// Centrality measures over the (undirected, weighted) co-investment
+/// projection. Success prediction (§7) reads k-core numbers and PageRank,
+/// the serving tier ranks investors by PageRank, and `bench_graph` times
+/// betweenness.
 
 /// Brandes betweenness centrality on the unweighted skeleton, normalized
 /// to [0,1] by (n-1)(n-2)/2. Exact when `sample_sources` = 0; otherwise a

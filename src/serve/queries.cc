@@ -1,12 +1,12 @@
 #include "serve/queries.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <unordered_map>
 #include <vector>
 
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace cfnet::serve {
 namespace {
@@ -26,13 +26,6 @@ int64_t GetIntParam(const std::map<std::string, std::string>& params,
   return (end == nullptr || *end != '\0') ? dflt : static_cast<int64_t>(v);
 }
 
-std::string ToLower(std::string s) {
-  for (char& c : s) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return s;
-}
-
 json::Json InvestorRow(const ServingSnapshot& snap, uint32_t l) {
   const ServingSnapshot::Investor& inv = snap.investors[l];
   json::Json row = json::Json::MakeObject();
@@ -47,7 +40,7 @@ json::Json InvestorRow(const ServingSnapshot& snap, uint32_t l) {
 bool PassesFilters(const ServingSnapshot& snap, uint32_t l, int64_t community,
                    int64_t min_investments) {
   if (community >= 0 &&
-      snap.investors[l].community != static_cast<int>(community)) {
+      static_cast<int64_t>(snap.investors[l].community) != community) {
     return false;
   }
   return snap.graph.OutDegree(l) >=

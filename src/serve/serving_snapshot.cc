@@ -1,25 +1,17 @@
 #include "serve/serving_snapshot.h"
 
 #include <algorithm>
-#include <cctype>
 #include <future>
 
 #include "community/louvain.h"
 #include "graph/centrality.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace cfnet::serve {
 namespace {
-
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
 
 /// Members listed per community in the facets payload.
 constexpr size_t kFacetTopMembers = 5;

@@ -2,58 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-
-#include "util/rng.h"
-#include "util/simd.h"
 
 namespace cfnet::stats {
-
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  const size_t n = std::min(x.size(), y.size());
-  if (n < 2) return 0;
-  const double mx = simd::SumF64(x.data(), n) / static_cast<double>(n);
-  const double my = simd::SumF64(y.data(), n) / static_cast<double>(n);
-  double sxy = 0;
-  double sxx = 0;
-  double syy = 0;
-  simd::PearsonAccumF64(x.data(), y.data(), n, mx, my, &sxy, &sxx, &syy);
-  if (sxx <= 0 || syy <= 0) return 0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-namespace {
-
-/// Midranks of a sample (ties share the average rank).
-std::vector<double> Midranks(const std::vector<double>& x) {
-  const size_t n = x.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return x[a] < x[b]; });
-  std::vector<double> ranks(n);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i;
-    while (j < n && x[order[j]] == x[order[i]]) ++j;
-    double midrank = (static_cast<double>(i + 1) + static_cast<double>(j)) / 2;
-    for (size_t k = i; k < j; ++k) ranks[order[k]] = midrank;
-    i = j;
-  }
-  return ranks;
-}
-
-}  // namespace
-
-double SpearmanCorrelation(const std::vector<double>& x,
-                           const std::vector<double>& y) {
-  const size_t n = std::min(x.size(), y.size());
-  if (n < 2) return 0;
-  std::vector<double> xs(x.begin(), x.begin() + static_cast<long>(n));
-  std::vector<double> ys(y.begin(), y.begin() + static_cast<long>(n));
-  return PearsonCorrelation(Midranks(xs), Midranks(ys));
-}
 
 double ChiSquarePValueDf1(double statistic) {
   if (statistic <= 0) return 1.0;
@@ -80,41 +30,6 @@ ChiSquareResult ChiSquare2x2(int64_t a, int64_t b, int64_t c, int64_t d) {
       ((static_cast<double>(a) + 0.5) * (static_cast<double>(d) + 0.5)) /
       ((static_cast<double>(b) + 0.5) * (static_cast<double>(c) + 0.5));
   return result;
-}
-
-BootstrapInterval BootstrapMeanCi(const std::vector<double>& samples,
-                                  double confidence, int resamples,
-                                  uint64_t seed) {
-  BootstrapInterval out;
-  if (samples.empty()) return out;
-  out.mean = simd::SumF64(samples.data(), samples.size()) /
-             static_cast<double>(samples.size());
-  if (samples.size() == 1 || resamples <= 0) {
-    out.lo = out.hi = out.mean;
-    return out;
-  }
-  Rng rng(seed);
-  std::vector<double> means;
-  means.reserve(static_cast<size_t>(resamples));
-  for (int r = 0; r < resamples; ++r) {
-    double s = 0;
-    for (size_t i = 0; i < samples.size(); ++i) {
-      s += samples[rng.NextUint64(samples.size())];
-    }
-    means.push_back(s / static_cast<double>(samples.size()));
-  }
-  std::sort(means.begin(), means.end());
-  double alpha = (1.0 - confidence) / 2.0;
-  auto quantile = [&](double q) {
-    double pos = q * static_cast<double>(means.size() - 1);
-    size_t lo_idx = static_cast<size_t>(pos);
-    size_t hi_idx = std::min(lo_idx + 1, means.size() - 1);
-    double frac = pos - static_cast<double>(lo_idx);
-    return means[lo_idx] * (1 - frac) + means[hi_idx] * frac;
-  };
-  out.lo = quantile(alpha);
-  out.hi = quantile(1.0 - alpha);
-  return out;
 }
 
 }  // namespace cfnet::stats

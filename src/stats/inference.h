@@ -2,22 +2,11 @@
 #define CFNET_STATS_INFERENCE_H_
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace cfnet::stats {
 
 /// Inferential statistics used to back the §4 observations quantitatively
 /// (the paper reports raw rates; we attach effect sizes and significance).
-
-/// Pearson linear correlation of paired samples (0 if degenerate).
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
-
-/// Spearman rank correlation (Pearson on midranks; robust to the heavy
-/// tails of engagement counts).
-double SpearmanCorrelation(const std::vector<double>& x,
-                           const std::vector<double>& y);
 
 /// 2x2 chi-square test of independence with Yates continuity correction.
 /// counts = {{a, b}, {c, d}} (rows: group, cols: outcome).
@@ -31,16 +20,6 @@ ChiSquareResult ChiSquare2x2(int64_t a, int64_t b, int64_t c, int64_t d);
 
 /// Chi-square(df=1) upper tail probability.
 double ChiSquarePValueDf1(double statistic);
-
-/// Percentile bootstrap confidence interval for the mean of `samples`.
-struct BootstrapInterval {
-  double mean = 0;
-  double lo = 0;
-  double hi = 0;
-};
-BootstrapInterval BootstrapMeanCi(const std::vector<double>& samples,
-                                  double confidence = 0.95,
-                                  int resamples = 1000, uint64_t seed = 1);
 
 }  // namespace cfnet::stats
 

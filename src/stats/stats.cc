@@ -69,40 +69,9 @@ std::vector<Ecdf::Point> Ecdf::Curve(size_t max_points) const {
   return pts;
 }
 
-double Ecdf::KsDistance(const Ecdf& a, const Ecdf& b) {
-  double best = 0;
-  for (double x : a.samples_) best = std::max(best, std::fabs(a(x) - b(x)));
-  for (double x : b.samples_) best = std::max(best, std::fabs(a(x) - b(x)));
-  return best;
-}
-
 double DkwEpsilon(size_t n, double delta) {
   if (n == 0) return 1.0;
   return std::sqrt(std::log(2.0 / delta) / (2.0 * static_cast<double>(n)));
-}
-
-size_t DkwSampleSize(double eps, double delta) {
-  double n = std::log(2.0 / delta) / (2.0 * eps * eps);
-  return static_cast<size_t>(std::ceil(n));
-}
-
-Histogram::Histogram(double lo, double hi, size_t num_bins)
-    : lo_(lo),
-      bin_width_((hi - lo) / static_cast<double>(num_bins == 0 ? 1 : num_bins)),
-      counts_(num_bins == 0 ? 1 : num_bins, 0) {}
-
-void Histogram::Add(double x) {
-  double pos = (x - lo_) / bin_width_;
-  long bin = static_cast<long>(std::floor(pos));
-  bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::Density(size_t b) const {
-  if (total_ == 0) return 0;
-  return static_cast<double>(counts_[b]) /
-         (static_cast<double>(total_) * bin_width_);
 }
 
 double SilvermanBandwidth(const std::vector<double>& samples) {
@@ -113,11 +82,10 @@ double SilvermanBandwidth(const std::vector<double>& samples) {
 
 std::vector<std::pair<double, double>> GaussianKde(
     const std::vector<double>& samples, double lo, double hi,
-    size_t grid_points, double bandwidth) {
+    size_t grid_points) {
   std::vector<std::pair<double, double>> out;
   if (samples.empty() || grid_points < 2 || hi <= lo) return out;
-  double h = bandwidth > 0 ? bandwidth : SilvermanBandwidth(samples);
-  if (h <= 0) h = 1.0;
+  const double h = SilvermanBandwidth(samples);
   const double norm =
       1.0 / (static_cast<double>(samples.size()) * h * std::sqrt(2.0 * M_PI));
   out.reserve(grid_points);

@@ -42,9 +42,6 @@ class Ecdf {
   };
   std::vector<Point> Curve(size_t max_points = 0) const;
 
-  /// Kolmogorov-Smirnov distance sup_x |F_a(x) - F_b(x)|.
-  static double KsDistance(const Ecdf& a, const Ecdf& b);
-
  private:
   std::vector<double> samples_;  // sorted
 };
@@ -55,40 +52,14 @@ class Ecdf {
 /// paper uses for its 800,000-pair estimate (eps = 0.0196 at 99%).
 double DkwEpsilon(size_t n, double delta);
 
-/// Smallest n such that DkwEpsilon(n, delta) <= eps.
-size_t DkwSampleSize(double eps, double delta);
-
-/// Fixed-range histogram with density normalization (a PDF estimate).
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t num_bins);
-
-  /// Adds a sample; values outside [lo, hi] clamp into the edge bins.
-  void Add(double x);
-
-  size_t num_bins() const { return counts_.size(); }
-  size_t total() const { return total_; }
-  double BinLow(size_t b) const { return lo_ + bin_width_ * static_cast<double>(b); }
-  double BinHigh(size_t b) const { return BinLow(b) + bin_width_; }
-  size_t Count(size_t b) const { return counts_[b]; }
-  /// Normalized density: Count / (total * bin_width); integrates to 1.
-  double Density(size_t b) const;
-
- private:
-  double lo_;
-  double bin_width_;
-  std::vector<size_t> counts_;
-  size_t total_ = 0;
-};
-
 /// Silverman's rule-of-thumb bandwidth for Gaussian KDE.
 double SilvermanBandwidth(const std::vector<double>& samples);
 
-/// Gaussian kernel density estimate evaluated on a uniform grid over
-/// [lo, hi]; returns (x, density) pairs. bandwidth <= 0 selects Silverman.
+/// Gaussian kernel density estimate with Silverman's bandwidth, evaluated
+/// on a uniform grid over [lo, hi]; returns (x, density) pairs.
 std::vector<std::pair<double, double>> GaussianKde(
     const std::vector<double>& samples, double lo, double hi,
-    size_t grid_points, double bandwidth = 0);
+    size_t grid_points);
 
 }  // namespace cfnet::stats
 

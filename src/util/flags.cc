@@ -39,11 +39,4 @@ double FlagParser::GetDouble(const std::string& key, double default_value) const
   return std::strtod(it->second.c_str(), nullptr);
 }
 
-bool FlagParser::GetBool(const std::string& key, bool default_value) const {
-  auto it = flags_.find(key);
-  if (it == flags_.end()) return default_value;
-  const std::string v = ToLower(it->second);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
 }  // namespace cfnet

@@ -19,7 +19,6 @@ class FlagParser {
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& key, int64_t default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
-  bool GetBool(const std::string& key, bool default_value) const;
 
  private:
   std::map<std::string, std::string> flags_;

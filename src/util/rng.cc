@@ -98,14 +98,6 @@ double Rng::Exponential(double lambda) {
   return -std::log(u) / lambda;
 }
 
-int64_t Rng::Geometric(double p) {
-  assert(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  double u = NextDouble();
-  while (u <= 1e-300) u = NextDouble();
-  return static_cast<int64_t>(std::floor(std::log(u) / std::log1p(-p)));
-}
-
 int64_t Rng::Poisson(double mean) {
   assert(mean >= 0);
   if (mean == 0) return 0;
@@ -177,8 +169,6 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   }
   return out;
 }
-
-Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ull); }
 
 ZipfSampler::ZipfSampler(int64_t n, double s) : n_(n), s_(s) {
   if (n <= 1 || s < 1e-9) return;  // Sample needs no constants

@@ -58,9 +58,6 @@ class Rng {
   /// Exponential with rate lambda (> 0).
   double Exponential(double lambda);
 
-  /// Geometric number of failures before first success, success prob p in (0,1].
-  int64_t Geometric(double p);
-
   /// Poisson-distributed count with the given mean (>= 0).
   /// Uses Knuth's method for small means and normal approximation above 64.
   int64_t Poisson(double mean);
@@ -91,10 +88,6 @@ class Rng {
 
   /// Samples k distinct indices from [0, n) (k <= n), in random order.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
-
-  /// Derives an independent child generator (for per-thread / per-entity
-  /// streams that must not correlate with the parent).
-  Rng Fork();
 
  private:
   uint64_t s_[4];

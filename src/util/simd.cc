@@ -48,24 +48,6 @@ double SumSqDiffF64Scalar(const double* a, size_t n, double center) {
   return CombineLanes(lane);
 }
 
-void PearsonAccumF64Scalar(const double* x, const double* y, size_t n,
-                           double mx, double my, double* sxy, double* sxx,
-                           double* syy) {
-  double lxy[kVirtualLanes] = {};
-  double lxx[kVirtualLanes] = {};
-  double lyy[kVirtualLanes] = {};
-  for (size_t i = 0; i < n; ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    lxy[i & 15] += dx * dy;
-    lxx[i & 15] += dx * dx;
-    lyy[i & 15] += dy * dy;
-  }
-  *sxy = CombineLanes(lxy);
-  *sxx = CombineLanes(lxx);
-  *syy = CombineLanes(lyy);
-}
-
 double ClampedStepDotF64Scalar(const double* x, const double* g, double step,
                                double lo, double hi, double* cand, size_t n) {
   double lane[kVirtualLanes] = {};
@@ -114,7 +96,6 @@ const Kernels kScalarKernels = {
     DotF64Scalar,
     SumF64Scalar,
     SumSqDiffF64Scalar,
-    PearsonAccumF64Scalar,
     ClampedStepDotF64Scalar,
     AxpyF64Scalar,
     AddF64Scalar,
@@ -227,7 +208,6 @@ const Kernels kSse2Kernels = {
     DotSse2,
     SumSse2,
     SumSqDiffSse2,
-    PearsonAccumF64Scalar,
     ClampedStepDotF64Scalar,
     AxpySse2,
     AddSse2,
@@ -296,11 +276,6 @@ void MeanVarF64(const double* a, size_t n, double* mean, double* sum_sq_diff) {
   }
   *mean = SumF64(a, n) / static_cast<double>(n);
   *sum_sq_diff = SumSqDiffF64(a, n, *mean);
-}
-
-void PearsonAccumF64(const double* x, const double* y, size_t n, double mx,
-                     double my, double* sxy, double* sxx, double* syy) {
-  Active().pearson_accum(x, y, n, mx, my, sxy, sxx, syy);
 }
 
 double ClampedStepDotF64(const double* x, const double* g, double step,

@@ -92,14 +92,6 @@ double SumSqDiffF64(const double* a, size_t n, double center);
 /// n == 0 yields {0, 0}. (The moment pair Summarize and friends consume.)
 void MeanVarF64(const double* a, size_t n, double* mean, double* sum_sq_diff);
 
-/// Centered second-moment accumulation for Pearson correlation:
-///   *sxy = sum (x[i]-mx)*(y[i]-my)
-///   *sxx = sum (x[i]-mx)^2
-///   *syy = sum (y[i]-my)^2
-/// each under its own virtual-lane layout.
-void PearsonAccumF64(const double* x, const double* y, size_t n, double mx,
-                     double my, double* sxy, double* sxx, double* syy);
-
 /// Projected gradient step: cand[i] = clamp(x[i] + step * g[i], lo, hi)
 /// with compare-select clamping, returning sum_i g[i] * (cand[i] - x[i])
 /// (the ascent direction test) under the virtual-lane layout.
@@ -167,9 +159,6 @@ double SumLogEdgeProbF64(const double* x, const double* rows,
 double DotF64Scalar(const double* a, const double* b, size_t n);
 double SumF64Scalar(const double* a, size_t n);
 double SumSqDiffF64Scalar(const double* a, size_t n, double center);
-void PearsonAccumF64Scalar(const double* x, const double* y, size_t n,
-                           double mx, double my, double* sxy, double* sxx,
-                           double* syy);
 double ClampedStepDotF64Scalar(const double* x, const double* g, double step,
                                double lo, double hi, double* cand, size_t n);
 void AxpyF64Scalar(double alpha, const double* x, double* y, size_t n);

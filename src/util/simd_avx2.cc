@@ -73,44 +73,6 @@ double SumSqDiffAvx2(const double* a, size_t n, double center) {
   return CombineLanes(lane);
 }
 
-void PearsonAccumAvx2(const double* x, const double* y, size_t n, double mx,
-                      double my, double* sxy, double* sxx, double* syy) {
-  const __m256d vmx = _mm256_set1_pd(mx);
-  const __m256d vmy = _mm256_set1_pd(my);
-  __m256d axy[4], axx[4], ayy[4];
-  for (size_t q = 0; q < 4; ++q) {
-    axy[q] = _mm256_setzero_pd();
-    axx[q] = _mm256_setzero_pd();
-    ayy[q] = _mm256_setzero_pd();
-  }
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    for (size_t q = 0; q < 4; ++q) {
-      const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(x + i + 4 * q), vmx);
-      const __m256d dy = _mm256_sub_pd(_mm256_loadu_pd(y + i + 4 * q), vmy);
-      axy[q] = _mm256_add_pd(axy[q], _mm256_mul_pd(dx, dy));
-      axx[q] = _mm256_add_pd(axx[q], _mm256_mul_pd(dx, dx));
-      ayy[q] = _mm256_add_pd(ayy[q], _mm256_mul_pd(dy, dy));
-    }
-  }
-  double lxy[kVirtualLanes], lxx[kVirtualLanes], lyy[kVirtualLanes];
-  for (size_t q = 0; q < 4; ++q) {
-    _mm256_storeu_pd(lxy + 4 * q, axy[q]);
-    _mm256_storeu_pd(lxx + 4 * q, axx[q]);
-    _mm256_storeu_pd(lyy + 4 * q, ayy[q]);
-  }
-  for (; i < n; ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    lxy[i & 15] += dx * dy;
-    lxx[i & 15] += dx * dx;
-    lyy[i & 15] += dy * dy;
-  }
-  *sxy = CombineLanes(lxy);
-  *sxx = CombineLanes(lxx);
-  *syy = CombineLanes(lyy);
-}
-
 double ClampedStepDotAvx2(const double* x, const double* g, double step,
                           double lo, double hi, double* cand, size_t n) {
   const __m256d vstep = _mm256_set1_pd(step);
@@ -220,7 +182,6 @@ const Kernels kAvx2Kernels = {
     DotAvx2,
     SumAvx2,
     SumSqDiffAvx2,
-    PearsonAccumAvx2,
     ClampedStepDotAvx2,
     AxpyAvx2,
     AddAvx2,

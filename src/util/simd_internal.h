@@ -16,8 +16,6 @@ struct Kernels {
   double (*dot)(const double*, const double*, size_t);
   double (*sum)(const double*, size_t);
   double (*sum_sq_diff)(const double*, size_t, double);
-  void (*pearson_accum)(const double*, const double*, size_t, double, double,
-                        double*, double*, double*);
   double (*clamped_step_dot)(const double*, const double*, double, double,
                              double, double*, size_t);
   void (*axpy)(double, const double*, double*, size_t);

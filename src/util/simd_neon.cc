@@ -72,44 +72,6 @@ double SumSqDiffNeon(const double* a, size_t n, double center) {
   return CombineLanes(lane);
 }
 
-void PearsonAccumNeon(const double* x, const double* y, size_t n, double mx,
-                      double my, double* sxy, double* sxx, double* syy) {
-  const float64x2_t vmx = vdupq_n_f64(mx);
-  const float64x2_t vmy = vdupq_n_f64(my);
-  float64x2_t axy[8], axx[8], ayy[8];
-  for (size_t q = 0; q < 8; ++q) {
-    axy[q] = vdupq_n_f64(0.0);
-    axx[q] = vdupq_n_f64(0.0);
-    ayy[q] = vdupq_n_f64(0.0);
-  }
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    for (size_t q = 0; q < 8; ++q) {
-      const float64x2_t dx = vsubq_f64(vld1q_f64(x + i + 2 * q), vmx);
-      const float64x2_t dy = vsubq_f64(vld1q_f64(y + i + 2 * q), vmy);
-      axy[q] = vaddq_f64(axy[q], vmulq_f64(dx, dy));
-      axx[q] = vaddq_f64(axx[q], vmulq_f64(dx, dx));
-      ayy[q] = vaddq_f64(ayy[q], vmulq_f64(dy, dy));
-    }
-  }
-  double lxy[kVirtualLanes], lxx[kVirtualLanes], lyy[kVirtualLanes];
-  for (size_t q = 0; q < 8; ++q) {
-    vst1q_f64(lxy + 2 * q, axy[q]);
-    vst1q_f64(lxx + 2 * q, axx[q]);
-    vst1q_f64(lyy + 2 * q, ayy[q]);
-  }
-  for (; i < n; ++i) {
-    const double dx = x[i] - mx;
-    const double dy = y[i] - my;
-    lxy[i & 15] += dx * dy;
-    lxx[i & 15] += dx * dx;
-    lyy[i & 15] += dy * dy;
-  }
-  *sxy = CombineLanes(lxy);
-  *sxx = CombineLanes(lxx);
-  *syy = CombineLanes(lyy);
-}
-
 /// (t > lo) ? t : lo — compare false on NaN selects lo, matching MAXPD.
 inline float64x2_t SelectMax(float64x2_t t, float64x2_t lo) {
   return vbslq_f64(vcgtq_f64(t, lo), t, lo);
@@ -207,7 +169,6 @@ const Kernels kNeonKernels = {
     DotNeon,
     SumNeon,
     SumSqDiffNeon,
-    PearsonAccumNeon,
     ClampedStepDotNeon,
     AxpyNeon,
     AddNeon,

@@ -6,28 +6,6 @@
 
 namespace cfnet {
 
-std::vector<std::string> StrSplit(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string_view StrTrim(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();

@@ -4,16 +4,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace cfnet {
-
-/// Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> StrSplit(std::string_view s, char sep);
-
-/// Joins `parts` with `sep`.
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep);
 
 /// Strips ASCII whitespace from both ends.
 std::string_view StrTrim(std::string_view s);

@@ -52,33 +52,6 @@ TEST(ConductanceTest, MeanOverSet) {
   EXPECT_GT(MeanConductance(g, bad), 0.9);
 }
 
-TEST(CoverageTest, PerfectAndPartial) {
-  graph::WeightedGraph g = TwoCliques();
-  CommunitySet perfect;
-  perfect.num_nodes = 10;
-  perfect.communities = {{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}};
-  // Only the 0.1 bridge is uncovered: coverage = 20/20.1.
-  EXPECT_NEAR(Coverage(g, perfect), 20.0 / 20.1, 1e-9);
-
-  CommunitySet half;
-  half.num_nodes = 10;
-  half.communities = {{0, 1, 2, 3, 4}};
-  EXPECT_NEAR(Coverage(g, half), 10.0 / 20.1, 1e-9);
-
-  CommunitySet none;
-  none.num_nodes = 10;
-  EXPECT_DOUBLE_EQ(Coverage(g, none), 0.0);
-}
-
-TEST(CoverageTest, OverlapCounts) {
-  graph::WeightedGraph g =
-      graph::WeightedGraph::FromEdges(3, {{0, 1, 1.0}, {1, 2, 1.0}});
-  CommunitySet overlapping;
-  overlapping.num_nodes = 3;
-  overlapping.communities = {{0, 1}, {1, 2}};
-  EXPECT_DOUBLE_EQ(Coverage(g, overlapping), 1.0);
-}
-
 /// Planted bipartite blocks for the model-selection sweep.
 graph::BipartiteGraph PlantedBlocks(int blocks, int investors_per_block,
                                     int companies_per_block, uint64_t seed) {
@@ -205,32 +178,6 @@ TEST(ComparePairwiseTest, SampledModeApproximatesExact) {
       ComparePairwise(a, a, /*max_pairs_per_side=*/5000, /*seed=*/3);
   EXPECT_DOUBLE_EQ(agreement.precision, 1.0);
   EXPECT_DOUBLE_EQ(agreement.recall, 1.0);
-}
-
-TEST(NmiTest, IdenticalAndIndependent) {
-  std::vector<int> a = {0, 0, 1, 1, 2, 2};
-  EXPECT_NEAR(NormalizedMutualInformation(a, a), 1.0, 1e-12);
-  // Relabeling does not matter.
-  std::vector<int> relabeled = {5, 5, 9, 9, 7, 7};
-  EXPECT_NEAR(NormalizedMutualInformation(a, relabeled), 1.0, 1e-12);
-  // A constant assignment carries no information.
-  std::vector<int> constant(6, 0);
-  EXPECT_DOUBLE_EQ(NormalizedMutualInformation(a, constant), 0.0);
-  EXPECT_DOUBLE_EQ(NormalizedMutualInformation(constant, constant), 1.0);
-}
-
-TEST(NmiTest, PartialAgreementBetweenZeroAndOne) {
-  std::vector<int> a = {0, 0, 0, 1, 1, 1};
-  std::vector<int> b = {0, 0, 1, 1, 1, 1};
-  double nmi = NormalizedMutualInformation(a, b);
-  EXPECT_GT(nmi, 0.1);
-  EXPECT_LT(nmi, 0.9);
-}
-
-TEST(NmiTest, UnassignedNodesExcluded) {
-  std::vector<int> a = {0, 0, 1, 1, -1, -1};
-  std::vector<int> b = {0, 0, 1, 1, 0, 1};
-  EXPECT_NEAR(NormalizedMutualInformation(a, b), 1.0, 1e-12);
 }
 
 }  // namespace

@@ -256,5 +256,93 @@ TEST(DeterminismTest, MiniSparkAnalysesMatchPinnedDigests) {
   }
 }
 
+// --- pinned Figures 3-5 ----------------------------------------------------
+// Every field of the Figure 3 degree CDF and §5.1 statistics, the Figure 4
+// community and global shared-size CDFs with their DKW bound, and the
+// Figure 5 per-community percentages and KDE grid, folded as bits.
+
+void CurveBits(Digest& d, const std::vector<stats::Ecdf::Point>& curve) {
+  d.Word(curve.size());
+  for (const stats::Ecdf::Point& p : curve) {
+    d.Bits(p.x);
+    d.Bits(p.p);
+  }
+}
+
+uint64_t Fig3Digest(const core::Fig3Result& r) {
+  Digest d;
+  CurveBits(d, r.investment_cdf);
+  d.Bits(r.degrees.mean);
+  d.Bits(r.degrees.median);
+  d.Word(r.degrees.max);
+  d.Word(r.degrees.concentration.size());
+  for (const auto& c : r.degrees.concentration) {
+    d.Word(c.k);
+    d.Bits(c.node_fraction);
+    d.Bits(c.edge_fraction);
+  }
+  d.Word(r.num_investors);
+  d.Word(r.num_companies);
+  d.Word(r.num_edges);
+  d.Bits(r.avg_investors_per_company);
+  d.Bits(r.mean_investor_follows);
+  d.Word(ProvenanceDigest(r.provenance));
+  return d.value();
+}
+
+uint64_t Fig4Digest(const core::Fig4Result& r) {
+  Digest d;
+  d.Word(r.strongest.size());
+  for (const auto& c : r.strongest) {
+    d.Word(c.community_index);
+    d.Word(c.size);
+    d.Bits(c.mean_shared);
+    d.Bits(c.max_shared);
+    CurveBits(d, c.curve);
+  }
+  CurveBits(d, r.global_curve);
+  d.Word(r.global_pairs);
+  d.Bits(r.dkw_epsilon);
+  d.Word(r.num_communities);
+  d.Bits(r.avg_community_size);
+  d.Int(r.coda_iterations);
+  d.Bits(r.coda_log_likelihood);
+  return d.value();
+}
+
+uint64_t Fig5Digest(const core::Fig5Result& r) {
+  Digest d;
+  d.Word(r.community_percents.size());
+  for (double p : r.community_percents) d.Bits(p);
+  d.Bits(r.mean_percent);
+  d.Bits(r.random_mean_percent);
+  d.Word(r.kde.size());
+  for (const auto& [x, density] : r.kde) {
+    d.Bits(x);
+    d.Bits(density);
+  }
+  return d.value();
+}
+
+TEST(DeterminismTest, FiguresThreeToFiveMatchPinnedDigests) {
+  core::ExploratoryPlatform platform(SmallOptions(1));
+  ASSERT_TRUE(platform.CollectData().ok());
+  auto inputs = platform.LoadInputs();
+  ASSERT_TRUE(inputs.ok());
+  auto ctx = std::make_shared<dataflow::ExecutionContext>(2);
+  core::ExperimentSuite suite(ctx, *inputs);
+  core::Fig3Result fig3 = suite.RunFig3();
+  ASSERT_FALSE(fig3.investment_cdf.empty());
+  core::Fig4Result fig4 = suite.RunFig4();
+  ASSERT_FALSE(fig4.strongest.empty());
+  ASSERT_FALSE(fig4.global_curve.empty());
+  core::Fig5Result fig5 = suite.RunFig5();
+  ASSERT_FALSE(fig5.community_percents.empty());
+  ASSERT_FALSE(fig5.kde.empty());
+  EXPECT_EQ(Fig3Digest(fig3), 0xef50a1e5c913b3f2ull);
+  EXPECT_EQ(Fig4Digest(fig4), 0x21671861cc5faca4ull);
+  EXPECT_EQ(Fig5Digest(fig5), 0xbb59f8a2a30cdd68ull);
+}
+
 }  // namespace
 }  // namespace cfnet

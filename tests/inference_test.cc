@@ -1,52 +1,9 @@
 #include "stats/inference.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
-
-#include "util/rng.h"
 
 namespace cfnet::stats {
 namespace {
-
-TEST(PearsonTest, PerfectAndInverse) {
-  std::vector<double> x = {1, 2, 3, 4, 5};
-  std::vector<double> y = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
-  std::vector<double> neg = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(x, neg), -1.0, 1e-12);
-}
-
-TEST(PearsonTest, IndependentNearZero) {
-  Rng rng(3);
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = 0; i < 20000; ++i) {
-    x.push_back(rng.Normal(0, 1));
-    y.push_back(rng.Normal(0, 1));
-  }
-  EXPECT_NEAR(PearsonCorrelation(x, y), 0.0, 0.03);
-}
-
-TEST(PearsonTest, DegenerateInputs) {
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1}, {2}), 0.0);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {2, 3, 4}), 0.0);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({}, {}), 0.0);
-}
-
-TEST(SpearmanTest, MonotoneNonlinearIsPerfect) {
-  std::vector<double> x = {1, 2, 3, 4, 5, 6};
-  std::vector<double> y;
-  for (double v : x) y.push_back(std::exp(v));  // nonlinear but monotone
-  EXPECT_NEAR(SpearmanCorrelation(x, y), 1.0, 1e-12);
-  EXPECT_LT(PearsonCorrelation(x, y), 0.95);  // Pearson penalizes curvature
-}
-
-TEST(SpearmanTest, HandlesTies) {
-  std::vector<double> x = {1, 1, 2, 2, 3, 3};
-  std::vector<double> y = {1, 1, 2, 2, 3, 3};
-  EXPECT_NEAR(SpearmanCorrelation(x, y), 1.0, 1e-12);
-}
 
 TEST(ChiSquareTest, StrongAssociation) {
   // Social presence vs success at paper-like rates:
@@ -74,37 +31,6 @@ TEST(ChiSquareTest, KnownPValues) {
 TEST(ChiSquareTest, DegenerateMargins) {
   ChiSquareResult r = ChiSquare2x2(0, 0, 5, 5);
   EXPECT_DOUBLE_EQ(r.p_value, 1.0);
-}
-
-TEST(BootstrapTest, CoversTrueMean) {
-  Rng rng(7);
-  std::vector<double> samples;
-  for (int i = 0; i < 500; ++i) samples.push_back(rng.Normal(10, 2));
-  BootstrapInterval ci = BootstrapMeanCi(samples, 0.95, 2000, 5);
-  EXPECT_NEAR(ci.mean, 10, 0.3);
-  EXPECT_LT(ci.lo, ci.mean);
-  EXPECT_GT(ci.hi, ci.mean);
-  EXPECT_LE(ci.lo, 10.0 + 0.3);
-  EXPECT_GE(ci.hi, 10.0 - 0.3);
-  // Width ~ 2 * 1.96 * sigma/sqrt(n) = 0.35.
-  EXPECT_NEAR(ci.hi - ci.lo, 0.35, 0.12);
-}
-
-TEST(BootstrapTest, Degenerate) {
-  BootstrapInterval empty = BootstrapMeanCi({});
-  EXPECT_DOUBLE_EQ(empty.mean, 0);
-  BootstrapInterval single = BootstrapMeanCi({5.0});
-  EXPECT_DOUBLE_EQ(single.mean, 5.0);
-  EXPECT_DOUBLE_EQ(single.lo, 5.0);
-  EXPECT_DOUBLE_EQ(single.hi, 5.0);
-}
-
-TEST(BootstrapTest, DeterministicPerSeed) {
-  std::vector<double> samples = {1, 2, 3, 4, 5, 6, 7, 8};
-  BootstrapInterval a = BootstrapMeanCi(samples, 0.9, 500, 9);
-  BootstrapInterval b = BootstrapMeanCi(samples, 0.9, 500, 9);
-  EXPECT_DOUBLE_EQ(a.lo, b.lo);
-  EXPECT_DOUBLE_EQ(a.hi, b.hi);
 }
 
 }  // namespace

@@ -102,21 +102,6 @@ TEST(TrainTest, ImbalancedClassesStillRank) {
   EXPECT_GT(model.top_decile_lift, 2.0);
 }
 
-TEST(TrainTest, PredictAppliesStandardization) {
-  auto examples = SyntheticExamples(2000, 23);
-  TrainConfig config;
-  config.balance_classes = false;
-  PredictionResult model = TrainSuccessPredictor(examples, config);
-  std::vector<double> strong_pos(SuccessFeatureNames().size(), 0.0);
-  strong_pos[0] = 3.0;
-  strong_pos[2] = -3.0;
-  std::vector<double> strong_neg(SuccessFeatureNames().size(), 0.0);
-  strong_neg[0] = -3.0;
-  strong_neg[2] = 3.0;
-  EXPECT_GT(model.Predict(strong_pos), 0.8);
-  EXPECT_LT(model.Predict(strong_neg), 0.2);
-}
-
 // Every bit of a default-config model: the split, the step size and the L2
 // strength all feed it.
 TEST(TrainTest, PinnedWeightsAndAuc) {

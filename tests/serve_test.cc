@@ -100,6 +100,39 @@ TEST_F(QueryTest, SearchEmptyQueryReturnsMostCentral) {
   EXPECT_EQ(out.body.Get("results").size(), 3u);
 }
 
+TEST_F(QueryTest, SearchCommunityFilterMatchesExactly) {
+  const int community = snap().investors[0].community;
+  ASSERT_GE(community, 0);
+  std::vector<int64_t> members;
+  for (const ServingSnapshot::Investor& inv : snap().investors) {
+    if (inv.community == community) {
+      members.push_back(static_cast<int64_t>(inv.id));
+    }
+  }
+  std::sort(members.begin(), members.end());
+  QueryOutcome out = ExecuteQuery(
+      snap(), "investors.search",
+      {{"community", std::to_string(community)}, {"k", "100"}});
+  ASSERT_EQ(out.status, 200);
+  const json::Json& rows = out.body.Get("results");
+  std::vector<int64_t> ids;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows.at(i).Get("community").AsInt(), community);
+    ids.push_back(rows.at(i).Get("id").AsInt());
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, members);
+
+  // The parameter is 64-bit: a value equal to the community modulo 2^32 is
+  // another community, and no investor belongs to it.
+  QueryOutcome wrapped = ExecuteQuery(
+      snap(), "investors.search",
+      {{"community", std::to_string((int64_t{1} << 32) + community)},
+       {"k", "100"}});
+  ASSERT_EQ(wrapped.status, 200);
+  EXPECT_EQ(wrapped.body.Get("results").size(), 0u);
+}
+
 TEST_F(QueryTest, ProfileUnknownIdIs404) {
   QueryOutcome out = ExecuteQuery(snap(), "investors.profile", {{"id", "999"}});
   EXPECT_EQ(out.status, 404);

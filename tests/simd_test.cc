@@ -78,12 +78,6 @@ TEST(SimdTest, ReductionsMatchScalarOnFullGrid) {
       ExpectSameBits(simd::SumSqDiffF64(a, n, 0.37),
                      simd::SumSqDiffF64Scalar(a, n, 0.37), "SumSqDiffF64", n,
                      offset);
-      double sxy_v, sxx_v, syy_v, sxy_s, sxx_s, syy_s;
-      simd::PearsonAccumF64(a, b, n, 0.11, -0.7, &sxy_v, &sxx_v, &syy_v);
-      simd::PearsonAccumF64Scalar(a, b, n, 0.11, -0.7, &sxy_s, &sxx_s, &syy_s);
-      ExpectSameBits(sxy_v, sxy_s, "PearsonAccumF64 sxy", n, offset);
-      ExpectSameBits(sxx_v, sxx_s, "PearsonAccumF64 sxx", n, offset);
-      ExpectSameBits(syy_v, syy_s, "PearsonAccumF64 syy", n, offset);
     }
   }
 }

@@ -106,19 +106,6 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
-TEST(RngTest, GeometricMean) {
-  Rng rng(29);
-  double sum = 0;
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) {
-    int64_t g = rng.Geometric(0.25);
-    EXPECT_GE(g, 0);
-    sum += static_cast<double>(g);
-  }
-  // Mean failures before success = (1-p)/p = 3.
-  EXPECT_NEAR(sum / n, 3.0, 0.12);
-}
-
 TEST(RngTest, PoissonMeanSmallAndLarge) {
   Rng rng(31);
   for (double mean : {0.5, 4.0, 120.0}) {
@@ -223,16 +210,6 @@ TEST(RngTest, SampleWithoutReplacementUniformish) {
   }
   // Every index should be hit ~2000 times.
   for (int h : hits) EXPECT_NEAR(h, 2000, 250);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(67);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.Next() == child.Next()) ++same;
-  }
-  EXPECT_LT(same, 2);
 }
 
 }  // namespace
