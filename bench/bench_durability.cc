@@ -219,9 +219,9 @@ void RunDurabilityBench(const cfnet::FlagParser& flags) {
 
   // One contiguous buffer the size of the corpus, so these MB/s numbers are
   // the checksum ceiling for the footer generation/verification above. The
-  // dispatch path picks PCLMUL/ARMv8 folding when the CPU has it; the
-  // fallback is the slice-by-8 table kernel both paths must match bit for
-  // bit (columnar_test pins that).
+  // dispatch path picks PCLMUL folding when the CPU has it; the fallback is
+  // the slice-by-8 table kernel the folding must match bit for bit
+  // (columnar_test pins that).
   std::string crc_buf;
   for (const std::string& p : raw_paths) crc_buf += *raw_dfs.ReadFile(p);
   uint32_t crc_sink = 0;

@@ -7,7 +7,8 @@
 // Four comparisons are recorded:
 //   * thread scaling — the ParallelOptions kernels at 1/2/4/8 threads
 //     against 1 thread; each thread count's output is checked
-//     bit-identical to the sequential one before it is timed.
+//     bit-identical to the sequential one before it is timed, and each
+//     timing round runs every thread count once.
 //   * PageRank on the projection at pool widths 1/2/3/4 (the caller runs
 //     rows too), each checked bit-identical to the 1-thread rank first.
 //   * SIMD — the dispatched numeric kernels against the scalar fallback;
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -177,16 +179,31 @@ void RunGraphBench(const FlagParser& flags) {
          return graph::BetweennessCentrality(proj, bc_sources, 1, par);
        }});
 
+  // Each round times every thread count once, so a slow stretch of a
+  // shared host lands on all of them rather than on one row's median.
+  const std::vector<size_t> widths = {1, 2, 4, 8};
   json::Json scaling = json::Json::MakeArray();
   for (const Workload& w : workloads) {
-    std::vector<double> reference = w.result({});
+    const std::vector<double> reference = w.result({});
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    for (size_t threads : widths) {
+      pools.push_back(std::make_unique<ThreadPool>(threads));
+      const ParallelOptions par{pools.back().get()};
+      CFNET_CHECK(w.result(par) == reference);  // bit-identical to 1 thread
+      w.run(par);  // warm-up
+    }
+    std::vector<std::vector<double>> samples(widths.size());
+    for (int round = 0; round < reps; ++round) {
+      for (size_t k = 0; k < widths.size(); ++k) {
+        const ParallelOptions par{pools[k].get()};
+        samples[k].push_back(TimeOnceMs([&]() { w.run(par); }));
+      }
+    }
     json::Json rows = json::Json::MakeArray();
     double base_ms = 0;
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      ThreadPool pool(threads);
-      ParallelOptions par{&pool};
-      CFNET_CHECK(w.result(par) == reference);  // bit-identical to 1 thread
-      json::Json ms = Spread(TimeRepsMs([&]() { w.run(par); }, reps));
+    for (size_t k = 0; k < widths.size(); ++k) {
+      const size_t threads = widths[k];
+      json::Json ms = Spread(std::move(samples[k]));
       const double median = Median(ms);
       if (threads == 1) base_ms = median;
       const double speedup = median > 0 ? base_ms / median : 0.0;
@@ -560,6 +577,10 @@ void RunGraphBench(const FlagParser& flags) {
                   "update and refine together, and assemble_ms is "
                   "serve::AssembleServingSnapshot over their output.");
   out_doc.Set("thread_scaling", std::move(scaling));
+  out_doc.Set("thread_scaling_note",
+              "ms rows are {median, min, max} over `reps` rounds; each round "
+              "times every thread count once, after one warm-up call per "
+              "thread count, and speedups are ratios of medians.");
   out_doc.Set("pagerank", std::move(pagerank));
   out_doc.Set("simd_backend", simd::SimdBackendName());
   out_doc.Set("simd", std::move(simd_rows));

@@ -42,19 +42,22 @@ std::vector<std::pair<uint64_t, uint64_t>> DrawInvestments(size_t investors,
 // into its own binary, and code added there moves that binary's layout
 // (serve_fresh freshness read ~10% higher from that alone).
 
+/// Wall milliseconds of one call of `fn`.
+inline double TimeOnceMs(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 /// Wall milliseconds of each of `reps` calls of `fn`, after one untimed
 /// warm-up call.
 inline std::vector<double> TimeRepsMs(const std::function<void()>& fn,
                                       int reps) {
   fn();  // warm-up
   std::vector<double> ms;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    ms.push_back(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
-  }
+  for (int r = 0; r < reps; ++r) ms.push_back(TimeOnceMs(fn));
   return ms;
 }
 

@@ -31,16 +31,13 @@ void ColumnarTraits<StartupRecord>::EncodeBlock(const StartupRecord* rows,
 }
 
 bool ColumnarTraits<StartupRecord>::DecodeBlock(ByteReader& r, size_t n,
-                                                StartupRecord* rows,
-                                                uint64_t* dictionary_bytes) {
+                                                StartupRecord* rows) {
   return DecodeDeltaU64Column(r, n,
                               [&](size_t i, uint64_t v) { rows[i].id = v; }) &&
-         DecodeStringDictColumn(
-             r, n,
-             [&](size_t i, std::string_view s) {
-               rows[i].name.assign(s.data(), s.size());
-             },
-             dictionary_bytes) &&
+         DecodeStringDictColumn(r, n,
+                                [&](size_t i, std::string_view s) {
+                                  rows[i].name.assign(s.data(), s.size());
+                                }) &&
          DecodeBoolColumn(
              r, n, [&](size_t i, bool v) { rows[i].has_twitter_url = v; }) &&
          DecodeBoolColumn(
@@ -54,10 +51,6 @@ bool ColumnarTraits<StartupRecord>::DecodeBlock(ByteReader& r, size_t n,
                           [&](size_t i, bool v) { rows[i].fundraising = v; }) &&
          DecodeZigZagI64Column(
              r, n, [&](size_t i, int64_t v) { rows[i].follower_count = v; });
-}
-
-uint64_t ColumnarTraits<StartupRecord>::RowBytes(const StartupRecord& row) {
-  return sizeof(row) + row.name.size();
 }
 
 void ColumnarTraits<UserRecord>::EncodeBlock(const UserRecord* rows, size_t n,
@@ -79,9 +72,7 @@ void ColumnarTraits<UserRecord>::EncodeBlock(const UserRecord* rows, size_t n,
 }
 
 bool ColumnarTraits<UserRecord>::DecodeBlock(ByteReader& r, size_t n,
-                                             UserRecord* rows,
-                                             uint64_t* dictionary_bytes) {
-  (void)dictionary_bytes;  // no string columns
+                                             UserRecord* rows) {
   return DecodeDeltaU64Column(r, n,
                               [&](size_t i, uint64_t v) { rows[i].id = v; }) &&
          DecodeBoolColumn(r, n,
@@ -102,10 +93,6 @@ bool ColumnarTraits<UserRecord>::DecodeBlock(ByteReader& r, size_t n,
          });
 }
 
-uint64_t ColumnarTraits<UserRecord>::RowBytes(const UserRecord& row) {
-  return sizeof(row) + row.investment_company_ids.size() * sizeof(uint64_t);
-}
-
 void ColumnarTraits<CrunchBaseRecord>::EncodeBlock(
     const CrunchBaseRecord* rows, size_t n, std::string& out) {
   AppendDeltaU64Column(n, [&](size_t i) { return rows[i].angellist_id; }, out);
@@ -120,9 +107,7 @@ void ColumnarTraits<CrunchBaseRecord>::EncodeBlock(
 }
 
 bool ColumnarTraits<CrunchBaseRecord>::DecodeBlock(ByteReader& r, size_t n,
-                                                   CrunchBaseRecord* rows,
-                                                   uint64_t* dictionary_bytes) {
-  (void)dictionary_bytes;
+                                                   CrunchBaseRecord* rows) {
   return DecodeDeltaU64Column(
              r, n, [&](size_t i, uint64_t v) { rows[i].angellist_id = v; }) &&
          DecodeF64Column(
@@ -135,11 +120,6 @@ bool ColumnarTraits<CrunchBaseRecord>::DecodeBlock(ByteReader& r, size_t n,
          });
 }
 
-uint64_t ColumnarTraits<CrunchBaseRecord>::RowBytes(
-    const CrunchBaseRecord& row) {
-  return sizeof(row) + row.round_investor_ids.size() * sizeof(uint64_t);
-}
-
 void ColumnarTraits<FacebookRecord>::EncodeBlock(const FacebookRecord* rows,
                                                  size_t n, std::string& out) {
   AppendDeltaU64Column(n, [&](size_t i) { return rows[i].angellist_id; }, out);
@@ -147,17 +127,11 @@ void ColumnarTraits<FacebookRecord>::EncodeBlock(const FacebookRecord* rows,
 }
 
 bool ColumnarTraits<FacebookRecord>::DecodeBlock(ByteReader& r, size_t n,
-                                                 FacebookRecord* rows,
-                                                 uint64_t* dictionary_bytes) {
-  (void)dictionary_bytes;
+                                                 FacebookRecord* rows) {
   return DecodeDeltaU64Column(
              r, n, [&](size_t i, uint64_t v) { rows[i].angellist_id = v; }) &&
          DecodeZigZagI64Column(
              r, n, [&](size_t i, int64_t v) { rows[i].fan_count = v; });
-}
-
-uint64_t ColumnarTraits<FacebookRecord>::RowBytes(const FacebookRecord& row) {
-  return sizeof(row);
 }
 
 void ColumnarTraits<TwitterRecord>::EncodeBlock(const TwitterRecord* rows,
@@ -172,9 +146,7 @@ void ColumnarTraits<TwitterRecord>::EncodeBlock(const TwitterRecord* rows,
 }
 
 bool ColumnarTraits<TwitterRecord>::DecodeBlock(ByteReader& r, size_t n,
-                                                TwitterRecord* rows,
-                                                uint64_t* dictionary_bytes) {
-  (void)dictionary_bytes;
+                                                TwitterRecord* rows) {
   return DecodeDeltaU64Column(
              r, n, [&](size_t i, uint64_t v) { rows[i].angellist_id = v; }) &&
          DecodeZigZagI64Column(
@@ -184,10 +156,6 @@ bool ColumnarTraits<TwitterRecord>::DecodeBlock(ByteReader& r, size_t n,
          DecodeBoolColumn(r, n, [&](size_t i, bool v) {
            rows[i].followers_count_null = v;
          });
-}
-
-uint64_t ColumnarTraits<TwitterRecord>::RowBytes(const TwitterRecord& row) {
-  return sizeof(row);
 }
 
 }  // namespace cfnet::dfs

@@ -23,9 +23,7 @@ struct ColumnarTraits<core::StartupRecord> {
   static constexpr std::string_view kTypeName = "startup";
   static void EncodeBlock(const core::StartupRecord* rows, size_t n,
                           std::string& out);
-  static bool DecodeBlock(ByteReader& r, size_t n, core::StartupRecord* rows,
-                          uint64_t* dictionary_bytes);
-  static uint64_t RowBytes(const core::StartupRecord& row);
+  static bool DecodeBlock(ByteReader& r, size_t n, core::StartupRecord* rows);
 };
 
 template <>
@@ -33,9 +31,7 @@ struct ColumnarTraits<core::UserRecord> {
   static constexpr std::string_view kTypeName = "user";
   static void EncodeBlock(const core::UserRecord* rows, size_t n,
                           std::string& out);
-  static bool DecodeBlock(ByteReader& r, size_t n, core::UserRecord* rows,
-                          uint64_t* dictionary_bytes);
-  static uint64_t RowBytes(const core::UserRecord& row);
+  static bool DecodeBlock(ByteReader& r, size_t n, core::UserRecord* rows);
 };
 
 template <>
@@ -44,9 +40,7 @@ struct ColumnarTraits<core::CrunchBaseRecord> {
   static void EncodeBlock(const core::CrunchBaseRecord* rows, size_t n,
                           std::string& out);
   static bool DecodeBlock(ByteReader& r, size_t n,
-                          core::CrunchBaseRecord* rows,
-                          uint64_t* dictionary_bytes);
-  static uint64_t RowBytes(const core::CrunchBaseRecord& row);
+                          core::CrunchBaseRecord* rows);
 };
 
 template <>
@@ -54,9 +48,7 @@ struct ColumnarTraits<core::FacebookRecord> {
   static constexpr std::string_view kTypeName = "facebook";
   static void EncodeBlock(const core::FacebookRecord* rows, size_t n,
                           std::string& out);
-  static bool DecodeBlock(ByteReader& r, size_t n, core::FacebookRecord* rows,
-                          uint64_t* dictionary_bytes);
-  static uint64_t RowBytes(const core::FacebookRecord& row);
+  static bool DecodeBlock(ByteReader& r, size_t n, core::FacebookRecord* rows);
 };
 
 template <>
@@ -64,9 +56,7 @@ struct ColumnarTraits<core::TwitterRecord> {
   static constexpr std::string_view kTypeName = "twitter";
   static void EncodeBlock(const core::TwitterRecord* rows, size_t n,
                           std::string& out);
-  static bool DecodeBlock(ByteReader& r, size_t n, core::TwitterRecord* rows,
-                          uint64_t* dictionary_bytes);
-  static uint64_t RowBytes(const core::TwitterRecord& row);
+  static bool DecodeBlock(ByteReader& r, size_t n, core::TwitterRecord* rows);
 };
 
 }  // namespace cfnet::dfs

@@ -236,9 +236,9 @@ bool DecodeF64Column(ByteReader& r, size_t n, SetFn set) {
 }
 
 /// Strings: per-block dictionary in first-seen order, then one varint code
-/// per row. Returns the dictionary byte count (for the scan report).
+/// per row.
 template <typename GetFn>  // get(i) -> const std::string& (or string_view)
-uint64_t AppendStringDictColumn(size_t n, GetFn get, std::string& out) {
+void AppendStringDictColumn(size_t n, GetFn get, std::string& out) {
   std::unordered_map<std::string_view, uint64_t> index;
   std::vector<std::string_view> entries;
   std::vector<uint64_t> codes(n);
@@ -249,19 +249,15 @@ uint64_t AppendStringDictColumn(size_t n, GetFn get, std::string& out) {
     codes[i] = it->second;
   }
   AppendUVarint(out, entries.size());
-  uint64_t dict_bytes = 0;
   for (std::string_view e : entries) {
     AppendUVarint(out, e.size());
     out.append(e);
-    dict_bytes += e.size();
   }
   for (uint64_t c : codes) AppendUVarint(out, c);
-  return dict_bytes;
 }
 
 template <typename SetFn>  // set(i, std::string_view)
-bool DecodeStringDictColumn(ByteReader& r, size_t n, SetFn set,
-                            uint64_t* dictionary_bytes) {
+bool DecodeStringDictColumn(ByteReader& r, size_t n, SetFn set) {
   uint64_t count;
   if (!r.ReadUVarint(&count)) return false;
   if (count > r.remaining()) return false;  // every entry needs >= 1 byte
@@ -269,7 +265,6 @@ bool DecodeStringDictColumn(ByteReader& r, size_t n, SetFn set,
   for (uint64_t k = 0; k < count; ++k) {
     uint64_t len;
     if (!r.ReadUVarint(&len) || !r.ReadRaw(len, &entries[k])) return false;
-    *dictionary_bytes += len;
   }
   for (size_t i = 0; i < n; ++i) {
     uint64_t code;
@@ -322,9 +317,7 @@ bool DecodeU64ListColumn(ByteReader& r, size_t n, AtFn at) {
 ///
 ///   static constexpr std::string_view kTypeName;   // pinned in the header
 ///   static void EncodeBlock(const T* rows, size_t n, std::string& out);
-///   static bool DecodeBlock(ByteReader& r, size_t n, T* rows,
-///                           uint64_t* dictionary_bytes);
-///   static uint64_t RowBytes(const T& row);  // decoded in-memory footprint
+///   static bool DecodeBlock(ByteReader& r, size_t n, T* rows);
 ///
 /// Every record type's first column is a delta-varint id, so every row
 /// takes at least one payload byte: WalkBlocks rejects a frame whose row
@@ -508,9 +501,7 @@ Result<std::vector<std::vector<T>>> ScanColumnBlocks(
   std::vector<Status> errors(blocks.size(), Status::OK());
   std::vector<uint64_t> dropped(blocks.size(), 0);
   std::vector<uint64_t> failed(blocks.size(), 0);
-  std::vector<uint64_t> dict_bytes(blocks.size(), 0);
   std::vector<uint64_t> encoded_bytes(blocks.size(), 0);
-  std::vector<uint64_t> decoded_bytes(blocks.size(), 0);
   auto run_block = [&](size_t i) {
     const BlockRef& b = blocks[i];
     if (Crc32(b.raw.crc_region) != b.raw.stored_crc) {
@@ -526,8 +517,7 @@ Result<std::vector<std::vector<T>>> ScanColumnBlocks(
     std::vector<T>& out = parts[i];
     out.resize(b.raw.row_count);
     ByteReader pr(b.raw.payload);
-    uint64_t dict = 0;
-    if (!ColumnarTraits<T>::DecodeBlock(pr, out.size(), out.data(), &dict) ||
+    if (!ColumnarTraits<T>::DecodeBlock(pr, out.size(), out.data()) ||
         !pr.done()) {
       out.clear();
       if (b.lenient) {
@@ -540,11 +530,7 @@ Result<std::vector<std::vector<T>>> ScanColumnBlocks(
                                      " column decode failed");
       return;
     }
-    dict_bytes[i] = dict;
     encoded_bytes[i] = b.raw.payload.size();
-    uint64_t decoded = 0;
-    for (const T& row : out) decoded += ColumnarTraits<T>::RowBytes(row);
-    decoded_bytes[i] = decoded;
   };
   if (options.pool != nullptr && blocks.size() > 1) {
     options.pool->RunBulk(blocks.size(), run_block);
@@ -558,9 +544,7 @@ Result<std::vector<std::vector<T>>> ScanColumnBlocks(
   for (size_t i = 0; i < blocks.size(); ++i) {
     report->columnar_blocks_failed += failed[i];
     report->records_dropped += dropped[i];
-    report->columnar_dictionary_bytes += dict_bytes[i];
     report->columnar_encoded_bytes += encoded_bytes[i];
-    report->columnar_decoded_bytes += decoded_bytes[i];
   }
   return parts;
 }

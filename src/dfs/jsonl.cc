@@ -15,9 +15,7 @@ void ScanReport::Merge(const ScanReport& other) {
   columnar_files += other.columnar_files;
   columnar_blocks_scanned += other.columnar_blocks_scanned;
   columnar_blocks_failed += other.columnar_blocks_failed;
-  columnar_dictionary_bytes += other.columnar_dictionary_bytes;
   columnar_encoded_bytes += other.columnar_encoded_bytes;
-  columnar_decoded_bytes += other.columnar_decoded_bytes;
 }
 
 std::string SegmentPath(std::string_view prefix, uint64_t seq) {

@@ -41,13 +41,8 @@ struct ScanReport {
   /// Blocks dropped in salvage mode because their CRC or column decode
   /// disagreed with the frame (their rows count into records_dropped).
   uint64_t columnar_blocks_failed = 0;
-  /// Bytes of per-block string dictionaries decoded.
-  uint64_t columnar_dictionary_bytes = 0;
-  /// On-disk block payload bytes successfully decoded...
+  /// On-disk block payload bytes successfully decoded.
   uint64_t columnar_encoded_bytes = 0;
-  /// ...and the in-memory record bytes they expanded to. The ratio of the
-  /// two is the effective compression of the columnar encodings.
-  uint64_t columnar_decoded_bytes = 0;
 
   void Merge(const ScanReport& other);
 };

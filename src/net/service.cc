@@ -75,13 +75,11 @@ ApiResponse ApiService::Handle(const ApiRequest& request,
   const bool needs_token = EndpointRequiresToken(request.endpoint);
   if (needs_token && fault.auth_storm) {
     stats_.injected_auth_failures.fetch_add(1, std::memory_order_relaxed);
-    stats_.unauthorized.fetch_add(1, std::memory_order_relaxed);
     *worker_time_micros += latency();
     return ApiResponse::Error(401, "access token revoked");
   }
   if (needs_token &&
       !tokens_.IsValid(request.access_token, *worker_time_micros)) {
-    stats_.unauthorized.fetch_add(1, std::memory_order_relaxed);
     *worker_time_micros += latency();
     return ApiResponse::Error(401, "invalid or expired access token");
   }
@@ -89,7 +87,6 @@ ApiResponse ApiService::Handle(const ApiRequest& request,
   if (limiter_ != nullptr && needs_token) {
     auto decision = limiter_->Admit(request.access_token, *worker_time_micros);
     if (!decision.admitted) {
-      stats_.rate_limited.fetch_add(1, std::memory_order_relaxed);
       // Rejection is cheap (the API answers immediately with a 429).
       ApiResponse limited;
       limited.status = 429;
@@ -121,9 +118,7 @@ ApiResponse ApiService::Handle(const ApiRequest& request,
     broken.raw_body.resize(broken.raw_body.size() / 2);  // truncated mid-doc
     return broken;
   }
-  if (resp.status == 200) {
-    stats_.ok.fetch_add(1, std::memory_order_relaxed);
-  } else if (resp.status == 404) {
+  if (resp.status == 404) {
     stats_.not_found.fetch_add(1, std::memory_order_relaxed);
   }
   return resp;

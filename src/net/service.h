@@ -74,9 +74,6 @@ struct ServiceConfig {
 /// Aggregate request counters.
 struct ServiceStats {
   std::atomic<int64_t> total{0};
-  std::atomic<int64_t> ok{0};
-  std::atomic<int64_t> unauthorized{0};
-  std::atomic<int64_t> rate_limited{0};
   std::atomic<int64_t> transient_errors{0};
   std::atomic<int64_t> not_found{0};
   // Scripted fault-plan injections (zero unless a FaultPlan is installed).

@@ -57,6 +57,8 @@ std::vector<Ecdf::Point> Ecdf::Curve(size_t max_points) const {
     i = j;
   }
   if (max_points > 0 && pts.size() > max_points) {
+    // Thinning keeps both ends; a single point keeps the last (F = 1).
+    if (max_points == 1) return {pts.back()};
     std::vector<Point> thin;
     thin.reserve(max_points);
     double step = static_cast<double>(pts.size() - 1) /

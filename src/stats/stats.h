@@ -32,7 +32,6 @@ class Ecdf {
   double Quantile(double q) const;
 
   size_t n() const { return samples_.size(); }
-  const std::vector<double>& sorted_samples() const { return samples_; }
 
   /// Step-curve points (x, F(x)) at distinct sample values, optionally
   /// thinned to at most `max_points` (0 = all) for plotting/printing.

@@ -2,20 +2,16 @@
 
 #include <cstring>
 
-// Hardware paths, selected at compile time and guarded by a one-time runtime
+// Hardware path, selected at compile time and guarded by a one-time runtime
 // CPU check. x86-64 has no instruction for the IEEE polynomial (the SSE4.2
-// `crc32` opcode is hardwired to Castagnoli), so the accelerated path there
-// is carry-less-multiply folding (PCLMULQDQ) with the reflected-IEEE fold
+// `crc32` opcode is hardwired to Castagnoli), so the accelerated path is
+// carry-less-multiply folding (PCLMULQDQ) with the reflected-IEEE fold
 // constants from Intel's "Fast CRC Computation Using PCLMULQDQ" paper — the
-// same constants zlib ships. aarch64 exposes the IEEE polynomial directly as
-// the ARMv8 `crc32{b,h,w,x}` instructions. Both reduce to the identical
-// bit stream the table produces.
+// same constants zlib ships. It reduces to the identical bit stream the
+// table produces; every other target runs the table alone.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define CFNET_CRC32_X86_CLMUL 1
 #include <immintrin.h>
-#elif defined(__aarch64__) && defined(__ARM_FEATURE_CRC32)
-#define CFNET_CRC32_ARM 1
-#include <arm_acle.h>
 #endif
 
 namespace cfnet {
@@ -172,34 +168,6 @@ uint32_t HwUpdateState(uint32_t state, const unsigned char*& p, size_t& n) {
   state = ClmulUpdateState(state, p, chunk);
   p += chunk;
   n -= chunk;
-  return state;
-}
-
-#elif defined(CFNET_CRC32_ARM)
-
-bool HardwareCrcAvailable() { return true; }  // guaranteed by the target arch
-
-constexpr size_t kHwMinBytes = 1;
-
-uint32_t HwUpdateState(uint32_t state, const unsigned char*& p, size_t& n) {
-  while (n >= 8) {
-    uint64_t v;
-    std::memcpy(&v, p, 8);
-    state = __crc32d(state, v);
-    p += 8;
-    n -= 8;
-  }
-  if (n >= 4) {
-    uint32_t v;
-    std::memcpy(&v, p, 4);
-    state = __crc32w(state, v);
-    p += 4;
-    n -= 4;
-  }
-  while (n > 0) {
-    state = __crc32b(state, *p++);
-    --n;
-  }
   return state;
 }
 

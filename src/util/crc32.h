@@ -9,18 +9,18 @@ namespace cfnet {
 /// CRC-32 (IEEE 802.3 polynomial): the checksum of commit footers and of
 /// columnar block frames.
 ///
-/// Dispatches to a hardware-accelerated path when one is available:
-/// carry-less-multiply folding (PCLMULQDQ) on x86-64, the ARMv8 `crc32`
-/// instructions on aarch64. Both are bit-identical to the table fallback —
-/// commit footers and columnar block CRCs written by either path verify
-/// under the other (pinned by the differential test in columnar_test).
+/// Dispatches to carry-less-multiply folding (PCLMULQDQ) on x86-64 CPUs
+/// that have it, and to the slice-by-8 table everywhere else. The two are
+/// bit-identical — commit footers and columnar block CRCs written by either
+/// path verify under the other (pinned by the differential test in
+/// columnar_test).
 uint32_t Crc32(std::string_view data);
 
 /// Incremental form: feed chunks with the previous return value.
 uint32_t Crc32Update(uint32_t crc, std::string_view data);
 
 /// Portable slice-by-8 table implementation — the reference the hardware
-/// paths are differential-tested against (and the fallback baseline for the
+/// path is differential-tested against (and the fallback baseline for the
 /// CRC micro-bench in bench_durability).
 uint32_t Crc32FallbackUpdate(uint32_t crc, std::string_view data);
 

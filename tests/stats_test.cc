@@ -68,6 +68,10 @@ TEST(EcdfTest, CurveThinning) {
   EXPECT_DOUBLE_EQ(curve.front().x, 0);
   EXPECT_DOUBLE_EQ(curve.back().x, 999);
   EXPECT_DOUBLE_EQ(curve.back().p, 1.0);
+  auto one = f.Curve(1);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_DOUBLE_EQ(one[0].x, 999);
+  EXPECT_DOUBLE_EQ(one[0].p, 1.0);
 }
 
 TEST(DkwTest, ReproducesPaperBound) {
