@@ -12,7 +12,8 @@
 //   * PageRank on the projection at pool widths 1/2/3/4 (the caller runs
 //     rows too), each checked bit-identical to the 1-thread rank first.
 //   * SIMD — the dispatched numeric kernels against the scalar fallback;
-//     the two backends' outputs are checked bit-identical.
+//     the two backends' outputs are checked bit-identical, and each timing
+//     round runs both.
 //   * incremental epochs — delta merge, projection update and seeded
 //     Louvain refinement against a full rebuild, each stage timed on its
 //     own, with the serving snapshot's assembly beside them. After timing,
@@ -63,6 +64,14 @@ double Median(const json::Json& spread) {
   return spread.Get("median").AsDouble();
 }
 
+/// `fn` run with the scalar kernel table forced.
+std::function<void()> ForcedScalar(std::function<void()> fn) {
+  return [fn = std::move(fn)]() {
+    simd::ScopedForceScalar force;
+    fn();
+  };
+}
+
 std::vector<double> FlattenWeights(const graph::WeightedGraph& g) {
   std::vector<double> flat;
   for (uint32_t v = 0; v < g.num_nodes(); ++v) {
@@ -82,7 +91,6 @@ void RunGraphBench(const FlagParser& flags) {
   const std::string path = flags.GetString("json", "BENCH_graph.json");
   const size_t investors = static_cast<size_t>(47000 * scale);
   const size_t companies = static_cast<size_t>(60000 * scale);
-  constexpr size_t kMaxRightDegree = 500;  // projection popularity cap
 
   // Zipfian company popularity gives a few companies huge investor lists:
   // the regime the bitset intersection and the projection degree cap exist
@@ -124,7 +132,7 @@ void RunGraphBench(const FlagParser& flags) {
               bitset_rows);
 
   const graph::WeightedGraph proj =
-      graph::WeightedGraph::ProjectLeft(g, kMaxRightDegree);
+      graph::WeightedGraph::ProjectLeft(g, graph::kServingMaxRightDegree);
   std::printf("projection: %zu nodes, %zu edges\n", proj.num_nodes(),
               proj.num_edges());
   const community::LouvainResult louvain = community::RunLouvain(proj);
@@ -143,12 +151,13 @@ void RunGraphBench(const FlagParser& flags) {
       {"project_left",
        [&](const ParallelOptions& par) {
          benchmark::DoNotOptimize(
-             graph::WeightedGraph::ProjectLeft(g, kMaxRightDegree, par)
+             graph::WeightedGraph::ProjectLeft(
+                 g, graph::kServingMaxRightDegree, par)
                  .num_edges());
        },
        [&](const ParallelOptions& par) {
-         return FlattenWeights(
-             graph::WeightedGraph::ProjectLeft(g, kMaxRightDegree, par));
+         return FlattenWeights(graph::WeightedGraph::ProjectLeft(
+             g, graph::kServingMaxRightDegree, par));
        }});
   workloads.push_back(
       {"shared_sizes",
@@ -186,19 +195,14 @@ void RunGraphBench(const FlagParser& flags) {
   for (const Workload& w : workloads) {
     const std::vector<double> reference = w.result({});
     std::vector<std::unique_ptr<ThreadPool>> pools;
+    std::vector<std::function<void()>> runs;
     for (size_t threads : widths) {
       pools.push_back(std::make_unique<ThreadPool>(threads));
       const ParallelOptions par{pools.back().get()};
       CFNET_CHECK(w.result(par) == reference);  // bit-identical to 1 thread
-      w.run(par);  // warm-up
+      runs.push_back([&w, par]() { w.run(par); });
     }
-    std::vector<std::vector<double>> samples(widths.size());
-    for (int round = 0; round < reps; ++round) {
-      for (size_t k = 0; k < widths.size(); ++k) {
-        const ParallelOptions par{pools[k].get()};
-        samples[k].push_back(TimeOnceMs([&]() { w.run(par); }));
-      }
-    }
+    std::vector<std::vector<double>> samples = TimeRoundsMs(runs, reps);
     json::Json rows = json::Json::MakeArray();
     double base_ms = 0;
     for (size_t k = 0; k < widths.size(); ++k) {
@@ -257,14 +261,17 @@ void RunGraphBench(const FlagParser& flags) {
   // ---- SIMD kernels vs scalar fallback (single thread) ------------------
   // All four kernels are timed at 1 thread, so a speedup is the kernel's
   // own, not the pool's. Every comparison checks byte-identity between the
-  // two backends before it is trusted.
+  // two backends before it is trusted, and both backends are timed in the
+  // same rounds.
   Section("simd kernels vs scalar fallback (1 thread; bit-identity checked)");
   json::Json simd_rows = json::Json::MakeArray();
-  auto emit_simd = [&simd_rows](const std::string& name,
-                                std::vector<double> scalar_samples,
-                                std::vector<double> simd_samples) {
-    json::Json scalar_ms = Spread(std::move(scalar_samples));
-    json::Json simd_ms = Spread(std::move(simd_samples));
+  auto time_simd = [&simd_rows, reps](const std::string& name,
+                                      const std::function<void()>& scalar,
+                                      const std::function<void()>& simd) {
+    std::vector<std::vector<double>> rounds =
+        TimeRoundsMs({scalar, simd}, reps);
+    json::Json scalar_ms = Spread(std::move(rounds[0]));
+    json::Json simd_ms = Spread(std::move(rounds[1]));
     const double speedup =
         Median(simd_ms) > 0 ? Median(scalar_ms) / Median(simd_ms) : 0.0;
     std::printf("%-26s scalar %9.2f ms   simd %9.2f ms   %5.2fx (medians)\n",
@@ -287,10 +294,6 @@ void RunGraphBench(const FlagParser& flags) {
     coda_config.seed = 11;
     community::Coda coda(coda_config);
     community::CodaResult fit_simd = coda.Fit(g);
-    std::vector<double> simd_ms = TimeRepsMs([&]() {
-      benchmark::DoNotOptimize(coda.Fit(g).final_log_likelihood);
-    }, reps);
-    std::vector<double> scalar_ms;
     {
       simd::ScopedForceScalar force;
       community::CodaResult fit_scalar = coda.Fit(g);
@@ -298,11 +301,11 @@ void RunGraphBench(const FlagParser& flags) {
       CFNET_CHECK(fit_scalar.h == fit_simd.h);
       CFNET_CHECK(fit_scalar.log_likelihood_trace ==
                   fit_simd.log_likelihood_trace);
-      scalar_ms = TimeRepsMs([&]() {
-        benchmark::DoNotOptimize(coda.Fit(g).final_log_likelihood);
-      }, reps);
     }
-    emit_simd("coda_row_update", std::move(scalar_ms), std::move(simd_ms));
+    auto fit = [&]() {
+      benchmark::DoNotOptimize(coda.Fit(g).final_log_likelihood);
+    };
+    time_simd("coda_row_update", ForcedScalar(fit), fit);
   }
 
   // bitset_intersect: SharedInvestmentSizes over the top-degree community,
@@ -310,19 +313,14 @@ void RunGraphBench(const FlagParser& flags) {
   {
     const std::vector<double> sizes_simd =
         core::SharedInvestmentSizes(g, members);
-    std::vector<double> simd_ms = TimeRepsMs([&]() {
-      benchmark::DoNotOptimize(core::SharedInvestmentSizes(g, members).data());
-    }, reps);
-    std::vector<double> scalar_ms;
     {
       simd::ScopedForceScalar force;
       CFNET_CHECK(core::SharedInvestmentSizes(g, members) == sizes_simd);
-      scalar_ms = TimeRepsMs([&]() {
-        benchmark::DoNotOptimize(
-            core::SharedInvestmentSizes(g, members).data());
-      }, reps);
     }
-    emit_simd("bitset_intersect", std::move(scalar_ms), std::move(simd_ms));
+    auto sizes = [&]() {
+      benchmark::DoNotOptimize(core::SharedInvestmentSizes(g, members).data());
+    };
+    time_simd("bitset_intersect", ForcedScalar(sizes), sizes);
   }
 
   // bitset_intersect_kernel: AndPopcountU64 in isolation on company-sized
@@ -336,22 +334,22 @@ void RunGraphBench(const FlagParser& flags) {
     constexpr int kInner = 4000;
     CFNET_CHECK(simd::AndPopcountU64(wa.data(), wb.data(), words) ==
                 simd::AndPopcountU64Scalar(wa.data(), wb.data(), words));
-    std::vector<double> simd_ms = TimeRepsMs([&]() {
-      uint64_t acc = 0;
-      for (int it = 0; it < kInner; ++it) {
-        acc += simd::AndPopcountU64(wa.data(), wb.data(), words);
-      }
-      benchmark::DoNotOptimize(acc);
-    }, reps);
-    std::vector<double> scalar_ms = TimeRepsMs([&]() {
-      uint64_t acc = 0;
-      for (int it = 0; it < kInner; ++it) {
-        acc += simd::AndPopcountU64Scalar(wa.data(), wb.data(), words);
-      }
-      benchmark::DoNotOptimize(acc);
-    }, reps);
-    emit_simd("bitset_intersect_kernel", std::move(scalar_ms),
-              std::move(simd_ms));
+    time_simd(
+        "bitset_intersect_kernel",
+        [&]() {
+          uint64_t acc = 0;
+          for (int it = 0; it < kInner; ++it) {
+            acc += simd::AndPopcountU64Scalar(wa.data(), wb.data(), words);
+          }
+          benchmark::DoNotOptimize(acc);
+        },
+        [&]() {
+          uint64_t acc = 0;
+          for (int it = 0; it < kInner; ++it) {
+            acc += simd::AndPopcountU64(wa.data(), wb.data(), words);
+          }
+          benchmark::DoNotOptimize(acc);
+        });
   }
 
   // stats_reduce: the moment reductions Summarize runs for the Figure 6
@@ -368,14 +366,15 @@ void RunGraphBench(const FlagParser& flags) {
     };
     CFNET_CHECK(reduce(simd::SumF64, simd::SumSqDiffF64) ==
                 reduce(simd::SumF64Scalar, simd::SumSqDiffF64Scalar));
-    std::vector<double> simd_ms = TimeRepsMs([&]() {
-      benchmark::DoNotOptimize(reduce(simd::SumF64, simd::SumSqDiffF64));
-    }, reps);
-    std::vector<double> scalar_ms = TimeRepsMs([&]() {
-      benchmark::DoNotOptimize(
-          reduce(simd::SumF64Scalar, simd::SumSqDiffF64Scalar));
-    }, reps);
-    emit_simd("stats_reduce", std::move(scalar_ms), std::move(simd_ms));
+    time_simd(
+        "stats_reduce",
+        [&]() {
+          benchmark::DoNotOptimize(
+              reduce(simd::SumF64Scalar, simd::SumSqDiffF64Scalar));
+        },
+        [&]() {
+          benchmark::DoNotOptimize(reduce(simd::SumF64, simd::SumSqDiffF64));
+        });
   }
 
   // ---- CoDA fit at the `analyze` workload's shape -----------------------
@@ -481,8 +480,8 @@ void RunGraphBench(const FlagParser& flags) {
       community::LouvainResult full_louvain;
       json::Json full_ms = Spread(TimeRepsMs([&]() {
         full_graph = graph::BipartiteGraph::FromEdges(merged_edges);
-        full_proj =
-            graph::WeightedGraph::ProjectLeft(full_graph, kMaxRightDegree);
+        full_proj = graph::WeightedGraph::ProjectLeft(
+            full_graph, graph::kServingMaxRightDegree);
         full_louvain = community::RunLouvain(full_proj);
         benchmark::DoNotOptimize(full_louvain.modularity);
       }, kSpreadReps));
@@ -501,16 +500,20 @@ void RunGraphBench(const FlagParser& flags) {
       };
       json::Json inc_ms = Spread(TimeRepsMs([&]() {
         merge = graph::MergeBipartiteDelta(g, deltas);
-        frontier = graph::ProjectionFrontier(g, merge, kMaxRightDegree);
-        inc_proj = graph::UpdateProjection(proj, g, merge, kMaxRightDegree);
+        frontier = graph::ProjectionFrontier(g, merge,
+                                             graph::kServingMaxRightDegree);
+        inc_proj = graph::UpdateProjection(proj, g, merge,
+                                           graph::kServingMaxRightDegree);
         refine();
       }, kSpreadReps));
       json::Json merge_ms = Spread(TimeRepsMs([&]() {
         merge = graph::MergeBipartiteDelta(g, deltas);
       }, kSpreadReps));
       json::Json projection_ms = Spread(TimeRepsMs([&]() {
-        frontier = graph::ProjectionFrontier(g, merge, kMaxRightDegree);
-        inc_proj = graph::UpdateProjection(proj, g, merge, kMaxRightDegree);
+        frontier = graph::ProjectionFrontier(g, merge,
+                                             graph::kServingMaxRightDegree);
+        inc_proj = graph::UpdateProjection(proj, g, merge,
+                                           graph::kServingMaxRightDegree);
       }, kSpreadReps));
       json::Json refine_ms = Spread(TimeRepsMs(refine, kSpreadReps));
       json::Json assemble_ms = Spread(TimeRepsMs([&]() {
@@ -586,9 +589,10 @@ void RunGraphBench(const FlagParser& flags) {
   out_doc.Set("simd", std::move(simd_rows));
   out_doc.Set("simd_note",
               "single-thread scalar-vs-dispatched comparisons, each "
-              "{median, min, max} over `reps` timed calls, speedup from the "
-              "medians; the two backends' outputs are checked "
-              "byte-identical.");
+              "{median, min, max} over `reps` rounds; each round times both "
+              "backends once, after one warm-up call each, and the speedup "
+              "is the ratio of medians; the two backends' outputs are "
+              "checked byte-identical.");
   out_doc.Set("coda_fit", std::move(coda_fit));
   std::printf("acceptance: incremental 1%% delta epoch %.2fx vs full rebuild "
               "(target 5x)\n",

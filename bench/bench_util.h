@@ -38,7 +38,7 @@ std::vector<std::pair<uint64_t, uint64_t>> DrawInvestments(size_t investors,
                                                            size_t companies,
                                                            uint64_t seed);
 
-// The repetition runner is header-only: e2ebench compiles bench_util.cc
+// The repetition runners are header-only: e2ebench compiles bench_util.cc
 // into its own binary, and code added there moves that binary's layout
 // (serve_fresh freshness read ~10% higher from that alone).
 
@@ -51,14 +51,26 @@ inline double TimeOnceMs(const std::function<void()>& fn) {
       .count();
 }
 
+/// Wall milliseconds of `reps` rounds over `fns`, one sample vector per
+/// callable. After one untimed warm-up call of each, every round times each
+/// callable once, in order, so a slow stretch of a shared host lands on all
+/// of them rather than on one row: rows that are compared with each other
+/// (a speedup, a share) are timed in the same rounds.
+inline std::vector<std::vector<double>> TimeRoundsMs(
+    const std::vector<std::function<void()>>& fns, int reps) {
+  for (const std::function<void()>& fn : fns) fn();  // warm-up
+  std::vector<std::vector<double>> ms(fns.size());
+  for (int r = 0; r < reps; ++r) {
+    for (size_t k = 0; k < fns.size(); ++k) ms[k].push_back(TimeOnceMs(fns[k]));
+  }
+  return ms;
+}
+
 /// Wall milliseconds of each of `reps` calls of `fn`, after one untimed
 /// warm-up call.
 inline std::vector<double> TimeRepsMs(const std::function<void()>& fn,
                                       int reps) {
-  fn();  // warm-up
-  std::vector<double> ms;
-  for (int r = 0; r < reps; ++r) ms.push_back(TimeOnceMs(fn));
-  return ms;
+  return TimeRoundsMs({fn}, reps)[0];
 }
 
 /// {"median", "min", "max"} of `samples` (the upper median for an even

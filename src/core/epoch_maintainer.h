@@ -45,9 +45,8 @@ struct EpochBuildReport {
 class EpochMaintainer {
  public:
   struct Config {
-    /// Projection popularity cap; must match the serving tier's
-    /// `SnapshotBuildOptions::max_right_degree`.
-    size_t max_right_degree = 500;
+    /// Projection popularity cap.
+    size_t max_right_degree = graph::kServingMaxRightDegree;
     /// Delta batches whose effective edge count exceeds this fraction of
     /// the merged edge count take the full-rebuild path outright (the
     /// frontier would cover most of the graph anyway).

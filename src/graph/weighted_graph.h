@@ -19,6 +19,12 @@ class GraphDeltaOps;
 /// CSR bytes for the same logical edge set.
 void CanonicalizeAdjacency(std::vector<std::pair<uint32_t, double>>& row);
 
+/// The `max_right_degree` of the serving tier's co-investment projection:
+/// `serve::BuildServingSnapshot` projects with it and
+/// `core::EpochMaintainer::Config` defaults to it, so a full build and an
+/// incrementally maintained epoch describe the same graph.
+inline constexpr size_t kServingMaxRightDegree = 500;
+
 /// Undirected weighted graph in CSR form (each edge stored in both
 /// directions). Node indices correspond to the left side of the bipartite
 /// graph it was projected from.

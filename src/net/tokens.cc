@@ -49,9 +49,4 @@ bool TokenRegistry::IsValid(const std::string& token, int64_t now_micros) const 
          it->second.expires_at_micros > now_micros;
 }
 
-int TokenRegistry::tokens_issued() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(tokens_.size());
-}
-
 }  // namespace cfnet::net

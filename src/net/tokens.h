@@ -44,8 +44,6 @@ class TokenRegistry {
   /// True iff `token` exists and has not expired at `now_micros`.
   bool IsValid(const std::string& token, int64_t now_micros) const;
 
-  int tokens_issued() const;
-
  private:
   struct TokenInfo {
     std::string owner;

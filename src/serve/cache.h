@@ -6,20 +6,18 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "json/json.h"
 
 namespace cfnet::serve {
 
-/// LRU result cache keyed on (query fingerprint, snapshot epoch), holding
-/// `kCapacity` entries. Because the epoch is part of the key and a
-/// published snapshot never changes, an entry cannot go stale: a snapshot
-/// hot-swap naturally invalidates every cached answer — a query against the
-/// new epoch can never be served bytes computed from the old one.
-/// `EvictEpochsBefore` additionally drops the dead entries eagerly so they
-/// stop occupying LRU capacity.
+/// LRU result cache over one snapshot epoch, keyed on the query fingerprint
+/// and holding at most `kCapacity` entries. The first Lookup or Insert for
+/// a newer epoch drops every entry of the held one, and calls for an older
+/// epoch miss and insert nothing; a published snapshot never changes, so a
+/// query against the new epoch can never be served bytes computed from the
+/// old one.
 ///
 /// Bodies are held behind shared_ptr so a hit hands out a reference without
 /// copying the JSON under the lock.
@@ -35,39 +33,31 @@ class ResultCache {
 
   static constexpr size_t kCapacity = 8192;
 
-  /// Returns the cached body for (fingerprint, epoch), refreshing its LRU
-  /// position, or nullptr on a miss.
+  /// Returns the cached body for `fingerprint` at `epoch`, refreshing its
+  /// LRU position, or nullptr on a miss.
   std::shared_ptr<const json::Json> Lookup(uint64_t fingerprint,
                                            uint64_t epoch);
 
   void Insert(uint64_t fingerprint, uint64_t epoch,
               std::shared_ptr<const json::Json> body);
 
-  /// Drops every entry whose epoch predates `epoch` (hot-swap cleanup).
-  size_t EvictEpochsBefore(uint64_t epoch);
-
   size_t size() const;
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Key {
-    uint64_t fingerprint;
-    uint64_t epoch;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return static_cast<size_t>(k.fingerprint ^ (k.epoch * 0x9e3779b97f4a7c15ull));
-    }
-  };
   struct Entry {
-    Key key;
+    uint64_t fingerprint;
     std::shared_ptr<const json::Json> body;
   };
 
+  /// Moves the cache to `epoch` when it is newer than the held one, dropping
+  /// every entry; false when `epoch` is older.
+  bool AdvanceLocked(uint64_t epoch);
+
   mutable std::mutex mu_;
+  uint64_t epoch_ = 0;  // the epoch every entry was computed against
   std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
   Stats stats_;
 };
 

@@ -1,12 +1,12 @@
 #ifndef CFNET_SERVE_EPOCH_STORE_H_
 #define CFNET_SERVE_EPOCH_STORE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -15,218 +15,119 @@ namespace cfnet::serve {
 /// Epoch-pinned snapshot hot-swap: the publisher (crawler/compaction side)
 /// installs new immutable snapshots; readers (query workers) pin the current
 /// one for the duration of a request. In-flight queries keep reading the
-/// pinned old epoch while new queries pin the new one; an old epoch is
-/// reclaimed once its pin count drains to zero (at the next Publish/Sweep).
+/// pinned old epoch while new queries pin the new one.
 ///
-/// The read path is lock-free: Acquire() is one fetch_add, a validation
-/// load, and (on release) one fetch_sub — no mutex, no allocation. Readers
-/// use the pin-then-validate protocol: increment the slot's pin count first,
-/// then re-check that the slot is still current; a reader that lost the race
-/// unpins and retries, and crucially never dereferences the snapshot of a
-/// slot it failed to validate. Reclamation runs only on the publisher side,
-/// under the publish mutex, and only for retired slots whose pin count is
-/// zero — so a validated pin is always protecting a live snapshot.
-///
-/// At most kSlots epochs can be live (current + still-pinned retired) at
-/// once; Publish spins politely when every slot is held, which only happens
-/// when readers pin snapshots for as long as kSlots publish intervals.
+/// The current snapshot is one shared_ptr behind a mutex: Acquire() copies
+/// it and its epoch under the lock, and a Pin holds that copy. A retired
+/// epoch stays on the store's list until no Pin holds it; Publish and Sweep
+/// then free it, after releasing the lock. Because the store keeps its own
+/// reference to every live epoch, dropping a Pin never frees a snapshot:
+/// frees run on the publisher, and a query worker never waits on one.
 template <typename T>
 class EpochStore {
  public:
-  static constexpr size_t kSlots = 16;
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
   EpochStore() = default;
   EpochStore(const EpochStore&) = delete;
   EpochStore& operator=(const EpochStore&) = delete;
-
-  ~EpochStore() {
-    for (Slot& s : slots_) {
-      const T* p = s.snap.exchange(nullptr, std::memory_order_acq_rel);
-      delete p;
-    }
-  }
 
   /// RAII pin on one published snapshot. Move-only; empty (operator bool
   /// false) when nothing has been published yet.
   class Pin {
    public:
     Pin() = default;
-    Pin(Pin&& o) noexcept
-        : store_(o.store_), slot_(o.slot_), snap_(o.snap_), epoch_(o.epoch_) {
-      o.store_ = nullptr;
-      o.snap_ = nullptr;
-    }
-    Pin& operator=(Pin&& o) noexcept {
-      if (this != &o) {
-        Release();
-        store_ = o.store_;
-        slot_ = o.slot_;
-        snap_ = o.snap_;
-        epoch_ = o.epoch_;
-        o.store_ = nullptr;
-        o.snap_ = nullptr;
-      }
-      return *this;
-    }
-    Pin(const Pin&) = delete;
-    Pin& operator=(const Pin&) = delete;
-    ~Pin() { Release(); }
+    Pin(Pin&&) noexcept = default;
+    Pin& operator=(Pin&&) noexcept = default;
 
     explicit operator bool() const { return snap_ != nullptr; }
     const T& operator*() const { return *snap_; }
-    const T* operator->() const { return snap_; }
-    const T* get() const { return snap_; }
+    const T* operator->() const { return snap_.get(); }
+    const T* get() const { return snap_.get(); }
     uint64_t epoch() const { return epoch_; }
 
    private:
     friend class EpochStore;
-    Pin(EpochStore* store, size_t slot, const T* snap, uint64_t epoch)
-        : store_(store), slot_(slot), snap_(snap), epoch_(epoch) {}
+    Pin(std::shared_ptr<const T> snap, uint64_t epoch)
+        : snap_(std::move(snap)), epoch_(epoch) {}
 
-    void Release() {
-      if (store_ != nullptr && snap_ != nullptr) {
-        store_->slots_[slot_].pins.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      store_ = nullptr;
-      snap_ = nullptr;
-    }
-
-    EpochStore* store_ = nullptr;
-    size_t slot_ = 0;
-    const T* snap_ = nullptr;
+    std::shared_ptr<const T> snap_;
     uint64_t epoch_ = 0;
   };
 
   /// Publishes `snap` as the new current epoch and returns its epoch number
-  /// (monotone from 1). Retires the previous epoch; retired epochs whose
-  /// pins have drained are reclaimed here.
+  /// (monotone from 1). Retires the previous epoch, then frees every
+  /// retired epoch no Pin holds.
   uint64_t Publish(std::unique_ptr<const T> snap) {
     CFNET_CHECK(snap != nullptr);
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    const size_t slot = ClaimFreeSlotLocked();
-    Slot& s = slots_[slot];
-    const uint64_t epoch = published_.fetch_add(1, std::memory_order_relaxed) + 1;
-    s.retired.store(false, std::memory_order_relaxed);
-    s.epoch.store(epoch, std::memory_order_relaxed);
-    s.snap.store(snap.release(), std::memory_order_release);
-    const size_t prev = current_.exchange(slot, std::memory_order_seq_cst);
-    if (prev != kNoSlot) {
-      slots_[prev].retired.store(true, std::memory_order_release);
+    uint64_t epoch = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      epoch = ++published_;
+      if (current_ != nullptr) retirees_.push_back(std::move(current_));
+      current_ = std::move(snap);
+      current_epoch_ = epoch;
     }
-    ReclaimLocked();
+    Sweep();
     return epoch;
   }
 
-  /// Pins the current snapshot (lock-free). Empty before the first Publish.
+  /// Pins the current snapshot. Empty before the first Publish.
   Pin Acquire() {
-    for (;;) {
-      const size_t i = current_.load(std::memory_order_acquire);
-      if (i == kNoSlot) return Pin{};
-      Slot& s = slots_[i];
-      // seq_cst pin + validation: if the validation load still sees `i`
-      // current, it precedes the publisher's current_ swap in the single
-      // total order, so the publisher's later pins read observes this pin.
-      s.pins.fetch_add(1, std::memory_order_seq_cst);
-      if (current_.load(std::memory_order_seq_cst) == i) {
-        // Validated: the slot was current after our pin was visible, so the
-        // publisher-side reclaim (which requires retired && pins == 0) can
-        // not free it until we release.
-        const T* p = s.snap.load(std::memory_order_acquire);
-        return Pin{this, i, p, s.epoch.load(std::memory_order_relaxed)};
-      }
-      // Lost the race against a swap: never dereference, unpin and retry.
-      s.pins.fetch_sub(1, std::memory_order_acq_rel);
-      pin_retries_.fetch_add(1, std::memory_order_relaxed);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    return Pin(current_, current_epoch_);
   }
 
-  /// Reclaims retired epochs whose pins have drained (also runs on every
-  /// Publish). Returns the number of snapshots freed by this call.
+  /// Frees the retired epochs no Pin holds (also runs on every Publish).
+  /// Returns the number of snapshots freed by this call.
   size_t Sweep() {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    return ReclaimLocked();
+    std::vector<std::shared_ptr<const T>> unpinned;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // A retired epoch is out of Acquire's reach, so a use count of 1 (the
+      // list's own) cannot rise again.
+      for (std::shared_ptr<const T>& snap : retirees_) {
+        if (snap.use_count() == 1) unpinned.push_back(std::move(snap));
+      }
+      std::erase(retirees_, nullptr);
+      freed_ += unpinned.size();
+    }
+    return unpinned.size();  // `unpinned` frees them here, outside the lock
   }
 
   uint64_t current_epoch() const {
-    const size_t i = current_.load(std::memory_order_acquire);
-    return i == kNoSlot ? 0 : slots_[i].epoch.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_epoch_;
   }
-  /// Epochs published / reclaimed so far, and diagnostic counters.
+  /// Epochs published / freed so far.
   uint64_t published() const {
-    return published_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return published_;
   }
-  uint64_t retired() const { return retired_.load(std::memory_order_relaxed); }
-  uint64_t pin_retries() const {
-    return pin_retries_.load(std::memory_order_relaxed);
+  uint64_t retired() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return freed_;
   }
   /// Pins currently held across all live epochs (racy snapshot, tests only).
   int64_t live_pins() const {
-    int64_t total = 0;
-    for (const Slot& s : slots_) {
-      total += s.pins.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    int64_t pins = current_ != nullptr ? current_.use_count() - 1 : 0;
+    for (const std::shared_ptr<const T>& snap : retirees_) {
+      pins += snap.use_count() - 1;
     }
-    return total;
+    return pins;
   }
-  /// Live (unreclaimed) epochs: the current one plus still-pinned retirees.
+  /// Live (unfreed) epochs: the current one plus still-pinned retirees.
   size_t live_epochs() const {
-    size_t n = 0;
-    for (const Slot& s : slots_) {
-      n += s.snap.load(std::memory_order_acquire) != nullptr ? 1 : 0;
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mu_);
+    return (current_ != nullptr ? 1 : 0) + retirees_.size();
   }
 
  private:
-  struct Slot {
-    std::atomic<const T*> snap{nullptr};
-    std::atomic<uint64_t> epoch{0};
-    std::atomic<int64_t> pins{0};
-    std::atomic<bool> retired{false};
-  };
-
-  /// Frees every retired slot whose pins drained. Readers may still be in
-  /// the pin-then-validate window (pins transiently > 0 after we read 0),
-  /// but such readers fail validation — the slot is retired, so current_
-  /// moved on — and never touch the snapshot pointer.
-  size_t ReclaimLocked() {
-    size_t freed = 0;
-    for (Slot& s : slots_) {
-      if (s.retired.load(std::memory_order_acquire) &&
-          s.pins.load(std::memory_order_seq_cst) == 0) {
-        const T* p = s.snap.exchange(nullptr, std::memory_order_acq_rel);
-        if (p != nullptr) {
-          delete p;
-          s.retired.store(false, std::memory_order_relaxed);
-          retired_.fetch_add(1, std::memory_order_relaxed);
-          ++freed;
-        }
-      }
-    }
-    return freed;
-  }
-
-  size_t ClaimFreeSlotLocked() {
-    for (;;) {
-      for (size_t i = 0; i < kSlots; ++i) {
-        if (slots_[i].snap.load(std::memory_order_acquire) == nullptr &&
-            i != current_.load(std::memory_order_acquire)) {
-          return i;
-        }
-      }
-      // Every slot holds a live epoch: wait for pins to drain. Only
-      // possible when readers outlive kSlots consecutive publishes.
-      ReclaimLocked();
-      std::this_thread::yield();
-    }
-  }
-
-  Slot slots_[kSlots];
-  std::atomic<size_t> current_{kNoSlot};
-  std::mutex publish_mu_;  // serializes Publish/Sweep, never the read path
-  std::atomic<uint64_t> published_{0};
-  std::atomic<uint64_t> retired_{0};
-  mutable std::atomic<uint64_t> pin_retries_{0};
+  mutable std::mutex mu_;
+  std::shared_ptr<const T> current_;
+  uint64_t current_epoch_ = 0;
+  std::vector<std::shared_ptr<const T>> retirees_;
+  uint64_t published_ = 0;
+  uint64_t freed_ = 0;
 };
 
 }  // namespace cfnet::serve

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 namespace cfnet::serve {
 
@@ -46,14 +45,6 @@ class LatencyHistogram {
       if (rank <= 0) return static_cast<int64_t>(uint64_t{1} << (b + 1)) - 1;
     }
     return static_cast<int64_t>(uint64_t{1} << kBuckets);
-  }
-
-  std::vector<int64_t> Snapshot() const {
-    std::vector<int64_t> out(kBuckets);
-    for (size_t b = 0; b < kBuckets; ++b) {
-      out[b] = buckets_[b].load(std::memory_order_relaxed);
-    }
-    return out;
   }
 
  private:

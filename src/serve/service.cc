@@ -276,18 +276,6 @@ void QueryService::Process(Pending pending) {
   }
   resp.epoch = pin.epoch();
 
-  // A new epoch on the read path triggers eager cleanup of the cache's dead
-  // entries. The CAS loop only ever moves the watermark forward, so a worker
-  // still holding an older pin during a swap cannot roll it back.
-  uint64_t seen = last_seen_epoch_.load(std::memory_order_relaxed);
-  while (pin.epoch() > seen) {
-    if (last_seen_epoch_.compare_exchange_weak(seen, pin.epoch(),
-                                               std::memory_order_relaxed)) {
-      cache_.EvictEpochsBefore(pin.epoch());
-      break;
-    }
-  }
-
   const uint64_t fingerprint =
       FingerprintQuery(pending.request.endpoint, pending.request.params);
   std::shared_ptr<const json::Json> cached =
@@ -418,8 +406,6 @@ json::Json QueryService::StatsJson() const {
   epochs.Set("published", json::Json(static_cast<int64_t>(store_->published())));
   epochs.Set("retired", json::Json(static_cast<int64_t>(store_->retired())));
   epochs.Set("live", json::Json(static_cast<int64_t>(store_->live_epochs())));
-  epochs.Set("pin_retries",
-             json::Json(static_cast<int64_t>(store_->pin_retries())));
   doc.Set("epochs", std::move(epochs));
   return doc;
 }

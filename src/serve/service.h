@@ -108,8 +108,8 @@ struct QueryServiceConfig {
 ///    truncated top-K marked `degraded`) instead of starving the others;
 ///  * epoch-pinned reads: each execution pins the current snapshot, so a
 ///    concurrent hot-swap never tears a response;
-///  * an LRU result cache keyed on (fingerprint, epoch) — a swap
-///    naturally invalidates it.
+///  * an LRU result cache over the newest epoch a query pinned — the first
+///    query on a new epoch drops the old epoch's entries.
 ///
 /// Shed / timeout / served / degraded are first-class per-class metrics.
 class QueryService {
@@ -195,7 +195,6 @@ class QueryService {
   std::atomic<int64_t> drain_window_start_micros_{0};
   mutable std::array<ClassStats, kNumClasses> stats_;
   ResultCache cache_;
-  std::atomic<uint64_t> last_seen_epoch_{0};
   std::vector<std::thread> workers_;
   bool shut_down_ = false;
 };

@@ -29,6 +29,7 @@ std::string DefaultName(const char* prefix, uint64_t id) {
 /// Fills every investor's id, names and community, the name index and the
 /// company names: the part of a snapshot that PageRank does not feed.
 void BuildNameTables(ServingSnapshot& snap,
+                     const std::vector<int>& community_labels,
                      const SnapshotBuildOptions& options) {
   const graph::BipartiteGraph& graph = snap.graph;
   const size_t n = graph.num_left();
@@ -39,8 +40,7 @@ void BuildNameTables(ServingSnapshot& snap,
     inv.name = options.investor_name ? options.investor_name(inv.id)
                                      : DefaultName("investor", inv.id);
     inv.name_lower = ToLower(inv.name);
-    inv.community =
-        l < snap.community_labels.size() ? snap.community_labels[l] : -1;
+    inv.community = l < community_labels.size() ? community_labels[l] : -1;
   }
 
   snap.by_name.resize(n);
@@ -70,7 +70,7 @@ std::unique_ptr<const ServingSnapshot> BuildServingSnapshot(
     uint64_t epoch, const graph::BipartiteGraph& g,
     const SnapshotBuildOptions& options) {
   graph::WeightedGraph projection =
-      graph::WeightedGraph::ProjectLeft(g, options.max_right_degree);
+      graph::WeightedGraph::ProjectLeft(g, graph::kServingMaxRightDegree);
   community::LouvainResult louvain = community::RunLouvain(projection);
   return AssembleServingSnapshot(epoch, g, projection, louvain.labels,
                                  louvain.communities, options);
@@ -92,9 +92,7 @@ std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
   std::future<void> names = pool.Submit([&]() {
     snap->graph = g;
     snap->projection = projection;
-    snap->community_labels = community_labels;
-    snap->communities = communities;
-    BuildNameTables(*snap, options);
+    BuildNameTables(*snap, community_labels, options);
   });
   std::vector<double> centrality = graph::PageRank(
       projection, 0.85, 100, 1e-9, ParallelOptions{&pool});
@@ -118,9 +116,9 @@ std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
 
   // Facet payloads, precomputed so facet queries are pure JSON assembly.
   {
-    json::Json communities = json::Json::MakeArray();
-    for (size_t c = 0; c < snap->communities.communities.size(); ++c) {
-      const std::vector<uint32_t>& members = snap->communities.communities[c];
+    json::Json entries = json::Json::MakeArray();
+    for (size_t c = 0; c < communities.communities.size(); ++c) {
+      const std::vector<uint32_t>& members = communities.communities[c];
       json::Json entry = json::Json::MakeObject();
       entry.Set("community", static_cast<int64_t>(c));
       entry.Set("size", static_cast<int64_t>(members.size()));
@@ -146,13 +144,13 @@ std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
       json::Json names = json::Json::MakeArray();
       for (uint32_t m : top) names.Append(json::Json(snap->investors[m].name));
       entry.Set("top_members", std::move(names));
-      communities.Append(std::move(entry));
+      entries.Append(std::move(entry));
     }
     json::Json payload = json::Json::MakeObject();
     payload.Set("num_communities",
-                static_cast<int64_t>(snap->communities.communities.size()));
-    payload.Set("avg_size", snap->communities.AverageSize());
-    payload.Set("communities", std::move(communities));
+                static_cast<int64_t>(communities.communities.size()));
+    payload.Set("avg_size", communities.AverageSize());
+    payload.Set("communities", std::move(entries));
     snap->facet_communities = std::move(payload);
   }
   {
@@ -192,7 +190,7 @@ std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
   fp ^= Mix64(fp ^ graph.num_left());
   fp ^= Mix64(fp ^ graph.num_right());
   fp ^= Mix64(fp ^ graph.num_edges());
-  fp ^= Mix64(fp ^ snap->communities.communities.size());
+  fp ^= Mix64(fp ^ communities.communities.size());
   snap->content_fingerprint = fp;
   return snap;
 }

@@ -15,10 +15,10 @@
 namespace cfnet::serve {
 
 /// Everything one query epoch needs, precomputed and immutable: the investor
-/// graph, its co-investment projection, community labels, centrality scores,
-/// a name index for search, and the facet payloads. Built once per crawl
-/// epoch (by the epoch-publication hook) and published into an EpochStore —
-/// queries only ever read it, so no locking is needed on the query path.
+/// graph, its co-investment projection, each investor's community and
+/// centrality, a name index for search, and the facet payloads. Built once
+/// per crawl epoch (by the epoch-publication hook) and published into an
+/// EpochStore — queries only ever read it, so they share it unlocked.
 struct ServingSnapshot {
   /// Per-investor serving entry, indexed by the graph's dense left index.
   struct Investor {
@@ -36,8 +36,6 @@ struct ServingSnapshot {
 
   graph::BipartiteGraph graph;       // investor -> company
   graph::WeightedGraph projection;   // co-investment (left nodes)
-  std::vector<int> community_labels; // per left index, -1 = isolated
-  community::CommunitySet communities;
   std::vector<Investor> investors;   // by dense left index
   std::vector<uint32_t> by_name;     // left indices sorted by name_lower
   std::vector<uint32_t> by_centrality;  // left indices, centrality desc
@@ -49,8 +47,6 @@ struct ServingSnapshot {
 
 /// Knobs for BuildServingSnapshot.
 struct SnapshotBuildOptions {
-  /// Projection popularity cap (companies with more investors are skipped).
-  size_t max_right_degree = 500;
   /// Display names; defaults derive "investor-<id>" / "company-<id>".
   /// Assembly calls them serially, but from a pool thread of its own rather
   /// than the caller's thread, while PageRank runs: they must be safe to
@@ -59,10 +55,11 @@ struct SnapshotBuildOptions {
   std::function<std::string(uint64_t id)> company_name;
 };
 
-/// Builds a serving snapshot for `epoch` from the merged investor graph.
-/// Deterministic per (graph, options): Louvain communities, PageRank
-/// centrality, sorted name index, facet payloads (the facets list each
-/// community's 5 most central members).
+/// Builds a serving snapshot for `epoch` from the merged investor graph,
+/// projected with `graph::kServingMaxRightDegree`. Deterministic per (graph,
+/// options): Louvain communities, PageRank centrality, sorted name index,
+/// facet payloads (the facets list each community's 5 most central
+/// members).
 std::unique_ptr<const ServingSnapshot> BuildServingSnapshot(
     uint64_t epoch, const graph::BipartiteGraph& g,
     const SnapshotBuildOptions& options = {});
@@ -72,11 +69,12 @@ std::unique_ptr<const ServingSnapshot> BuildServingSnapshot(
 /// partition across epochs at delta cost, and this finishes the serving
 /// side — PageRank, investor entries, search/centrality indexes, facet
 /// payloads, fingerprint). `projection`/`community_labels`/`communities`
-/// must describe exactly `g`. BuildServingSnapshot is equivalent to
-/// projecting + Louvain + this call. Each call owns a 2-worker pool: one
-/// worker copies the inputs and builds the name tables while the caller
-/// and the other worker run PageRank; the result is the same bits as a
-/// serial assembly.
+/// must describe exactly `g`; the snapshot copies `g` and `projection`, and
+/// keeps of the partition only each investor's community and the facets.
+/// BuildServingSnapshot is equivalent to projecting + Louvain + this call.
+/// Each call owns a 2-worker pool: one worker copies the graph and the
+/// projection and builds the name tables while the caller and the other
+/// worker run PageRank; the result is the same bits as a serial assembly.
 std::unique_ptr<const ServingSnapshot> AssembleServingSnapshot(
     uint64_t epoch, const graph::BipartiteGraph& g,
     const graph::WeightedGraph& projection,

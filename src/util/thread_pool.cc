@@ -96,11 +96,6 @@ void ThreadPool::RunBulk(size_t n, const std::function<void(size_t)>& fn) {
   }
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this]() { return queue_.empty() && active_ == 0; });
-}
-
 size_t ThreadPool::DefaultParallelism() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 4 : hw;
@@ -119,14 +114,8 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

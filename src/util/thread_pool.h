@@ -50,9 +50,6 @@ class ThreadPool {
   /// after the batch drains; indices claimed after the failure are skipped.
   void RunBulk(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Blocks until the queue is empty and all in-flight tasks finished.
-  void Wait();
-
   size_t num_threads() const { return workers_.size(); }
 
   /// A sensible default parallelism: hardware_concurrency clamped to >= 1.
@@ -63,9 +60,7 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable work_cv_;   // signaled when work arrives / shutdown
-  std::condition_variable idle_cv_;   // signaled when the pool may be idle
   std::deque<std::function<void()>> queue_;
-  size_t active_ = 0;
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
 };

@@ -1,6 +1,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -79,6 +80,53 @@ TEST(EpochStoreTest, PinnedEpochSurvivesSwap) {
   store.Sweep();
   EXPECT_EQ(store.live_epochs(), 1u);
   EXPECT_EQ(store.retired(), 1u);
+}
+
+/// Payload that records how often, and on which thread, it was destroyed.
+struct FreeRecorder {
+  FreeRecorder(std::atomic<int>* frees, std::thread::id* freed_on)
+      : frees(frees), freed_on(freed_on) {}
+  FreeRecorder(const FreeRecorder&) = delete;
+  FreeRecorder& operator=(const FreeRecorder&) = delete;
+  ~FreeRecorder() {
+    *freed_on = std::this_thread::get_id();
+    frees->fetch_add(1);
+  }
+  std::atomic<int>* frees;
+  std::thread::id* freed_on;
+};
+
+// A reader that releases the last pin on a retired epoch does not free it:
+// the epoch waits for the publisher's next Sweep, which frees it on the
+// publisher's thread.
+TEST(EpochStoreTest, PublisherFreesEpochsReadersReleased) {
+  std::atomic<int> frees{0};
+  std::thread::id freed_on;
+  EpochStore<FreeRecorder> store;
+  store.Publish(std::make_unique<const FreeRecorder>(&frees, &freed_on));
+
+  std::promise<void> pinned;
+  std::promise<void> published;
+  std::future<void> pinned_done = pinned.get_future();
+  std::future<void> published_done = published.get_future();
+  std::thread reader([&] {
+    EpochStore<FreeRecorder>::Pin pin = store.Acquire();
+    EXPECT_EQ(pin.epoch(), 1u);
+    pinned.set_value();
+    published_done.wait();
+  });  // the reader's pin, the last on epoch 1, drops as it exits
+  pinned_done.wait();
+  store.Publish(std::make_unique<const FreeRecorder>(&frees, &freed_on));
+  published.set_value();
+  reader.join();
+
+  EXPECT_EQ(frees.load(), 0);
+  EXPECT_EQ(store.live_epochs(), 2u);
+  EXPECT_EQ(store.Sweep(), 1u);
+  EXPECT_EQ(frees.load(), 1);
+  EXPECT_EQ(freed_on, std::this_thread::get_id());
+  EXPECT_EQ(store.retired(), 1u);
+  EXPECT_EQ(store.live_epochs(), 1u);
 }
 
 /// The satellite's headline race: ~1000 concurrent queries against a

@@ -191,11 +191,12 @@ TEST(ServingSnapshotTest, PinnedFacetPayloads) {
     edges.emplace_back(inv, 1000 + (inv % 8) * 20 + rng.NextUint64(20));
   }
   auto snap = BuildServingSnapshot(3, graph::BipartiteGraph::FromEdges(edges));
-  size_t largest = 0;
-  for (const auto& members : snap->communities.communities) {
-    largest = std::max(largest, members.size());
+  int64_t largest = 0;
+  for (const json::Json& row :
+       snap->facet_communities.Get("communities").array()) {
+    largest = std::max(largest, row.Get("size").AsInt());
   }
-  ASSERT_GT(largest, 5u);  // more members than the facets list
+  ASSERT_GT(largest, 5);  // more members than the facets list
   FnvDigest digest;
   for (const json::Json* facet :
        {&snap->facet_communities, &snap->facet_centrality}) {
