@@ -1,16 +1,14 @@
 // Parallel graph-analytics engine benchmark: co-investment projection,
-// §5.3 shared-investment metrics, Brandes betweenness, CoDA and incremental
-// Louvain maintenance on a synthetic heavy-tailed investor graph sized like
-// the paper's AngelList snapshot (≈47k investors / 60k companies / 158k
-// investments at --scale=1.0).
+// §5.3 shared-investment metrics, the serving tier's PageRank, CoDA and
+// incremental Louvain maintenance on a synthetic heavy-tailed investor graph
+// sized like the paper's AngelList snapshot (≈47k investors / 60k companies
+// / 158k investments at --scale=1.0).
 //
-// Four comparisons are recorded:
-//   * thread scaling — the ParallelOptions kernels at 1/2/4/8 threads
-//     against 1 thread; each thread count's output is checked
-//     bit-identical to the sequential one before it is timed, and each
-//     timing round runs every thread count once.
-//   * PageRank on the projection at pool widths 1/2/3/4 (the caller runs
-//     rows too), each checked bit-identical to the 1-thread rank first.
+// Three comparisons are recorded:
+//   * thread scaling — the ParallelOptions kernels at pool widths 1/2/4/8
+//     against width 1; each width's output is checked bit-identical to the
+//     sequential one before it is timed, and each timing round runs every
+//     width once.
 //   * SIMD — the dispatched numeric kernels against the scalar fallback;
 //     the two backends' outputs are checked bit-identical, and each timing
 //     round runs both.
@@ -21,8 +19,8 @@
 //     bit-identical to the rebuild's, and the refinement's modularity is
 //     held within 0.05 of the rebuild's Louvain.
 //
-// Results land in --json=PATH (default BENCH_graph.json); --scale and
-// --reps trade time for stability.
+// Results land in --json=PATH (default BENCH_graph.json); --scale sizes the
+// graph. Every row repeats kSpreadReps times.
 
 #include <algorithm>
 #include <cstdio>
@@ -56,8 +54,7 @@
 namespace cfnet::bench {
 namespace {
 
-/// Timed calls behind the PageRank and incremental rows; the thread
-/// scaling and SIMD rows take --reps.
+/// Timed calls (or shared rounds) behind every row.
 constexpr int kSpreadReps = 7;
 
 double Median(const json::Json& spread) {
@@ -87,7 +84,6 @@ std::vector<double> FlattenWeights(const graph::WeightedGraph& g) {
 
 void RunGraphBench(const FlagParser& flags) {
   const double scale = flags.GetDouble("scale", 1.0);
-  const int reps = static_cast<int>(flags.GetInt("reps", 3));
   const std::string path = flags.GetString("json", "BENCH_graph.json");
   const size_t investors = static_cast<size_t>(47000 * scale);
   const size_t companies = static_cast<size_t>(60000 * scale);
@@ -103,7 +99,7 @@ void RunGraphBench(const FlagParser& flags) {
   json::Json out_doc = json::Json::MakeObject();
   out_doc.Set("bench", "bench_graph");
   out_doc.Set("scale", scale);
-  out_doc.Set("reps", static_cast<int64_t>(reps));
+  out_doc.Set("reps", static_cast<int64_t>(kSpreadReps));
   out_doc.Set("investors", static_cast<int64_t>(g.num_left()));
   out_doc.Set("companies", static_cast<int64_t>(g.num_right()));
   out_doc.Set("investments", static_cast<int64_t>(g.num_edges()));
@@ -139,7 +135,6 @@ void RunGraphBench(const FlagParser& flags) {
 
   // ---- thread scaling over the ParallelOptions kernels ------------------
   Section("thread scaling (bit-identity to 1 thread checked per workload)");
-  const size_t bc_sources = 64;
   const size_t global_pairs = static_cast<size_t>(800000 * scale);
   struct Workload {
     std::string name;
@@ -178,18 +173,21 @@ void RunGraphBench(const FlagParser& flags) {
        [&](const ParallelOptions& par) {
          return core::GlobalSharedInvestmentSample(g, global_pairs, 1, par);
        }});
+  // The serving snapshot's centrality.
   workloads.push_back(
-      {"betweenness_64src",
+      {"pagerank",
        [&](const ParallelOptions& par) {
          benchmark::DoNotOptimize(
-             graph::BetweennessCentrality(proj, bc_sources, 1, par).data());
+             graph::PageRank(proj, 0.85, 100, 1e-9, par).data());
        },
        [&](const ParallelOptions& par) {
-         return graph::BetweennessCentrality(proj, bc_sources, 1, par);
+         return graph::PageRank(proj, 0.85, 100, 1e-9, par);
        }});
 
   // Each round times every thread count once, so a slow stretch of a
-  // shared host lands on all of them rather than on one row's median.
+  // shared host lands on all of them rather than on one row's median. Width
+  // w runs morsels on w pool workers plus the calling thread; width 1 runs
+  // them on the caller alone.
   const std::vector<size_t> widths = {1, 2, 4, 8};
   json::Json scaling = json::Json::MakeArray();
   for (const Workload& w : workloads) {
@@ -202,7 +200,8 @@ void RunGraphBench(const FlagParser& flags) {
       CFNET_CHECK(w.result(par) == reference);  // bit-identical to 1 thread
       runs.push_back([&w, par]() { w.run(par); });
     }
-    std::vector<std::vector<double>> samples = TimeRoundsMs(runs, reps);
+    std::vector<std::vector<double>> samples =
+        TimeRoundsMs(runs, kSpreadReps);
     json::Json rows = json::Json::MakeArray();
     double base_ms = 0;
     for (size_t k = 0; k < widths.size(); ++k) {
@@ -227,37 +226,6 @@ void RunGraphBench(const FlagParser& flags) {
     scaling.Append(std::move(entry));
   }
 
-  // ---- PageRank over pool widths ----------------------------------------
-  // The serving snapshot's centrality. Width w runs rows on w workers plus
-  // the calling thread; width 1 runs them on the caller alone.
-  Section("pagerank over pool widths (bit-identity to 1 thread checked)");
-  json::Json pagerank = json::Json::MakeObject();
-  {
-    const std::vector<double> reference = graph::PageRank(proj);
-    json::Json rows = json::Json::MakeArray();
-    for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
-      ThreadPool pool(width);
-      const ParallelOptions par{&pool};
-      CFNET_CHECK(graph::PageRank(proj, 0.85, 100, 1e-9, par) == reference);
-      json::Json ms = Spread(TimeRepsMs([&]() {
-        benchmark::DoNotOptimize(
-            graph::PageRank(proj, 0.85, 100, 1e-9, par).data());
-      }, kSpreadReps));
-      std::printf("pagerank  pool width %zu  median %8.2f ms (min %.2f, "
-                  "max %.2f)\n",
-                  width, Median(ms), ms.Get("min").AsDouble(),
-                  ms.Get("max").AsDouble());
-      json::Json row = json::Json::MakeObject();
-      row.Set("pool_width", static_cast<int64_t>(width));
-      row.Set("ms", std::move(ms));
-      rows.Append(std::move(row));
-    }
-    pagerank.Set("nodes", static_cast<int64_t>(proj.num_nodes()));
-    pagerank.Set("edges", static_cast<int64_t>(proj.num_edges()));
-    pagerank.Set("reps", static_cast<int64_t>(kSpreadReps));
-    pagerank.Set("rows", std::move(rows));
-  }
-
   // ---- SIMD kernels vs scalar fallback (single thread) ------------------
   // All four kernels are timed at 1 thread, so a speedup is the kernel's
   // own, not the pool's. Every comparison checks byte-identity between the
@@ -265,11 +233,11 @@ void RunGraphBench(const FlagParser& flags) {
   // same rounds.
   Section("simd kernels vs scalar fallback (1 thread; bit-identity checked)");
   json::Json simd_rows = json::Json::MakeArray();
-  auto time_simd = [&simd_rows, reps](const std::string& name,
-                                      const std::function<void()>& scalar,
-                                      const std::function<void()>& simd) {
+  auto time_simd = [&simd_rows](const std::string& name,
+                                const std::function<void()>& scalar,
+                                const std::function<void()>& simd) {
     std::vector<std::vector<double>> rounds =
-        TimeRoundsMs({scalar, simd}, reps);
+        TimeRoundsMs({scalar, simd}, kSpreadReps);
     json::Json scalar_ms = Spread(std::move(rounds[0]));
     json::Json simd_ms = Spread(std::move(rounds[1]));
     const double speedup =
@@ -394,22 +362,21 @@ void RunGraphBench(const FlagParser& flags) {
     config.num_threads = 1;
     config.seed = 11;
     const community::Coda coda(config);
-    constexpr int kFits = 11;
     json::Json ms = Spread(TimeRepsMs([&]() {
       benchmark::DoNotOptimize(coda.Fit(fg).final_log_likelihood);
-    }, kFits));
+    }, kSpreadReps));
     std::printf("coda_fit: %zu investors, %zu companies, %zu edges; "
                 "median %.1f ms (min %.1f, max %.1f) over %d fits\n",
                 fg.num_left(), fg.num_right(), fg.num_edges(),
                 Median(ms), ms.Get("min").AsDouble(),
-                ms.Get("max").AsDouble(), kFits);
+                ms.Get("max").AsDouble(), kSpreadReps);
     coda_fit.Set("investors", static_cast<int64_t>(fg.num_left()));
     coda_fit.Set("companies", static_cast<int64_t>(fg.num_right()));
     coda_fit.Set("investments", static_cast<int64_t>(fg.num_edges()));
     coda_fit.Set("communities", static_cast<int64_t>(config.num_communities));
     coda_fit.Set("iterations", static_cast<int64_t>(config.max_iterations));
     coda_fit.Set("threads", static_cast<int64_t>(config.num_threads));
-    coda_fit.Set("fits", static_cast<int64_t>(kFits));
+    coda_fit.Set("fits", static_cast<int64_t>(kSpreadReps));
     coda_fit.Set("ms", std::move(ms));
   }
 
@@ -582,9 +549,8 @@ void RunGraphBench(const FlagParser& flags) {
   out_doc.Set("thread_scaling", std::move(scaling));
   out_doc.Set("thread_scaling_note",
               "ms rows are {median, min, max} over `reps` rounds; each round "
-              "times every thread count once, after one warm-up call per "
-              "thread count, and speedups are ratios of medians.");
-  out_doc.Set("pagerank", std::move(pagerank));
+              "times every pool width once, after one warm-up call per "
+              "width, and speedups are ratios of medians.");
   out_doc.Set("simd_backend", simd::SimdBackendName());
   out_doc.Set("simd", std::move(simd_rows));
   out_doc.Set("simd_note",

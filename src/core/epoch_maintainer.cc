@@ -9,6 +9,10 @@
 namespace cfnet::core {
 namespace {
 
+/// Advance() takes the full-rebuild path when a batch's effective edges
+/// exceed this fraction of the merged edge count.
+constexpr double kFullRebuildDeltaFraction = 0.25;
+
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -54,7 +58,7 @@ const EpochArtifacts& EpochMaintainer::Advance(
   const size_t merged_edges = std::max<size_t>(1, merge.graph.num_edges());
   const bool too_big =
       static_cast<double>(report.delta_edges) >
-      config_.full_rebuild_delta_fraction * static_cast<double>(merged_edges);
+      kFullRebuildDeltaFraction * static_cast<double>(merged_edges);
 
   if (too_big) {
     artifacts_.graph = std::move(merge.graph);

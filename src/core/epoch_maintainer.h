@@ -41,16 +41,15 @@ struct EpochBuildReport {
 /// the changed-neighborhood frontier, and refines the previous Louvain
 /// partition. `Advance` output is bit-identical to a full rebuild for the
 /// graph and projection; the partition's quality is guarded by the
-/// refiner's default modularity-drop tolerance (0.02).
+/// refiner's default modularity-drop tolerance (0.02). A batch whose
+/// effective edges exceed a quarter of the merged edge count takes the
+/// full-rebuild path outright (its frontier would cover most of the graph
+/// anyway).
 class EpochMaintainer {
  public:
   struct Config {
     /// Projection popularity cap.
     size_t max_right_degree = graph::kServingMaxRightDegree;
-    /// Delta batches whose effective edge count exceeds this fraction of
-    /// the merged edge count take the full-rebuild path outright (the
-    /// frontier would cover most of the graph anyway).
-    double full_rebuild_delta_fraction = 0.25;
   };
 
   EpochMaintainer() = default;

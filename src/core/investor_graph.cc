@@ -17,30 +17,34 @@ uint64_t PackEdge(uint64_t investor, uint64_t company) {
 Dataset<uint64_t> AngelListEdges(std::shared_ptr<dataflow::ExecutionContext> ctx,
                                  const AnalysisInputs& inputs) {
   return Dataset<UserRecord>::FromVector(ctx, inputs.users)
-      .FlatMap([](const UserRecord& u) {
-        std::vector<uint64_t> edges;
-        edges.reserve(u.investment_company_ids.size());
-        for (uint64_t c : u.investment_company_ids) {
-          edges.push_back(PackEdge(u.id, c));
-        }
-        return edges;
-      });
+      .FlatMap([](const UserRecord& u) { return InvestmentEdges(u); });
 }
 
 Dataset<uint64_t> CrunchBaseEdges(std::shared_ptr<dataflow::ExecutionContext> ctx,
                                   const AnalysisInputs& inputs) {
   return Dataset<CrunchBaseRecord>::FromVector(ctx, inputs.crunchbase)
-      .FlatMap([](const CrunchBaseRecord& r) {
-        std::vector<uint64_t> edges;
-        edges.reserve(r.round_investor_ids.size());
-        for (uint64_t inv : r.round_investor_ids) {
-          edges.push_back(PackEdge(inv, r.angellist_id));
-        }
-        return edges;
-      });
+      .FlatMap([](const CrunchBaseRecord& r) { return InvestmentEdges(r); });
 }
 
 }  // namespace
+
+std::vector<uint64_t> InvestmentEdges(const UserRecord& user) {
+  std::vector<uint64_t> edges;
+  edges.reserve(user.investment_company_ids.size());
+  for (uint64_t c : user.investment_company_ids) {
+    edges.push_back(PackEdge(user.id, c));
+  }
+  return edges;
+}
+
+std::vector<uint64_t> InvestmentEdges(const CrunchBaseRecord& round) {
+  std::vector<uint64_t> edges;
+  edges.reserve(round.round_investor_ids.size());
+  for (uint64_t inv : round.round_investor_ids) {
+    edges.push_back(PackEdge(inv, round.angellist_id));
+  }
+  return edges;
+}
 
 graph::BipartiteGraph BuildInvestorGraph(
     std::shared_ptr<dataflow::ExecutionContext> ctx,
@@ -51,9 +55,7 @@ graph::BipartiteGraph BuildInvestorGraph(
                     .Collect();
   std::vector<std::pair<uint64_t, uint64_t>> edges;
   edges.reserve(merged.size());
-  for (uint64_t packed : merged) {
-    edges.emplace_back(packed >> 32, packed & 0xffffffffull);
-  }
+  for (uint64_t key : merged) edges.push_back(UnpackEdge(key));
   return graph::BipartiteGraph::FromEdges(edges);
 }
 

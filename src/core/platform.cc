@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/columnar_records.h"
+#include "core/investor_graph.h"
 #include "dfs/commit.h"
 #include "dfs/jsonl.h"
 #include "util/logging.h"
@@ -12,15 +13,12 @@
 namespace cfnet::core {
 namespace {
 
-/// Mirrors investor_graph.cc's PackEdge truncation so the incremental edge
-/// stream matches BuildInvestorGraph bit for bit.
-constexpr uint64_t kEdgeIdMask = 0xffffffffull;
-
 /// Decodes every JSON line of the committed segment at `path` as a Record
-/// and feeds it to `fn`.
-template <typename Record, typename RecordFn>
-Status ParseSegment(const dfs::MiniDfs& dfs, const std::string& path,
-                    size_t* records_parsed, RecordFn&& fn) {
+/// and appends the investment edges it contributes to `deltas` as adds.
+template <typename Record>
+Status AppendSegmentEdges(const dfs::MiniDfs& dfs, const std::string& path,
+                          size_t* records_parsed,
+                          std::vector<graph::EdgeDelta>* deltas) {
   CFNET_ASSIGN_OR_RETURN(std::string payload, dfs::ReadCommitted(dfs, path));
   Status status;
   dfs::ForEachJsonLine(payload, [&](std::string_view line, int64_t) {
@@ -28,7 +26,10 @@ Status ParseSegment(const dfs::MiniDfs& dfs, const std::string& path,
     status = record.status();
     if (!status.ok()) return false;
     ++*records_parsed;
-    fn(*record);
+    for (uint64_t key : InvestmentEdges(*record)) {
+      const auto [investor, company] = UnpackEdge(key);
+      deltas->push_back({investor, company, /*add=*/true});
+    }
     return true;
   });
   return status;
@@ -43,18 +44,8 @@ ExploratoryPlatform::ExploratoryPlatform(const Options& options)
   dfs_ = std::make_unique<dfs::MiniDfs>();
   crawler::CrawlConfig crawl = options.crawl;
   // Fires after every successful crawl/replay flush; the platform outlives
-  // the crawler it hands this to. A flush defines a snapshot epoch: once
-  // the compacted snapshots are durable, the epoch counter advances and any
-  // subscriber (the serving tier) is told to rebuild.
-  crawl.post_flush_hook = [this]() -> Status {
-    CFNET_RETURN_IF_ERROR(CompactSnapshots());
-    const uint64_t epoch =
-        snapshot_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (options_.epoch_published_hook) {
-      options_.epoch_published_hook(epoch);
-    }
-    return Status::OK();
-  };
+  // the crawler it hands this to.
+  crawl.post_flush_hook = [this] { return CompactSnapshots(); };
   crawler_ = std::make_unique<crawler::Crawler>(web_.get(), dfs_.get(),
                                                 std::move(crawl));
   ctx_ = std::make_shared<dataflow::ExecutionContext>(
@@ -133,8 +124,7 @@ ExploratoryPlatform::AdvanceEpoch() {
   std::lock_guard<std::mutex> lock(epoch_mu_);
   EpochAdvanceReport report;
   if (epoch_maintainer_ == nullptr) {
-    epoch_maintainer_ =
-        std::make_unique<EpochMaintainer>(options_.epoch_config);
+    epoch_maintainer_ = std::make_unique<EpochMaintainer>();
   }
 
   // Segments are immutable, so a consumed one that is gone (quarantine,
@@ -168,23 +158,13 @@ ExploratoryPlatform::AdvanceEpoch() {
   std::vector<graph::EdgeDelta> deltas;
   for (const std::string& path : user_files) {
     if (!take(path)) continue;
-    CFNET_RETURN_IF_ERROR(ParseSegment<UserRecord>(
-        *dfs_, path, &report.records_parsed, [&](const UserRecord& u) {
-          for (uint64_t c : u.investment_company_ids) {
-            deltas.push_back(
-                {u.id & kEdgeIdMask, c & kEdgeIdMask, /*add=*/true});
-          }
-        }));
+    CFNET_RETURN_IF_ERROR(AppendSegmentEdges<UserRecord>(
+        *dfs_, path, &report.records_parsed, &deltas));
   }
   for (const std::string& path : crunchbase_files) {
     if (!take(path)) continue;
-    CFNET_RETURN_IF_ERROR(ParseSegment<CrunchBaseRecord>(
-        *dfs_, path, &report.records_parsed, [&](const CrunchBaseRecord& r) {
-          for (uint64_t inv : r.round_investor_ids) {
-            deltas.push_back({inv & kEdgeIdMask, r.angellist_id & kEdgeIdMask,
-                              /*add=*/true});
-          }
-        }));
+    CFNET_RETURN_IF_ERROR(AppendSegmentEdges<CrunchBaseRecord>(
+        *dfs_, path, &report.records_parsed, &deltas));
   }
   consumed_segments_ = std::move(consumed);
   report.delta_edges_emitted = deltas.size();
@@ -201,12 +181,6 @@ ExploratoryPlatform::AdvanceEpoch() {
     epoch_maintainer_->Advance(deltas);
   }
   report.build = epoch_maintainer_->last_report();
-
-  report.epoch = snapshot_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  last_epoch_report_ = report;
-  if (options_.epoch_published_hook) {
-    options_.epoch_published_hook(report.epoch);
-  }
   return report;
 }
 

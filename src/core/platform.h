@@ -1,9 +1,7 @@
 #ifndef CFNET_CORE_PLATFORM_H_
 #define CFNET_CORE_PLATFORM_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -57,19 +55,10 @@ class ExploratoryPlatform {
     /// Off by default: a healthy pipeline should fail loudly on damage it
     /// did not expect.
     bool salvage_loads = false;
-    /// Fires after every successful crawl/replay flush, once the flush's
-    /// snapshots are compacted, with a monotonically increasing epoch
-    /// number. The serving tier hooks this to rebuild and hot-swap its
-    /// query snapshot; see src/serve. Runs on the crawler's flush thread —
-    /// keep it cheap or hand the work off.
-    std::function<void(uint64_t epoch)> epoch_published_hook;
-    /// Config of the EpochMaintainer behind AdvanceEpoch().
-    EpochMaintainer::Config epoch_config;
   };
 
   /// What one AdvanceEpoch() round did.
   struct EpochAdvanceReport {
-    uint64_t epoch = 0;            // epoch number published by this round
     bool full_rebuild = false;     // baseline build (first round or reset)
     bool watermark_reset = false;  // consumed segment gone/changed -> rescan
     size_t files_scanned = 0;
@@ -107,34 +96,29 @@ class ExploratoryPlatform {
   const crawler::CrawlReport& crawl_report() const {
     return crawler_->report();
   }
-  /// Aggregate scan accounting across every LoadInputs call: files
-  /// scanned, footer-verified vs raw, salvaged drops, and the paths
-  /// quarantined by the pre-load sweep (salvage mode only).
+  /// Aggregate scan accounting across every LoadInputs call: the JSON
+  /// shards and columnar files read (and how many shards' footers
+  /// verified), and in salvage mode the lines and blocks dropped and the
+  /// damaged paths decoded leniently or quarantined by the pre-load sweep.
   const dfs::ScanReport& scan_report() const { return scan_report_; }
   std::shared_ptr<dataflow::ExecutionContext> context() { return ctx_; }
-  /// Number of snapshot epochs published so far (flush count).
-  uint64_t snapshot_epoch() const {
-    return snapshot_epoch_.load(std::memory_order_acquire);
-  }
 
   /// Incremental epoch production: reads the user/CrunchBase snapshot
-  /// segments not consumed yet, extracts their investment edges as a delta
-  /// batch, and advances the EpochMaintainer — a full baseline build on the
-  /// first round (or after a watermark reset: a consumed segment vanished
-  /// or changed size, e.g. under a resume rollback or a quarantine), the
-  /// delta path afterwards. An idle round lists and sizes segments but
-  /// reads none. Publishes a snapshot epoch and fires
-  /// `epoch_published_hook`. Thread-safe.
+  /// segments not consumed yet, takes their investment edges by
+  /// BuildInvestorGraph's per-record rule (core/investor_graph.h) as a
+  /// delta batch, and advances the EpochMaintainer — a full baseline build
+  /// on the first round (or after a watermark reset: a consumed segment
+  /// vanished or changed size, e.g. under a resume rollback or a
+  /// quarantine), the delta path afterwards. An idle round lists and sizes
+  /// segments but reads none. Numbers nothing: the caller serves the
+  /// maintainer's artifacts, and serve::EpochStore::Publish numbers the
+  /// epoch (examples/serve_demo.cpp). Thread-safe.
   Result<EpochAdvanceReport> AdvanceEpoch();
 
   /// The maintainer behind AdvanceEpoch (nullptr before the first call).
   /// The returned artifacts stay valid until the next AdvanceEpoch().
   const EpochMaintainer* epoch_maintainer() const {
     return epoch_maintainer_.get();
-  }
-  /// Report of the last AdvanceEpoch() round.
-  const EpochAdvanceReport& last_epoch_report() const {
-    return last_epoch_report_;
   }
 
  private:
@@ -145,7 +129,6 @@ class ExploratoryPlatform {
   std::unique_ptr<crawler::Crawler> crawler_;
   std::shared_ptr<dataflow::ExecutionContext> ctx_;
   bool collected_ = false;
-  std::atomic<uint64_t> snapshot_epoch_{0};
   dfs::ScanReport scan_report_;
 
   /// Incremental-epoch state, guarded by epoch_mu_.
@@ -153,7 +136,6 @@ class ExploratoryPlatform {
   std::unique_ptr<EpochMaintainer> epoch_maintainer_;
   /// Segments already turned into deltas (path -> file size).
   std::map<std::string, uint64_t> consumed_segments_;
-  EpochAdvanceReport last_epoch_report_;
 };
 
 }  // namespace cfnet::core

@@ -151,14 +151,6 @@ Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path,
   return last;
 }
 
-void RecoveryReport::Merge(const RecoveryReport& other) {
-  temp_files_removed += other.temp_files_removed;
-  files_quarantined += other.files_quarantined;
-  quarantined_paths.insert(quarantined_paths.end(),
-                           other.quarantined_paths.begin(),
-                           other.quarantined_paths.end());
-}
-
 RecoveryReport SweepDir(MiniDfs* dfs, const std::string& dir_prefix) {
   RecoveryReport report;
   for (const std::string& path : dfs->List(dir_prefix)) {

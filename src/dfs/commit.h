@@ -96,7 +96,6 @@ struct RecoveryReport {
   bool clean() const {
     return temp_files_removed == 0 && files_quarantined == 0;
   }
-  void Merge(const RecoveryReport& other);
 };
 
 /// Startup/restart sweep over every file under `dir_prefix`:

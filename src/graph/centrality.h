@@ -11,21 +11,7 @@ namespace cfnet::graph {
 
 /// Centrality measures over the (undirected, weighted) co-investment
 /// projection. Success prediction (§7) reads k-core numbers and PageRank,
-/// the serving tier ranks investors by PageRank, and `bench_graph` times
-/// betweenness.
-
-/// Brandes betweenness centrality on the unweighted skeleton, normalized
-/// to [0,1] by (n-1)(n-2)/2. Exact when `sample_sources` = 0; otherwise a
-/// scaled estimate from sampled sources (Brandes & Pich 2007).
-///
-/// Parallelized over sources (Brandes fan-out): each source runs its BFS +
-/// dependency accumulation in private scratch, and deltas are committed in
-/// ascending source order (ordered reduction) — bit-identical to the
-/// 1-thread run for any pool width or morsel size.
-std::vector<double> BetweennessCentrality(const WeightedGraph& g,
-                                          size_t sample_sources = 0,
-                                          uint64_t seed = 1,
-                                          const ParallelOptions& par = {});
+/// and the serving tier ranks investors by PageRank.
 
 /// K-core decomposition (unweighted): per-node core number — the maximal
 /// k such that the node belongs to a subgraph of minimum degree k.

@@ -7,31 +7,24 @@ namespace cfnet::net {
 SlidingWindowRateLimiter::Decision SlidingWindowRateLimiter::Admit(
     const std::string& token, int64_t now_micros) {
   std::lock_guard<std::mutex> lock(mu_);
-  TokenWindow& w = windows_[token];
+  std::deque<int64_t>& timestamps = windows_[token];
   // Evict timestamps older than the window.
-  while (!w.timestamps.empty() &&
-         w.timestamps.front() <= now_micros - window_micros_) {
-    w.timestamps.pop_front();
+  while (!timestamps.empty() &&
+         timestamps.front() <= now_micros - window_micros_) {
+    timestamps.pop_front();
   }
-  if (static_cast<int>(w.timestamps.size()) < max_calls_) {
+  if (static_cast<int>(timestamps.size()) < max_calls_) {
     // Keep the deque sorted even when virtual times arrive out of order.
-    if (!w.timestamps.empty() && now_micros < w.timestamps.back()) {
-      auto pos = std::lower_bound(w.timestamps.begin(), w.timestamps.end(),
-                                  now_micros);
-      w.timestamps.insert(pos, now_micros);
+    if (!timestamps.empty() && now_micros < timestamps.back()) {
+      auto pos =
+          std::lower_bound(timestamps.begin(), timestamps.end(), now_micros);
+      timestamps.insert(pos, now_micros);
     } else {
-      w.timestamps.push_back(now_micros);
+      timestamps.push_back(now_micros);
     }
-    ++w.total_admitted;
     return Decision{true, 0};
   }
-  return Decision{false, w.timestamps.front() + window_micros_};
-}
-
-int64_t SlidingWindowRateLimiter::AdmittedCount(const std::string& token) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = windows_.find(token);
-  return it == windows_.end() ? 0 : it->second.total_admitted;
+  return Decision{false, timestamps.front() + window_micros_};
 }
 
 }  // namespace cfnet::net

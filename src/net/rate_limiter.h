@@ -35,19 +35,12 @@ class SlidingWindowRateLimiter {
   int max_calls() const { return max_calls_; }
   int64_t window_micros() const { return window_micros_; }
 
-  /// Calls admitted so far for `token` (for tests/metrics).
-  int64_t AdmittedCount(const std::string& token) const;
-
  private:
-  struct TokenWindow {
-    std::deque<int64_t> timestamps;  // admitted call times, oldest first
-    int64_t total_admitted = 0;
-  };
-
   int max_calls_;
   int64_t window_micros_;
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, TokenWindow> windows_;
+  std::mutex mu_;
+  /// Per token: admitted call times, oldest first.
+  std::unordered_map<std::string, std::deque<int64_t>> windows_;
 };
 
 }  // namespace cfnet::net

@@ -17,8 +17,10 @@ namespace cfnet::serve {
 /// Everything one query epoch needs, precomputed and immutable: the investor
 /// graph, its co-investment projection, each investor's community and
 /// centrality, a name index for search, and the facet payloads. Built once
-/// per crawl epoch (by the epoch-publication hook) and published into an
-/// EpochStore — queries only ever read it, so they share it unlocked.
+/// per epoch (from a caller's core::EpochMaintainer artifacts, as
+/// examples/serve_demo builds them after each AdvanceEpoch) and published
+/// into an EpochStore, whose Publish numbers the epoch — queries only ever
+/// read it, so they share it unlocked.
 struct ServingSnapshot {
   /// Per-investor serving entry, indexed by the graph's dense left index.
   struct Investor {
@@ -45,7 +47,7 @@ struct ServingSnapshot {
   json::Json facet_centrality;   // precomputed facets.centrality payload
 };
 
-/// Knobs for BuildServingSnapshot.
+/// Name callbacks for BuildServingSnapshot and AssembleServingSnapshot.
 struct SnapshotBuildOptions {
   /// Display names; defaults derive "investor-<id>" / "company-<id>".
   /// Assembly calls them serially, but from a pool thread of its own rather

@@ -1,14 +1,11 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
 
 namespace cfnet {
 namespace {
-
-std::atomic<LogLevel> g_min_level{LogLevel::kInfo};
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -32,9 +29,6 @@ std::mutex& LogMutex() {
 }
 
 }  // namespace
-
-void SetMinLogLevel(LogLevel level) { g_min_level.store(level); }
-LogLevel MinLogLevel() { return g_min_level.load(); }
 
 namespace internal_logging {
 

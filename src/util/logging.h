@@ -9,9 +9,8 @@ namespace cfnet {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-/// Process-wide minimum level; messages below it are dropped.
-void SetMinLogLevel(LogLevel level);
-LogLevel MinLogLevel();
+/// Messages below this level are dropped.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 
 namespace internal_logging {
 
@@ -43,7 +42,7 @@ class NullStream {
 }  // namespace internal_logging
 
 #define CFNET_LOG_ENABLED(level) \
-  (::cfnet::LogLevel::level >= ::cfnet::MinLogLevel())
+  (::cfnet::LogLevel::level >= ::cfnet::kMinLogLevel)
 
 #define CFNET_LOG(level)                                                 \
   if (!CFNET_LOG_ENABLED(k##level))                                      \

@@ -12,9 +12,9 @@ namespace cfnet {
 /// the calling thread; callers that own a ThreadPool opt in explicitly.
 ///
 /// Every kernel taking a ParallelOptions promises the same bit-identical
-/// result for any pool width and any morsel size: work is sharded into
-/// morsels whose outputs are either disjoint writes or folded through an
-/// ordered reduction, never through scheduling-order accumulation.
+/// result for any pool width and any morsel size: morsels write disjoint
+/// outputs, and whatever must be accumulated across them is folded
+/// serially afterwards, in index order, never in scheduling order.
 struct ParallelOptions {
   /// Worker pool; nullptr = run everything on the calling thread.
   ThreadPool* pool = nullptr;
@@ -51,31 +51,6 @@ void ForEachMorsel(const ParallelOptions& par, size_t n, size_t min_morsel,
     for (size_t m = 0; m < num; ++m) run(m);
   } else {
     par.pool->RunBulk(num, run);
-  }
-}
-
-/// Ordered fan-out/reduce for kernels whose per-index results must be folded
-/// in index order (floating-point accumulation is not associative, so an
-/// unordered reduce would make the answer depend on scheduling).
-///
-/// Indices 0..n-1 are processed in waves of `slots` concurrent tasks:
-/// fn(i, slot) computes index i into slot-private scratch (slot is unique
-/// among in-flight tasks of a wave), then commit(i, slot) runs on the
-/// calling thread in ascending index order. Because each index is computed
-/// in isolation and committed at a fixed position, the result is identical
-/// for every pool width, wave size and morsel size.
-template <typename Fn, typename Commit>
-void RunOrderedWaves(const ParallelOptions& par, size_t n, size_t slots,
-                     Fn&& fn, Commit&& commit) {
-  slots = std::max<size_t>(1, slots);
-  for (size_t start = 0; start < n; start += slots) {
-    const size_t count = std::min(slots, n - start);
-    if (par.pool == nullptr || par.threads() <= 1 || count <= 1) {
-      for (size_t k = 0; k < count; ++k) fn(start + k, k);
-    } else {
-      par.pool->RunBulk(count, [&](size_t k) { fn(start + k, k); });
-    }
-    for (size_t k = 0; k < count; ++k) commit(start + k, k);
   }
 }
 

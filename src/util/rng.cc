@@ -91,13 +91,6 @@ double Rng::LogNormal(double mu, double sigma) {
   return std::exp(Normal(mu, sigma));
 }
 
-double Rng::Exponential(double lambda) {
-  assert(lambda > 0);
-  double u = NextDouble();
-  while (u <= 1e-300) u = NextDouble();
-  return -std::log(u) / lambda;
-}
-
 int64_t Rng::Poisson(double mean) {
   assert(mean >= 0);
   if (mean == 0) return 0;

@@ -55,9 +55,6 @@ class Rng {
   /// Log-normal: exp(Normal(mu, sigma)).
   double LogNormal(double mu, double sigma);
 
-  /// Exponential with rate lambda (> 0).
-  double Exponential(double lambda);
-
   /// Poisson-distributed count with the given mean (>= 0).
   /// Uses Knuth's method for small means and normal approximation above 64.
   int64_t Poisson(double mean);

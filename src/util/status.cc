@@ -10,10 +10,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "InvalidArgument";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
     case StatusCode::kResourceExhausted:
@@ -26,12 +22,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "Corruption";
     case StatusCode::kIOError:
       return "IOError";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kAborted:
       return "Aborted";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "Unknown";
 }

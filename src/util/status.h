@@ -13,17 +13,13 @@ enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
-  kOutOfRange,
   kFailedPrecondition,
   kResourceExhausted,
   kUnavailable,
   kInternal,
   kCorruption,
   kIOError,
-  kUnimplemented,
   kAborted,
-  kDeadlineExceeded,
 };
 
 /// Returns a stable human-readable name for `code` ("OK", "NotFound", ...).
@@ -52,12 +48,6 @@ class Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
@@ -76,14 +66,8 @@ class Status {
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

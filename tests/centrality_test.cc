@@ -13,43 +13,10 @@
 namespace cfnet::graph {
 namespace {
 
-/// Path graph 0-1-2-3-4.
-WeightedGraph Path5() {
-  return WeightedGraph::FromEdges(
-      5, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {3, 4, 1.0}});
-}
-
 /// Star: center 0, leaves 1..4.
 WeightedGraph Star5() {
   return WeightedGraph::FromEdges(
       5, {{0, 1, 1.0}, {0, 2, 1.0}, {0, 3, 1.0}, {0, 4, 1.0}});
-}
-
-TEST(BetweennessCentralityTest, PathMiddleDominates) {
-  std::vector<double> c = BetweennessCentrality(Path5());
-  // Node 2 lies on all 4 pairs crossing it: (0,3),(0,4),(1,3),(1,4)
-  // and (0,3)... exact count: pairs through 2 = {0,1}x{3,4} = 4 of 6 pairs.
-  EXPECT_NEAR(c[2], 4.0 / 6, 1e-12);
-  EXPECT_NEAR(c[1], 3.0 / 6, 1e-12);  // pairs {0}x{2,3,4}
-  EXPECT_NEAR(c[0], 0.0, 1e-12);
-  EXPECT_NEAR(c[4], 0.0, 1e-12);
-}
-
-TEST(BetweennessCentralityTest, StarCenterTakesAll) {
-  std::vector<double> c = BetweennessCentrality(Star5());
-  EXPECT_NEAR(c[0], 1.0, 1e-12);  // all 6 leaf pairs route through center
-  for (int v = 1; v < 5; ++v) EXPECT_NEAR(c[v], 0.0, 1e-12);
-}
-
-TEST(BetweennessCentralityTest, TieSplitting) {
-  // Square 0-1-2-3-0: two shortest paths between opposite corners.
-  WeightedGraph g = WeightedGraph::FromEdges(
-      4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {3, 0, 1.0}});
-  std::vector<double> c = BetweennessCentrality(g);
-  // Each node carries half of one opposite-pair path: 0.5/3 pairs... by
-  // symmetry all four must be equal.
-  for (int v = 1; v < 4; ++v) EXPECT_NEAR(c[v], c[0], 1e-12);
-  EXPECT_GT(c[0], 0);
 }
 
 TEST(CoreNumbersTest, CliquePlusTail) {
@@ -179,12 +146,10 @@ TEST(PageRankTest, PullMatchesPushReferenceBitForBit) {
 
 TEST(CentralityTest, EmptyAndTinyGraphs) {
   WeightedGraph empty;
-  EXPECT_TRUE(BetweennessCentrality(empty).empty());
   EXPECT_TRUE(CoreNumbers(empty).empty());
   EXPECT_TRUE(PageRank(empty).empty());
 
   WeightedGraph one = WeightedGraph::FromEdges(1, {});
-  EXPECT_EQ(BetweennessCentrality(one).size(), 1u);
   EXPECT_EQ(CoreNumbers(one), std::vector<int>{0});
   EXPECT_EQ(PageRank(one).size(), 1u);
 }

@@ -462,7 +462,8 @@ TEST(PinnedOutputsTest, EpochMaintainerFullBuildAndAdvance) {
   };
   add(maintainer.FullBuild(SeededInvestments(41, 1500)));
   Rng rng(41);
-  // Batch sizes reach past full_rebuild_delta_fraction once (the last).
+  // Batch sizes reach past the full-rebuild threshold (a quarter of the
+  // merged edges) once: the last.
   for (size_t size : {1u, 12u, 40u, 0u, 90u, 600u}) {
     add(maintainer.Advance(
         SeededBatch(maintainer.artifacts().graph, rng, size)));

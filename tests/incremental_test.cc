@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -344,12 +343,13 @@ TEST(EpochMaintainerTest, AdvanceMatchesFullRebuildAndReportsDeltaPath) {
 TEST(EpochMaintainerTest, OversizedDeltaTakesFullRebuildPath) {
   core::EpochMaintainer::Config config;
   config.max_right_degree = 16;
-  config.full_rebuild_delta_fraction = 0.01;
   core::EpochMaintainer maintainer(config);
   maintainer.FullBuild(MaintainerEdges());
 
+  // 400 new edges on ~584 are ~40% of the merged graph, well past the
+  // quarter that sends a batch down the full-rebuild path.
   std::vector<EdgeDelta> deltas;
-  for (uint64_t i = 0; i < 200; ++i) {
+  for (uint64_t i = 0; i < 400; ++i) {
     deltas.push_back({300 + i, 3000 + i % 40, true});
   }
   maintainer.Advance(deltas);
@@ -365,15 +365,6 @@ TEST(PlatformEpochTest, AdvanceEpochBuildsThenAdvancesIncrementally) {
   options.world.scale = 0.002;
   options.world.seed = 11;
   options.crawl.num_workers = 2;
-  // The replayed CrunchBase batch is large relative to the user-only
-  // baseline; keep the delta path engaged regardless.
-  options.epoch_config.full_rebuild_delta_fraction = 1.1;
-  std::vector<uint64_t> published;
-  std::mutex mu;
-  options.epoch_published_hook = [&](uint64_t epoch) {
-    std::lock_guard<std::mutex> lock(mu);
-    published.push_back(epoch);
-  };
   core::ExploratoryPlatform platform(options);
 
   // Crawl with CrunchBase hard-down: its fetches dead-letter, so the first
@@ -407,7 +398,8 @@ TEST(PlatformEpochTest, AdvanceEpochBuildsThenAdvancesIncrementally) {
   EXPECT_EQ(idle->build.delta_edges, 0u);
 
   // CrunchBase recovers; the replay commits new segments, and the next
-  // AdvanceEpoch consumes exactly those as deltas.
+  // AdvanceEpoch consumes exactly those as deltas. They add a few percent
+  // of the merged edges, so the batch stays on the delta path.
   platform.web().crunchbase().set_fault_plan({});
   ASSERT_TRUE(platform.crawler().ReplayDeadLetters().ok());
   auto replayed = platform.AdvanceEpoch();
@@ -423,12 +415,6 @@ TEST(PlatformEpochTest, AdvanceEpochBuildsThenAdvancesIncrementally) {
   BipartiteGraph batch =
       core::BuildInvestorGraph(platform.context(), inputs.value());
   ExpectSameGraph(platform.epoch_maintainer()->artifacts().graph, batch);
-
-  // Every AdvanceEpoch published a monotonically increasing epoch.
-  ASSERT_GE(published.size(), 3u);
-  for (size_t i = 1; i < published.size(); ++i) {
-    EXPECT_EQ(published[i], published[i - 1] + 1);
-  }
 }
 
 // A consumed segment that disappears is history rewritten under the epoch:

@@ -59,9 +59,6 @@ TEST(RateLimiterTest, TokensAreIndependentShards) {
   EXPECT_FALSE(limiter.Admit("a", 10).admitted);
   // Token "b" has its own window — rotation defeats per-token exhaustion.
   EXPECT_TRUE(limiter.Admit("b", 10).admitted);
-  EXPECT_EQ(limiter.AdmittedCount("a"), 1);
-  EXPECT_EQ(limiter.AdmittedCount("b"), 1);
-  EXPECT_EQ(limiter.AdmittedCount("c"), 0);
 }
 
 TEST(RateLimiterTest, ConcurrentWorkersNeverExceedBudget) {
@@ -80,7 +77,6 @@ TEST(RateLimiterTest, ConcurrentWorkersNeverExceedBudget) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(admitted.load(), kBudget);
-  EXPECT_EQ(limiter.AdmittedCount("shared"), kBudget);
 }
 
 // ---------------------------------------------------------------------------

@@ -310,7 +310,6 @@ TEST(ServeSwapTest, IncrementalEpochsPublishUnderQueryLoadWithoutTearing) {
   options.world.scale = 0.002;
   options.world.seed = 11;
   options.crawl.num_workers = 2;
-  options.epoch_config.full_rebuild_delta_fraction = 1.1;
   core::ExploratoryPlatform platform(options);
 
   // CrunchBase starts hard-down: its fetches dead-letter, so the baseline
@@ -343,14 +342,15 @@ TEST(ServeSwapTest, IncrementalEpochsPublishUnderQueryLoadWithoutTearing) {
 
   // Publishes the maintainer's current artifacts as a serving snapshot. The
   // snapshot's embedded epoch must match the store's assignment (the torn
-  // check compares body epoch against the pinned transport epoch).
-  uint64_t serving_epoch = 0;
+  // check compares body epoch against the pinned transport epoch), and the
+  // store numbers epochs from 1.
   auto publish_epoch = [&]() {
     const core::EpochArtifacts& arts = platform.epoch_maintainer()->artifacts();
-    const uint64_t published = store.Publish(AssembleServingSnapshot(
-        ++serving_epoch, arts.graph, arts.projection, arts.community_labels,
-        arts.communities, build));
-    ASSERT_EQ(published, serving_epoch);
+    const uint64_t epoch = store.published() + 1;
+    ASSERT_EQ(store.Publish(AssembleServingSnapshot(
+                  epoch, arts.graph, arts.projection, arts.community_labels,
+                  arts.communities, build)),
+              epoch);
   };
 
   auto first = platform.AdvanceEpoch();

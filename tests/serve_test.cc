@@ -582,29 +582,18 @@ TEST(ServeLoadGenTest, ClosedLoopServesCleanTraffic) {
 }
 
 // ---------------------------------------------------------------------------
-// Platform integration: every crawl flush publishes a snapshot epoch.
+// Platform integration: a crawl feeds the serving tier end to end.
 
-TEST(ServePlatformTest, CrawlFlushesPublishEpochs) {
+TEST(ServePlatformTest, CrawledGraphPublishesAndAnswers) {
   core::ExploratoryPlatform::Options options;
   options.world.scale = 0.002;
   options.world.seed = 11;
   options.crawl.num_workers = 2;
-  std::vector<uint64_t> epochs;
-  std::mutex mu;
-  options.epoch_published_hook = [&](uint64_t epoch) {
-    std::lock_guard<std::mutex> lock(mu);
-    epochs.push_back(epoch);
-  };
   core::ExploratoryPlatform platform(options);
   ASSERT_TRUE(platform.CollectData().ok());
-  ASSERT_FALSE(epochs.empty());
-  for (size_t i = 1; i < epochs.size(); ++i) {
-    EXPECT_EQ(epochs[i], epochs[i - 1] + 1);
-  }
-  EXPECT_EQ(platform.snapshot_epoch(), epochs.back());
 
-  // The published epochs can feed the serving tier end to end: build a
-  // snapshot from the crawled graph and answer a query against it.
+  // Build a snapshot from the crawled graph, publish it under the store's
+  // first epoch number and answer a query against it.
   auto inputs = platform.LoadInputs();
   ASSERT_TRUE(inputs.ok()) << inputs.status();
   graph::BipartiteGraph g =
@@ -621,11 +610,13 @@ TEST(ServePlatformTest, CrawlFlushesPublishEpochs) {
     return c != nullptr ? c->name : "company-" + std::to_string(id);
   };
   EpochStore<ServingSnapshot> store;
-  store.Publish(BuildServingSnapshot(platform.snapshot_epoch(), g, build));
+  ASSERT_EQ(store.Publish(BuildServingSnapshot(1, g, build)), 1u);
   QueryService service(&store, {});
   QueryResponse resp = service.Call(QueryRequest("facets.communities"));
   EXPECT_EQ(resp.status, 200);
   EXPECT_TRUE(resp.served());
+  EXPECT_EQ(resp.epoch, 1u);
+  EXPECT_EQ(resp.body->Get("epoch").AsInt(), 1);
   EXPECT_GT(resp.body->Get("communities").size(), 0u);
 }
 

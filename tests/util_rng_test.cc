@@ -98,14 +98,6 @@ TEST(RngTest, LogNormalMedian) {
   EXPECT_NEAR(xs[n / 2], 652, 652 * 0.08);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(23);
-  double sum = 0;
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) sum += rng.Exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(RngTest, PoissonMeanSmallAndLarge) {
   Rng rng(31);
   for (double mean : {0.5, 4.0, 120.0}) {
