@@ -24,9 +24,10 @@ constexpr double kMaxAffiliation = 1000;
 constexpr size_t kMinCommunitySize = 3;
 
 /// Per-worker buffers for one row update, sized once for the maximum degree
-/// on either side so the row loop never reallocates. `dots`/`terms` hold the
-/// clamped dot and log term of each neighbor edge at the row's current
-/// value, `cand_dots`/`cand_terms` those at the line-search candidate.
+/// on either side so the row loop never reallocates. `dots`/`terms` gather a
+/// company's filed edge values (the H phase reads them through
+/// `in_edge_slot`), `cand_dots`/`cand_terms` hold the edge values at the
+/// line-search candidate.
 struct RowScratch {
   std::vector<double> nbr_sum;
   std::vector<double> rest;
@@ -86,6 +87,19 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
 
   const size_t cs = static_cast<size_t>(c);
 
+  // Each row's block mask (simd::BlockMaskF64), refreshed when the row
+  // moves. Every entry is finite and >= +0 (the init is positive, and the
+  // compare-select projection onto [0, kMaxAffiliation] yields neither -0
+  // nor NaN), so the block-skipping kernels give the dense kernels' bits.
+  std::vector<uint64_t> f_blocks(nl);
+  std::vector<uint64_t> h_blocks(nr);
+  for (size_t u = 0; u < nl; ++u) {
+    f_blocks[u] = simd::BlockMaskF64(&f[u * cs], cs);
+  }
+  for (size_t v = 0; v < nr; ++v) {
+    h_blocks[v] = simd::BlockMaskF64(&h[v * cs], cs);
+  }
+
   // One-time max-degree reservation: every worker's scratch is sized for the
   // largest neighborhood on either side, so no row update reallocates.
   size_t max_degree = 1;
@@ -101,13 +115,21 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
     scratches.emplace_back(c, max_degree);
   }
 
-  // Each edge's clamped dot and log term, in out-edge (CSR) order: the
-  // order the log-likelihood sums them in. `in_edge_slot` maps company v's
-  // i-th in-edge (in-neighbors ascending, numbered company by company) to
-  // its CSR position, so the H phase can file each row's final values.
+  // Each edge's clamped dot and log term at the current F and H, in
+  // out-edge (CSR) order: the order the log-likelihood sums them in.
+  // Investor u's edges start at `out_edge_begin[u]`; `in_edge_slot` maps
+  // company v's i-th in-edge (in-neighbors ascending, numbered company by
+  // company) to its CSR position. Each phase files a moved row's final
+  // values there, and the next phase's gradient pass reads them instead of
+  // recomputing them: DotF64 multiplies elementwise, so F_u . H_v and
+  // H_v . F_u fill the same lanes.
   const size_t ne = g.num_edges();
   std::vector<double> edge_dot(ne);
   std::vector<double> edge_term(ne);
+  std::vector<size_t> out_edge_begin(nl + 1, 0);
+  for (uint32_t u = 0; u < nl; ++u) {
+    out_edge_begin[u + 1] = out_edge_begin[u] + g.OutNeighbors(u).size();
+  }
   std::vector<size_t> in_edge_begin(nr + 1, 0);
   for (uint32_t v = 0; v < nr; ++v) {
     in_edge_begin[v + 1] = in_edge_begin[v] + g.InNeighbors(v).size();
@@ -132,54 +154,55 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
   // `other`, read in place:
   //   l(x) = sum_{nbr} log(1 - exp(-x . Y_nbr)) - x . rest
   // where rest = (column sums of the other side) - (sum over neighbors).
-  // On return scratch.dots/terms hold the edges' values at the row's final
-  // value, moved or not.
-  auto update_row = [&](double* x, const double* other,
-                        const double* sum_other,
-                        std::span<const uint32_t> nbrs, RowScratch& scratch) {
+  // `dots`/`terms` hold the edges' filed values at x. Returns whether the
+  // row moved; if so, x and *x_blocks hold the accepted candidate and
+  // scratch.cand_dots/cand_terms its edges' values.
+  auto update_row = [&](double* x, uint64_t* x_blocks, const double* other,
+                        const uint64_t* other_blocks, const double* sum_other,
+                        std::span<const uint32_t> nbrs, const double* dots,
+                        const double* terms, RowScratch& scratch) {
     const size_t count = nbrs.size();
+    // One pass over the neighbor rows: their sum, and the gradient's
+    // sum_nbr Y / expm1(dot). It returns the edge terms of l(x).
+    double* grad = scratch.grad.data();
     std::fill(scratch.nbr_sum.begin(), scratch.nbr_sum.end(), 0.0);
-    for (uint32_t j : nbrs) {
-      simd::AddF64(scratch.nbr_sum.data(), &other[j * cs], cs);
-    }
+    std::fill(scratch.grad.begin(), scratch.grad.end(), 0.0);
+    const double edge_terms = simd::AccumExpm1RowsF64(
+        other, other_blocks, nbrs.data(), count, cs, dots, terms,
+        1.0 / kMinDot, scratch.nbr_sum.data(), grad);
     simd::ClampedSubF64(scratch.rest.data(), sum_other, scratch.nbr_sum.data(),
                         cs);
     const double* rest = scratch.rest.data();
-    // Gradient: sum_nbr Y / expm1(dot) - rest. Its pass also yields the
-    // edge terms of l(x).
-    double* grad = scratch.grad.data();
-    std::fill(scratch.grad.begin(), scratch.grad.end(), 0.0);
     const double base =
-        simd::AccumExpm1RowsF64(x, other, nbrs.data(), count, cs, kMinDot,
-                                1.0 / kMinDot, grad, scratch.dots.data(),
-                                scratch.terms.data()) -
-        simd::DotF64(x, rest, cs);
-    simd::SubF64(grad, rest, cs);
+        edge_terms - simd::DotBlocksF64(x, rest, cs, *x_blocks);
+    simd::SubF64(grad, rest, cs);  // gradient: sum_nbr Y / expm1 - rest
 
     double* candidate = scratch.candidate.data();
     double step = kInitialStep;
     for (int bt = 0; bt <= kMaxBacktracks; ++bt) {
-      double gdx = simd::ClampedStepDotF64(x, grad, step, 0.0, kMaxAffiliation,
-                                           candidate, cs);
+      double cand_rest = 0;
+      uint64_t cand_blocks = 0;
+      double gdx =
+          simd::ClampedStepDotF64(x, grad, rest, step, 0.0, kMaxAffiliation,
+                                  candidate, &cand_rest, &cand_blocks, cs);
       if (gdx <= 0) break;  // projected step is not an ascent direction
       const double bar = base + 1e-4 * gdx;
       const double obj = simd::SumLogEdgeProbF64(
-          candidate, other, nbrs.data(), count, cs, kMinDot,
-          simd::DotF64(candidate, rest, cs), bar, scratch.cand_dots.data(),
+          candidate, cand_blocks, other, other_blocks, nbrs.data(), count, cs,
+          kMinDot, cand_rest, bar, scratch.cand_dots.data(),
           scratch.cand_terms.data());
       if (obj >= bar) {  // Armijo
         std::copy(candidate, candidate + cs, x);
-        std::swap(scratch.dots, scratch.cand_dots);
-        std::swap(scratch.terms, scratch.cand_terms);
-        return;
+        *x_blocks = cand_blocks;
+        return true;
       }
       step *= kStepBeta;
     }
-    // No improving step found: leave the row unchanged.
+    return false;  // no improving step found: leave the row unchanged
   };
 
-  // Rows are independent within a phase (each writes only its own row, and
-  // in the H phase its own edges' slots, against the fixed other side), so
+  // Rows are independent within a phase (each writes only its own row, its
+  // block mask and its own edges' slots, against the fixed other side), so
   // any worker assignment produces identical results. fn(i, scratch) gets a
   // worker-local RowScratch.
   auto parallel_rows = [&](size_t n, auto&& fn) {
@@ -210,9 +233,17 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     // --- F phase (investor rows; H and sum_h fixed). ---------------------
+    // A moved row files its edges' values at its new F_u (H is final for
+    // this phase) for the H phase to read.
     parallel_rows(nl, [&](size_t u, RowScratch& scratch) {
-      update_row(&f[u * cs], h.data(), sum_h.data(),
-                 g.OutNeighbors(static_cast<uint32_t>(u)), scratch);
+      auto nbrs = g.OutNeighbors(static_cast<uint32_t>(u));
+      const size_t e = out_edge_begin[u];
+      if (update_row(&f[u * cs], &f_blocks[u], h.data(), h_blocks.data(),
+                     sum_h.data(), nbrs, &edge_dot[e], &edge_term[e],
+                     scratch)) {
+        std::copy_n(scratch.cand_dots.begin(), nbrs.size(), &edge_dot[e]);
+        std::copy_n(scratch.cand_terms.begin(), nbrs.size(), &edge_term[e]);
+      }
     });
     std::fill(sum_f.begin(), sum_f.end(), 0.0);
     for (size_t u = 0; u < nl; ++u) {
@@ -221,14 +252,22 @@ CodaResult Coda::Fit(const graph::BipartiteGraph& g) const {
 
     // --- H phase (company rows; F and sum_f fixed). ----------------------
     // F is final for this iteration, so each company's edge values at its
-    // final row are the iteration's: file them for the log-likelihood.
+    // final row are the iteration's: a moved row files them for the
+    // log-likelihood and the next F phase.
     parallel_rows(nr, [&](size_t v, RowScratch& scratch) {
       auto nbrs = g.InNeighbors(static_cast<uint32_t>(v));
-      update_row(&h[v * cs], f.data(), sum_f.data(), nbrs, scratch);
       const size_t* slots = in_edge_slot.data() + in_edge_begin[v];
       for (size_t i = 0; i < nbrs.size(); ++i) {
-        edge_dot[slots[i]] = scratch.dots[i];
-        edge_term[slots[i]] = scratch.terms[i];
+        scratch.dots[i] = edge_dot[slots[i]];
+        scratch.terms[i] = edge_term[slots[i]];
+      }
+      if (update_row(&h[v * cs], &h_blocks[v], f.data(), f_blocks.data(),
+                     sum_f.data(), nbrs, scratch.dots.data(),
+                     scratch.terms.data(), scratch)) {
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          edge_dot[slots[i]] = scratch.cand_dots[i];
+          edge_term[slots[i]] = scratch.cand_terms[i];
+        }
       }
     });
     std::fill(sum_h.begin(), sum_h.end(), 0.0);

@@ -128,36 +128,49 @@ EngagementTable AnalyzeEngagement(
       funded_ids.begin(), funded_ids.end());
 
   // --- join startups with their social profiles. -------------------------
+  // Each side keeps only the fields the table reads, so the shuffles and
+  // join tables carry small values instead of whole records.
+  struct TwitterFields {
+    int64_t tweets = 0;
+    int64_t followers = 0;
+    bool followers_null = false;
+  };
   auto startup_kv =
       Dataset<StartupRecord>::FromVector(ctx, inputs.startups)
-          .Map([](const StartupRecord& s) { return std::make_pair(s.id, s); });
-  auto fb_kv = fb_ds.Map(
-      [](const FacebookRecord& r) { return std::make_pair(r.angellist_id, r); });
-  auto tw_kv = tw_ds.Map(
-      [](const TwitterRecord& r) { return std::make_pair(r.angellist_id, r); });
+          .Map([](const StartupRecord& s) {
+            return std::make_pair(s.id, s.has_video);
+          });
+  auto fb_kv = fb_ds.Map([](const FacebookRecord& r) {
+    return std::make_pair(r.angellist_id, r.fan_count);
+  });
+  auto tw_kv = tw_ds.Map([](const TwitterRecord& r) {
+    return std::make_pair(
+        r.angellist_id,
+        TwitterFields{r.statuses_count, r.followers_count,
+                      r.followers_count_null});
+  });
 
   auto with_fb = dataflow::LeftOuterJoin(startup_kv, fb_kv)
                      .Map([funded_set](const auto& kv) {
-                       const StartupRecord& s = kv.second.first;
-                       const FacebookRecord& fb = kv.second.second.first;
-                       const bool has_fb = kv.second.second.second;
+                       const auto& [has_video, fb] = kv.second;
+                       const auto& [likes, has_fb] = fb;
                        Feat f;
-                       f.id = s.id;
-                       f.video = s.has_video;
+                       f.id = kv.first;
+                       f.video = has_video;
                        f.fb = has_fb;
-                       f.likes = fb.fan_count;
-                       f.success = funded_set->count(s.id) > 0;
-                       return std::make_pair(s.id, f);
+                       f.likes = likes;
+                       f.success = funded_set->count(kv.first) > 0;
+                       return std::make_pair(kv.first, f);
                      });
   auto feats = dataflow::LeftOuterJoin(with_fb, tw_kv)
                    .Map([](const auto& kv) {
                      Feat f = kv.second.first;
-                     const TwitterRecord& tw = kv.second.second.first;
-                     if (kv.second.second.second) {
+                     const auto& [tw, has_tw] = kv.second.second;
+                     if (has_tw) {
                        f.tw = true;
-                       f.tweets = tw.statuses_count;
-                       f.followers = tw.followers_count;
-                       f.followers_null = tw.followers_count_null;
+                       f.tweets = tw.tweets;
+                       f.followers = tw.followers;
+                       f.followers_null = tw.followers_null;
                      }
                      return f;
                    });

@@ -167,7 +167,6 @@ ExploratoryPlatform::AdvanceEpoch() {
         *dfs_, path, &report.records_parsed, &deltas));
   }
   consumed_segments_ = std::move(consumed);
-  report.delta_edges_emitted = deltas.size();
 
   if (full_rebuild) {
     report.full_rebuild = true;

@@ -63,7 +63,6 @@ class ExploratoryPlatform {
     bool watermark_reset = false;  // consumed segment gone/changed -> rescan
     size_t files_scanned = 0;
     size_t records_parsed = 0;
-    size_t delta_edges_emitted = 0;  // raw add-deltas extracted this round
     EpochBuildReport build;
   };
 

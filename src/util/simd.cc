@@ -6,7 +6,7 @@
 
 // Scalar canonical kernels, the AVX2 tier and runtime dispatch. Each AVX2
 // kernel carries __attribute__((target("avx2"))), so AVX2 codegen stays
-// inside those nine functions and everything else is built for the
+// inside those ten functions and everything else is built for the
 // baseline ISA; a one-time __builtin_cpu_supports check gates dispatch.
 // "fma" is deliberately NOT in the target list: a contracted multiply-add
 // would round differently from the scalar canonical forms and break
@@ -25,12 +25,15 @@ struct Kernels {
   double (*dot)(const double*, const double*, size_t);
   double (*sum)(const double*, size_t);
   double (*sum_sq_diff)(const double*, size_t, double);
-  double (*clamped_step_dot)(const double*, const double*, double, double,
-                             double, double*, size_t);
-  void (*axpy)(double, const double*, double*, size_t);
+  double (*clamped_step_dot)(const double*, const double*, const double*,
+                             double, double, double, double*, double*,
+                             uint64_t*, size_t);
+  double (*dot_blocks)(const double*, const double*, size_t, uint64_t);
   void (*add)(double*, const double*, size_t);
   void (*sub)(double*, const double*, size_t);
   void (*clamped_sub)(double*, const double*, const double*, size_t);
+  void (*add_axpy_blocks)(double*, double*, double, const double*, size_t,
+                          uint64_t);
   uint64_t (*and_popcount)(const uint64_t*, const uint64_t*, size_t);
 };
 
@@ -44,6 +47,15 @@ inline double CombineLanes(const double lane[16]) {
   const double c = (lane[8] + lane[9]) + (lane[10] + lane[11]);
   const double d = (lane[12] + lane[13]) + (lane[14] + lane[15]);
   return (a + b) + (c + d);
+}
+
+/// Block b's bit in a block mask: blocks 63 and up share the top bit.
+inline uint64_t BlockBit(size_t b) { return uint64_t{1} << (b < 63 ? b : 63); }
+
+/// The bits that stand for the first `full` blocks, where bit 63 (when
+/// kept) stands for blocks 63..full-1.
+inline uint64_t FullBlockBits(size_t full) {
+  return full >= 64 ? ~uint64_t{0} : (uint64_t{1} << full) - 1;
 }
 
 }  // namespace
@@ -76,21 +88,44 @@ double SumSqDiffF64Scalar(const double* a, size_t n, double center) {
   return CombineLanes(lane);
 }
 
-double ClampedStepDotF64Scalar(const double* x, const double* g, double step,
-                               double lo, double hi, double* cand, size_t n) {
+double ClampedStepDotF64Scalar(const double* x, const double* g,
+                               const double* rest, double step, double lo,
+                               double hi, double* cand, double* cand_rest,
+                               uint64_t* cand_blocks, size_t n) {
   double lane[kVirtualLanes] = {};
+  double rest_lane[kVirtualLanes] = {};
+  uint64_t blocks = 0;
   for (size_t i = 0; i < n; ++i) {
     double t = x[i] + step * g[i];
     t = (t > lo) ? t : lo;  // compare-select: matches MAXPD/MINPD on NaN
     t = (t < hi) ? t : hi;
     cand[i] = t;
     lane[i & 15] += g[i] * (t - x[i]);
+    rest_lane[i & 15] += t * rest[i];
+    if (std::bit_cast<uint64_t>(t) != 0) blocks |= BlockBit(i / kVirtualLanes);
   }
+  *cand_rest = CombineLanes(rest_lane);
+  *cand_blocks = blocks;
   return CombineLanes(lane);
 }
 
-void AxpyF64Scalar(double alpha, const double* x, double* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+uint64_t BlockMaskF64(const double* x, size_t n) {
+  uint64_t blocks = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::bit_cast<uint64_t>(x[i]) != 0) {
+      blocks |= BlockBit(i / kVirtualLanes);
+    }
+  }
+  return blocks;
+}
+
+double DotBlocksF64Scalar(const double* a, const double* b, size_t n,
+                          uint64_t blocks) {
+  double lane[kVirtualLanes] = {};
+  for (size_t i = 0; i < n; ++i) {
+    if (blocks & BlockBit(i / kVirtualLanes)) lane[i & 15] += a[i] * b[i];
+  }
+  return CombineLanes(lane);
 }
 
 void AddF64Scalar(double* y, const double* x, size_t n) {
@@ -106,6 +141,16 @@ void ClampedSubF64Scalar(double* out, const double* a, const double* b,
   for (size_t i = 0; i < n; ++i) {
     const double t = a[i] - b[i];
     out[i] = (t > 0.0) ? t : 0.0;
+  }
+}
+
+void AddAxpyBlocksF64Scalar(double* sum, double* acc, double alpha,
+                            const double* y, size_t n, uint64_t blocks) {
+  for (size_t i = 0; i < n; ++i) {
+    if (blocks & BlockBit(i / kVirtualLanes)) {
+      sum[i] += y[i];
+      acc[i] += alpha * y[i];
+    }
   }
 }
 
@@ -125,10 +170,11 @@ const Kernels kScalarKernels = {
     SumF64Scalar,
     SumSqDiffF64Scalar,
     ClampedStepDotF64Scalar,
-    AxpyF64Scalar,
+    DotBlocksF64Scalar,
     AddF64Scalar,
     SubF64Scalar,
     ClampedSubF64Scalar,
+    AddAxpyBlocksF64Scalar,
     AndPopcountU64Scalar,
 };
 
@@ -196,15 +242,19 @@ double SumSqDiffAvx2(const double* a, size_t n, double center) {
 }
 
 __attribute__((target("avx2")))
-double ClampedStepDotAvx2(const double* x, const double* g, double step,
-                          double lo, double hi, double* cand, size_t n) {
+double ClampedStepDotAvx2(const double* x, const double* g, const double* rest,
+                          double step, double lo, double hi, double* cand,
+                          double* cand_rest, uint64_t* cand_blocks, size_t n) {
   const __m256d vstep = _mm256_set1_pd(step);
   const __m256d vlo = _mm256_set1_pd(lo);
   const __m256d vhi = _mm256_set1_pd(hi);
   __m256d acc[4];
-  for (auto& v : acc) v = _mm256_setzero_pd();
+  __m256d rest_acc[4];
+  for (size_t q = 0; q < 4; ++q) acc[q] = rest_acc[q] = _mm256_setzero_pd();
+  uint64_t blocks = 0;
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
+    __m256d any = _mm256_setzero_pd();
     for (size_t q = 0; q < 4; ++q) {
       const __m256d vx = _mm256_loadu_pd(x + i + 4 * q);
       const __m256d vg = _mm256_loadu_pd(g + i + 4 * q);
@@ -215,30 +265,61 @@ double ClampedStepDotAvx2(const double* x, const double* g, double step,
       t = _mm256_min_pd(t, vhi);
       _mm256_storeu_pd(cand + i + 4 * q, t);
       acc[q] = _mm256_add_pd(acc[q], _mm256_mul_pd(vg, _mm256_sub_pd(t, vx)));
+      rest_acc[q] = _mm256_add_pd(
+          rest_acc[q], _mm256_mul_pd(t, _mm256_loadu_pd(rest + i + 4 * q)));
+      any = _mm256_or_pd(any, t);
     }
+    // Branch-free: whether a block is zero changes from row to row.
+    const __m256i any_bits = _mm256_castpd_si256(any);
+    const uint64_t nonzero = _mm256_testz_si256(any_bits, any_bits) == 0;
+    blocks |= BlockBit(i / kVirtualLanes) * nonzero;
   }
   double lane[kVirtualLanes];
-  for (size_t q = 0; q < 4; ++q) _mm256_storeu_pd(lane + 4 * q, acc[q]);
+  double rest_lane[kVirtualLanes];
+  for (size_t q = 0; q < 4; ++q) {
+    _mm256_storeu_pd(lane + 4 * q, acc[q]);
+    _mm256_storeu_pd(rest_lane + 4 * q, rest_acc[q]);
+  }
   for (; i < n; ++i) {
     double t = x[i] + step * g[i];
     t = (t > lo) ? t : lo;
     t = (t < hi) ? t : hi;
     cand[i] = t;
     lane[i & 15] += g[i] * (t - x[i]);
+    rest_lane[i & 15] += t * rest[i];
+    if (std::bit_cast<uint64_t>(t) != 0) blocks |= BlockBit(i / kVirtualLanes);
   }
+  *cand_rest = CombineLanes(rest_lane);
+  *cand_blocks = blocks;
   return CombineLanes(lane);
 }
 
 __attribute__((target("avx2")))
-void AxpyAvx2(double alpha, const double* x, double* y, size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                             _mm256_mul_pd(va, _mm256_loadu_pd(x + i))));
+double DotBlocksAvx2(const double* a, const double* b, size_t n,
+                     uint64_t blocks) {
+  __m256d acc[4];
+  for (auto& v : acc) v = _mm256_setzero_pd();
+  // Visit the set bits of the full blocks (a branch per block would
+  // mispredict: which blocks are zero changes from row to row).
+  const size_t full = n / kVirtualLanes;
+  for (uint64_t m = blocks & FullBlockBits(full); m != 0; m &= m - 1) {
+    const size_t bit = static_cast<size_t>(std::countr_zero(m));
+    const size_t end = bit == 63 ? full : bit + 1;
+    for (size_t i = bit * kVirtualLanes; i < end * kVirtualLanes; i += 16) {
+      for (size_t q = 0; q < 4; ++q) {
+        acc[q] = _mm256_add_pd(
+            acc[q], _mm256_mul_pd(_mm256_loadu_pd(a + i + 4 * q),
+                                  _mm256_loadu_pd(b + i + 4 * q)));
+      }
+    }
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  size_t i = full * kVirtualLanes;
+  double lane[kVirtualLanes];
+  for (size_t q = 0; q < 4; ++q) _mm256_storeu_pd(lane + 4 * q, acc[q]);
+  if (blocks & BlockBit(i / kVirtualLanes)) {
+    for (; i < n; ++i) lane[i & 15] += a[i] * b[i];
+  }
+  return CombineLanes(lane);
 }
 
 __attribute__((target("avx2")))
@@ -273,6 +354,30 @@ void ClampedSubAvx2(double* out, const double* a, const double* b, size_t n) {
   for (; i < n; ++i) {
     const double t = a[i] - b[i];
     out[i] = (t > 0.0) ? t : 0.0;
+  }
+}
+
+__attribute__((target("avx2")))
+void AddAxpyBlocksAvx2(double* sum, double* acc, double alpha, const double* y,
+                       size_t n, uint64_t blocks) {
+  const __m256d va = _mm256_set1_pd(alpha);
+  const size_t full = n / kVirtualLanes;
+  for (uint64_t m = blocks & FullBlockBits(full); m != 0; m &= m - 1) {
+    const size_t bit = static_cast<size_t>(std::countr_zero(m));
+    const size_t end = bit == 63 ? full : bit + 1;
+    for (size_t j = bit * kVirtualLanes; j < end * kVirtualLanes; j += 4) {
+      const __m256d vy = _mm256_loadu_pd(y + j);
+      _mm256_storeu_pd(sum + j, _mm256_add_pd(_mm256_loadu_pd(sum + j), vy));
+      _mm256_storeu_pd(acc + j, _mm256_add_pd(_mm256_loadu_pd(acc + j),
+                                              _mm256_mul_pd(va, vy)));
+    }
+  }
+  size_t i = full * kVirtualLanes;
+  if (blocks & BlockBit(i / kVirtualLanes)) {
+    for (; i < n; ++i) {
+      sum[i] += y[i];
+      acc[i] += alpha * y[i];
+    }
   }
 }
 
@@ -311,10 +416,11 @@ const Kernels kAvx2Kernels = {
     SumAvx2,
     SumSqDiffAvx2,
     ClampedStepDotAvx2,
-    AxpyAvx2,
+    DotBlocksAvx2,
     AddAvx2,
     SubAvx2,
     ClampedSubAvx2,
+    AddAxpyBlocksAvx2,
     AndPopcountAvx2,
 };
 
@@ -376,13 +482,16 @@ void MeanVarF64(const double* a, size_t n, double* mean, double* sum_sq_diff) {
   *sum_sq_diff = SumSqDiffF64(a, n, *mean);
 }
 
-double ClampedStepDotF64(const double* x, const double* g, double step,
-                         double lo, double hi, double* cand, size_t n) {
-  return Active().clamped_step_dot(x, g, step, lo, hi, cand, n);
+double ClampedStepDotF64(const double* x, const double* g, const double* rest,
+                         double step, double lo, double hi, double* cand,
+                         double* cand_rest, uint64_t* cand_blocks, size_t n) {
+  return Active().clamped_step_dot(x, g, rest, step, lo, hi, cand, cand_rest,
+                                   cand_blocks, n);
 }
 
-void AxpyF64(double alpha, const double* x, double* y, size_t n) {
-  Active().axpy(alpha, x, y, n);
+double DotBlocksF64(const double* a, const double* b, size_t n,
+                    uint64_t blocks) {
+  return Active().dot_blocks(a, b, n, blocks);
 }
 
 void AddF64(double* y, const double* x, size_t n) { Active().add(y, x, n); }
@@ -393,38 +502,40 @@ void ClampedSubF64(double* out, const double* a, const double* b, size_t n) {
   Active().clamped_sub(out, a, b, n);
 }
 
+void AddAxpyBlocksF64(double* sum, double* acc, double alpha, const double* y,
+                      size_t n, uint64_t blocks) {
+  Active().add_axpy_blocks(sum, acc, alpha, y, n, blocks);
+}
+
 uint64_t AndPopcountU64(const uint64_t* a, const uint64_t* b, size_t n) {
   return Active().and_popcount(a, b, n);
 }
 
 // --------------------------------------------------------------------------
 // Fused CoDA row helpers: backend-independent composition. The per-row
-// fold is sequential in neighbor order on every backend, each dot obeys the
-// lane contract, and the libm calls (exp/log1p/expm1) see bit-identical
+// fold is sequential in neighbor order on every backend, each kernel obeys
+// the lane contract, and the libm calls (exp/log1p/expm1) see bit-identical
 // inputs — so the whole helper is bit-identical SIMD-on vs SIMD-off.
 // --------------------------------------------------------------------------
 
-double AccumExpm1RowsF64(const double* x, const double* rows,
+double AccumExpm1RowsF64(const double* rows, const uint64_t* row_blocks,
                          const uint32_t* idx, size_t count, size_t c,
-                         double min_dot, double w_cap, double* grad,
-                         double* dots, double* terms) {
+                         const double* dots, const double* terms,
+                         double w_cap, double* nbr_sum, double* grad) {
   const Kernels& k = Active();
   double sum = 0;
   for (size_t i = 0; i < count; ++i) {
-    const double* row = rows + idx[i] * c;
-    double d = k.dot(x, row, c);
-    if (d < min_dot) d = min_dot;
-    double w = 1.0 / std::expm1(d);
+    double w = 1.0 / std::expm1(dots[i]);
     if (w > w_cap) w = w_cap;
-    k.axpy(w, row, grad, c);
-    dots[i] = d;
-    terms[i] = std::log1p(-std::exp(-d));
+    k.add_axpy_blocks(nbr_sum, grad, w, rows + idx[i] * c, c,
+                      row_blocks[idx[i]]);
     sum += terms[i];
   }
   return sum;
 }
 
-double SumLogEdgeProbF64(const double* x, const double* rows,
+double SumLogEdgeProbF64(const double* x, uint64_t x_blocks,
+                         const double* rows, const uint64_t* row_blocks,
                          const uint32_t* idx, size_t count, size_t c,
                          double min_dot, double x_rest, double bar,
                          double* dots, double* terms) {
@@ -433,7 +544,8 @@ double SumLogEdgeProbF64(const double* x, const double* rows,
   for (size_t i = 0; i < count; ++i) {
     const double partial = sum - x_rest;
     if (partial < bar) return partial;
-    double d = k.dot(x, rows + idx[i] * c, c);
+    double d = k.dot_blocks(x, rows + idx[i] * c, c,
+                            x_blocks & row_blocks[idx[i]]);
     if (d < min_dot) d = min_dot;
     dots[i] = d;
     terms[i] = std::log1p(-std::exp(-d));

@@ -25,7 +25,7 @@ namespace cfnet::simd {
 /// *emulates that layout exactly*, so SIMD-on, SIMD-off, x86 and ARM (which
 /// runs the scalar table) all produce byte-identical results — the
 /// ordered-reduction guarantee of util/parallel.h extended down into the
-/// lanes. Elementwise kernels (axpy, add, clamped sub, ...) are trivially
+/// lanes. Elementwise kernels (add, sub, clamped sub, ...) are trivially
 /// exact: each output element depends only on its own inputs, in one fixed
 /// expression.
 ///
@@ -48,7 +48,9 @@ namespace cfnet::simd {
 ///    __attribute__((target("avx2"))); the AVX2 table may instead leave the
 ///    slot on the scalar function — that is always bit-identical.
 /// 4. Extend the differential grid in tests/simd_test.cc (lengths 0..257,
-///    misaligned offsets, NaN/inf) for the new kernel.
+///    misaligned offsets, NaN/inf) for the new kernel. A block-skipping
+///    kernel states when skipping is exact, and the grid also checks it
+///    against its dense form on inputs that meet that precondition.
 
 /// Number of virtual accumulator lanes every FP reduction commits to.
 /// 16 lanes = four 256-bit AVX2 accumulators, enough independent add
@@ -90,14 +92,34 @@ void MeanVarF64(const double* a, size_t n, double* mean, double* sum_sq_diff);
 
 /// Projected gradient step: cand[i] = clamp(x[i] + step * g[i], lo, hi)
 /// with compare-select clamping, returning sum_i g[i] * (cand[i] - x[i])
-/// (the ascent direction test) under the virtual-lane layout.
-double ClampedStepDotF64(const double* x, const double* g, double step,
-                         double lo, double hi, double* cand, size_t n);
+/// (the ascent direction test) under the virtual-lane layout. The same pass
+/// writes *cand_rest = DotF64(cand, rest, n) and
+/// *cand_blocks = BlockMaskF64(cand, n).
+double ClampedStepDotF64(const double* x, const double* g, const double* rest,
+                         double step, double lo, double hi, double* cand,
+                         double* cand_rest, uint64_t* cand_blocks, size_t n);
+
+// --- block-skipping kernels (virtual-lane contract) -----------------------
+//
+// A block is the kVirtualLanes entries 16b..16b+15 of a row: one visit of
+// every virtual lane. A block mask has bit min(b, 63) set when block b is
+// read (blocks 63 and up share the top bit); ~0 reads every block, and then
+// each kernel below equals its dense form bit for bit on any input. A read
+// block reaches its lanes and elements in the same order as in the dense
+// form, so skipping a block is exact when each skipped block is zero in `a`
+// or `b` (DotBlocksF64) or in `y` (AddAxpyBlocksF64), and every entry of
+// every operand, and alpha, is finite with no sign bit: a skipped block
+// would only add +0 to lanes and elements that are >= +0.
+
+/// Bit min(b, 63) is set when an entry of block b has a nonzero bit
+/// pattern (so -0.0 counts as nonzero).
+uint64_t BlockMaskF64(const double* x, size_t n);
+
+/// DotF64(a, b, n) over the blocks of `blocks`.
+double DotBlocksF64(const double* a, const double* b, size_t n,
+                    uint64_t blocks);
 
 // --- elementwise kernels (exact under any vector width) -------------------
-
-/// y[i] += alpha * x[i].
-void AxpyF64(double alpha, const double* x, double* y, size_t n);
 
 /// y[i] += x[i].
 void AddF64(double* y, const double* x, size_t n);
@@ -109,6 +131,12 @@ void SubF64(double* y, const double* x, size_t n);
 /// projection (column sum minus neighbor sum, floored at zero).
 void ClampedSubF64(double* out, const double* a, const double* b, size_t n);
 
+/// sum[i] += y[i] and acc[i] += alpha * y[i] over the blocks of `blocks`
+/// (block-skipping, see above): AddF64(sum, y) and acc += alpha * y from
+/// one read of y.
+void AddAxpyBlocksF64(double* sum, double* acc, double alpha, const double* y,
+                      size_t n, uint64_t blocks);
+
 // --- integer kernels ------------------------------------------------------
 
 /// sum_i popcount(a[i] & b[i]) — bitset intersection cardinality.
@@ -117,31 +145,37 @@ uint64_t AndPopcountU64(const uint64_t* a, const uint64_t* b, size_t n);
 // --- fused CoDA row helpers (backend-independent composition) -------------
 //
 // Both read the neighbor rows in place: neighbor i is the row
-// y_i = rows + idx[i] * c of a row-major factor matrix. Each walks the
-// neighbors in index order, each dot obeys the virtual-lane contract, and
-// the libm calls (exp/log1p/expm1) see identical inputs on every backend.
-// For each neighbor they write the clamped dot and the edge's log term:
-//   dots[i]  = d_i = max(DotF64(x, y_i, c), min_dot)
-//   terms[i] = t_i = log1p(-exp(-d_i))    (always <= 0)
+// y_i = rows + idx[i] * c of a row-major factor matrix, whose block mask is
+// row_blocks[idx[i]]. Each walks the neighbors in index order through the
+// block-skipping kernels, and the libm calls (exp/log1p/expm1) see
+// identical inputs on every backend. Each neighbor edge has a clamped dot
+// and a log term:
+//   d_i = max(DotF64(x, y_i, c), min_dot)
+//   t_i = log1p(-exp(-d_i))    (always <= 0)
 
-/// Fused CoDA gradient pass: besides dots and terms,
-///   grad += min(1 / expm1(d_i), w_cap) * y_i   (AxpyF64 per row, in order)
-/// and returns sum_i t_i folded in index order from 0 — the edge part of
-/// the row's objective at x.
-double AccumExpm1RowsF64(const double* x, const double* rows,
+/// Fused CoDA gradient pass over filed edge values: dots[i] and terms[i]
+/// hold d_i and t_i at the row's current value. Reads each neighbor row
+/// once and adds
+///   nbr_sum += y_i,   grad += min(1 / expm1(d_i), w_cap) * y_i
+/// (AddAxpyBlocksF64 per row, in order), and returns sum_i t_i folded in
+/// index order from 0 — the edge part of the row's objective.
+double AccumExpm1RowsF64(const double* rows, const uint64_t* row_blocks,
                          const uint32_t* idx, size_t count, size_t c,
-                         double min_dot, double w_cap, double* grad,
-                         double* dots, double* terms);
+                         const double* dots, const double* terms,
+                         double w_cap, double* nbr_sum, double* grad);
 
-/// Line-search objective of a CoDA candidate row x against the Armijo bar:
-/// returns (sum_i t_i) - x_rest, the sum folded in index order from 0, when
-/// that is >= bar. Otherwise it may stop early: every t_i is <= 0, so the
-/// partial sums only fall, and round-to-nearest keeps fl(S_i - x_rest)
-/// monotone too; the fold returns the first partial objective below `bar`,
-/// which the full objective could not reach either. The caller's test
-/// `obj >= bar` thus decides exactly as on the full objective. dots/terms
-/// are complete only when the result is >= bar.
-double SumLogEdgeProbF64(const double* x, const double* rows,
+/// Line-search objective of a CoDA candidate row x (block mask x_blocks)
+/// against the Armijo bar: writes dots[i] = d_i and terms[i] = t_i, with
+/// each dot a DotBlocksF64 over x_blocks & row_blocks[idx[i]], and returns
+/// (sum_i t_i) - x_rest, the sum folded in index order from 0, when that is
+/// >= bar. Otherwise it may stop early: every t_i is <= 0, so the partial
+/// sums only fall, and round-to-nearest keeps fl(S_i - x_rest) monotone
+/// too; the fold returns the first partial objective below `bar`, which the
+/// full objective could not reach either. The caller's test `obj >= bar`
+/// thus decides exactly as on the full objective. dots/terms are complete
+/// only when the result is >= bar.
+double SumLogEdgeProbF64(const double* x, uint64_t x_blocks,
+                         const double* rows, const uint64_t* row_blocks,
                          const uint32_t* idx, size_t count, size_t c,
                          double min_dot, double x_rest, double bar,
                          double* dots, double* terms);
@@ -155,13 +189,18 @@ double SumLogEdgeProbF64(const double* x, const double* rows,
 double DotF64Scalar(const double* a, const double* b, size_t n);
 double SumF64Scalar(const double* a, size_t n);
 double SumSqDiffF64Scalar(const double* a, size_t n, double center);
-double ClampedStepDotF64Scalar(const double* x, const double* g, double step,
-                               double lo, double hi, double* cand, size_t n);
-void AxpyF64Scalar(double alpha, const double* x, double* y, size_t n);
+double ClampedStepDotF64Scalar(const double* x, const double* g,
+                               const double* rest, double step, double lo,
+                               double hi, double* cand, double* cand_rest,
+                               uint64_t* cand_blocks, size_t n);
+double DotBlocksF64Scalar(const double* a, const double* b, size_t n,
+                          uint64_t blocks);
 void AddF64Scalar(double* y, const double* x, size_t n);
 void SubF64Scalar(double* y, const double* x, size_t n);
 void ClampedSubF64Scalar(double* out, const double* a, const double* b,
                          size_t n);
+void AddAxpyBlocksF64Scalar(double* sum, double* acc, double alpha,
+                            const double* y, size_t n, uint64_t blocks);
 uint64_t AndPopcountU64Scalar(const uint64_t* a, const uint64_t* b, size_t n);
 
 }  // namespace cfnet::simd

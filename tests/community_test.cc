@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -545,6 +546,34 @@ TEST(PinnedOutputsTest, CodaFitAtAnalyzeShape) {
     digest.Communities(result.company_communities);
     EXPECT_EQ(digest.value(), 0x7d52dea719429b75ull)
         << threads << " threads" << std::hex << " 0x" << digest.value();
+  }
+}
+
+// The block-skipping kernels give the dense kernels' bits only while every
+// F and H entry is finite with no sign bit (simd.h); the projection onto
+// [0, 1000] must never yield -0 or NaN.
+TEST(CodaTest, FactorsStayFiniteWithoutNegativeZero) {
+  const graph::BipartiteGraph g = AnalyzeShapeGraph();
+  for (int communities : {96, 6}) {
+    for (int threads : {1, 3}) {
+      CodaConfig config;
+      config.num_communities = communities;
+      config.max_iterations = 25;
+      config.num_threads = threads;
+      config.seed = 7;
+      const CodaResult result = Coda(config).Fit(g);
+      size_t zeros = 0;
+      for (const std::vector<double>* factors : {&result.f, &result.h}) {
+        for (double x : *factors) {
+          ASSERT_TRUE(std::isfinite(x)) << communities << " communities, "
+                                        << threads << " threads";
+          ASSERT_FALSE(std::signbit(x)) << communities << " communities, "
+                                        << threads << " threads";
+          zeros += x == 0.0;
+        }
+      }
+      EXPECT_GT(zeros, 0u) << "no entry was projected onto 0";
+    }
   }
 }
 
